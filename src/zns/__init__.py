@@ -73,7 +73,6 @@ from .stepper import (
     Stepper,
     budget_residual,
     build_coefficients,
-    step,
 )
 
 __version__ = "0.1.0"

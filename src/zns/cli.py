@@ -19,6 +19,7 @@ from .harness import (
     run_epsilon_sweep,
     run_steady_residual_sweep,
     simulate,
+    write_csv,
     write_triad_csv,
 )
 from .lattice import Domain, inner, norm, random_field
@@ -131,11 +132,9 @@ def cmd_contraction(args) -> int:
     s = record.summary
     _say(args, f"nu = {s['nu']:g}: distance rate {s['rate_distance']:.4f}, "
                f"tangent rate {s['rate_tangent']:.4f}")
-    args.out.mkdir(parents=True, exist_ok=True)
-    with open(args.out / "contraction.csv", "w") as fh:
-        fh.write("t,distance,tangent\n")
-        for (t, d), (_, p) in zip(record.curves["distance"], record.curves["tangent"]):
-            fh.write(f"{t!r},{d!r},{p!r}\n")
+    write_csv(args.out / "contraction.csv", ["t", "distance", "tangent"], (
+        (t, d, p) for (t, d), (_, p) in zip(record.curves["distance"], record.curves["tangent"])
+    ))
     return _report_violations(args, record.violations)
 
 
@@ -145,19 +144,15 @@ def cmd_steady(args) -> int:
     s = record.summary
     _say(args, f"residual slope {s['residual_slope']:.3f}, "
                f"distance slope {s['distance_slope']:.3f}")
-    args.out.mkdir(parents=True, exist_ok=True)
-    with open(args.out / "steady_residual.csv", "w") as fh:
-        fh.write("epsilon,residual,distance,end_rhs_norm\n")
-        for row in s["per_epsilon"]:
-            fh.write(f"{row['epsilon']!r},{row['residual']!r},"
-                     f"{row['distance']!r},{row['end_rhs_norm']!r}\n")
+    columns = ["epsilon", "residual", "distance", "end_rhs_norm"]
+    write_csv(args.out / "steady_residual.csv", columns,
+              ([row[c] for c in columns] for row in s["per_epsilon"]))
     return _report_violations(args, record.violations)
 
 
 def cmd_triads(args) -> int:
     domain = Domain(L1=args.l1, L2=args.l2, N1=4 * args.max_k, N2=4 * args.max_k)
     reports = triad_scan(domain, args.max_k)
-    args.out.mkdir(parents=True, exist_ok=True)
     write_triad_csv(args.out / "triads.csv", reports)
     worst = max(r.residual for r in reports)
     tol = 1e-10 * domain.area

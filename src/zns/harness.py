@@ -17,6 +17,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -163,29 +164,58 @@ def initial_state(domain: Domain, seed: int, norm_target: float) -> SpectralFiel
 
 
 def integrate(
-    domain: Domain,
-    sim: SimConfig,
-    h: float,
+    stepper: Stepper,
     forcing: Forcing | None,
     w0: SpectralField,
     t0: float,
     t_end: float,
     record_every: int = 10,
+    tangent: SpectralField | None = None,
+    partner: SpectralField | None = None,
+    observe: Callable | None = None,
 ) -> tuple[SpectralField, list[DiagnosticsRecord]]:
-    """Advance one trajectory, recording diagnostics every record_every steps."""
-    stepper = Stepper(domain, sim, h)
-    n_steps = int(round((t_end - t0) / h))
-    w = w0.copy()
+    """Advance one trajectory from t0 to t_end; every experiment runs through here.
+
+    Diagnostics of ``w`` (with the enstrophy-budget residual of the step) are
+    recorded at t0, every record_every steps and at t_end.  An optional
+    ``tangent`` is propagated along ``w`` by the linearized step, and an
+    optional ``partner`` trajectory advances in lockstep; all states are
+    re-projected every ``stepper.config.reproject_every`` steps.  After each
+    step ``observe(t, w, tangent, partner, recorded)`` is called, where
+    ``recorded`` says whether a diagnostics record was just taken.
+
+    t_end - t0 must be a nonnegative whole number of steps.
+    """
+    h = stepper.h
+    n = (t_end - t0) / h
+    if n < -1e-9:
+        raise ValueError(f"t_end={t_end!r} is before the start time t0={t0!r}")
+    n_steps = round(n)
+    if abs(n - n_steps) > 1e-9 * max(n_steps, 1):
+        raise ValueError(
+            f"t_end - t0 = {t_end - t0!r} is not a whole number of steps of h={h!r}"
+        )
+    w = w0
     records = [record_state(w, t0, budget=0.0)]
     for i in range(1, n_steps + 1):
-        t_prev = t0 + (i - 1) * h
+        t_prev, t = t0 + (i - 1) * h, t0 + i * h
         w_prev = w
-        w = stepper.step(w, t_prev, forcing)
-        if i % sim.reproject_every == 0:
-            w = project_parity(w)
-        if i % record_every == 0 or i == n_steps:
-            b = budget_residual(w_prev, w, t_prev, h, forcing, sim)
-            records.append(record_state(w, t0 + i * h, budget=b))
+        if tangent is None:
+            w = stepper.step(w, t_prev, forcing)
+        else:
+            w, tangent = stepper.step_pair(w, tangent, t_prev, forcing)
+        if partner is not None:
+            partner = stepper.step(partner, t_prev, forcing)
+        if i % stepper.config.reproject_every == 0:
+            w, tangent, partner = (
+                None if f is None else project_parity(f) for f in (w, tangent, partner)
+            )
+        recorded = i % record_every == 0 or i == n_steps
+        if recorded:
+            b = budget_residual(w_prev, w, t_prev, h, forcing, stepper.config)
+            records.append(record_state(w, t, budget=b))
+        if observe is not None:
+            observe(t, w, tangent, partner, recorded)
     return w, records
 
 
@@ -313,12 +343,12 @@ def run_epsilon_sweep(
     seeds = tuple(config.seed + i for i in range(n_seeds))
     series: dict[str, list[DiagnosticsRecord]] = {}
     for eps in config.epsilons:
+        stepper = Stepper(config.domain, config.sim_config(eps), config.h)
         for seed in seeds:
             w0 = initial_state(config.domain, seed, config.omega0_norm)
             try:
                 _, records = integrate(
-                    config.domain, config.sim_config(eps), config.h, forcing,
-                    w0, 0.0, config.t_end, config.record_every,
+                    stepper, forcing, w0, 0.0, config.t_end, config.record_every
                 )
             except BlowUpError as e:
                 raise BlowUpError(
@@ -336,7 +366,7 @@ def run_epsilon_sweep(
         violations=violations,
     )
     if out_dir is not None:
-        _write_sweep_outputs(record, config, Path(out_dir))
+        _write_sweep_outputs(record, Path(out_dir))
     return record
 
 
@@ -409,29 +439,22 @@ def run_contraction_test(
     eps = config.epsilons[0] if epsilon is None else epsilon
     if seeds is None:
         seeds = (config.seed, config.seed + 1)
-    sim = config.sim_config(eps)
-    stepper = Stepper(config.domain, sim, config.h)
+    stepper = Stepper(config.domain, config.sim_config(eps), config.h)
     w1 = initial_state(config.domain, seeds[0], config.omega0_norm)
     w2 = initial_state(config.domain, seeds[1], config.omega0_norm)
     phi = initial_state(config.domain, config.seed + 2, config.omega0_norm)
-
-    n_steps = int(round(config.t_end / config.h))
-    records = [record_state(w1, 0.0)]
     distance = [(0.0, norm(w1 - w2))]
     tangent = [(0.0, norm(phi))]
-    for i in range(1, n_steps + 1):
-        t_prev = (i - 1) * config.h
-        w1, stages = stepper.step_with_stages(w1, t_prev, forcing)
-        phi = stepper.tangent_step(phi, stages)
-        w2 = stepper.step(w2, t_prev, forcing)
-        if i % config.reproject_every == 0:
-            w1, w2, phi = project_parity(w1), project_parity(w2), project_parity(phi)
-        if i % config.record_every == 0 or i == n_steps:
-            t = i * config.h
-            records.append(record_state(w1, t))
+
+    def observe(t, w1, phi, w2, recorded):
+        if recorded:
             distance.append((t, norm(w1 - w2)))
             tangent.append((t, norm(phi)))
 
+    _, records = integrate(
+        stepper, forcing, w1, 0.0, config.t_end, config.record_every,
+        tangent=phi, partner=w2, observe=observe,
+    )
     curves = {"distance": distance, "tangent": tangent}
     summary, violations = summarize_contraction(curves, config, eps)
     return RunRecord(
@@ -483,10 +506,10 @@ def run_steady_residual_sweep(config: ExperimentConfig) -> RunRecord:
         w_star = approx_steady_state(forcing, config.mu, eps)
         res = steady_residual(w_star, forcing, config.mu, eps)
         w0 = initial_state(config.domain, config.seed, config.omega0_norm)
+        stepper = Stepper(config.domain, config.sim_config(eps), config.h)
         try:
             w_end, records = integrate(
-                config.domain, config.sim_config(eps), config.h, forcing,
-                w0, 0.0, config.t_end, config.record_every,
+                stepper, forcing, w0, 0.0, config.t_end, config.record_every
             )
         except BlowUpError as e:
             raise BlowUpError(
@@ -527,8 +550,8 @@ def simulate(
     """Single trajectory with diagnostics CSV and ZNS1 snapshots.
 
     With ``resume_from`` the state, time, epsilon and mu are restored from
-    the snapshot (the domain must match the config) and integration
-    continues to t_end.
+    the snapshot (the domain must match the config, and ``epsilon``, if
+    given, must match the snapshot) and integration continues to t_end.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -543,37 +566,34 @@ def simulate(
             )
         if mu != config.mu:
             raise ValueError(f"snapshot mu={mu} does not match config mu={config.mu}")
+        if epsilon is not None and epsilon != eps:
+            raise ValueError(f"epsilon={epsilon} does not match snapshot epsilon={eps}")
     else:
         w0 = initial_state(config.domain, config.seed, config.omega0_norm)
 
-    sim = config.sim_config(eps)
-    stepper = Stepper(config.domain, sim, config.h)
-    n_steps = int(round((config.t_end - t0) / config.h))
-    w = w0.copy()
-    records = [record_state(w, t0, budget=0.0)]
-    next_snapshot = t0 + snapshot_every if snapshot_every else None
-    for i in range(1, n_steps + 1):
-        t_prev = t0 + (i - 1) * config.h
-        w_prev = w
-        w = stepper.step(w, t_prev, forcing)
-        t = t0 + i * config.h
-        if i % config.reproject_every == 0:
-            w = project_parity(w)
-        if i % config.record_every == 0 or i == n_steps:
-            b = budget_residual(w_prev, w, t_prev, config.h, forcing, sim)
-            records.append(record_state(w, t, budget=b))
-        if next_snapshot is not None and t + 1e-12 >= next_snapshot:
-            write_snapshot(out / f"state_t{t:.6f}.zns", w, eps, config.mu, t)
-            next_snapshot += snapshot_every
+    observe = None
+    if snapshot_every:
+        next_snapshot = t0 + snapshot_every
 
-    write_snapshot(out / "state_final.zns", w, eps, config.mu, t0 + n_steps * config.h)
+        def observe(t, w, tangent, partner, recorded):
+            nonlocal next_snapshot
+            if t + 1e-12 >= next_snapshot:
+                write_snapshot(out / f"state_t{t:.6f}.zns", w, eps, config.mu, t)
+                next_snapshot += snapshot_every
+
+    stepper = Stepper(config.domain, config.sim_config(eps), config.h)
+    w, records = integrate(
+        stepper, forcing, w0, t0, config.t_end, config.record_every, observe=observe
+    )
+    t_final = records[-1].t
+    write_snapshot(out / "state_final.zns", w, eps, config.mu, t_final)
     write_diagnostics_csv(out / "diagnostics.csv", records)
     return RunRecord(
         kind="simulate",
         config_hash=config_hash(config),
         series={_label(eps, config.seed): records},
         curves={},
-        summary={"epsilon": eps, "t_final": t0 + n_steps * config.h},
+        summary={"epsilon": eps, "t_final": t_final},
         violations=[],
     )
 
@@ -583,56 +603,38 @@ def simulate(
 # ---------------------------------------------------------------------------
 
 
-def write_diagnostics_csv(path, records: list[DiagnosticsRecord]) -> None:
+def write_csv(path, columns, rows) -> None:
+    """Header row, then the ``repr`` of every value of each row; creates the directory."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
-        for r in records:
-            writer.writerow([repr(getattr(r, c)) for c in CSV_COLUMNS])
+        writer.writerow(columns)
+        writer.writerows([repr(v) for v in row] for row in rows)
+
+
+def write_diagnostics_csv(path, records: list[DiagnosticsRecord]) -> None:
+    write_csv(path, CSV_COLUMNS, ([getattr(r, c) for c in CSV_COLUMNS] for r in records))
 
 
 SWEEP_SUMMARY_COLUMNS = [
     "epsilon", "sup_fast_sq", "ratio", "sup_fast_h1_sq", "ratio_h1", "slope", "slope_h1",
 ]
-
-
-def write_sweep_summary_csv(path, summary: dict) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SWEEP_SUMMARY_COLUMNS)
-        for row in summary["per_epsilon"]:
-            writer.writerow(
-                [
-                    repr(row["epsilon"]),
-                    repr(row["sup_fast_sq"]),
-                    repr(row["ratio"]),
-                    repr(row["sup_fast_h1_sq"]),
-                    repr(row["ratio_h1"]),
-                    repr(summary["slope"]),
-                    repr(summary["slope_h1"]),
-                ]
-            )
-
-
 TRIAD_COLUMNS = ["j1", "j2", "k1", "k2", "l1", "l2", "Bjkl", "Bkjl", "omega_sum", "residual"]
 
 
 def write_triad_csv(path, reports: list[TriadReport]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRIAD_COLUMNS)
-        for r in reports:
-            writer.writerow(
-                [
-                    r.j[0], r.j[1], r.k[0], r.k[1], r.l[0], r.l[1],
-                    repr(r.bjkl), repr(r.bkjl), repr(r.omega_sum), repr(r.residual),
-                ]
-            )
+    write_csv(path, TRIAD_COLUMNS, (
+        (*r.j, *r.k, *r.l, r.bjkl, r.bkjl, r.omega_sum, r.residual) for r in reports
+    ))
 
 
-def _write_sweep_outputs(record: RunRecord, config: ExperimentConfig, out: Path) -> None:
-    out.mkdir(parents=True, exist_ok=True)
+def _write_sweep_outputs(record: RunRecord, out: Path) -> None:
     for label, records in record.series.items():
         name = label.replace(":", "_").replace("=", "")
         write_diagnostics_csv(out / f"diagnostics_{name}.csv", records)
-    write_sweep_summary_csv(out / "summary.csv", record.summary)
+    s = record.summary
+    write_csv(out / "summary.csv", SWEEP_SUMMARY_COLUMNS, (
+        [row[c] for c in SWEEP_SUMMARY_COLUMNS[:5]] + [s["slope"], s["slope_h1"]]
+        for row in s["per_epsilon"]
+    ))

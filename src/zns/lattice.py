@@ -302,10 +302,6 @@ def dealias_mask(domain: Domain) -> np.ndarray:
     return domain.dealias.copy()
 
 
-def apply_dealias(f: SpectralField) -> SpectralField:
-    return SpectralField(f.domain, f.coeffs * f.domain.dealias)
-
-
 def norm(f: SpectralField) -> float:
     """L2 norm, |f| = sqrt(L1 L2 sum |c_k|^2)."""
     return float(np.sqrt(f.domain.area * np.sum(np.abs(f.coeffs) ** 2)))

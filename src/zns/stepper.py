@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -243,18 +242,6 @@ class Stepper:
         """Advance the state and a tangent perturbation through the same step."""
         w_next, stages = self.step_with_stages(w, t, forcing)
         return w_next, self.tangent_step(phi, stages)
-
-
-@lru_cache(maxsize=8)
-def _cached_stepper(domain: Domain, config: SimConfig, h: float) -> Stepper:
-    return Stepper(domain, config, h)
-
-
-def step(
-    w: SpectralField, t: float, h: float, forcing: ForcingFn | None, config: SimConfig
-) -> SpectralField:
-    """Functional single-step interface; reuses cached coefficient tables."""
-    return _cached_stepper(w.domain, config, h).step(w, t, forcing)
 
 
 def budget_residual(

@@ -1,9 +1,12 @@
 """Command-line interface: subcommands, outputs and exit codes."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from zns.cli import main
+from zns.config import load_config
 from zns.harness import TRIAD_COLUMNS
 from zns.lattice import read_snapshot
 
@@ -69,6 +72,17 @@ class TestSimulate:
             "--resume", str(snap), "--quiet",
         ]) == 0
 
+    def test_epsilon_disagreeing_with_resume_exits_1(self, config_file, tmp_path, capsys):
+        out1 = tmp_path / "run1"
+        assert main(["simulate", "--config", str(config_file), "--out", str(out1),
+                     "--quiet"]) == 0
+        code = main([
+            "simulate", "--config", str(config_file), "--out", str(tmp_path / "run2"),
+            "--resume", str(out1 / "state_final.zns"), "--epsilon", "0.1", "--quiet",
+        ])
+        assert code == 1
+        assert "does not match snapshot epsilon" in capsys.readouterr().err
+
     def test_blowup_exits_2(self, tmp_path, capsys):
         path = tmp_path / "explode.cfg"
         path.write_text(TINY_CONFIG + "blowup_threshold = 1e-6\n")
@@ -115,8 +129,12 @@ class TestSteadyResidual:
     def test_runs_clean(self, tmp_path, capsys):
         path = tmp_path / "steady.cfg"
         path.write_text(TINY_CONFIG.replace("t_end = 12.0", "t_end = 28.0"))
-        code = main(["steady-residual", "--config", str(path), "--quiet"])
+        out = tmp_path / "steady"
+        code = main(["steady-residual", "--config", str(path), "--out", str(out), "--quiet"])
         assert code == 0
+        lines = (out / "steady_residual.csv").read_text().splitlines()
+        assert lines[0] == "epsilon,residual,distance,end_rhs_norm"
+        assert len(lines) == 3
 
 
 class TestAgmon:
@@ -130,3 +148,17 @@ class TestAgmon:
                      "--constant", "1e-9", "--quiet"])
         assert code == 3
         assert "PROPERTY-VIOLATION" in capsys.readouterr().err
+
+
+CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.cfg"))
+
+
+def test_experiment_configs_present():
+    assert len(CONFIGS) == 4
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.name)
+def test_experiment_config_loads(path):
+    config = load_config(path)  # validates the CFL estimate too
+    steps = config.t_end / config.h
+    assert steps == pytest.approx(round(steps), rel=1e-9)

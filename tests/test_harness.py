@@ -97,9 +97,8 @@ class TestIntegrate:
         cfg = tiny_config(t_end=11.0)
         forcing = make_forcing(cfg.forcing, cfg.domain)
         w0 = initial_state(cfg.domain, 0, 0.5)
-        _, records = integrate(
-            cfg.domain, cfg.sim_config(0.1), cfg.h, forcing, w0, 0.0, 1.0, record_every=25
-        )
+        stepper = Stepper(cfg.domain, cfg.sim_config(0.1), cfg.h)
+        _, records = integrate(stepper, forcing, w0, 0.0, 1.0, record_every=25)
         ts = [r.t for r in records]
         assert ts[0] == 0.0
         assert ts[-1] == pytest.approx(1.0)
@@ -110,9 +109,31 @@ class TestIntegrate:
         forcing = make_forcing(cfg.forcing, cfg.domain)
         w0 = initial_state(cfg.domain, 1, 0.5)
         w, _ = integrate(
-            cfg.domain, cfg.sim_config(0.1), cfg.h, forcing, w0, 0.0, 2.0
+            Stepper(cfg.domain, cfg.sim_config(0.1), cfg.h), forcing, w0, 0.0, 2.0
         )
         assert parity_error(w) < 1e-13
+
+    def test_fractional_step_count_rejected(self):
+        cfg = tiny_config()
+        stepper = Stepper(cfg.domain, cfg.sim_config(0.1), 0.3)
+        w0 = initial_state(cfg.domain, 0, 0.5)
+        with pytest.raises(ValueError, match="whole number of steps"):
+            integrate(stepper, None, w0, 0.0, 1.0)
+
+    def test_end_before_start_rejected(self):
+        cfg = tiny_config()
+        stepper = Stepper(cfg.domain, cfg.sim_config(0.1), cfg.h)
+        w0 = initial_state(cfg.domain, 0, 0.5)
+        with pytest.raises(ValueError, match="before the start time"):
+            integrate(stepper, None, w0, 1.0, 0.5)
+
+    def test_resume_after_t_end_rejected(self, tmp_path):
+        late = tiny_config(epsilons=(0.1,), t_spin=0.5, t_end=2.0)
+        simulate(late, tmp_path / "late")
+        early = tiny_config(epsilons=(0.1,), t_spin=0.5, t_end=1.0)
+        with pytest.raises(ValueError, match="before the start time"):
+            simulate(early, tmp_path / "b", resume_from=tmp_path / "late" / "state_final.zns")
+        assert not (tmp_path / "b" / "state_final.zns").exists()
 
 
 @pytest.fixture(scope="module")
@@ -175,12 +196,15 @@ class TestEpsilonSweep:
         assert not record.violations
 
 
+@pytest.fixture(scope="module")
+def small_contraction():
+    cfg = tiny_config(epsilons=(0.02,), t_spin=8.0, t_end=16.0, record_every=5, seed=12)
+    return cfg, run_contraction_test(cfg)
+
+
 class TestContraction:
-    def test_rates_and_monotonicity_small_scale(self):
-        cfg = tiny_config(
-            epsilons=(0.02,), t_spin=8.0, t_end=16.0, record_every=5, seed=12
-        )
-        record = run_contraction_test(cfg)
+    def test_rates_and_monotonicity_small_scale(self, small_contraction):
+        cfg, record = small_contraction
         assert not record.violations
         assert record.summary["rate_distance"] >= 0.5 * cfg.nu
         assert record.summary["rate_tangent"] >= 0.5 * cfg.nu
@@ -189,6 +213,13 @@ class TestContraction:
         summary, violations = summarize_contraction(record.curves, cfg, 0.02)
         assert summary == record.summary
         assert violations == record.violations
+
+    def test_records_carry_budget_residuals(self, small_contraction):
+        _, record = small_contraction
+        (records,) = record.series.values()
+        assert len(records) > 2
+        assert all(math.isfinite(r.budget_residual) and r.budget_residual > 0
+                   for r in records[1:])
 
     def test_identical_initial_data_rejected_by_rate_fit(self):
         cfg = tiny_config(epsilons=(0.05,), t_spin=2.0, t_end=4.0)
@@ -314,7 +345,8 @@ def test_diagnostics_csv_schema(tmp_path):
     cfg = tiny_config()
     forcing = make_forcing(cfg.forcing, cfg.domain)
     w0 = initial_state(cfg.domain, 0, 0.5)
-    _, records = integrate(cfg.domain, cfg.sim_config(0.1), cfg.h, forcing, w0, 0.0, 0.5)
+    stepper = Stepper(cfg.domain, cfg.sim_config(0.1), cfg.h)
+    _, records = integrate(stepper, forcing, w0, 0.0, 0.5)
     path = tmp_path / "diag.csv"
     write_diagnostics_csv(path, records)
     header = path.read_text().splitlines()[0]

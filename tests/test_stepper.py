@@ -19,7 +19,6 @@ from zns.stepper import (
     Stepper,
     budget_residual,
     build_coefficients,
-    step,
     _phi,
 )
 
@@ -208,14 +207,6 @@ class TestNonlinearStep:
             errs.append(norm(w - exact(T)))
         order = math.log(errs[0] / errs[1]) / math.log(2.0)
         assert order >= 3.7
-
-    def test_functional_step_interface(self, rng):
-        d = Domain(N1=16, N2=16)
-        sim = SimConfig(epsilon=0.2, mu=0.4)
-        w = random_field(d, rng, kmax=4.0, norm_target=1.0)
-        a = step(w, 0.0, 0.01, None, sim)
-        b = Stepper(d, sim, 0.01).step(w, 0.0)
-        assert np.array_equal(a.coeffs, b.coeffs)
 
 
 class TestBlowUp:
