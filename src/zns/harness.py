@@ -391,17 +391,19 @@ def summarize_contraction(
     for name in ("distance", "tangent"):
         pts = curves[name]
         tail = [(t, v) for t, v in pts if t >= config.t_spin and v > EPS_FLOOR]
-        if len(tail) < tol.min_tail_samples:
-            raise ValueError(
-                f"rate fit rejected: {name} tail has {len(tail)} samples above "
-                f"{EPS_FLOOR:.2e} (need {tol.min_tail_samples})"
-            )
         ts = [t for t, _ in tail]
         vs = [v for _, v in tail]
-        rates[name] = fit_exponential_rate(ts, vs)
         monotone[name] = all(
             b <= a * (1.0 + tol.monotone_slack) for a, b in zip(vs[:-1], vs[1:])
         )
+        if len(tail) < tol.min_tail_samples:
+            rates[name] = float("nan")
+            violations.append(
+                f"THEOREM-VIOLATION: rate fit rejected: {name} tail has {len(tail)} "
+                f"samples above {EPS_FLOOR:.2e} (need {tol.min_tail_samples})"
+            )
+            continue
+        rates[name] = fit_exponential_rate(ts, vs)
         if rates[name] < tol.rate_factor * nu:
             violations.append(
                 f"THEOREM-VIOLATION: {name} decay rate {rates[name]:.4f} < "

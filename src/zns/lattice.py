@@ -12,6 +12,11 @@ Conventions (fixed throughout the package):
   (k2-major, then k1) used by snapshots.
 * The collocation grid is ``x_j = j L1/N1`` and ``y_j = -L2/2 + j L2/N2``,
   so grid row 0 sits on the line ``y = -L2/2``.
+* Grid fields are real, so a coefficient array is Hermitian,
+  ``c(-k) = conj(c(k))``.  The transforms are numpy's real transforms: the
+  grid transform reads only the ``m1 >= 0`` half of a coefficient array, and
+  the spectral transform fills the ``m1 < 0`` half as the exact conjugate
+  mirror of the ``m1 > 0`` half.
 * Parseval: the grid mean square of ``w`` equals ``sum_k |c_k|^2`` and the
   L2 norm satisfies ``|w|^2 = L1 L2 sum_k |c_k|^2``.
 * The Nyquist row/column (``m = -N/2``) cannot be paired Hermitianly and is
@@ -28,6 +33,12 @@ import numpy as np
 
 SNAPSHOT_MAGIC = b"ZNS1"
 SNAPSHOT_VERSION = 1
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """Mark ``a`` read-only and return it."""
+    a.setflags(write=False)
+    return a
 
 
 @dataclass(frozen=True)
@@ -55,15 +66,18 @@ class Domain:
         """Smallest nonzero wavenumber magnitude (Poincare constant)."""
         return min(2.0 * np.pi / self.L1, 2.0 * np.pi / self.L2)
 
+    # The cached arrays below are shared by every user of the domain and are
+    # read-only; derive new arrays from them instead of writing into them.
+
     @cached_property
     def m1(self) -> np.ndarray:
         """Integer mode indices along x, FFT order, shape (N1,)."""
-        return np.fft.fftfreq(self.N1, 1.0 / self.N1).astype(np.int64)
+        return _frozen(np.fft.fftfreq(self.N1, 1.0 / self.N1).astype(np.int64))
 
     @cached_property
     def m2(self) -> np.ndarray:
         """Integer mode indices along y, FFT order, shape (N2,)."""
-        return np.fft.fftfreq(self.N2, 1.0 / self.N2).astype(np.int64)
+        return _frozen(np.fft.fftfreq(self.N2, 1.0 / self.N2).astype(np.int64))
 
     @cached_property
     def kx(self) -> np.ndarray:
@@ -79,52 +93,65 @@ class Domain:
 
     @cached_property
     def ksq(self) -> np.ndarray:
-        return self.kx**2 + self.ky**2
+        return _frozen(self.kx**2 + self.ky**2)
 
     @cached_property
     def inv_ksq(self) -> np.ndarray:
         """1/|k|^2 with the k = 0 entry set to zero."""
         out = np.zeros_like(self.ksq)
         np.divide(1.0, self.ksq, out=out, where=self.ksq > 0)
-        return out
+        return _frozen(out)
 
     @cached_property
     def omega(self) -> np.ndarray:
         """Rossby frequency array Omega_k = -k1/|k|^2 (zero on zonal modes)."""
-        return -self.kx * self.inv_ksq
+        return _frozen(-self.kx * self.inv_ksq)
 
     @cached_property
     def nyquist(self) -> np.ndarray:
         """Modes that are structurally zero because they lack a Hermitian partner."""
-        return (self.m2[:, None] == -self.N2 // 2) | (self.m1[None, :] == -self.N1 // 2)
+        return _frozen((self.m2[:, None] == -self.N2 // 2) | (self.m1[None, :] == -self.N1 // 2))
 
     @cached_property
     def active(self) -> np.ndarray:
         """Modes that may carry nonzero amplitude: not Nyquist, not k = 0."""
-        out = ~self.nyquist.copy()
+        out = ~self.nyquist
         out[0, 0] = False
-        return out
+        return _frozen(out)
 
     @cached_property
     def dealias(self) -> np.ndarray:
         """2/3-rule mask: True iff |m_i| < N_i/3 in both directions."""
         keep1 = np.abs(self.m1) < self.N1 / 3.0
         keep2 = np.abs(self.m2) < self.N2 / 3.0
-        return keep2[:, None] & keep1[None, :]
+        return _frozen(keep2[:, None] & keep1[None, :])
+
+    @cached_property
+    def _advect_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Half-width (m1 >= 0) multipliers of the advection kernel.
+
+        ``(i k2/|k|^2, -i k1/|k|^2, i k1, i k2)``: vorticity to the velocity
+        components ``u`` and ``v``, and a field to its x and y derivatives.
+        """
+        half = np.s_[:, : self.N1 // 2 + 1]
+        kx, ky, inv_ksq = self.kx[half], self.ky[half], self.inv_ksq[half]
+        return tuple(_frozen(t) for t in (
+            1j * ky * inv_ksq, -1j * kx * inv_ksq, 1j * kx, 1j * ky
+        ))
 
     @cached_property
     def _yphase(self) -> np.ndarray:
         # exp(i k2 * (-L2/2)) = (-1)^m2; accounts for the grid offset in y.
-        return np.where(self.m2 % 2 == 0, 1.0, -1.0)[:, None]
+        return _frozen(np.where(self.m2 % 2 == 0, 1.0, -1.0)[:, None])
 
     @cached_property
     def _flip_m2(self) -> np.ndarray:
         # Row index of -m2 for each m2 row (Nyquist row maps to itself).
-        return (-np.arange(self.N2)) % self.N2
+        return _frozen((-np.arange(self.N2)) % self.N2)
 
     @cached_property
     def _flip_m1(self) -> np.ndarray:
-        return (-np.arange(self.N1)) % self.N1
+        return _frozen((-np.arange(self.N1)) % self.N1)
 
     def grid_x(self) -> np.ndarray:
         return self.L1 * np.arange(self.N1) / self.N1
@@ -253,18 +280,45 @@ def sanitize(f: SpectralField) -> SpectralField:
     return f
 
 
+def _grid(d: Domain, C: np.ndarray) -> np.ndarray:
+    """Real grid values of the coefficients ``C``; only their m1 >= 0 columns are read.
+
+    ``C`` may be the full ``(N2, N1)`` array or its ``(N2, N1//2 + 1)`` half.
+    """
+    half = C[:, : d.N1 // 2 + 1] * d._yphase
+    return np.fft.irfft2(half, s=(d.N2, d.N1), norm="forward")
+
+
+def _spec(d: Domain, V: np.ndarray) -> np.ndarray:
+    """Full ``(N2, N1)`` coefficients of real grid values ``V``.
+
+    The m1 < 0 columns, and the m2 < 0 half of the m1 = 0 column, are the
+    exact conjugate mirror of their partners, so the result is Hermitian by
+    construction; the Nyquist row and column are zero.  The mean mode is
+    left as computed.
+    """
+    n1, n2 = d.N1 // 2, d.N2 // 2
+    half = np.fft.rfft2(V, norm="forward")
+    half *= d._yphase
+    out = np.empty((d.N2, d.N1), dtype=np.complex128)
+    out[:, : n1 + 1] = half
+    # Coefficient (-m1, -m2) is conj of (m1, m2); row -m2 is row N2 - m2.
+    np.conjugate(half[0, n1 - 1 : 0 : -1], out=out[0, n1 + 1 :])
+    np.conjugate(half[: 0 : -1, n1 - 1 : 0 : -1], out=out[1:, n1 + 1 :])
+    np.conjugate(half[n2 - 1 : 0 : -1, 0], out=out[n2 + 1 :, 0])
+    out[n2, :] = 0.0
+    out[:, n1] = 0.0
+    return out
+
+
 def to_grid(f: SpectralField) -> GridField:
-    """Evaluate a spectral field on the collocation grid (real part kept)."""
-    d = f.domain
-    values = (d.N1 * d.N2) * np.fft.ifft2(f.coeffs * d._yphase)
-    return GridField(d, values.real.copy())
+    """Evaluate a real field on the collocation grid; only its m1 >= 0 half is read."""
+    return GridField(f.domain, _grid(f.domain, f.coeffs))
 
 
 def to_spectral(g: GridField) -> SpectralField:
-    """Inverse of to_grid; projects out the mean and the Nyquist rows."""
-    d = g.domain
-    coeffs = np.fft.fft2(g.values) * (d._yphase / (d.N1 * d.N2))
-    return sanitize(SpectralField(d, coeffs))
+    """Inverse of to_grid; the result is Hermitian, mean- and Nyquist-free."""
+    return sanitize(SpectralField(g.domain, _spec(g.domain, g.values)))
 
 
 def project_parity(f: SpectralField) -> SpectralField:

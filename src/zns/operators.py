@@ -29,6 +29,8 @@ from .lattice import (
     SpectralField,
     WaveVector,
     _check_same_domain,
+    _grid,
+    _spec,
     to_grid,
 )
 
@@ -112,24 +114,25 @@ def divergence(vel: VelocityField) -> SpectralField:
 
 
 def _advect_raw(d: Domain, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Dealiased pseudo-spectral B(a, b) = velocity(a).grad(b) on raw coefficients."""
-    ug = _grid(d, 1j * d.ky * d.inv_ksq * A)
-    vg = _grid(d, -1j * d.kx * d.inv_ksq * A)
-    bxg = _grid(d, 1j * d.kx * B)
-    byg = _grid(d, 1j * d.ky * B)
-    out = _spec(d, ug * bxg + vg * byg)
+    """Dealiased pseudo-spectral B(a, b) = velocity(a).grad(b) on raw coefficients.
+
+    ``A`` and ``B`` are coefficients of real fields, so only their m1 >= 0
+    halves are transformed; the result is Hermitian by construction.
+    """
+    half = np.s_[:, : d.N1 // 2 + 1]
+    A, B = A[half], B[half]
+    to_u, to_v, to_dx, to_dy = d._advect_tables
+    ug = _grid(d, to_u * A)
+    vg = _grid(d, to_v * A)
+    bxg = _grid(d, to_dx * B)
+    byg = _grid(d, to_dy * B)
+    # Products in place: fewer grid-sized temporaries alive at once.
+    ug *= bxg
+    vg *= byg
+    ug += vg
+    out = _spec(d, ug)
     out *= d.dealias
     out[0, 0] = 0.0
-    return out
-
-
-def _grid(d: Domain, C: np.ndarray) -> np.ndarray:
-    return ((d.N1 * d.N2) * np.fft.ifft2(C * d._yphase)).real
-
-
-def _spec(d: Domain, V: np.ndarray) -> np.ndarray:
-    out = np.fft.fft2(V) * (d._yphase / (d.N1 * d.N2))
-    out[d.nyquist] = 0.0
     return out
 
 

@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .lattice import Domain, SpectralField, inner, norm
+from .lattice import Domain, SpectralField, _frozen, inner, norm
 from .operators import _advect_raw
 
 ForcingFn = Callable[[float], SpectralField]
@@ -66,7 +66,7 @@ class LinearSymbol:
     @classmethod
     def build(cls, domain: Domain, config: SimConfig) -> "LinearSymbol":
         lam = -config.mu * domain.ksq - 1j * domain.omega / config.epsilon
-        return cls(domain, lam.astype(np.complex128))
+        return cls(domain, _frozen(lam.astype(np.complex128)))
 
 
 # Taylor coefficients 1/(n+m)! of phi_m, enough terms that the remainder at
@@ -128,12 +128,12 @@ def build_coefficients(symbol: LinearSymbol, h: float) -> EtdCoefficients:
     p1, p2, p3 = _phi(z, 1), _phi(z, 2), _phi(z, 3)
     return EtdCoefficients(
         h=h,
-        E=np.exp(z),
-        E2=np.exp(0.5 * z),
-        Q=0.5 * h * _phi(0.5 * z, 1),
-        f1=h * (p1 - 3.0 * p2 + 4.0 * p3),
-        f2=h * (p2 - 2.0 * p3),
-        f3=h * (4.0 * p3 - p2),
+        E=_frozen(np.exp(z)),
+        E2=_frozen(np.exp(0.5 * z)),
+        Q=_frozen(0.5 * h * _phi(0.5 * z, 1)),
+        f1=_frozen(h * (p1 - 3.0 * p2 + 4.0 * p3)),
+        f2=_frozen(h * (p2 - 2.0 * p3)),
+        f3=_frozen(h * (4.0 * p3 - p2)),
     )
 
 

@@ -1,10 +1,14 @@
 """Command-line interface: subcommands, outputs and exit codes."""
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import zns
 from zns.cli import main
 from zns.config import load_config
 from zns.harness import TRIAD_COLUMNS
@@ -124,6 +128,21 @@ class TestContraction:
         assert "THEOREM-VIOLATION" in capsys.readouterr().err
         assert (tmp_path / "c" / "contraction.csv").exists()
 
+    def test_rejected_rate_fit_exit_3_with_data(self, tmp_path, capsys):
+        path = tmp_path / "short.cfg"
+        path.write_text(
+            TINY_CONFIG.replace("epsilon = 0.2, 0.1", "epsilon = 0.05")
+            .replace("t_spin = 10.0", "t_spin = 1.0")
+            .replace("t_end = 12.0", "t_end = 3.0")
+            + "record_every = 5\n"
+        )
+        code = main(["contraction", "--config", str(path), "--out", str(tmp_path), "--quiet"])
+        assert code == 3
+        assert "rate fit rejected" in capsys.readouterr().err
+        lines = (tmp_path / "contraction.csv").read_text().splitlines()
+        assert lines[0] == "t,distance,tangent"
+        assert len(lines) > 2
+
 
 class TestSteadyResidual:
     def test_runs_clean(self, tmp_path, capsys):
@@ -162,3 +181,15 @@ def test_experiment_config_loads(path):
     config = load_config(path)  # validates the CFL estimate too
     steps = config.t_end / config.h
     assert steps == pytest.approx(round(steps), rel=1e-9)
+
+
+def test_cli_import_does_not_load_scipy():
+    # numpy.fft alone serves the transforms; importing scipy.fft costs ~0.5 s.
+    src = str(Path(zns.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = "import sys, zns.cli; print(sorted(m for m in sys.modules if 'scipy' in m))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

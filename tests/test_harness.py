@@ -223,8 +223,11 @@ class TestContraction:
 
     def test_identical_initial_data_rejected_by_rate_fit(self):
         cfg = tiny_config(epsilons=(0.05,), t_spin=2.0, t_end=4.0)
-        with pytest.raises(ValueError, match="rate fit rejected"):
-            run_contraction_test(cfg, seeds=(5, 5))
+        record = run_contraction_test(cfg, seeds=(5, 5))
+        assert any("rate fit rejected: distance" in v for v in record.violations)
+        assert math.isnan(record.summary["rate_distance"])
+        # the curves are kept although the fit was rejected
+        assert len(record.curves["distance"]) > 1
 
     def test_identical_states_stay_identical(self):
         cfg = tiny_config()

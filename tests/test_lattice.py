@@ -39,6 +39,24 @@ class TestDomain:
         assert Domain().c0 == 1.0
         assert Domain(L1=4 * np.pi).c0 == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("name", [
+        "m1", "m2", "kx", "ky", "ksq", "inv_ksq", "omega", "nyquist", "active", "dealias",
+        "_yphase", "_flip_m2", "_flip_m1",
+    ])
+    def test_cached_arrays_are_read_only(self, name):
+        arr = getattr(Domain(N1=8, N2=8), name)
+        with pytest.raises(ValueError):
+            arr[0] = arr[0]
+
+    def test_advection_tables_are_read_only_halves(self):
+        d = Domain(N1=8, N2=6)
+        assert len(d._advect_tables) == 4
+        for table in d._advect_tables:
+            assert table.shape == (6, 5)
+            with pytest.raises(ValueError):
+                table *= 2.0
+        assert d._advect_tables is d._advect_tables  # built once per domain
+
     def test_indices_roundtrip(self):
         d = Domain(L1=4 * np.pi, N1=8, N2=8)
         assert d.indices(d.wavevector(3, -2)) == (3, -2)

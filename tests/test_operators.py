@@ -6,8 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zns.diagnostics import sobolev_norm
-from zns.lattice import Domain, SpectralField, inner, norm, random_field, to_grid
+from zns.lattice import (
+    Domain,
+    SpectralField,
+    inner,
+    norm,
+    random_field,
+    reality_error,
+    to_grid,
+)
 from zns.operators import (
+    _advect_raw,
+    _spec,
     apply_A,
     apply_I_omega,
     apply_L,
@@ -181,6 +191,77 @@ class TestJacobian:
         oracle = triad_sum_oracle(a, b)
         assert norm(j - oracle) < 1e-12 * norm(oracle)
         assert abs(inner(j, b)) < 1e-12 * norm(j) * norm(b)
+
+
+def complex_advect(d: Domain, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Reference kernel on full-width complex transforms (the pre-rfft2 kernel)."""
+
+    def grid(C):
+        return ((d.N1 * d.N2) * np.fft.ifft2(C * d._yphase)).real
+
+    def spec(V):
+        out = np.fft.fft2(V) * (d._yphase / (d.N1 * d.N2))
+        out[d.nyquist] = 0.0
+        return out
+
+    ug = grid(1j * d.ky * d.inv_ksq * A)
+    vg = grid(-1j * d.kx * d.inv_ksq * A)
+    out = spec(ug * grid(1j * d.kx * B) + vg * grid(1j * d.ky * B))
+    out *= d.dealias
+    out[0, 0] = 0.0
+    return out
+
+
+KERNEL_DOMAINS = [
+    pytest.param(Domain(N1=16, N2=16), id="16x16"),
+    pytest.param(Domain(N1=32, N2=32), id="32x32"),
+    pytest.param(Domain(L1=4 * np.pi, L2=2 * np.pi, N1=24, N2=16), id="24x16-L1=4pi"),
+    pytest.param(Domain(N1=16, N2=32), id="16x32"),
+    pytest.param(Domain(N1=6, N2=10), id="6x10"),
+    pytest.param(Domain(L1=2 * np.pi, L2=3 * np.pi, N1=16, N2=16), id="16x16-L2=3pi"),
+]
+
+
+class TestRealTransformKernel:
+    @pytest.mark.parametrize("d", KERNEL_DOMAINS)
+    @pytest.mark.parametrize("odd", [True, False], ids=["odd", "not-odd"])
+    def test_matches_complex_kernel(self, d, odd, rng):
+        for _ in range(5):
+            a = random_field(d, rng, norm_target=1.0, odd_in_y=odd)
+            b = random_field(d, rng, norm_target=1.0, odd_in_y=odd)
+            got = _advect_raw(d, a.coeffs, b.coeffs)
+            want = complex_advect(d, a.coeffs, b.coeffs)
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("d", KERNEL_DOMAINS)
+    def test_spec_output_is_exactly_hermitian(self, d, rng):
+        n1, n2 = d.N1 // 2, d.N2 // 2
+        out = _spec(d, rng.standard_normal((d.N2, d.N1)))
+        # m1 < 0 columns are the conjugate mirror of the m1 > 0 columns
+        mirror = np.conj(out[np.ix_(d._flip_m2, d._flip_m1)])
+        assert np.array_equal(out[:, n1 + 1 :], mirror[:, n1 + 1 :])
+        assert reality_error(SpectralField(d, out)) == 0.0
+        # Nyquist row and column are zero
+        assert np.all(out[n2, :] == 0.0) and np.all(out[:, n1] == 0.0)
+
+    @pytest.mark.parametrize("d", KERNEL_DOMAINS)
+    def test_advection_output_structure(self, d, rng):
+        a = random_field(d, rng, norm_target=1.0, odd_in_y=False)
+        b = random_field(d, rng, norm_target=1.0, odd_in_y=False)
+        out = _advect_raw(d, a.coeffs, b.coeffs)
+        assert reality_error(SpectralField(d, out)) == 0.0
+        assert np.all(out[d.nyquist] == 0.0)
+        assert out[0, 0] == 0.0
+
+    def test_reads_only_the_nonnegative_m1_half(self, rng):
+        d = Domain(N1=16, N2=16)
+        a = random_field(d, rng, norm_target=1.0)
+        b = random_field(d, rng, norm_target=1.0)
+        want = _advect_raw(d, a.coeffs, b.coeffs)
+        # columns N1/2 + 1, ..., N1 - 1 hold m1 = -N1/2 + 1, ..., -1
+        a.coeffs[:, d.N1 // 2 + 1 :] = np.nan
+        b.coeffs[:, d.N1 // 2 + 1 :] = np.nan
+        assert np.array_equal(_advect_raw(d, a.coeffs, b.coeffs), want)
 
 
 class TestTriadCoefficients:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from zns.diagnostics import sobolev_norm
 from zns.forcing import ForcingSpec, make_forcing
-from zns.lattice import Domain, SpectralField, norm, parity_error, random_field
+from zns.lattice import Domain, SpectralField, norm, parity_error, random_field, reality_error
 from zns.operators import apply_A, apply_L, jacobian
 from zns.stepper import (
     BlowUpError,
@@ -104,6 +104,13 @@ class TestCoefficients:
         sym = LinearSymbol.build(d, SimConfig(epsilon=0.5, mu=0.0))
         assert np.all(sym.lam.real == 0.0)
 
+    def test_shared_tables_are_read_only(self):
+        stepper = Stepper(Domain(N1=8, N2=8), SimConfig(epsilon=0.5, mu=1.0), 0.01)
+        k = stepper.coeffs
+        for table in (stepper.symbol.lam, k.E, k.E2, k.Q, k.f1, k.f2, k.f3):
+            with pytest.raises(ValueError):
+                table[0, 0] = 0.0
+
     def test_rejects_nonpositive_step(self):
         d = Domain(N1=8, N2=8)
         sym = LinearSymbol.build(d, SimConfig(epsilon=1.0, mu=1.0))
@@ -178,6 +185,7 @@ class TestNonlinearStep:
             w = st_.step(w, i * 0.01, forcing)
         assert w.coeffs[0, 0] == 0.0
         assert parity_error(w) < 1e-13
+        assert reality_error(w) == 0.0  # the advection term is Hermitian by construction
         assert np.all(w.coeffs[~d.dealias] == 0.0)
 
     def test_order_four_convergence(self, rng):
