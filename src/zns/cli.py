@@ -165,6 +165,8 @@ def cmd_triads(args) -> int:
 
 
 def cmd_agmon(args) -> int:
+    if args.samples < 1:
+        raise ValueError(f"--samples must be at least 1, got {args.samples}")
     domain = Domain(N1=args.resolution, N2=args.resolution)
     rng = np.random.default_rng(args.seed)
     worst = 0.0

@@ -33,6 +33,7 @@ from .forcing import Forcing, ForcingSpec, make_forcing
 from .lattice import (
     Domain,
     SpectralField,
+    _atomic_open,
     norm,
     project_parity,
     random_field,
@@ -184,9 +185,14 @@ def integrate(
     step ``observe(t, w, tangent, partner, recorded)`` is called, where
     ``recorded`` says whether a diagnostics record was just taken.
 
-    t_end - t0 must be a nonnegative whole number of steps.
+    Steps are counted from t = 0 (step i ends at ``i h``, cadences count i),
+    so a resumed run repeats the uninterrupted one bit for bit; t0 and
+    t_end - t0 must be whole numbers of steps.
     """
     h = stepper.h
+    n0 = round(t0 / h)
+    if abs(t0 / h - n0) > 1e-9 * max(abs(n0), 1):
+        raise ValueError(f"start time t0={t0!r} is not a whole number of steps of h={h!r}")
     n = (t_end - t0) / h
     if n < -1e-9:
         raise ValueError(f"t_end={t_end!r} is before the start time t0={t0!r}")
@@ -197,8 +203,8 @@ def integrate(
         )
     w = w0
     records = [record_state(w, t0, budget=0.0)]
-    for i in range(1, n_steps + 1):
-        t_prev, t = t0 + (i - 1) * h, t0 + i * h
+    for i in range(n0 + 1, n0 + n_steps + 1):
+        t_prev, t = (i - 1) * h, i * h
         w_prev = w
         if tangent is None:
             w = stepper.step(w, t_prev, forcing)
@@ -210,7 +216,7 @@ def integrate(
             w, tangent, partner = (
                 None if f is None else project_parity(f) for f in (w, tangent, partner)
             )
-        recorded = i % record_every == 0 or i == n_steps
+        recorded = i % record_every == 0 or i == n0 + n_steps
         if recorded:
             b = budget_residual(w_prev, w, t_prev, h, forcing, stepper.config)
             records.append(record_state(w, t, budget=b))
@@ -339,6 +345,8 @@ def run_epsilon_sweep(
     A blow-up aborts the sweep naming the offending epsilon; violated
     theorem checks are recorded, not raised.
     """
+    if n_seeds < 1:
+        raise ValueError(f"need at least one seed, got {n_seeds}")
     forcing = make_forcing(config.forcing, config.domain)
     seeds = tuple(config.seed + i for i in range(n_seeds))
     series: dict[str, list[DiagnosticsRecord]] = {}
@@ -555,6 +563,8 @@ def simulate(
     the snapshot (the domain must match the config, and ``epsilon``, if
     given, must match the snapshot) and integration continues to t_end.
     """
+    if snapshot_every is not None and not snapshot_every > 0:
+        raise ValueError(f"snapshot_every must be positive, got {snapshot_every!r}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     forcing = make_forcing(config.forcing, config.domain)
@@ -574,8 +584,9 @@ def simulate(
         w0 = initial_state(config.domain, config.seed, config.omega0_norm)
 
     observe = None
-    if snapshot_every:
-        next_snapshot = t0 + snapshot_every
+    if snapshot_every is not None:
+        # Snapshot times are multiples of snapshot_every, also after a resume.
+        next_snapshot = (math.floor(t0 / snapshot_every + 1e-9) + 1) * snapshot_every
 
         def observe(t, w, tangent, partner, recorded):
             nonlocal next_snapshot
@@ -609,7 +620,7 @@ def write_csv(path, columns, rows) -> None:
     """Header row, then the ``repr`` of every value of each row; creates the directory."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
+    with _atomic_open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(columns)
         writer.writerows([repr(v) for v in row] for row in rows)

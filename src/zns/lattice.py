@@ -16,7 +16,9 @@ Conventions (fixed throughout the package):
   ``c(-k) = conj(c(k))``.  The transforms are numpy's real transforms: the
   grid transform reads only the ``m1 >= 0`` half of a coefficient array, and
   the spectral transform fills the ``m1 < 0`` half as the exact conjugate
-  mirror of the ``m1 > 0`` half.
+  mirror of the ``m1 > 0`` half.  Each applies the y-phase ``(-1)^m2`` of the
+  grid offset around a raw transform; the advection tables carry that phase
+  already and use the raw pair directly.
 * Parseval: the grid mean square of ``w`` equals ``sum_k |c_k|^2`` and the
   L2 norm satisfies ``|w|^2 = L1 L2 sum_k |c_k|^2``.
 * The Nyquist row/column (``m = -N/2``) cannot be paired Hermitianly and is
@@ -25,9 +27,12 @@ Conventions (fixed throughout the package):
 
 from __future__ import annotations
 
+import os
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
+from pathlib import Path
 
 import numpy as np
 
@@ -128,16 +133,24 @@ class Domain:
 
     @cached_property
     def _advect_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Half-width (m1 >= 0) multipliers of the advection kernel.
+        """Half-width (m1 >= 0) multipliers of the advection kernel, y-phase included.
 
-        ``(i k2/|k|^2, -i k1/|k|^2, i k1, i k2)``: vorticity to the velocity
-        components ``u`` and ``v``, and a field to its x and y derivatives.
+        ``(i k2/|k|^2, -i k1/|k|^2, i k1, i k2)`` times ``(-1)^m2``: vorticity
+        to the grid velocity components ``u`` and ``v``, and a field to its
+        grid x and y derivatives, through the raw transform ``_irfft2``.
         """
         half = np.s_[:, : self.N1 // 2 + 1]
         kx, ky, inv_ksq = self.kx[half], self.ky[half], self.inv_ksq[half]
-        return tuple(_frozen(t) for t in (
+        return tuple(_frozen(t * self._yphase) for t in (
             1j * ky * inv_ksq, -1j * kx * inv_ksq, 1j * kx, 1j * ky
         ))
+
+    @cached_property
+    def _advect_mask(self) -> np.ndarray:
+        """Half-width 2/3-rule mask times the y-phase, zero at the mean mode."""
+        out = self.dealias[:, : self.N1 // 2 + 1] * self._yphase
+        out[0, 0] = 0.0
+        return _frozen(out)
 
     @cached_property
     def _yphase(self) -> np.ndarray:
@@ -280,26 +293,25 @@ def sanitize(f: SpectralField) -> SpectralField:
     return f
 
 
-def _grid(d: Domain, C: np.ndarray) -> np.ndarray:
-    """Real grid values of the coefficients ``C``; only their m1 >= 0 columns are read.
-
-    ``C`` may be the full ``(N2, N1)`` array or its ``(N2, N1//2 + 1)`` half.
-    """
-    half = C[:, : d.N1 // 2 + 1] * d._yphase
-    return np.fft.irfft2(half, s=(d.N2, d.N1), norm="forward")
+def _irfft2(d: Domain, H: np.ndarray) -> np.ndarray:
+    """Raw inverse transform of half-width ``(N2, N1//2 + 1)`` coefficients, no y-phase."""
+    return np.fft.irfft2(H, s=(d.N2, d.N1), norm="forward")
 
 
-def _spec(d: Domain, V: np.ndarray) -> np.ndarray:
-    """Full ``(N2, N1)`` coefficients of real grid values ``V``.
+def _rfft2(d: Domain, V: np.ndarray) -> np.ndarray:
+    """Raw forward transform of real grid values to half-width coefficients, no y-phase."""
+    return np.fft.rfft2(V, norm="forward")
+
+
+def _unfold(d: Domain, half: np.ndarray) -> np.ndarray:
+    """Full ``(N2, N1)`` coefficients from their ``m1 >= 0`` half.
 
     The m1 < 0 columns, and the m2 < 0 half of the m1 = 0 column, are the
     exact conjugate mirror of their partners, so the result is Hermitian by
     construction; the Nyquist row and column are zero.  The mean mode is
-    left as computed.
+    left as given.
     """
     n1, n2 = d.N1 // 2, d.N2 // 2
-    half = np.fft.rfft2(V, norm="forward")
-    half *= d._yphase
     out = np.empty((d.N2, d.N1), dtype=np.complex128)
     out[:, : n1 + 1] = half
     # Coefficient (-m1, -m2) is conj of (m1, m2); row -m2 is row N2 - m2.
@@ -309,6 +321,16 @@ def _spec(d: Domain, V: np.ndarray) -> np.ndarray:
     out[n2, :] = 0.0
     out[:, n1] = 0.0
     return out
+
+
+def _grid(d: Domain, C: np.ndarray) -> np.ndarray:
+    """Real grid values of full or half-width coefficients ``C``; reads the m1 >= 0 columns."""
+    return _irfft2(d, C[:, : d.N1 // 2 + 1] * d._yphase)
+
+
+def _spec(d: Domain, V: np.ndarray) -> np.ndarray:
+    """Full Hermitian ``(N2, N1)`` coefficients of real grid values ``V`` (see ``_unfold``)."""
+    return _unfold(d, _rfft2(d, V) * d._yphase)
 
 
 def to_grid(f: SpectralField) -> GridField:
@@ -354,6 +376,11 @@ def reality_error(f: SpectralField) -> float:
 def dealias_mask(domain: Domain) -> np.ndarray:
     """Per-mode boolean 2/3-rule mask (True = retained after products)."""
     return domain.dealias.copy()
+
+
+def _power(C: np.ndarray) -> np.ndarray:
+    """``|C|^2`` elementwise, as ``re^2 + im^2``."""
+    return np.square(C.real) + np.square(C.imag)
 
 
 def norm(f: SpectralField) -> float:
@@ -405,16 +432,27 @@ def random_field(
 _HEADER = struct.Struct("<4sIIIddddd")
 
 
+@contextmanager
+def _atomic_open(path, mode: str, **kwargs):
+    """Write to a temporary file beside ``path`` that replaces it only if the block completes."""
+    tmp = Path(path).with_name(f".{Path(path).name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def write_snapshot(path, f: SpectralField, epsilon: float, mu: float, t: float) -> None:
     """Write the little-endian ZNS1 snapshot (header + coefficients in canonical order)."""
     d = f.domain
     header = _HEADER.pack(
         SNAPSHOT_MAGIC, SNAPSHOT_VERSION, d.N1, d.N2, d.L1, d.L2, epsilon, mu, t
     )
-    body = np.ascontiguousarray(f.coeffs, dtype="<c16").tobytes()
-    with open(path, "wb") as fh:
+    with _atomic_open(path, "wb") as fh:
         fh.write(header)
-        fh.write(body)
+        fh.write(np.ascontiguousarray(f.coeffs, dtype="<c16").tobytes())
 
 
 def read_snapshot(path) -> tuple[SpectralField, float, float, float]:

@@ -29,8 +29,11 @@ from .lattice import (
     SpectralField,
     WaveVector,
     _check_same_domain,
-    _grid,
-    _spec,
+    _grid,  # noqa: F401  (re-exported: the phased pair on full arrays)
+    _irfft2,
+    _rfft2,
+    _spec,  # noqa: F401
+    _unfold,
     to_grid,
 )
 
@@ -117,23 +120,24 @@ def _advect_raw(d: Domain, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Dealiased pseudo-spectral B(a, b) = velocity(a).grad(b) on raw coefficients.
 
     ``A`` and ``B`` are coefficients of real fields, so only their m1 >= 0
-    halves are transformed; the result is Hermitian by construction.
+    halves are transformed; the result is Hermitian by construction.  The
+    y-phase is in the tables and in ``d._advect_mask`` (with the 2/3 rule and
+    the zero mean), so the transforms are the raw pair.
     """
     half = np.s_[:, : d.N1 // 2 + 1]
     A, B = A[half], B[half]
     to_u, to_v, to_dx, to_dy = d._advect_tables
-    ug = _grid(d, to_u * A)
-    vg = _grid(d, to_v * A)
-    bxg = _grid(d, to_dx * B)
-    byg = _grid(d, to_dy * B)
+    ug = _irfft2(d, to_u * A)
+    vg = _irfft2(d, to_v * A)
+    bxg = _irfft2(d, to_dx * B)
+    byg = _irfft2(d, to_dy * B)
     # Products in place: fewer grid-sized temporaries alive at once.
     ug *= bxg
     vg *= byg
     ug += vg
-    out = _spec(d, ug)
-    out *= d.dealias
-    out[0, 0] = 0.0
-    return out
+    out = _rfft2(d, ug)
+    out *= d._advect_mask
+    return _unfold(d, out)
 
 
 def jacobian(a: SpectralField, b: SpectralField) -> SpectralField:

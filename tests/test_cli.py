@@ -87,6 +87,15 @@ class TestSimulate:
         assert code == 1
         assert "does not match snapshot epsilon" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("every", ["0", "-0.1", "nan"])
+    def test_bad_snapshot_every_exits_1(self, config_file, tmp_path, capsys, every):
+        out = tmp_path / "run"
+        code = main(["simulate", "--config", str(config_file), "--out", str(out),
+                     f"--snapshot-every={every}", "--quiet"])
+        assert code == 1
+        assert "snapshot_every must be positive" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_blowup_exits_2(self, tmp_path, capsys):
         path = tmp_path / "explode.cfg"
         path.write_text(TINY_CONFIG + "blowup_threshold = 1e-6\n")
@@ -104,6 +113,13 @@ class TestSweep:
         assert text[0] == "epsilon,sup_fast_sq,ratio,sup_fast_h1_sq,ratio_h1,slope,slope_h1"
         assert len(text) == 3
         assert "slope" in capsys.readouterr().out
+
+    def test_zero_seeds_exits_1(self, config_file, tmp_path, capsys):
+        code = main(["sweep-epsilon", "--config", str(config_file),
+                     "--out", str(tmp_path / "sweep"), "--seeds", "0"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.splitlines()) == 1
 
     def test_resolution_override(self, config_file, tmp_path):
         out = tmp_path / "sweep8"
@@ -161,6 +177,14 @@ class TestAgmon:
         code = main(["agmon-check", "--samples", "5", "--resolution", "16",
                      "--constant", "1.0"])
         assert code == 0
+
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_bad_sample_count_exits_1(self, capsys, samples):
+        code = main(["agmon-check", f"--samples={samples}", "--resolution", "16"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1
+        assert "samples," not in captured.out
 
     def test_tiny_constant_exit_3(self, capsys):
         code = main(["agmon-check", "--samples", "3", "--resolution", "16",

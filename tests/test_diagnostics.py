@@ -18,7 +18,7 @@ from zns.diagnostics import (
 )
 from zns.forcing import ForcingSpec, make_forcing
 from zns.lattice import Domain, SpectralField, inner, norm, random_field, to_grid
-from zns.operators import split
+from zns.operators import split, velocity
 
 BENCHMARK = ForcingSpec(modes=((0, 1, 1.0), (1, 1, 0.5)))
 
@@ -219,3 +219,37 @@ class TestDiagnosticsRecord:
         for name in ("enstrophy", "grad_enstrophy", "zonal_sq", "fast_sq",
                      "fast_h1_sq", "fast_h2_sq", "max_velocity"):
             assert getattr(rec, name) >= 0.0
+
+    @pytest.mark.parametrize("d", [
+        pytest.param(Domain(N1=16, N2=16), id="16x16"),
+        pytest.param(Domain(N1=24, N2=16), id="24x16"),
+        pytest.param(Domain(N1=16, N2=32), id="16x32"),
+        pytest.param(Domain(L1=4 * np.pi, L2=2 * np.pi, N1=16, N2=16), id="L1=4pi"),
+        pytest.param(Domain(L1=2 * np.pi, L2=3 * np.pi, N1=24, N2=16), id="24x16-L2=3pi"),
+    ])
+    @pytest.mark.parametrize("odd", [True, False], ids=["odd", "not-odd"])
+    def test_matches_definitions(self, d, odd, rng):
+        w = random_field(d, rng, norm_target=1.5, odd_in_y=odd)
+        zonal, fast = split(w)
+        want = {
+            "enstrophy": norm(w) ** 2,
+            "grad_enstrophy": sobolev_norm(w, 1.0) ** 2,
+            "zonal_sq": norm(zonal) ** 2,
+            "fast_sq": norm(fast) ** 2,
+            "fast_h1_sq": sobolev_norm(fast, 1.0) ** 2,
+            "fast_h2_sq": sobolev_norm(fast, 2.0) ** 2,
+            "max_velocity": velocity(w).max_speed(),
+        }
+        rec = record_state(w, 0.75, budget=0.25)
+        assert (rec.t, rec.budget_residual) == (0.75, 0.25)
+        for name, value in want.items():
+            got = getattr(rec, name)
+            assert type(got) is float
+            assert abs(got - value) <= 1e-13 * value, name
+
+    def test_zonal_state_has_exactly_zero_fast_norms(self, rng):
+        d = Domain(N1=16, N2=24)
+        zonal, _ = split(random_field(d, rng, norm_target=1.0))
+        rec = record_state(zonal, 0.0)
+        assert rec.zonal_sq > 0.0 and rec.enstrophy > 0.0
+        assert (rec.fast_sq, rec.fast_h1_sq, rec.fast_h2_sq) == (0.0, 0.0, 0.0)

@@ -21,6 +21,7 @@ from zns.harness import (
     summarize_contraction,
     summarize_epsilon_sweep,
     summarize_steady_sweep,
+    write_csv,
     write_diagnostics_csv,
 )
 from zns.lattice import Domain, norm, parity_error, read_snapshot
@@ -126,6 +127,13 @@ class TestIntegrate:
         w0 = initial_state(cfg.domain, 0, 0.5)
         with pytest.raises(ValueError, match="before the start time"):
             integrate(stepper, None, w0, 1.0, 0.5)
+
+    def test_start_off_the_step_grid_rejected(self):
+        cfg = tiny_config()
+        stepper = Stepper(cfg.domain, cfg.sim_config(0.1), cfg.h)
+        w0 = initial_state(cfg.domain, 0, 0.5)
+        with pytest.raises(ValueError, match="start time"):
+            integrate(stepper, None, w0, 0.005, 0.105)
 
     def test_resume_after_t_end_rejected(self, tmp_path):
         late = tiny_config(epsilons=(0.1,), t_spin=0.5, t_end=2.0)
@@ -328,6 +336,27 @@ class TestSimulatePersistence:
         assert norm(w_full - w_res) < 1e-10 * norm(w_full)
         assert resumed.summary["t_final"] == pytest.approx(4.0)
 
+    def test_resume_is_bit_exact_off_the_cadences(self, tmp_path):
+        # 150 steps against 75 steps plus a resume; 75 is a multiple of neither
+        # reproject_every nor record_every.
+        kw = dict(epsilons=(0.1,), t_spin=0.5, reproject_every=7, record_every=4)
+        simulate(tiny_config(t_end=1.5, **kw), tmp_path / "full", snapshot_every=0.5)
+        simulate(tiny_config(t_end=0.75, **kw), tmp_path / "half")
+        simulate(tiny_config(t_end=1.5, **kw), tmp_path / "resumed", snapshot_every=0.5,
+                 resume_from=tmp_path / "half" / "state_final.zns")
+        snaps = {run: sorted(p.name for p in (tmp_path / run).glob("state_t*.zns"))
+                 for run in ("full", "resumed")}
+        assert snaps["full"] == [f"state_t{t:.6f}.zns" for t in (0.5, 1.0, 1.5)]
+        assert snaps["resumed"] == snaps["full"][1:]
+        w_full, *_ = read_snapshot(tmp_path / "full" / "state_final.zns")
+        w_res, *_ = read_snapshot(tmp_path / "resumed" / "state_final.zns")
+        assert np.array_equal(w_full.coeffs, w_res.coeffs)
+        full = (tmp_path / "full" / "diagnostics.csv").read_text().splitlines()
+        resumed = (tmp_path / "resumed" / "diagnostics.csv").read_text().splitlines()
+        # Same rows, times included, for every record after the resume point.
+        t_resume = float(resumed[1].split(",")[0])
+        assert resumed[2:] == [line for line in full[1:] if float(line.split(",")[0]) > t_resume]
+
     def test_snapshot_every(self, tmp_path):
         cfg = tiny_config(epsilons=(0.1,), t_spin=0.5, t_end=1.0)
         simulate(cfg, tmp_path / "snaps", snapshot_every=0.5)
@@ -342,6 +371,21 @@ class TestSimulatePersistence:
         )
         with pytest.raises(ValueError, match="domain"):
             simulate(other, tmp_path / "b", resume_from=tmp_path / "a" / "state_final.zns")
+
+
+def test_write_csv_keeps_the_old_file_when_interrupted(tmp_path):
+    path = tmp_path / "out.csv"
+    write_csv(path, ["a"], [[1]])
+    before = path.read_text()
+
+    def rows():
+        yield [2]
+        raise RuntimeError("interrupted")
+
+    with pytest.raises(RuntimeError, match="interrupted"):
+        write_csv(path, ["a"], rows())
+    assert path.read_text() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
 
 def test_diagnostics_csv_schema(tmp_path):

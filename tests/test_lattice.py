@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import zns.lattice
 from zns.lattice import (
     Domain,
     SpectralField,
@@ -41,7 +42,7 @@ class TestDomain:
 
     @pytest.mark.parametrize("name", [
         "m1", "m2", "kx", "ky", "ksq", "inv_ksq", "omega", "nyquist", "active", "dealias",
-        "_yphase", "_flip_m2", "_flip_m1",
+        "_yphase", "_flip_m2", "_flip_m1", "_advect_mask",
     ])
     def test_cached_arrays_are_read_only(self, name):
         arr = getattr(Domain(N1=8, N2=8), name)
@@ -56,6 +57,18 @@ class TestDomain:
             with pytest.raises(ValueError):
                 table *= 2.0
         assert d._advect_tables is d._advect_tables  # built once per domain
+
+    def test_advection_tables_carry_the_y_phase(self):
+        d = Domain(L1=4 * np.pi, N1=8, N2=6)
+        half, phase = np.s_[:, :5], d._yphase
+        unphased = (1j * d.ky * d.inv_ksq, -1j * d.kx * d.inv_ksq, 1j * d.kx, 1j * d.ky)
+        for table, want in zip(d._advect_tables, unphased):
+            assert np.array_equal(table, want[half] * phase)
+        mask = d.dealias[half] * phase
+        mask[0, 0] = 0.0
+        assert d._advect_mask.shape == (6, 5)
+        assert np.array_equal(d._advect_mask, mask)
+        assert d._advect_mask is d._advect_mask
 
     def test_indices_roundtrip(self):
         d = Domain(L1=4 * np.pi, N1=8, N2=8)
@@ -254,6 +267,36 @@ class TestSnapshots:
         # mode (1,1) lives at flat index m2-row * N1 + m1-col = 1*4 + 1
         assert body[5, 0] == 2.0 and body[5, 1] == 3.0
         assert body[(-1 % 4) * 4 + (-1 % 4), 0] == 2.0
+
+    def test_interrupted_write_keeps_the_old_file(self, tmp_path, rng, monkeypatch):
+        d = Domain(N1=8, N2=8)
+        path = tmp_path / "state.zns"
+        write_snapshot(path, random_field(d, rng), 0.1, 1.0, 0.0)
+        before = path.read_bytes()
+
+        class HalfWrites:
+            """A file whose first write stores half its bytes, then fails."""
+
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.fh.write(data[: len(data) // 2])
+                raise OSError("no space left on device")
+
+        monkeypatch.setattr(zns.lattice, "open", lambda *a, **k: HalfWrites(open(*a, **k)),
+                            raising=False)
+        with pytest.raises(OSError, match="no space"):
+            write_snapshot(path, random_field(d, rng), 0.1, 1.0, 1.0)
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["state.zns"]
 
     def test_corrupt_files_rejected(self, tmp_path):
         p = tmp_path / "bad.zns"

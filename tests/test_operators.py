@@ -1,5 +1,7 @@
 """Operator identities, triad coefficients and the oscillatory triple product."""
 
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,7 @@ from zns.lattice import (
 )
 from zns.operators import (
     _advect_raw,
+    _grid,
     _spec,
     apply_A,
     apply_I_omega,
@@ -212,6 +215,16 @@ def complex_advect(d: Domain, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return out
 
 
+def phased_advect(d: Domain, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Reference kernel that applies the y-phase in every transform (``_grid``/``_spec``)."""
+    ug = _grid(d, 1j * d.ky * d.inv_ksq * A)
+    vg = _grid(d, -1j * d.kx * d.inv_ksq * A)
+    out = _spec(d, ug * _grid(d, 1j * d.kx * B) + vg * _grid(d, 1j * d.ky * B))
+    out *= d.dealias
+    out[0, 0] = 0.0
+    return out
+
+
 KERNEL_DOMAINS = [
     pytest.param(Domain(N1=16, N2=16), id="16x16"),
     pytest.param(Domain(N1=32, N2=32), id="32x32"),
@@ -232,6 +245,22 @@ class TestRealTransformKernel:
             got = _advect_raw(d, a.coeffs, b.coeffs)
             want = complex_advect(d, a.coeffs, b.coeffs)
             assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("d", KERNEL_DOMAINS)
+    def test_phase_folded_into_tables_is_bit_identical(self, d, rng):
+        for odd in (True, False):
+            a = random_field(d, rng, norm_target=1.0, odd_in_y=odd)
+            b = random_field(d, rng, norm_target=1.0, odd_in_y=odd)
+            assert np.array_equal(_advect_raw(d, a.coeffs, b.coeffs),
+                                  phased_advect(d, a.coeffs, b.coeffs))
+
+    def test_signature_and_full_width_output(self, rng):
+        assert list(inspect.signature(_advect_raw).parameters) == ["d", "A", "B"]
+        d = Domain(N1=16, N2=8)
+        a = random_field(d, rng, norm_target=1.0)
+        out = _advect_raw(d, a.coeffs, a.coeffs)
+        assert out.shape == (8, 16) and out.dtype == np.complex128
+        assert reality_error(SpectralField(d, out)) == 0.0
 
     @pytest.mark.parametrize("d", KERNEL_DOMAINS)
     def test_spec_output_is_exactly_hermitian(self, d, rng):

@@ -10,7 +10,15 @@ from hypothesis import strategies as st
 
 from zns.diagnostics import sobolev_norm
 from zns.forcing import ForcingSpec, make_forcing
-from zns.lattice import Domain, SpectralField, norm, parity_error, random_field, reality_error
+from zns.lattice import (
+    Domain,
+    SpectralField,
+    inner,
+    norm,
+    parity_error,
+    random_field,
+    reality_error,
+)
 from zns.operators import apply_A, apply_L, jacobian
 from zns.stepper import (
     BlowUpError,
@@ -329,3 +337,25 @@ class TestBudgetResidual:
             vals.append(budget_residual(w, w1, 10 * h, h, forcing, sim))
         ratio = vals[0] / vals[1]
         assert 2.5 < ratio < 6.0
+
+    @pytest.mark.parametrize("d", [
+        Domain(N1=16, N2=16), Domain(L1=4 * np.pi, N1=24, N2=16), Domain(N1=16, N2=32),
+    ], ids=["16x16", "24x16-L1=4pi", "16x32"])
+    @pytest.mark.parametrize("forced", [True, False], ids=["forced", "unforced"])
+    def test_matches_midpoint_formula(self, d, forced, rng):
+        spec = ForcingSpec(modes=((0, 1, 1.0), (1, 1, 0.5)))
+        forcing = make_forcing(spec, d) if forced else None
+        sim = SimConfig(epsilon=0.2, mu=0.5)
+        h = 4e-3
+        w = random_field(d, rng, norm_target=1.0)
+        w1 = Stepper(d, sim, h).step(w, 0.3, forcing)
+        mid = 0.5 * (w + w1)
+        terms = (
+            (norm(w1) ** 2 - norm(w) ** 2) / (2.0 * h),
+            sim.mu * sobolev_norm(mid, 1.0) ** 2,
+            inner(forcing(0.3 + h / 2), mid) if forced else 0.0,
+        )
+        want = abs(terms[0] + terms[1] - terms[2])
+        got = budget_residual(w, w1, 0.3, h, forcing, sim)
+        assert type(got) is float
+        assert abs(got - want) <= 1e-13 * sum(abs(x) for x in terms)
