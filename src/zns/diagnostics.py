@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .forcing import Forcing, ForcingSpec, k_weighted_norm
-from .lattice import Domain, SpectralField, _irfft2, _power, inner, norm, to_grid
+from .lattice import Domain, SpectralField, _half_power, _irfft2, inner, norm, to_grid
 from .operators import apply_A, apply_I_omega, apply_inv_laplacian, apply_L, jacobian, split
 
 
@@ -197,14 +197,16 @@ assert CSV_COLUMNS == [
 
 def record_state(w: SpectralField, t: float, budget: float = 0.0) -> DiagnosticsRecord:
     """Standard diagnostics of one state: ``norm``/``sobolev_norm`` of ``w`` and its
-    ``split`` parts and ``velocity(w).max_speed()``, in one pass over ``|c_k|^2``.
+    ``split`` parts and ``velocity(w).max_speed()``, in one pass over ``|c_k|^2``
+    on the m1 >= 0 half (m1 > 0 columns counted twice).
 
     Zonal modes are column m1 = 0, fast modes the other columns.
     """
     d = w.domain
-    p = _power(w.coeffs)
-    kp = d.ksq * p
     half = w.coeffs[:, : d.N1 // 2 + 1]
+    p = _half_power(d, w.coeffs)
+    ksq = d.ksq[:, : d.N1 // 2 + 1]
+    kp = ksq * p
     to_u, to_v = d._advect_tables[:2]
     speed = np.hypot(_irfft2(d, to_u * half), _irfft2(d, to_v * half))
     area = d.area
@@ -215,7 +217,7 @@ def record_state(w: SpectralField, t: float, budget: float = 0.0) -> Diagnostics
         zonal_sq=float(area * p[:, 0].sum()),
         fast_sq=float(area * p[:, 1:].sum()),
         fast_h1_sq=float(area * kp[:, 1:].sum()),
-        fast_h2_sq=float(area * (d.ksq[:, 1:] * kp[:, 1:]).sum()),
+        fast_h2_sq=float(area * (ksq[:, 1:] * kp[:, 1:]).sum()),
         budget_residual=budget,
         max_velocity=float(speed.max()),
     )

@@ -15,7 +15,7 @@ import csv
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Callable
 
@@ -38,6 +38,7 @@ from .lattice import (
     project_parity,
     random_field,
     read_snapshot,
+    reality_error,
     write_snapshot,
 )
 from .operators import TriadReport, apply_I_omega, apply_inv_laplacian, split, velocity
@@ -120,6 +121,8 @@ class ExperimentConfig:
         return steady_speed + self.omega0_norm / self.domain.c0
 
     def sim_config(self, epsilon: float) -> SimConfig:
+        if epsilon not in self.epsilons:
+            replace(self, epsilons=(epsilon,))  # runs the CFL check for this epsilon
         return SimConfig(
             epsilon=epsilon,
             mu=self.mu,
@@ -580,6 +583,12 @@ def simulate(
             raise ValueError(f"snapshot mu={mu} does not match config mu={config.mu}")
         if epsilon is not None and epsilon != eps:
             raise ValueError(f"epsilon={epsilon} does not match snapshot epsilon={eps}")
+        # A step reads only the m1 >= 0 half, so the m1 < 0 half must mirror it.
+        err = reality_error(w0)
+        if err > 1e-11 * np.abs(w0.coeffs).max():
+            raise ValueError(
+                f"{resume_from}: snapshot is not a real field (reality error {err:.3g})"
+            )
     else:
         w0 = initial_state(config.domain, config.seed, config.omega0_norm)
 

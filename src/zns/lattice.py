@@ -13,12 +13,12 @@ Conventions (fixed throughout the package):
 * The collocation grid is ``x_j = j L1/N1`` and ``y_j = -L2/2 + j L2/N2``,
   so grid row 0 sits on the line ``y = -L2/2``.
 * Grid fields are real, so a coefficient array is Hermitian,
-  ``c(-k) = conj(c(k))``.  The transforms are numpy's real transforms: the
-  grid transform reads only the ``m1 >= 0`` half of a coefficient array, and
-  the spectral transform fills the ``m1 < 0`` half as the exact conjugate
-  mirror of the ``m1 > 0`` half.  Each applies the y-phase ``(-1)^m2`` of the
-  grid offset around a raw transform; the advection tables carry that phase
-  already and use the raw pair directly.
+  ``c(-k) = conj(c(k))``; a time step reads only its ``m1 >= 0`` half and
+  returns the exact Hermitian ``_unfold`` of the new half.  The grid transform
+  (numpy's ``irfft2``) reads only the ``m1 >= 0`` half too, and the spectral
+  transform (``rfft2``) fills the ``m1 < 0`` half as the exact conjugate
+  mirror.  Each applies the y-phase ``(-1)^m2`` of the grid offset around a
+  raw transform; the advection tables carry that phase and use the raw pair.
 * Parseval: the grid mean square of ``w`` equals ``sum_k |c_k|^2`` and the
   L2 norm satisfies ``|w|^2 = L1 L2 sum_k |c_k|^2``.
 * The Nyquist row/column (``m = -N/2``) cannot be paired Hermitianly and is
@@ -150,6 +150,13 @@ class Domain:
         """Half-width 2/3-rule mask times the y-phase, zero at the mean mode."""
         out = self.dealias[:, : self.N1 // 2 + 1] * self._yphase
         out[0, 0] = 0.0
+        return _frozen(out)
+
+    @cached_property
+    def _half_weight(self) -> np.ndarray:
+        """Weights of sums over the m1 >= 0 columns: 1 at m1 = 0, 2 at m1 > 0."""
+        out = np.full((self.N2, self.N1 // 2 + 1), 2.0)
+        out[:, 0] = 1.0
         return _frozen(out)
 
     @cached_property
@@ -378,9 +385,13 @@ def dealias_mask(domain: Domain) -> np.ndarray:
     return domain.dealias.copy()
 
 
-def _power(C: np.ndarray) -> np.ndarray:
-    """``|C|^2`` elementwise, as ``re^2 + im^2``."""
-    return np.square(C.real) + np.square(C.imag)
+def _half_power(d: Domain, C: np.ndarray) -> np.ndarray:
+    """``|c|^2`` on the m1 >= 0 columns of Hermitian ``C``, the m1 > 0 columns
+    doubled, so that sums over it equal sums of ``|C|^2`` over the full array."""
+    half = C[:, : d.N1 // 2 + 1]
+    p = np.square(half.real) + np.square(half.imag)
+    p *= d._half_weight
+    return p
 
 
 def norm(f: SpectralField) -> float:

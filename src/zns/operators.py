@@ -119,11 +119,13 @@ def divergence(vel: VelocityField) -> SpectralField:
 def _advect_raw(d: Domain, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Dealiased pseudo-spectral B(a, b) = velocity(a).grad(b) on raw coefficients.
 
-    ``A`` and ``B`` are coefficients of real fields, so only their m1 >= 0
-    halves are transformed; the result is Hermitian by construction.  The
+    ``A`` and ``B`` are coefficients of real fields, full ``(N2, N1)`` or their
+    m1 >= 0 halves; only the halves are transformed.  Full-width input gives
+    the full Hermitian result, half-width input its m1 >= 0 half.  The
     y-phase is in the tables and in ``d._advect_mask`` (with the 2/3 rule and
     the zero mean), so the transforms are the raw pair.
     """
+    full = A.shape[1] == d.N1
     half = np.s_[:, : d.N1 // 2 + 1]
     A, B = A[half], B[half]
     to_u, to_v, to_dx, to_dy = d._advect_tables
@@ -137,7 +139,10 @@ def _advect_raw(d: Domain, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     ug += vg
     out = _rfft2(d, ug)
     out *= d._advect_mask
-    return _unfold(d, out)
+    # Column m1 = 0 holds m2 and -m2: mirror it, so the half is exactly Hermitian.
+    n2 = d.N2 // 2
+    np.conjugate(out[n2 - 1 : 0 : -1, 0], out=out[n2 + 1 :, 0])
+    return _unfold(d, out) if full else out
 
 
 def jacobian(a: SpectralField, b: SpectralField) -> SpectralField:

@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .lattice import Domain, SpectralField, _frozen, _power, inner
+from .lattice import Domain, SpectralField, _frozen, _half_power, _unfold, inner
 from .operators import _advect_raw
 
 ForcingFn = Callable[[float], SpectralField]
@@ -121,10 +121,10 @@ class EtdCoefficients:
 
 
 def build_coefficients(symbol: LinearSymbol, h: float) -> EtdCoefficients:
-    """ETDRK4 weights; accurate to ~1e-13 relative for any lambda*h."""
+    """ETDRK4 weights on the m1 >= 0 columns; ~1e-13 relative for any lambda*h."""
     if h <= 0:
         raise ValueError("step size must be positive")
-    z = h * symbol.lam
+    z = h * symbol.lam[:, : symbol.domain.N1 // 2 + 1]
     p1, p2, p3 = _phi(z, 1), _phi(z, 2), _phi(z, 3)
     return EtdCoefficients(
         h=h,
@@ -139,7 +139,7 @@ def build_coefficients(symbol: LinearSymbol, h: float) -> EtdCoefficients:
 
 @dataclass
 class StepStages:
-    """Base-trajectory values at the quadrature nodes of one step."""
+    """Base-trajectory values (m1 >= 0 halves) at the quadrature nodes of one step."""
 
     t: float
     u0: np.ndarray
@@ -151,6 +151,8 @@ class StepStages:
 class Stepper:
     """Advances vorticity (and tangent perturbations) with a fixed step size.
 
+    A step reads only the m1 >= 0 half of its input and returns the exact
+    Hermitian unfold of the updated half, so its output is real bit for bit.
     Immutable after construction (the coefficient tables are shared
     read-only), so one instance can serve any number of independent
     trajectories, including concurrently.
@@ -162,6 +164,7 @@ class Stepper:
         self.h = h
         self.symbol = LinearSymbol.build(domain, config)
         self.coeffs = build_coefficients(self.symbol, h)
+        self._half = np.s_[:, : domain.N1 // 2 + 1]
 
     # -- right-hand sides ---------------------------------------------------
 
@@ -172,7 +175,7 @@ class Stepper:
         else:
             out = np.zeros_like(C)
         if forcing is not None:
-            out += forcing(t).coeffs
+            out += forcing(t).coeffs[self._half]
         return out
 
     def _tangent_nonlinear(self, W: np.ndarray, P: np.ndarray) -> np.ndarray:
@@ -225,10 +228,10 @@ class Stepper:
     ) -> tuple[SpectralField, StepStages]:
         """One ETDRK4 step; also returns the stage states for tangent use."""
         times = (t, t + self.h / 2, t + self.h / 2, t + self.h)
-        u0 = w.coeffs
+        u0 = w.coeffs[self._half]
         out, a, b, c = self._etdrk4(u0, lambda i, x: self._nonlinear(x, times[i], forcing))
         self._check_state(out, t + self.h)
-        return SpectralField(self.domain, out), StepStages(t, u0, a, b, c)
+        return SpectralField(self.domain, _unfold(self.domain, out)), StepStages(t, u0, a, b, c)
 
     def step(self, w: SpectralField, t: float, forcing: ForcingFn | None = None) -> SpectralField:
         out, _ = self.step_with_stages(w, t, forcing)
@@ -242,9 +245,11 @@ class Stepper:
         finite differences of the nonlinear flow converge to it at O(delta^2).
         """
         base = (stages.u0, stages.a, stages.b, stages.c)
-        out, *_ = self._etdrk4(phi.coeffs, lambda i, p: self._tangent_nonlinear(base[i], p))
+        out, *_ = self._etdrk4(
+            phi.coeffs[self._half], lambda i, p: self._tangent_nonlinear(base[i], p)
+        )
         self._check_state(out, stages.t + self.h)
-        return SpectralField(self.domain, out)
+        return SpectralField(self.domain, _unfold(self.domain, out))
 
     def step_pair(
         self, w: SpectralField, phi: SpectralField, t: float, forcing: ForcingFn | None = None
@@ -268,8 +273,9 @@ def budget_residual(
     smooth trajectories.  The rotation term is antisymmetric and contributes
     exactly zero, as does the advection term.
     """
+    d = w.domain
     mid = 0.5 * (w + w_next)
-    d_ens = w.domain.area * (_power(w_next.coeffs).sum() - _power(w.coeffs).sum()) / (2.0 * h)
-    grad_sq = w.domain.area * (w.domain.ksq * _power(mid.coeffs)).sum()
+    d_ens = d.area * (_half_power(d, w_next.coeffs) - _half_power(d, w.coeffs)).sum() / (2.0 * h)
+    grad_sq = d.area * (d.ksq[:, : d.N1 // 2 + 1] * _half_power(d, mid.coeffs)).sum()
     injection = inner(forcing(t + h / 2), mid) if forcing is not None else 0.0
     return float(abs(d_ens + config.mu * grad_sq - injection))

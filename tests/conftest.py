@@ -8,6 +8,17 @@ import pytest
 from zns.lattice import Domain, SpectralField, random_field
 
 
+# Square, N1 != N2 both ways, L1 != L2 both ways, and mode counts not divisible by 4.
+KERNEL_DOMAINS = [
+    pytest.param(Domain(N1=16, N2=16), id="16x16"),
+    pytest.param(Domain(N1=32, N2=32), id="32x32"),
+    pytest.param(Domain(L1=4 * np.pi, L2=2 * np.pi, N1=24, N2=16), id="24x16-L1=4pi"),
+    pytest.param(Domain(N1=16, N2=32), id="16x32"),
+    pytest.param(Domain(N1=6, N2=10), id="6x10"),
+    pytest.param(Domain(L1=2 * np.pi, L2=3 * np.pi, N1=16, N2=16), id="16x16-L2=3pi"),
+]
+
+
 @pytest.fixture
 def domain():
     return Domain(N1=16, N2=16)

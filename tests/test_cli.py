@@ -12,7 +12,7 @@ import zns
 from zns.cli import main
 from zns.config import load_config
 from zns.harness import TRIAD_COLUMNS
-from zns.lattice import read_snapshot
+from zns.lattice import read_snapshot, write_snapshot
 
 TINY_CONFIG = """
 # small benchmark setup
@@ -86,6 +86,18 @@ class TestSimulate:
         ])
         assert code == 1
         assert "does not match snapshot epsilon" in capsys.readouterr().err
+
+    def test_non_real_snapshot_exits_1(self, config_file, tmp_path, capsys):
+        out1 = tmp_path / "run1"
+        assert main(["simulate", "--config", str(config_file), "--out", str(out1),
+                     "--quiet"]) == 0
+        w, eps, mu, t = read_snapshot(out1 / "state_final.zns")
+        w.coeffs[1, -1] *= 1.0 + 1e-6  # one m1 < 0 coefficient off its mirror
+        write_snapshot(tmp_path / "bad.zns", w, eps, mu, t)
+        code = main(["simulate", "--config", str(config_file), "--out", str(tmp_path / "run2"),
+                     "--resume", str(tmp_path / "bad.zns"), "--quiet"])
+        assert code == 1
+        assert "not a real field" in capsys.readouterr().err
 
     @pytest.mark.parametrize("every", ["0", "-0.1", "nan"])
     def test_bad_snapshot_every_exits_1(self, config_file, tmp_path, capsys, every):
@@ -217,3 +229,13 @@ def test_cli_import_does_not_load_scipy():
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("command", ["simulate", "contraction"])
+def test_epsilon_flag_is_cfl_checked(command, config_file, tmp_path, capsys):
+    out = tmp_path / "out"
+    code = main([command, "--config", str(config_file), "--out", str(out),
+                 "--epsilon", "1000", "--quiet"])
+    assert code == 1
+    assert "CFL" in capsys.readouterr().err
+    assert not (out / "diagnostics.csv").exists()

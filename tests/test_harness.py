@@ -1,9 +1,13 @@
 """Experiment plumbing: configs, determinism, restart, sweeps, contraction."""
 
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zns.diagnostics import steady_residual
 from zns.forcing import ForcingSpec, make_forcing
@@ -24,7 +28,7 @@ from zns.harness import (
     write_csv,
     write_diagnostics_csv,
 )
-from zns.lattice import Domain, norm, parity_error, read_snapshot
+from zns.lattice import Domain, norm, parity_error, read_snapshot, write_snapshot
 from zns.operators import split
 from zns.stepper import SimConfig, Stepper
 
@@ -357,11 +361,59 @@ class TestSimulatePersistence:
         t_resume = float(resumed[1].split(",")[0])
         assert resumed[2:] == [line for line in full[1:] if float(line.split(",")[0]) > t_resume]
 
+    @given(split=st.integers(1, 39), reproject_every=st.integers(1, 12),
+           record_every=st.integers(1, 12))
+    @settings(max_examples=12, deadline=None)
+    def test_split_run_matches_uninterrupted_run(self, split, reproject_every, record_every):
+        kw = dict(epsilons=(0.1,), t_spin=0.001, reproject_every=reproject_every,
+                  record_every=record_every)
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            simulate(tiny_config(t_end=0.4, **kw), tmp / "full")
+            simulate(tiny_config(t_end=split * 0.01, **kw), tmp / "half")
+            simulate(tiny_config(t_end=0.4, **kw), tmp / "resumed",
+                     resume_from=tmp / "half" / "state_final.zns")
+            w_full, *_ = read_snapshot(tmp / "full" / "state_final.zns")
+            w_res, *_ = read_snapshot(tmp / "resumed" / "state_final.zns")
+            rows = {run: (tmp / run / "diagnostics.csv").read_text().splitlines()[1:]
+                    for run in ("full", "half", "resumed")}
+        assert np.array_equal(w_full.coeffs, w_res.coeffs)
+        t_split = float(rows["resumed"][0].split(",")[0])
+        before = [r for r in rows["full"] if float(r.split(",")[0]) < t_split]
+        after = [r for r in rows["full"] if float(r.split(",")[0]) > t_split]
+        # The half run also records its last step, on the cadence or not.
+        assert rows["half"][:-1] == before
+        assert rows["half"][-1].split(",")[0] == rows["resumed"][0].split(",")[0]
+        assert rows["resumed"][1:] == after
+
     def test_snapshot_every(self, tmp_path):
         cfg = tiny_config(epsilons=(0.1,), t_spin=0.5, t_end=1.0)
         simulate(cfg, tmp_path / "snaps", snapshot_every=0.5)
         names = sorted(p.name for p in (tmp_path / "snaps").glob("state_t*.zns"))
         assert len(names) == 2
+
+    def test_non_real_snapshot_rejected(self, tmp_path):
+        cfg = tiny_config(epsilons=(0.1,), t_spin=0.5, t_end=1.0)
+        simulate(tiny_config(epsilons=(0.1,), t_spin=0.25, t_end=0.5), tmp_path / "a")
+        w, eps, mu, t = read_snapshot(tmp_path / "a" / "state_final.zns")
+        w.coeffs[3, -2] += 1e-6 * np.abs(w.coeffs).max()  # one m1 < 0 coefficient
+        write_snapshot(tmp_path / "bad.zns", w, eps, mu, t)
+        with pytest.raises(ValueError, match="not a real field"):
+            simulate(cfg, tmp_path / "b", resume_from=tmp_path / "bad.zns")
+        # The untouched snapshot resumes onto the uninterrupted run.
+        simulate(cfg, tmp_path / "full")
+        simulate(cfg, tmp_path / "c", resume_from=tmp_path / "a" / "state_final.zns")
+        w_full, *_ = read_snapshot(tmp_path / "full" / "state_final.zns")
+        w_res, *_ = read_snapshot(tmp_path / "c" / "state_final.zns")
+        assert np.array_equal(w_full.coeffs, w_res.coeffs)
+
+    def test_snapshot_epsilon_is_cfl_checked(self, tmp_path):
+        cfg = tiny_config(epsilons=(0.1,), t_spin=0.5, t_end=1.0)
+        simulate(tiny_config(epsilons=(0.1,), t_spin=0.25, t_end=0.5), tmp_path / "a")
+        w, _, mu, t = read_snapshot(tmp_path / "a" / "state_final.zns")
+        write_snapshot(tmp_path / "fast.zns", w, 1000.0, mu, t)
+        with pytest.raises(ValueError, match="CFL"):
+            simulate(cfg, tmp_path / "b", resume_from=tmp_path / "fast.zns")
 
     def test_domain_mismatch_rejected(self, tmp_path):
         cfg = tiny_config(epsilons=(0.1,), t_spin=0.5, t_end=1.0)

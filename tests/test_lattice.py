@@ -42,7 +42,7 @@ class TestDomain:
 
     @pytest.mark.parametrize("name", [
         "m1", "m2", "kx", "ky", "ksq", "inv_ksq", "omega", "nyquist", "active", "dealias",
-        "_yphase", "_flip_m2", "_flip_m1", "_advect_mask",
+        "_yphase", "_flip_m2", "_flip_m1", "_advect_mask", "_half_weight",
     ])
     def test_cached_arrays_are_read_only(self, name):
         arr = getattr(Domain(N1=8, N2=8), name)

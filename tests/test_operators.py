@@ -38,7 +38,7 @@ from zns.operators import (
     velocity,
 )
 
-from conftest import triad_sum_oracle
+from conftest import KERNEL_DOMAINS, triad_sum_oracle
 
 
 class TestOmegaFreq:
@@ -225,16 +225,6 @@ def phased_advect(d: Domain, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return out
 
 
-KERNEL_DOMAINS = [
-    pytest.param(Domain(N1=16, N2=16), id="16x16"),
-    pytest.param(Domain(N1=32, N2=32), id="32x32"),
-    pytest.param(Domain(L1=4 * np.pi, L2=2 * np.pi, N1=24, N2=16), id="24x16-L1=4pi"),
-    pytest.param(Domain(N1=16, N2=32), id="16x32"),
-    pytest.param(Domain(N1=6, N2=10), id="6x10"),
-    pytest.param(Domain(L1=2 * np.pi, L2=3 * np.pi, N1=16, N2=16), id="16x16-L2=3pi"),
-]
-
-
 class TestRealTransformKernel:
     @pytest.mark.parametrize("d", KERNEL_DOMAINS)
     @pytest.mark.parametrize("odd", [True, False], ids=["odd", "not-odd"])
@@ -253,6 +243,16 @@ class TestRealTransformKernel:
             b = random_field(d, rng, norm_target=1.0, odd_in_y=odd)
             assert np.array_equal(_advect_raw(d, a.coeffs, b.coeffs),
                                   phased_advect(d, a.coeffs, b.coeffs))
+
+    @pytest.mark.parametrize("d", KERNEL_DOMAINS)
+    def test_half_width_input_gives_the_half_of_the_full_output(self, d, rng):
+        half = np.s_[:, : d.N1 // 2 + 1]
+        for odd in (True, False):
+            a = random_field(d, rng, norm_target=1.0, odd_in_y=odd)
+            b = random_field(d, rng, norm_target=1.0, odd_in_y=odd)
+            got = _advect_raw(d, a.coeffs[half], b.coeffs[half])
+            assert got.shape == (d.N2, d.N1 // 2 + 1)
+            assert np.array_equal(got, _advect_raw(d, a.coeffs, b.coeffs)[half])
 
     def test_signature_and_full_width_output(self, rng):
         assert list(inspect.signature(_advect_raw).parameters) == ["d", "A", "B"]

@@ -1,6 +1,7 @@
 """Exponential integrator: weights, exactness, order, tangent propagation."""
 
 import math
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
@@ -19,7 +20,7 @@ from zns.lattice import (
     random_field,
     reality_error,
 )
-from zns.operators import apply_A, apply_L, jacobian
+from zns.operators import _advect_raw, apply_A, apply_L, jacobian
 from zns.stepper import (
     BlowUpError,
     LinearSymbol,
@@ -29,6 +30,8 @@ from zns.stepper import (
     build_coefficients,
     _phi,
 )
+
+from conftest import KERNEL_DOMAINS
 
 mpmath.mp.dps = 40
 
@@ -359,3 +362,91 @@ class TestBudgetResidual:
         got = budget_residual(w, w1, 0.3, h, forcing, sim)
         assert type(got) is float
         assert abs(got - want) <= 1e-13 * sum(abs(x) for x in terms)
+
+
+def full_width_tables(st_: Stepper) -> SimpleNamespace:
+    """The ETDRK4 weights on the full (N2, N1) symbol."""
+    h, z = st_.h, st_.h * st_.symbol.lam
+    p1, p2, p3 = (_phi(z, m) for m in (1, 2, 3))
+    return SimpleNamespace(
+        E=np.exp(z), E2=np.exp(0.5 * z), Q=0.5 * h * _phi(0.5 * z, 1),
+        f1=h * (p1 - 3.0 * p2 + 4.0 * p3), f2=h * (p2 - 2.0 * p3), f3=h * (4.0 * p3 - p2),
+    )
+
+
+def full_width_etdrk4(k, u0, rhs):
+    """ETDRK4 with every per-mode pass on both halves; returns the update and the stages."""
+    n1 = rhs(0, u0)
+    a = k.Q * n1 + k.E2 * u0
+    n2 = rhs(1, a)
+    b = k.Q * n2 + k.E2 * u0
+    n3 = rhs(2, b)
+    c = k.Q * (2.0 * n3 - n1) + k.E2 * a
+    n4 = rhs(3, c)
+    return k.E * u0 + k.f1 * n1 + 2.0 * k.f2 * (n2 + n3) + k.f3 * n4, (u0, a, b, c)
+
+
+def full_width_step_pair(st_, k, w, phi, t, forcing):
+    """Reference step and tangent step on full-width arrays and full-width advection."""
+    d, h = st_.domain, st_.h
+    times = (t, t + h / 2, t + h / 2, t + h)
+    w_next, base = full_width_etdrk4(
+        k, w.coeffs, lambda i, x: forcing(times[i]).coeffs - _advect_raw(d, x, x)
+    )
+    phi_next, _ = full_width_etdrk4(
+        k, phi.coeffs, lambda i, p: -(_advect_raw(d, base[i], p) + _advect_raw(d, p, base[i]))
+    )
+    return SpectralField(d, w_next), SpectralField(d, phi_next)
+
+
+class TestHalfWidthStep:
+    """The step runs on the m1 >= 0 half and unfolds once, at its output."""
+
+    SPEC = ForcingSpec(modes=((0, 1, 1.0), (1, 1, 0.5)))
+
+    @pytest.mark.parametrize("d", KERNEL_DOMAINS)
+    @pytest.mark.parametrize("odd", [True, False], ids=["odd", "not-odd"])
+    def test_matches_full_width_reference(self, d, odd, rng):
+        forcing = make_forcing(self.SPEC, d)
+        st_ = Stepper(d, SimConfig(epsilon=0.2, mu=0.5), h=0.01)
+        k = full_width_tables(st_)
+        w = random_field(d, rng, norm_target=2.0, odd_in_y=odd)
+        phi = random_field(d, rng, norm_target=1.0, odd_in_y=odd)
+        w_ref, phi_ref = w, phi
+        for i in range(20):
+            w, phi = st_.step_pair(w, phi, i * 0.01, forcing)
+            w_ref, phi_ref = full_width_step_pair(st_, k, w_ref, phi_ref, i * 0.01, forcing)
+        for got, want in ((w, w_ref), (phi, phi_ref)):
+            assert np.max(np.abs(got.coeffs - want.coeffs)) <= 1e-14 * np.max(np.abs(want.coeffs))
+
+    def test_outputs_are_exactly_real_and_stages_half_width(self, rng):
+        d = Domain(L1=4 * np.pi, N1=24, N2=16)
+        st_ = Stepper(d, SimConfig(epsilon=0.2, mu=0.5), h=0.01)
+        w = random_field(d, rng, norm_target=2.0, odd_in_y=False)
+        phi = random_field(d, rng, norm_target=1.0, odd_in_y=False)
+        w1, stages = st_.step_with_stages(w, 0.0, make_forcing(self.SPEC, d))
+        assert reality_error(w1) == 0.0
+        assert reality_error(st_.tangent_step(phi, stages)) == 0.0
+        for x in (stages.u0, stages.a, stages.b, stages.c, st_.coeffs.E):
+            assert x.shape == (16, 13)
+
+    def test_one_unfold_per_step_and_per_tangent_step(self, monkeypatch, rng):
+        import zns.operators
+        import zns.stepper
+        from zns.lattice import _unfold
+
+        calls = []
+
+        def counting_unfold(d, half):
+            calls.append(half.shape)
+            return _unfold(d, half)
+
+        monkeypatch.setattr(zns.stepper, "_unfold", counting_unfold)
+        monkeypatch.setattr(zns.operators, "_unfold", counting_unfold)
+        d = Domain(N1=16, N2=16)
+        st_ = Stepper(d, SimConfig(epsilon=0.2, mu=0.5), h=0.01)
+        w = random_field(d, rng, norm_target=2.0)
+        _, stages = st_.step_with_stages(w, 0.0, make_forcing(self.SPEC, d))
+        assert calls == [(16, 9)]
+        st_.tangent_step(random_field(d, rng, norm_target=1.0), stages)
+        assert calls == [(16, 9), (16, 9)]
