@@ -26,7 +26,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .lattice import Domain, SpectralField, parity_error, reality_error, sanitize
+from .lattice import Domain, SpectralField, _frozen, parity_error, reality_error, sanitize
 
 _DEFAULT_DOMAIN_FOR_NORMS = Domain(2.0 * np.pi, 2.0 * np.pi, 8, 8)
 
@@ -123,6 +123,7 @@ class Forcing:
             base.coeffs[m2 % domain.N2, (-m1) % domain.N1] += -np.conj(c)
         sanitize(base)
         assert parity_error(base) == 0.0 and reality_error(base) == 0.0
+        _frozen(base.coeffs)
         self._base = base
         # Phase-rotation frequency per mode: sigma * sign(k1), zonal frozen.
         sign = np.sign(domain.kx)
@@ -135,8 +136,13 @@ class Forcing:
     def __call__(self, t: float) -> SpectralField:
         if self.is_steady:
             return self._base.copy()
-        coeffs = self._base.coeffs * np.exp(1j * self._rot * t)
-        return SpectralField(self.domain, coeffs)
+        return SpectralField(self.domain, self.coeffs_at(t))
+
+    def coeffs_at(self, t: float) -> np.ndarray:
+        """Coefficients at time ``t``; a steady forcing gives its read-only base, not a copy."""
+        if self.is_steady:
+            return self._base.coeffs
+        return self._base.coeffs * np.exp(1j * self._rot * t)
 
     def derivative(self, t: float) -> SpectralField:
         """Analytic time derivative of the forcing field."""

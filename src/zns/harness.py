@@ -35,6 +35,7 @@ from .lattice import (
     SpectralField,
     _atomic_open,
     norm,
+    parity_error,
     project_parity,
     random_field,
     read_snapshot,
@@ -583,12 +584,17 @@ def simulate(
             raise ValueError(f"snapshot mu={mu} does not match config mu={config.mu}")
         if epsilon is not None and epsilon != eps:
             raise ValueError(f"epsilon={epsilon} does not match snapshot epsilon={eps}")
-        # A step reads only the m1 >= 0 half, so the m1 < 0 half must mirror it.
-        err = reality_error(w0)
-        if err > 1e-11 * np.abs(w0.coeffs).max():
-            raise ValueError(
-                f"{resume_from}: snapshot is not a real field (reality error {err:.3g})"
-            )
+        # A step reads only the m1 >= 0 half, so the m1 < 0 half must mirror
+        # it; the dynamics keep odd parity, so the snapshot must have it too.
+        bound = 1e-11 * np.abs(w0.coeffs).max()
+        for kind, what, err in (("reality", "a real field", reality_error(w0)),
+                                ("parity", "odd in y", parity_error(w0))):
+            if err > bound:
+                raise ValueError(
+                    f"{resume_from}: snapshot is not {what} ({kind} error {err:.3g})"
+                )
+        # A no-op on a snapshot written here; it lets the run step on the quarter at once.
+        w0 = project_parity(w0)
     else:
         w0 = initial_state(config.domain, config.seed, config.omega0_norm)
 

@@ -19,6 +19,11 @@ Conventions (fixed throughout the package):
   transform (``rfft2``) fills the ``m1 < 0`` half as the exact conjugate
   mirror.  Each applies the y-phase ``(-1)^m2`` of the grid offset around a
   raw transform; the advection tables carry that phase and use the raw pair.
+* A field odd in y has ``c(m1, -m2) = -c(m1, m2)``, so its half is fixed by
+  the ``m2 > 0`` rows, the quarter ``(N2/2 - 1, N1/2 + 1)``; its m2 = 0 and
+  Nyquist rows are zero and its m1 = 0 column is imaginary.  A step whose
+  input is exactly odd runs on the quarter (``_odd_quarter``) and expands
+  it once, by ``_odd_half``, so an odd trajectory stays odd bit for bit.
 * Parseval: the grid mean square of ``w`` equals ``sum_k |c_k|^2`` and the
   L2 norm satisfies ``|w|^2 = L1 L2 sum_k |c_k|^2``.
 * The Nyquist row/column (``m = -N/2``) cannot be paired Hermitianly and is
@@ -151,6 +156,24 @@ class Domain:
         out = self.dealias[:, : self.N1 // 2 + 1] * self._yphase
         out[0, 0] = 0.0
         return _frozen(out)
+
+    @cached_property
+    def _odd_advect_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Tables of the advection kernel on the m2 > 0 quarter of odd-in-y input.
+
+        For odd vorticity ``u`` and the y-derivative are even in y, ``v`` and
+        the x-derivative odd.  So one raw transform of ``(to_u + to_v) A``
+        gives ``u + v``, one of ``(to_dx + to_dy) B`` gives ``bx + by``, and
+        the odd part of their product is ``u bx + v by``.  The two sums are
+        negated on the m2 < 0 rows, where the odd input is minus its m2 > 0
+        row, so they multiply the quarter itself.  The third table is half
+        the m2 > 0 rows of ``_advect_mask``, for the odd part
+        ``(c(m2) - c(-m2))/2`` of the product's coefficients.
+        """
+        to_u, to_v, to_dx, to_dy = self._advect_tables
+        sign = np.where(self.m2 < 0, -1.0, 1.0)[:, None]
+        mask = 0.5 * self._advect_mask[1 : self.N2 // 2]
+        return _frozen(sign * (to_u + to_v)), _frozen(sign * (to_dx + to_dy)), _frozen(mask)
 
     @cached_property
     def _half_weight(self) -> np.ndarray:
@@ -328,6 +351,29 @@ def _unfold(d: Domain, half: np.ndarray) -> np.ndarray:
     out[n2, :] = 0.0
     out[:, n1] = 0.0
     return out
+
+
+def _odd_quarter(d: Domain, H: np.ndarray) -> np.ndarray | None:
+    """The m2 > 0 rows of the half ``H`` if ``H`` is exactly odd in m2, else None.
+
+    Exact (no tolerance) and None for NaN input: the m2 = 0 and Nyquist rows
+    must be zero, each row -m2 the negative of row m2, and the m1 = 0 column
+    imaginary, as Hermitian symmetry requires of an odd field.
+    """
+    n2 = d.N2 // 2
+    Q = H[1:n2]
+    if H[0].any() or H[n2].any() or (Q + H[:n2:-1]).any() or Q.real[:, 0].any():
+        return None
+    return Q
+
+
+def _odd_half(d: Domain, Q: np.ndarray) -> np.ndarray:
+    """The half-width coefficients of the odd field whose m2 > 0 rows are ``Q``."""
+    n2 = d.N2 // 2
+    H = np.zeros((d.N2, Q.shape[1]), dtype=np.complex128)
+    H[1:n2] = Q
+    np.negative(Q[::-1], out=H[n2 + 1 :])
+    return H
 
 
 def _grid(d: Domain, C: np.ndarray) -> np.ndarray:

@@ -10,7 +10,10 @@ coefficient convention, per mode k:
   u(k) = i k2/|k|^2 w_k (even in y), v(k) = -i k1/|k|^2 w_k (odd in y)
 * ``advection B(a, b) = velocity(a) . grad(b)``, evaluated pseudo-spectrally
   with the 2/3 rule; the analytic triad coefficient is
-  B_jkl = |M| (j1 k2 - j2 k1)/|j|^2 when j + k = l.
+  B_jkl = |M| (j1 k2 - j2 k1)/|j|^2 when j + k = l.  The kernel
+  ``_advect_raw`` dispatches on the shape of its input: full or half-width
+  coefficients take five real transforms, the m2 > 0 quarter of odd-in-y
+  fields three.
 
 Resonance tests (Omega_j + Omega_k = 0) are decided on integer lattice
 indices, never on floats: for zonal targets (j + k = l, l1 = 0, so
@@ -119,12 +122,17 @@ def divergence(vel: VelocityField) -> SpectralField:
 def _advect_raw(d: Domain, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Dealiased pseudo-spectral B(a, b) = velocity(a).grad(b) on raw coefficients.
 
-    ``A`` and ``B`` are coefficients of real fields, full ``(N2, N1)`` or their
-    m1 >= 0 halves; only the halves are transformed.  Full-width input gives
-    the full Hermitian result, half-width input its m1 >= 0 half.  The
-    y-phase is in the tables and in ``d._advect_mask`` (with the 2/3 rule and
-    the zero mean), so the transforms are the raw pair.
+    ``A`` and ``B`` are coefficients of real fields: full ``(N2, N1)``, their
+    m1 >= 0 halves, or, for fields odd in y, their m2 > 0 quarters
+    ``(N2/2 - 1, N1/2 + 1)``.  The output has the shape of the input and is
+    chosen by it: full-width input gives the full Hermitian result, half-width
+    input its half, both from five raw transforms; quarter input gives the
+    quarter of the (odd) result from three (``_advect_odd``).  The y-phase is
+    in the tables and in ``d._advect_mask`` (with the 2/3 rule and the zero
+    mean), so the transforms are the raw pair.
     """
+    if A.shape[0] != d.N2:
+        return _advect_odd(d, A, B)
     full = A.shape[1] == d.N1
     half = np.s_[:, : d.N1 // 2 + 1]
     A, B = A[half], B[half]
@@ -143,6 +151,32 @@ def _advect_raw(d: Domain, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     n2 = d.N2 // 2
     np.conjugate(out[n2 - 1 : 0 : -1, 0], out=out[n2 + 1 :, 0])
     return _unfold(d, out) if full else out
+
+
+def _advect_odd(d: Domain, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """``_advect_raw`` on the m2 > 0 quarters of odd-in-y fields (see ``d._odd_advect_tables``).
+
+    The grid product ``(u + v)(bx + by)`` has ``u bx + v by`` as its odd part
+    in y, and its other part is even; the odd part of the coefficients keeps
+    exactly the former.  The result is the quarter of an exactly odd field,
+    with its m1 = 0 column imaginary, so it is Hermitian too once expanded.
+    """
+    to_uv, to_dxy, mask = d._odd_advect_tables
+    n2 = d.N2 // 2
+    # Half-width spectra of u + v and bx + by; rows m2 = 0 and -N2/2 stay zero.
+    S = np.zeros((d.N2, A.shape[1]), dtype=np.complex128)
+    grids = []
+    for table, C in ((to_uv, A), (to_dxy, B)):
+        np.multiply(table[1:n2], C, out=S[1:n2])
+        np.multiply(table[:n2:-1], C, out=S[:n2:-1])
+        grids.append(_irfft2(d, S))
+    grid = grids[0]
+    grid *= grids[1]
+    F = _rfft2(d, grid)
+    out = F[1:n2] - F[:n2:-1]
+    out *= mask
+    out.real[:, 0] = 0.0
+    return out
 
 
 def jacobian(a: SpectralField, b: SpectralField) -> SpectralField:

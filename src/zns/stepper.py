@@ -9,6 +9,12 @@ evaluates them at the quadrature times t, t+h/2, t+h.
 Mode amplitudes are integrated in the laboratory frame.  Co-rotating
 amplitudes (the representation in which the rotation term disappears) are
 obtained by multiplying mode k by ``exp(+i Omega_k t / eps)``.
+
+A step runs on the m1 >= 0 half of the state.  When that half is exactly odd
+in y (and so is the forcing), it runs on the m2 > 0 quarter instead: the
+weights are even in m2 and the quarter advection kernel returns an exactly
+odd result, so the step's output is exactly odd, not odd to round-off.  The
+kernel ``_advect_raw`` picks its path from the shape of its input.
 """
 
 from __future__ import annotations
@@ -19,10 +25,17 @@ from typing import Callable
 
 import numpy as np
 
-from .lattice import Domain, SpectralField, _frozen, _half_power, _unfold, inner
+from .forcing import Forcing
+from .lattice import Domain, SpectralField, _frozen, _odd_half, _odd_quarter, _unfold
 from .operators import _advect_raw
 
 ForcingFn = Callable[[float], SpectralField]
+
+
+def _forcing_at(forcing: ForcingFn, t: float, rows) -> np.ndarray:
+    """The forcing at ``t`` on ``rows``; for a steady ``Forcing`` a read-only view of its base."""
+    f = forcing.coeffs_at(t) if isinstance(forcing, Forcing) else forcing(t).coeffs
+    return f[rows]
 
 
 class BlowUpError(RuntimeError):
@@ -139,7 +152,8 @@ def build_coefficients(symbol: LinearSymbol, h: float) -> EtdCoefficients:
 
 @dataclass
 class StepStages:
-    """Base-trajectory values (m1 >= 0 halves) at the quadrature nodes of one step."""
+    """Base-trajectory values at the quadrature nodes of one step: m1 >= 0
+    halves, or m2 > 0 quarters when the step ran on the quarter."""
 
     t: float
     u0: np.ndarray
@@ -153,6 +167,9 @@ class Stepper:
 
     A step reads only the m1 >= 0 half of its input and returns the exact
     Hermitian unfold of the updated half, so its output is real bit for bit.
+    If the half is exactly odd in m2, and so is the forcing (a ``Forcing`` is
+    by construction), the step runs on the m2 > 0 quarter and expands it to
+    the half once, before the unfold, so its output is exactly odd too.
     Immutable after construction (the coefficient tables are shared
     read-only), so one instance can serve any number of independent
     trajectories, including concurrently.
@@ -163,19 +180,23 @@ class Stepper:
         self.config = config
         self.h = h
         self.symbol = LinearSymbol.build(domain, config)
-        self.coeffs = build_coefficients(self.symbol, h)
+        k = self.coeffs = build_coefficients(self.symbol, h)
+        # The weights are even in m2, so their m2 > 0 rows serve the whole quarter.
+        self._quarter_coeffs = EtdCoefficients(h, *(
+            _frozen(x[1 : domain.N2 // 2].copy()) for x in (k.E, k.E2, k.Q, k.f1, k.f2, k.f3)
+        ))
         self._half = np.s_[:, : domain.N1 // 2 + 1]
 
     # -- right-hand sides ---------------------------------------------------
 
-    def _nonlinear(self, C: np.ndarray, t: float, forcing: ForcingFn | None) -> np.ndarray:
+    def _nonlinear(self, C: np.ndarray, f: np.ndarray | None) -> np.ndarray:
         if self.config.advection:
             out = _advect_raw(self.domain, C, C)
             np.negative(out, out=out)
         else:
             out = np.zeros_like(C)
-        if forcing is not None:
-            out += forcing(t).coeffs[self._half]
+        if f is not None:
+            out += f
         return out
 
     def _tangent_nonlinear(self, W: np.ndarray, P: np.ndarray) -> np.ndarray:
@@ -190,11 +211,12 @@ class Stepper:
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """ETDRK4 update of ``u0``, where ``rhs(i, x)`` is the nonlinear term of stage i.
 
+        ``u0`` is a half or a quarter, and the weights are taken to match.
         Returns the new state and the stage states a, b, c.  The output sum
         ``E u0 + f1 n1 + 2 f2 (n2 + n3) + f3 n4`` is built in place, in that
         order, with the fresh stage terms as work space.
         """
-        k = self.coeffs
+        k = self.coeffs if u0.shape[0] == self.domain.N2 else self._quarter_coeffs
         n1 = rhs(0, u0)
         e2u0 = k.E2 * u0
         a = k.Q * n1 + e2u0
@@ -220,18 +242,32 @@ class Stepper:
             finite = np.isfinite(mags)
             i = int(mags.argmax()) if finite.all() else int(finite.argmin())
             i2, i1 = np.unravel_index(i, mags.shape)
-            mode = (int(self.domain.m1[i1]), int(self.domain.m2[i2]))
+            # Quarter row i holds m2 = i + 1.
+            m2 = self.domain.m2[i2] if C.shape[0] == self.domain.N2 else i2 + 1
+            mode = (int(self.domain.m1[i1]), int(m2))
             raise BlowUpError(t, mode, peak if finite.all() else float("inf"))
+
+    def _field(self, C: np.ndarray) -> SpectralField:
+        """The full field of a half or a quarter."""
+        d = self.domain
+        return SpectralField(d, _unfold(d, C if C.shape[0] == d.N2 else _odd_half(d, C)))
 
     def step_with_stages(
         self, w: SpectralField, t: float, forcing: ForcingFn | None = None
     ) -> tuple[SpectralField, StepStages]:
         """One ETDRK4 step; also returns the stage states for tangent use."""
+        d = self.domain
         times = (t, t + self.h / 2, t + self.h / 2, t + self.h)
         u0 = w.coeffs[self._half]
-        out, a, b, c = self._etdrk4(u0, lambda i, x: self._nonlinear(x, times[i], forcing))
+        f = [None if forcing is None else _forcing_at(forcing, s, self._half) for s in times]
+        quarter = _odd_quarter(d, u0)
+        if quarter is not None and (isinstance(forcing, Forcing) or all(
+            x is None or _odd_quarter(d, x) is not None for x in f
+        )):
+            u0, f = quarter, [x if x is None else x[1 : d.N2 // 2] for x in f]
+        out, a, b, c = self._etdrk4(u0, lambda i, x: self._nonlinear(x, f[i]))
         self._check_state(out, t + self.h)
-        return SpectralField(self.domain, _unfold(self.domain, out)), StepStages(t, u0, a, b, c)
+        return self._field(out), StepStages(t, u0, a, b, c)
 
     def step(self, w: SpectralField, t: float, forcing: ForcingFn | None = None) -> SpectralField:
         out, _ = self.step_with_stages(w, t, forcing)
@@ -244,12 +280,19 @@ class Stepper:
         the map is then the exact differential of the nonlinear update, so
         finite differences of the nonlinear flow converge to it at O(delta^2).
         """
+        d = self.domain
         base = (stages.u0, stages.a, stages.b, stages.c)
-        out, *_ = self._etdrk4(
-            phi.coeffs[self._half], lambda i, p: self._tangent_nonlinear(base[i], p)
-        )
+        p0 = phi.coeffs[self._half]
+        if stages.u0.shape[0] != d.N2:
+            # Quarter stages: step on the quarter if phi is odd, else on the half.
+            quarter = _odd_quarter(d, p0)
+            if quarter is None:
+                base = tuple(_odd_half(d, x) for x in base)
+            else:
+                p0 = quarter
+        out, *_ = self._etdrk4(p0, lambda i, p: self._tangent_nonlinear(base[i], p))
         self._check_state(out, stages.t + self.h)
-        return SpectralField(self.domain, _unfold(self.domain, out))
+        return self._field(out)
 
     def step_pair(
         self, w: SpectralField, phi: SpectralField, t: float, forcing: ForcingFn | None = None
@@ -274,8 +317,16 @@ def budget_residual(
     exactly zero, as does the advection term.
     """
     d = w.domain
-    mid = 0.5 * (w + w_next)
-    d_ens = d.area * (_half_power(d, w_next.coeffs) - _half_power(d, w.coeffs)).sum() / (2.0 * h)
-    grad_sq = d.area * (d.ksq[:, : d.N1 // 2 + 1] * _half_power(d, mid.coeffs)).sum()
-    injection = inner(forcing(t + h / 2), mid) if forcing is not None else 0.0
-    return float(abs(d_ens + config.mu * grad_sq - injection))
+    half = np.s_[:, : d.N1 // 2 + 1]
+    w0, w1 = w.coeffs[half], w_next.coeffs[half]
+    # One weighted sum over the half of Re((Dw/h + mu |k|^2 mid - f) conj(mid)):
+    # Re(Dw conj(mid))/h is D(|w|^2/2)/h per mode.
+    mid = w0 + w1
+    mid *= 0.5
+    r = w1 - w0
+    r /= h
+    r += config.mu * d.ksq[half] * mid
+    if forcing is not None:
+        r -= _forcing_at(forcing, t + h / 2, half)
+    r *= d._half_weight
+    return float(abs(d.area * np.vdot(mid, r).real))

@@ -12,7 +12,7 @@ import zns
 from zns.cli import main
 from zns.config import load_config
 from zns.harness import TRIAD_COLUMNS
-from zns.lattice import read_snapshot, write_snapshot
+from zns.lattice import parity_error, read_snapshot, write_snapshot
 
 TINY_CONFIG = """
 # small benchmark setup
@@ -98,6 +98,26 @@ class TestSimulate:
                      "--resume", str(tmp_path / "bad.zns"), "--quiet"])
         assert code == 1
         assert "not a real field" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("size,code", [(1e-6, 1), (1e-14, 0)], ids=["not-odd", "nearly-odd"])
+    def test_snapshot_parity_checked_and_projected(self, config_file, tmp_path, capsys, size,
+                                                   code):
+        out1 = tmp_path / "run1"
+        assert main(["simulate", "--config", str(config_file), "--out", str(out1),
+                     "--quiet"]) == 0
+        w, eps, mu, t = read_snapshot(out1 / "state_final.zns")
+        even = size * np.abs(w.coeffs).max()
+        w.coeffs[2, 1] += even  # mode (1, 2) and its mirror: real, even in y
+        w.coeffs[-2, -1] += even
+        write_snapshot(tmp_path / "snap.zns", w, eps, mu, t)
+        out2 = tmp_path / "run2"
+        assert main(["simulate", "--config", str(config_file), "--out", str(out2),
+                     "--resume", str(tmp_path / "snap.zns"), "--quiet"]) == code
+        if code:
+            assert "not odd in y" in capsys.readouterr().err
+        else:
+            final, *_ = read_snapshot(out2 / "state_final.zns")
+            assert parity_error(final) == 0.0
 
     @pytest.mark.parametrize("every", ["0", "-0.1", "nan"])
     def test_bad_snapshot_every_exits_1(self, config_file, tmp_path, capsys, every):

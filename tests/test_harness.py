@@ -28,7 +28,14 @@ from zns.harness import (
     write_csv,
     write_diagnostics_csv,
 )
-from zns.lattice import Domain, norm, parity_error, read_snapshot, write_snapshot
+from zns.lattice import (
+    Domain,
+    norm,
+    parity_error,
+    read_snapshot,
+    reality_error,
+    write_snapshot,
+)
 from zns.operators import split
 from zns.stepper import SimConfig, Stepper
 
@@ -406,6 +413,37 @@ class TestSimulatePersistence:
         w_full, *_ = read_snapshot(tmp_path / "full" / "state_final.zns")
         w_res, *_ = read_snapshot(tmp_path / "c" / "state_final.zns")
         assert np.array_equal(w_full.coeffs, w_res.coeffs)
+
+    @staticmethod
+    def _with_even_part(w, size):
+        """``w`` plus a real field that is even in y: one mode (1, 2) and its mirror."""
+        w = w.copy()
+        w.coeffs[2, 1] += size
+        w.coeffs[-2, -1] += size
+        assert reality_error(w) == 0.0 and parity_error(w) > 0.0
+        return w
+
+    def test_snapshot_not_odd_rejected(self, tmp_path):
+        cfg = tiny_config(epsilons=(0.1,), t_spin=0.5, t_end=1.0)
+        simulate(tiny_config(epsilons=(0.1,), t_spin=0.25, t_end=0.5), tmp_path / "a")
+        w, eps, mu, t = read_snapshot(tmp_path / "a" / "state_final.zns")
+        w = self._with_even_part(w, 1e-6 * np.abs(w.coeffs).max())
+        write_snapshot(tmp_path / "even.zns", w, eps, mu, t)
+        with pytest.raises(ValueError, match="not odd in y"):
+            simulate(cfg, tmp_path / "b", resume_from=tmp_path / "even.zns")
+
+    def test_nearly_odd_snapshot_is_projected_on_load(self, tmp_path):
+        kw = dict(epsilons=(0.1,), t_spin=0.25, reproject_every=1000)
+        simulate(tiny_config(t_end=0.5, **kw), tmp_path / "a")
+        w, eps, mu, t = read_snapshot(tmp_path / "a" / "state_final.zns")
+        assert parity_error(w) == 0.0  # written exactly odd
+        w = self._with_even_part(w, 1e-14 * np.abs(w.coeffs).max())
+        write_snapshot(tmp_path / "nearly.zns", w, eps, mu, t)
+        simulate(tiny_config(t_end=1.0, **kw), tmp_path / "b",
+                 resume_from=tmp_path / "nearly.zns")
+        # No re-projection falls in the 50 resumed steps: the state is odd from the load on.
+        w_b, *_ = read_snapshot(tmp_path / "b" / "state_final.zns")
+        assert parity_error(w_b) == 0.0
 
     def test_snapshot_epsilon_is_cfl_checked(self, tmp_path):
         cfg = tiny_config(epsilons=(0.1,), t_spin=0.5, t_end=1.0)

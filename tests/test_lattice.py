@@ -70,6 +70,19 @@ class TestDomain:
         assert np.array_equal(d._advect_mask, mask)
         assert d._advect_mask is d._advect_mask
 
+    def test_odd_advection_tables(self):
+        d = Domain(L1=4 * np.pi, N1=8, N2=6)
+        to_u, to_v, to_dx, to_dy = d._advect_tables
+        sign = np.array([1.0, 1.0, 1.0, -1.0, -1.0, -1.0])[:, None]  # m2 = 0, 1, 2, -3, -2, -1
+        to_uv, to_dxy, mask = d._odd_advect_tables
+        assert np.array_equal(to_uv, sign * (to_u + to_v))
+        assert np.array_equal(to_dxy, sign * (to_dx + to_dy))
+        assert np.array_equal(mask, 0.5 * d._advect_mask[1:3])
+        for table in d._odd_advect_tables:
+            with pytest.raises(ValueError):
+                table *= 2.0
+        assert d._odd_advect_tables is d._odd_advect_tables
+
     def test_indices_roundtrip(self):
         d = Domain(L1=4 * np.pi, N1=8, N2=8)
         assert d.indices(d.wavevector(3, -2)) == (3, -2)
@@ -331,3 +344,33 @@ def test_inner_product_matches_grid_quadrature(seed):
     g = random_field(d, rng)
     quad = np.mean(to_grid(f).values * to_grid(g).values) * d.area
     assert inner(f, g) == pytest.approx(quad, abs=1e-12)
+
+
+class TestOddQuarter:
+    """The m2 > 0 rows that fix the half of an odd-in-y field."""
+
+    @pytest.mark.parametrize("n1,n2", [(16, 16), (6, 10), (8, 4)])
+    def test_roundtrip_on_odd_fields(self, n1, n2):
+        d = Domain(N1=n1, N2=n2)
+        half = random_field(d, np.random.default_rng(5)).coeffs[:, : n1 // 2 + 1]
+        quarter = zns.lattice._odd_quarter(d, half)
+        assert quarter.shape == (n2 // 2 - 1, n1 // 2 + 1)
+        assert np.array_equal(zns.lattice._odd_half(d, quarter), half)
+
+    def test_anything_short_of_exactly_odd_is_refused(self):
+        d = Domain(N1=16, N2=16)
+        half = random_field(d, np.random.default_rng(6)).coeffs[:, :9]
+        odd = zns.lattice._odd_quarter
+        for row, col, value in [
+            (3, 2, np.nextafter(half[3, 2].real, np.inf) + 1j * half[3, 2].imag),  # one ulp
+            (13, 2, np.nan),
+            (0, 1, 1e-300),        # m2 = 0 row
+            (8, 1, 1e-300),        # Nyquist row
+            (2, 0, half[2, 0] + 1e-300),  # real part on m1 = 0, though -m2 matches below
+        ]:
+            bad = half.copy()
+            bad[row, col] = value
+            if (row, col) == (2, 0):
+                bad[14, 0] = -bad[2, 0]
+            assert odd(d, bad) is None, (row, col)
+        assert odd(d, half) is not None

@@ -11,8 +11,11 @@ from zns.diagnostics import sobolev_norm
 from zns.lattice import (
     Domain,
     SpectralField,
+    _odd_half,
+    _unfold,
     inner,
     norm,
+    parity_error,
     random_field,
     reality_error,
     to_grid,
@@ -291,6 +294,62 @@ class TestRealTransformKernel:
         a.coeffs[:, d.N1 // 2 + 1 :] = np.nan
         b.coeffs[:, d.N1 // 2 + 1 :] = np.nan
         assert np.array_equal(_advect_raw(d, a.coeffs, b.coeffs), want)
+
+
+def odd_quarters(d: Domain, *fields: SpectralField) -> list[np.ndarray]:
+    quarter = np.s_[1 : d.N2 // 2, : d.N1 // 2 + 1]
+    return [f.coeffs[quarter] for f in fields]
+
+
+class TestOddKernel:
+    """``_advect_raw`` on m2 > 0 quarters: three transforms, exactly odd output."""
+
+    @pytest.mark.parametrize("d", KERNEL_DOMAINS)
+    def test_matches_five_transform_kernel(self, d, rng):
+        half = np.s_[:, : d.N1 // 2 + 1]
+        for _ in range(5):
+            a = random_field(d, rng, norm_target=1.0)
+            b = random_field(d, rng, norm_target=1.0)
+            got = _advect_raw(d, *odd_quarters(d, a, b))
+            assert got.shape == (d.N2 // 2 - 1, d.N1 // 2 + 1)
+            want = _advect_raw(d, a.coeffs[half], b.coeffs[half])
+            assert np.max(np.abs(_odd_half(d, got) - want)) <= 1e-14 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("d", KERNEL_DOMAINS)
+    def test_output_is_exactly_odd_and_real(self, d, rng):
+        a = random_field(d, rng, norm_target=1.0)
+        b = random_field(d, rng, norm_target=1.0)
+        out = SpectralField(d, _unfold(d, _odd_half(d, _advect_raw(d, *odd_quarters(d, a, b)))))
+        assert parity_error(out) == 0.0
+        assert reality_error(out) == 0.0
+        assert np.all(out.coeffs[~d.dealias] == 0.0)
+
+    @pytest.mark.parametrize("d", [Domain(N1=32, N2=32), Domain(L1=4 * np.pi, N1=24, N2=16)],
+                             ids=["32x32", "24x16-L1=4pi"])
+    def test_matches_triad_sum_oracle(self, d, rng):
+        # Criterion 3's support and tolerance.
+        for _ in range(2):
+            a = random_field(d, rng, kmax=5.0, norm_target=1.0)
+            b = random_field(d, rng, kmax=5.0, norm_target=1.0)
+            got = SpectralField(d, _unfold(d, _odd_half(d, _advect_raw(d, *odd_quarters(d, a, b)))))
+            oracle = triad_sum_oracle(a, b)
+            assert norm(got - oracle) <= 1e-12 * norm(oracle)
+
+    def test_three_transforms_per_call(self, monkeypatch, rng):
+        import zns.operators
+
+        calls = []
+        for name in ("_irfft2", "_rfft2"):
+            fn = getattr(zns.operators, name)
+            monkeypatch.setattr(zns.operators, name,
+                                lambda d, x, fn=fn, name=name: calls.append(name) or fn(d, x))
+        d = Domain(N1=16, N2=16)
+        a = random_field(d, rng, norm_target=1.0)
+        _advect_raw(d, *odd_quarters(d, a, a))
+        assert calls == ["_irfft2", "_irfft2", "_rfft2"]
+        calls.clear()
+        _advect_raw(d, a.coeffs, a.coeffs)
+        assert len(calls) == 5
 
 
 class TestTriadCoefficients:

@@ -117,10 +117,12 @@ class TestCoefficients:
 
     def test_shared_tables_are_read_only(self):
         stepper = Stepper(Domain(N1=8, N2=8), SimConfig(epsilon=0.5, mu=1.0), 0.01)
-        k = stepper.coeffs
-        for table in (stepper.symbol.lam, k.E, k.E2, k.Q, k.f1, k.f2, k.f3):
+        k, q = stepper.coeffs, stepper._quarter_coeffs
+        for table in (stepper.symbol.lam, k.E, k.E2, k.Q, k.f1, k.f2, k.f3,
+                      q.E, q.E2, q.Q, q.f1, q.f2, q.f3):
             with pytest.raises(ValueError):
                 table[0, 0] = 0.0
+        assert all(x.flags.c_contiguous and x.shape == (3, 5) for x in (q.E, q.f3))
 
     def test_rejects_nonpositive_step(self):
         d = Domain(N1=8, N2=8)
@@ -450,3 +452,167 @@ class TestHalfWidthStep:
         assert calls == [(16, 9)]
         st_.tangent_step(random_field(d, rng, norm_target=1.0), stages)
         assert calls == [(16, 9), (16, 9)]
+
+
+def general_path(monkeypatch):
+    """Make every step take the half-width path, as it does for input that is not odd."""
+    import zns.stepper
+
+    monkeypatch.setattr(zns.stepper, "_odd_quarter", lambda d, H: None)
+
+
+class TestQuarterStep:
+    """Exactly odd input steps on the m2 > 0 quarter and stays exactly odd."""
+
+    SPEC = ForcingSpec(modes=((0, 1, 1.0), (1, 1, 0.5)))
+
+    @pytest.mark.parametrize("d", KERNEL_DOMAINS)
+    def test_matches_general_path(self, d, monkeypatch):
+        forcing = make_forcing(self.SPEC, d)
+        st_ = Stepper(d, SimConfig(epsilon=0.2, mu=0.5), h=0.01)
+        rng = np.random.default_rng(11)
+        w0 = random_field(d, rng, norm_target=2.0)
+        phi0 = random_field(d, rng, norm_target=1.0)
+
+        def run():
+            w, phi = w0, phi0
+            for i in range(20):
+                w, phi = st_.step_pair(w, phi, i * 0.01, forcing)
+            return w, phi
+
+        _, stages = st_.step_with_stages(w0, 0.0, forcing)
+        assert stages.u0.shape == (d.N2 // 2 - 1, d.N1 // 2 + 1)
+        quarter = run()
+        general_path(monkeypatch)
+        _, stages = st_.step_with_stages(w0, 0.0, forcing)
+        assert stages.u0.shape == (d.N2, d.N1 // 2 + 1)
+        for got, want in zip(quarter, run()):
+            assert parity_error(got) == 0.0
+            assert reality_error(got) == 0.0
+            assert np.max(np.abs(got.coeffs - want.coeffs)) <= 1e-14 * np.max(np.abs(want.coeffs))
+
+    def test_integrate_keeps_every_state_exactly_odd(self):
+        from zns.harness import initial_state, integrate
+
+        d = Domain(N1=16, N2=16)
+        st_ = Stepper(d, SimConfig(epsilon=0.1, mu=0.5, reproject_every=10_000), h=0.01)
+        rng = np.random.default_rng(12)
+        errors = []
+
+        def observe(t, w, tangent, partner, recorded):
+            errors.extend(parity_error(f) for f in (w, tangent, partner))
+
+        integrate(st_, make_forcing(self.SPEC, d), initial_state(d, 1, 0.5), 0.0, 3.0,
+                  record_every=50, tangent=random_field(d, rng, norm_target=1.0),
+                  partner=initial_state(d, 2, 0.5), observe=observe)
+        assert len(errors) == 3 * 300
+        assert max(errors) == 0.0
+
+    def test_one_ulp_off_odd_and_not_odd_take_the_general_path(self, rng):
+        d = Domain(N1=16, N2=16)
+        st_ = Stepper(d, SimConfig(epsilon=0.2, mu=0.5), h=0.01)
+        forcing = make_forcing(self.SPEC, d)
+        w = random_field(d, rng, norm_target=2.0)
+        _, stages = st_.step_with_stages(w, 0.0, forcing)
+        assert stages.u0.shape == (7, 9)
+        ulp = w.copy()
+        c = ulp.coeffs[2, 1]
+        ulp.coeffs[2, 1] = complex(np.nextafter(c.real, np.inf), c.imag)
+        ulp.coeffs[-2, -1] = np.conj(ulp.coeffs[2, 1])  # still exactly real
+        assert reality_error(ulp) == 0.0 and 0.0 < parity_error(ulp) < 1e-15
+        for x in (ulp, random_field(d, rng, norm_target=2.0, odd_in_y=False)):
+            _, stages = st_.step_with_stages(x, 0.0, forcing)
+            for s in (stages.u0, stages.a, stages.b, stages.c):
+                assert s.shape == (16, 9)
+
+    def test_forcing_not_exactly_odd_takes_the_general_path(self, rng):
+        d = Domain(N1=16, N2=16)
+        st_ = Stepper(d, SimConfig(epsilon=0.2, mu=0.5), h=0.01)
+        even = random_field(d, rng, norm_target=1.0, odd_in_y=False)
+        w = random_field(d, rng, norm_target=2.0)
+        _, stages = st_.step_with_stages(w, 0.0, lambda t: even)
+        assert stages.u0.shape == (16, 9)
+        _, stages = st_.step_with_stages(w, 0.0, make_forcing(self.SPEC, d))
+        assert stages.u0.shape == (7, 9)
+
+    def test_tangent_not_odd_on_quarter_stages(self, rng, monkeypatch):
+        d = Domain(L1=4 * np.pi, N1=24, N2=16)
+        st_ = Stepper(d, SimConfig(epsilon=0.2, mu=0.5), h=0.01)
+        forcing = make_forcing(self.SPEC, d)
+        w = random_field(d, rng, norm_target=2.0)
+        phi = random_field(d, rng, norm_target=1.0, odd_in_y=False)
+        _, stages = st_.step_with_stages(w, 0.0, forcing)
+        assert stages.u0.shape == (7, 13)
+        got = st_.tangent_step(phi, stages)
+        assert reality_error(got) == 0.0
+        general_path(monkeypatch)
+        _, stages = st_.step_with_stages(w, 0.0, forcing)
+        want = st_.tangent_step(phi, stages)
+        assert np.max(np.abs(got.coeffs - want.coeffs)) <= 1e-14 * np.max(np.abs(want.coeffs))
+
+    @pytest.mark.parametrize("d", KERNEL_DOMAINS)
+    @pytest.mark.parametrize("eps,mu", [(0.2, 0.5), (1e-4, 0.03), (3.0, 0.0)])
+    def test_weights_are_exactly_even_in_m2(self, d, eps, mu):
+        k = Stepper(d, SimConfig(epsilon=eps, mu=mu), h=0.01).coeffs
+        for table in (k.E, k.E2, k.Q, k.f1, k.f2, k.f3):
+            assert np.array_equal(table, table[d._flip_m2])
+
+    def test_blowup_reports_the_true_mode(self):
+        d = Domain(N1=16, N2=16)
+        st_ = Stepper(d, SimConfig(epsilon=1.0, mu=0.0, advection=False), h=0.1)
+        w = SpectralField.from_modes(d, _parity_pack(2, 3, 1e13j))
+        with pytest.raises(BlowUpError) as info:
+            st_.step(w, 0.0)
+        assert info.value.mode == (2, 3)
+
+
+class TestSteadyForcingView:
+    SPEC = ForcingSpec(modes=((0, 1, 1.0), (1, 1, 0.5), (2, 3, 0.2 - 0.1j)))
+
+    @pytest.mark.parametrize("odd", [True, False], ids=["odd", "not-odd"])
+    def test_step_unchanged_and_base_never_written(self, odd, rng):
+        d = Domain(N1=16, N2=16)
+        forcing = make_forcing(self.SPEC, d)
+        base = forcing(0.0).coeffs
+        st_ = Stepper(d, SimConfig(epsilon=0.2, mu=0.5), h=0.01)
+        w = random_field(d, rng, norm_target=2.0, odd_in_y=odd)
+        phi = random_field(d, rng, norm_target=1.0, odd_in_y=odd)
+        by_view = st_.step_pair(w, phi, 0.3, forcing)
+        by_call = st_.step_pair(w, phi, 0.3, lambda t: forcing(t))
+        for got, want in zip(by_view, by_call):
+            assert np.array_equal(got.coeffs, want.coeffs)
+        assert budget_residual(w, by_view[0], 0.3, 0.01, forcing, st_.config) == \
+            budget_residual(w, by_view[0], 0.3, 0.01, lambda t: forcing(t), st_.config)
+        assert not forcing.coeffs_at(0.0).flags.writeable
+        assert np.array_equal(forcing.coeffs_at(0.7), base)
+        # The call still hands out a private, writable copy.
+        f = forcing(1.0)
+        f.coeffs[1, 1] = 5.0
+        assert np.array_equal(forcing(1.0).coeffs, base)
+
+
+def budget_residual_three_pass(w, w_next, t, h, forcing, config):
+    """The enstrophy-budget defect as three ``_half_power`` sums and an inner product."""
+    from zns.lattice import _half_power
+
+    d = w.domain
+    mid = 0.5 * (w + w_next)
+    d_ens = d.area * (_half_power(d, w_next.coeffs) - _half_power(d, w.coeffs)).sum() / (2.0 * h)
+    grad_sq = d.area * (d.ksq[:, : d.N1 // 2 + 1] * _half_power(d, mid.coeffs)).sum()
+    injection = inner(forcing(t + h / 2), mid) if forcing is not None else 0.0
+    terms = (d_ens, config.mu * grad_sq, injection)
+    return abs(d_ens + config.mu * grad_sq - injection), sum(abs(x) for x in terms)
+
+
+@pytest.mark.parametrize("d", KERNEL_DOMAINS)
+@pytest.mark.parametrize("forced", [True, False], ids=["forced", "unforced"])
+@pytest.mark.parametrize("odd", [True, False], ids=["odd", "not-odd"])
+def test_budget_residual_matches_three_pass_formula(d, forced, odd, rng):
+    forcing = make_forcing(ForcingSpec(modes=((0, 1, 1.0), (1, 1, 0.5))), d) if forced else None
+    sim = SimConfig(epsilon=0.2, mu=0.5)
+    st_ = Stepper(d, sim, 4e-3)
+    w = random_field(d, rng, norm_target=1.0, odd_in_y=odd)
+    w1 = st_.step(w, 0.3, forcing)
+    want, scale = budget_residual_three_pass(w, w1, 0.3, 4e-3, forcing, sim)
+    got = budget_residual(w, w1, 0.3, 4e-3, forcing, sim)
+    assert abs(got - want) <= 1e-12 * scale
