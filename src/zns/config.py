@@ -14,7 +14,6 @@ Keys mirror :class:`zns.harness.ExperimentConfig`:
     seed              RNG seed (default 0)
     omega0_norm       initial |w| (default 1.0)
     record_every      steps between diagnostics rows (default 10)
-    reproject_every   steps between parity re-projections (default 100)
     advection         true/false (default true)
     blowup_threshold  abort when any |coefficient| exceeds this (default 1e12)
     forcing.kind      steady | time-periodic
@@ -29,7 +28,7 @@ import math
 from dataclasses import fields
 from pathlib import Path
 
-from .forcing import ForcingSpec
+from .forcing import spec_from_entries
 from .harness import ExperimentConfig, Tolerances
 from .lattice import Domain
 
@@ -38,7 +37,7 @@ _TOL_FIELDS = {f.name: f.type for f in fields(Tolerances)}
 _SCALARS = {
     "n1": int, "n2": int, "l1": float, "l2": float, "mu": float, "h": float,
     "t_end": float, "t_spin": float, "seed": int, "omega0_norm": float,
-    "record_every": int, "reproject_every": int, "blowup_threshold": float,
+    "record_every": int, "blowup_threshold": float,
 }
 
 
@@ -123,11 +122,7 @@ def build_config(entries: list[tuple[str, str]], overrides: dict | None = None) 
         N1=values.get("n1", 64),
         N2=values.get("n2", 64),
     )
-    spec = ForcingSpec(
-        modes=tuple((m1, m2, complex(re, im)) for m1, m2, re, im in modes),
-        kind=kind,
-        sigma=sigma,
-    )
+    spec = spec_from_entries(modes, kind, sigma)
     try:
         return ExperimentConfig(
             domain=domain,
@@ -140,7 +135,6 @@ def build_config(entries: list[tuple[str, str]], overrides: dict | None = None) 
             seed=values.get("seed", 0),
             omega0_norm=values.get("omega0_norm", 1.0),
             record_every=values.get("record_every", 10),
-            reproject_every=values.get("reproject_every", 100),
             advection=values.get("advection", True),
             blowup_threshold=values.get("blowup_threshold", 1e12),
             tolerances=Tolerances(**tol_overrides),

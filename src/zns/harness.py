@@ -76,7 +76,6 @@ class ExperimentConfig:
     seed: int = 0
     omega0_norm: float = 1.0
     record_every: int = 10
-    reproject_every: int = 100
     advection: bool = True
     blowup_threshold: float = 1e12
     tolerances: Tolerances = field(default_factory=Tolerances)
@@ -96,8 +95,8 @@ class ExperimentConfig:
             object.__setattr__(self, "t_spin", 10.0 / self.nu)
         if not (self.t_end > self.t_spin > 0):
             raise ValueError("need t_end > t_spin > 0")
-        if self.record_every < 1 or self.reproject_every < 1:
-            raise ValueError("record_every and reproject_every must be >= 1")
+        if self.record_every < 1:
+            raise ValueError("record_every must be >= 1")
         vmax = self.estimated_max_speed()
         dx = min(self.domain.L1 / self.domain.N1, self.domain.L2 / self.domain.N2)
         cfl = vmax * self.h / dx
@@ -129,7 +128,6 @@ class ExperimentConfig:
             mu=self.mu,
             advection=self.advection,
             blowup_threshold=self.blowup_threshold,
-            reproject_every=self.reproject_every,
         )
 
 
@@ -184,9 +182,8 @@ def integrate(
     Diagnostics of ``w`` (with the enstrophy-budget residual of the step) are
     recorded at t0, every record_every steps and at t_end.  An optional
     ``tangent`` is propagated along ``w`` by the linearized step, and an
-    optional ``partner`` trajectory advances in lockstep; all states are
-    re-projected every ``stepper.config.reproject_every`` steps.  After each
-    step ``observe(t, w, tangent, partner, recorded)`` is called, where
+    optional ``partner`` trajectory advances in lockstep.  After each step
+    ``observe(t, w, tangent, partner, recorded)`` is called, where
     ``recorded`` says whether a diagnostics record was just taken.
 
     Steps are counted from t = 0 (step i ends at ``i h``, cadences count i),
@@ -216,10 +213,6 @@ def integrate(
             w, tangent = stepper.step_pair(w, tangent, t_prev, forcing)
         if partner is not None:
             partner = stepper.step(partner, t_prev, forcing)
-        if i % stepper.config.reproject_every == 0:
-            w, tangent, partner = (
-                None if f is None else project_parity(f) for f in (w, tangent, partner)
-            )
         recorded = i % record_every == 0 or i == n0 + n_steps
         if recorded:
             b = budget_residual(w_prev, w, t_prev, h, forcing, stepper.config)

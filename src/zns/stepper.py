@@ -60,7 +60,6 @@ class SimConfig:
     mu: float
     advection: bool = True
     blowup_threshold: float = 1e12
-    reproject_every: int = 100
 
     def __post_init__(self):
         if self.epsilon <= 0:
@@ -257,9 +256,10 @@ class Stepper:
     ) -> tuple[SpectralField, StepStages]:
         """One ETDRK4 step; also returns the stage states for tangent use."""
         d = self.domain
-        times = (t, t + self.h / 2, t + self.h / 2, t + self.h)
         u0 = w.coeffs[self._half]
-        f = [None if forcing is None else _forcing_at(forcing, s, self._half) for s in times]
+        f = [None if forcing is None else _forcing_at(forcing, s, self._half)
+             for s in (t, t + self.h / 2, t + self.h)]
+        f.insert(2, f[1])  # the two mid-step stages read one evaluation
         quarter = _odd_quarter(d, u0)
         if quarter is not None and (isinstance(forcing, Forcing) or all(
             x is None or _odd_quarter(d, x) is not None for x in f

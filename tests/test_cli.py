@@ -57,8 +57,11 @@ class TestSimulate:
 
     def test_bad_key_exits_1(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
-        path.write_text("nope = 3\n")
-        assert main(["simulate", "--config", str(path)]) == 1
+        # The second config is valid but for its last key.
+        for text in ("nope = 3\n", TINY_CONFIG + "reproject_every = 100\n"):
+            path.write_text(text)
+            assert main(["simulate", "--config", str(path)]) == 1
+            assert "unknown config key" in capsys.readouterr().err
 
     def test_run_and_resume(self, config_file, tmp_path):
         out1 = tmp_path / "run1"

@@ -116,14 +116,31 @@ class TestIntegrate:
         assert ts[-1] == pytest.approx(1.0)
         assert ts[1] == pytest.approx(25 * cfg.h)
 
-    def test_parity_maintained_with_reprojection(self):
+    def test_parity_holds_exactly_without_reprojection(self):
         cfg = tiny_config()
         forcing = make_forcing(cfg.forcing, cfg.domain)
         w0 = initial_state(cfg.domain, 1, 0.5)
         w, _ = integrate(
             Stepper(cfg.domain, cfg.sim_config(0.1), cfg.h), forcing, w0, 0.0, 2.0
         )
-        assert parity_error(w) < 1e-13
+        assert parity_error(w) == 0.0
+
+    def test_integrate_never_projects(self, monkeypatch):
+        import zns.harness
+
+        def refuse(f):
+            raise AssertionError("integrate projected a state")
+
+        monkeypatch.setattr(zns.harness, "project_parity", refuse)
+        cfg = tiny_config()
+        forcing = make_forcing(cfg.forcing, cfg.domain)
+        stepper = Stepper(cfg.domain, cfg.sim_config(0.1), cfg.h)
+        w0, phi, partner = (initial_state(cfg.domain, s, 0.5) for s in (1, 2, 3))
+        last = []
+        integrate(stepper, forcing, w0, 0.0, 2.0, tangent=phi, partner=partner,
+                  observe=lambda t, *states: last.append(states[:3]))
+        assert len(last) == 200
+        assert all(parity_error(f) == 0.0 for f in last[-1])
 
     def test_fractional_step_count_rejected(self):
         cfg = tiny_config()
@@ -348,9 +365,8 @@ class TestSimulatePersistence:
         assert resumed.summary["t_final"] == pytest.approx(4.0)
 
     def test_resume_is_bit_exact_off_the_cadences(self, tmp_path):
-        # 150 steps against 75 steps plus a resume; 75 is a multiple of neither
-        # reproject_every nor record_every.
-        kw = dict(epsilons=(0.1,), t_spin=0.5, reproject_every=7, record_every=4)
+        # 150 steps against 75 steps plus a resume; 75 is not a multiple of record_every.
+        kw = dict(epsilons=(0.1,), t_spin=0.5, record_every=4)
         simulate(tiny_config(t_end=1.5, **kw), tmp_path / "full", snapshot_every=0.5)
         simulate(tiny_config(t_end=0.75, **kw), tmp_path / "half")
         simulate(tiny_config(t_end=1.5, **kw), tmp_path / "resumed", snapshot_every=0.5,
@@ -368,12 +384,10 @@ class TestSimulatePersistence:
         t_resume = float(resumed[1].split(",")[0])
         assert resumed[2:] == [line for line in full[1:] if float(line.split(",")[0]) > t_resume]
 
-    @given(split=st.integers(1, 39), reproject_every=st.integers(1, 12),
-           record_every=st.integers(1, 12))
+    @given(split=st.integers(1, 39), record_every=st.integers(1, 12))
     @settings(max_examples=12, deadline=None)
-    def test_split_run_matches_uninterrupted_run(self, split, reproject_every, record_every):
-        kw = dict(epsilons=(0.1,), t_spin=0.001, reproject_every=reproject_every,
-                  record_every=record_every)
+    def test_split_run_matches_uninterrupted_run(self, split, record_every):
+        kw = dict(epsilons=(0.1,), t_spin=0.001, record_every=record_every)
         with tempfile.TemporaryDirectory() as tmp:
             tmp = Path(tmp)
             simulate(tiny_config(t_end=0.4, **kw), tmp / "full")
@@ -433,7 +447,7 @@ class TestSimulatePersistence:
             simulate(cfg, tmp_path / "b", resume_from=tmp_path / "even.zns")
 
     def test_nearly_odd_snapshot_is_projected_on_load(self, tmp_path):
-        kw = dict(epsilons=(0.1,), t_spin=0.25, reproject_every=1000)
+        kw = dict(epsilons=(0.1,), t_spin=0.25)
         simulate(tiny_config(t_end=0.5, **kw), tmp_path / "a")
         w, eps, mu, t = read_snapshot(tmp_path / "a" / "state_final.zns")
         assert parity_error(w) == 0.0  # written exactly odd
@@ -441,7 +455,7 @@ class TestSimulatePersistence:
         write_snapshot(tmp_path / "nearly.zns", w, eps, mu, t)
         simulate(tiny_config(t_end=1.0, **kw), tmp_path / "b",
                  resume_from=tmp_path / "nearly.zns")
-        # No re-projection falls in the 50 resumed steps: the state is odd from the load on.
+        # Projected once on load, the state stays exactly odd through the 50 resumed steps.
         w_b, *_ = read_snapshot(tmp_path / "b" / "state_final.zns")
         assert parity_error(w_b) == 0.0
 

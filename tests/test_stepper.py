@@ -495,7 +495,7 @@ class TestQuarterStep:
         from zns.harness import initial_state, integrate
 
         d = Domain(N1=16, N2=16)
-        st_ = Stepper(d, SimConfig(epsilon=0.1, mu=0.5, reproject_every=10_000), h=0.01)
+        st_ = Stepper(d, SimConfig(epsilon=0.1, mu=0.5), h=0.01)
         rng = np.random.default_rng(12)
         errors = []
 
@@ -589,6 +589,27 @@ class TestSteadyForcingView:
         f = forcing(1.0)
         f.coeffs[1, 1] = 5.0
         assert np.array_equal(forcing(1.0).coeffs, base)
+
+
+@pytest.mark.parametrize("sigma", [0.0, 1.3], ids=["steady", "time-periodic"])
+@pytest.mark.parametrize("odd", [True, False], ids=["odd", "not-odd"])
+def test_forcing_evaluated_once_per_distinct_time(sigma, odd, rng):
+    d = Domain(N1=16, N2=16)
+    kind = "time-periodic" if sigma else "steady"
+    forcing = make_forcing(ForcingSpec(TestSteadyForcingView.SPEC.modes, kind, sigma), d)
+    times = []
+
+    def counted(t):
+        times.append(t)
+        return forcing(t)
+
+    st_ = Stepper(d, SimConfig(epsilon=0.2, mu=0.5), h=0.01)
+    w = random_field(d, rng, norm_target=2.0, odd_in_y=odd)
+    phi = random_field(d, rng, norm_target=1.0, odd_in_y=odd)
+    by_call = st_.step_pair(w, phi, 0.3, counted)
+    assert times == [0.3, 0.3 + 0.01 / 2, 0.3 + 0.01]
+    for got, want in zip(by_call, st_.step_pair(w, phi, 0.3, forcing)):
+        assert np.array_equal(got.coeffs, want.coeffs)
 
 
 def budget_residual_three_pass(w, w_next, t, h, forcing, config):
