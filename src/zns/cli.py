@@ -19,7 +19,6 @@ from .harness import (
     run_epsilon_sweep,
     run_steady_residual_sweep,
     simulate,
-    write_csv,
     write_triad_csv,
 )
 from .lattice import Domain, inner, norm, random_field
@@ -88,65 +87,55 @@ def _say(args, *message) -> None:
         print(*message)
 
 
-def _load(args):
-    overrides = {"seed": args.seed}
-    if args.resolution is not None:
-        overrides["n1"] = args.resolution
-        overrides["n2"] = args.resolution
-    return load_config(args.config, overrides)
-
-
 def _report_violations(args, violations) -> int:
     for v in violations:
         print(v, file=sys.stderr)
     return EXIT_VIOLATION if violations else EXIT_OK
 
 
-def cmd_simulate(args) -> int:
-    config = _load(args)
-    record = simulate(
-        config,
-        args.out,
-        epsilon=args.epsilon,
-        resume_from=args.resume,
-        snapshot_every=args.snapshot_every,
-    )
-    _say(args, f"finished at t={record.summary['t_final']:g}; outputs in {args.out}")
-    return EXIT_OK
+def _sweep_lines(s, args):
+    yield f"{'epsilon':>10} {'sup_fast_sq':>14} {'ratio':>12}"
+    for row in s["per_epsilon"]:
+        yield f"{row['epsilon']:>10g} {row['sup_fast_sq']:>14.6e} {row['ratio']:>12.6e}"
+    yield f"slope = {s['slope']:.3f}, slope_h1 = {s['slope_h1']:.3f}"
 
 
-def cmd_sweep(args) -> int:
-    config = _load(args)
-    record = run_epsilon_sweep(config, n_seeds=args.seeds, out_dir=args.out)
-    _say(args, f"{'epsilon':>10} {'sup_fast_sq':>14} {'ratio':>12}")
-    for row in record.summary["per_epsilon"]:
-        _say(args, f"{row['epsilon']:>10g} {row['sup_fast_sq']:>14.6e} {row['ratio']:>12.6e}")
-    _say(args, f"slope = {record.summary['slope']:.3f}, "
-               f"slope_h1 = {record.summary['slope_h1']:.3f}")
-    return _report_violations(args, record.violations)
+# Config-driven commands: (run the experiment, the lines it prints from the summary).
+_EXPERIMENTS = {
+    "simulate": (
+        lambda config, args: simulate(config, args.out, epsilon=args.epsilon,
+                                      resume_from=args.resume,
+                                      snapshot_every=args.snapshot_every),
+        lambda s, args: [f"finished at t={s['t_final']:g}; outputs in {args.out}"],
+    ),
+    "sweep-epsilon": (
+        lambda config, args: run_epsilon_sweep(config, n_seeds=args.seeds, out_dir=args.out),
+        _sweep_lines,
+    ),
+    "contraction": (
+        lambda config, args: run_contraction_test(config, epsilon=args.epsilon,
+                                                  out_dir=args.out),
+        lambda s, args: [f"nu = {s['nu']:g}: distance rate {s['rate_distance']:.4f}, "
+                         f"tangent rate {s['rate_tangent']:.4f}"],
+    ),
+    "steady-residual": (
+        lambda config, args: run_steady_residual_sweep(config, out_dir=args.out),
+        lambda s, args: [f"residual slope {s['residual_slope']:.3f}, "
+                         f"distance slope {s['distance_slope']:.3f}"],
+    ),
+}
 
 
-def cmd_contraction(args) -> int:
-    config = _load(args)
-    record = run_contraction_test(config, epsilon=args.epsilon)
-    s = record.summary
-    _say(args, f"nu = {s['nu']:g}: distance rate {s['rate_distance']:.4f}, "
-               f"tangent rate {s['rate_tangent']:.4f}")
-    write_csv(args.out / "contraction.csv", ["t", "distance", "tangent"], (
-        (t, d, p) for (t, d), (_, p) in zip(record.curves["distance"], record.curves["tangent"])
-    ))
-    return _report_violations(args, record.violations)
-
-
-def cmd_steady(args) -> int:
-    config = _load(args)
-    record = run_steady_residual_sweep(config)
-    s = record.summary
-    _say(args, f"residual slope {s['residual_slope']:.3f}, "
-               f"distance slope {s['distance_slope']:.3f}")
-    columns = ["epsilon", "residual", "distance", "end_rhs_norm"]
-    write_csv(args.out / "steady_residual.csv", columns,
-              ([row[c] for c in columns] for row in s["per_epsilon"]))
+def cmd_experiment(args) -> int:
+    """Load the config, run the experiment (which writes its outputs), print, report."""
+    overrides = {"seed": args.seed}
+    if args.resolution is not None:
+        overrides["n1"] = args.resolution
+        overrides["n2"] = args.resolution
+    run, lines = _EXPERIMENTS[args.command]
+    record = run(load_config(args.config, overrides), args)
+    for line in lines(record.summary, args):
+        _say(args, line)
     return _report_violations(args, record.violations)
 
 
@@ -194,10 +183,7 @@ def cmd_agmon(args) -> int:
 
 
 _COMMANDS = {
-    "simulate": cmd_simulate,
-    "sweep-epsilon": cmd_sweep,
-    "contraction": cmd_contraction,
-    "steady-residual": cmd_steady,
+    **dict.fromkeys(_EXPERIMENTS, cmd_experiment),
     "triad-check": cmd_triads,
     "agmon-check": cmd_agmon,
 }

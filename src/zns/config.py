@@ -14,7 +14,6 @@ Keys mirror :class:`zns.harness.ExperimentConfig`:
     seed              RNG seed (default 0)
     omega0_norm       initial |w| (default 1.0)
     record_every      steps between diagnostics rows (default 10)
-    advection         true/false (default true)
     blowup_threshold  abort when any |coefficient| exceeds this (default 1e12)
     forcing.kind      steady | time-periodic
     forcing.sigma     temporal frequency (default 0)
@@ -24,7 +23,6 @@ Keys mirror :class:`zns.harness.ExperimentConfig`:
 
 from __future__ import annotations
 
-import math
 from dataclasses import fields
 from pathlib import Path
 
@@ -32,13 +30,15 @@ from .forcing import spec_from_entries
 from .harness import ExperimentConfig, Tolerances
 from .lattice import Domain
 
-_TOL_FIELDS = {f.name: f.type for f in fields(Tolerances)}
+_TOL_TYPES = {f.name: type(f.default) for f in fields(Tolerances)}
 
 _SCALARS = {
     "n1": int, "n2": int, "l1": float, "l2": float, "mu": float, "h": float,
     "t_end": float, "t_spin": float, "seed": int, "omega0_norm": float,
     "record_every": int, "blowup_threshold": float,
 }
+
+_DOMAIN_FIELDS = {"n1": "N1", "n2": "N2", "l1": "L1", "l2": "L2"}
 
 
 class ConfigError(ValueError):
@@ -63,28 +63,21 @@ def read_config_entries(path: Path) -> list[tuple[str, str]]:
     return entries
 
 
-def _parse_bool(s: str) -> bool:
-    low = s.lower()
-    if low in ("true", "yes", "1", "on"):
-        return True
-    if low in ("false", "no", "0", "off"):
-        return False
-    raise ConfigError(f"expected a boolean, got {s!r}")
-
-
 def build_config(entries: list[tuple[str, str]], overrides: dict | None = None) -> ExperimentConfig:
-    """Assemble an ExperimentConfig from raw entries plus CLI overrides."""
-    values: dict = {"advection": True}
+    """Assemble an ExperimentConfig from raw entries plus CLI overrides.
+
+    Only the keys that are set reach the dataclasses, so an unset key takes
+    the default of its ``ExperimentConfig``, ``Domain`` or ``Tolerances`` field.
+    """
+    values: dict = {}
     modes: list[tuple[int, int, float, float]] = []
     kind = "steady"
     sigma = 0.0
-    tol_overrides: dict = {}
+    tol_values: dict = {}
     try:
         for key, value in entries:
             if key in _SCALARS:
                 values[key] = _SCALARS[key](value)
-            elif key == "advection":
-                values[key] = _parse_bool(value)
             elif key == "epsilon":
                 values["epsilon"] = tuple(float(v) for v in value.split(","))
             elif key == "forcing.kind":
@@ -98,10 +91,9 @@ def build_config(entries: list[tuple[str, str]], overrides: dict | None = None) 
                 modes.append((int(parts[0]), int(parts[1]), float(parts[2]), float(parts[3])))
             elif key.startswith("tol."):
                 name = key[4:]
-                if name not in _TOL_FIELDS:
+                if name not in _TOL_TYPES:
                     raise ConfigError(f"unknown tolerance {name!r}")
-                caster = int if name == "min_tail_samples" else float
-                tol_overrides[name] = caster(value)
+                tol_values[name] = _TOL_TYPES[name](value)
             else:
                 raise ConfigError(f"unknown config key {key!r}")
     except ValueError as e:
@@ -116,28 +108,15 @@ def build_config(entries: list[tuple[str, str]], overrides: dict | None = None) 
     if not modes:
         raise ConfigError("at least one forcing.mode entry is required")
 
-    domain = Domain(
-        L1=values.get("l1", 2.0 * math.pi),
-        L2=values.get("l2", 2.0 * math.pi),
-        N1=values.get("n1", 64),
-        N2=values.get("n2", 64),
-    )
-    spec = spec_from_entries(modes, kind, sigma)
+    domain = Domain(**{name: values.pop(key)
+                       for key, name in _DOMAIN_FIELDS.items() if key in values})
+    values["epsilons"] = values.pop("epsilon")
     try:
         return ExperimentConfig(
             domain=domain,
-            mu=values["mu"],
-            epsilons=values["epsilon"],
-            forcing=spec,
-            h=values["h"],
-            t_end=values["t_end"],
-            t_spin=values.get("t_spin"),
-            seed=values.get("seed", 0),
-            omega0_norm=values.get("omega0_norm", 1.0),
-            record_every=values.get("record_every", 10),
-            advection=values.get("advection", True),
-            blowup_threshold=values.get("blowup_threshold", 1e12),
-            tolerances=Tolerances(**tol_overrides),
+            forcing=spec_from_entries(modes, kind, sigma),
+            tolerances=Tolerances(**tol_values),
+            **values,
         )
     except ValueError as e:
         raise ConfigError(str(e)) from e

@@ -83,11 +83,7 @@ def _grid_max(f: SpectralField, oversample: int) -> float:
     d = f.domain
     big = Domain(d.L1, d.L2, d.N1 * oversample, d.N2 * oversample)
     embedded = SpectralField.zeros(big)
-    for i2, m2 in enumerate(d.m2):
-        for i1, m1 in enumerate(d.m1):
-            c = f.coeffs[i2, i1]
-            if c != 0:
-                embedded.coeffs[int(m2) % big.N2, int(m1) % big.N1] = c
+    embedded.coeffs[np.ix_(d.m2 % big.N2, d.m1 % big.N1)] = f.coeffs
     return float(np.max(np.abs(to_grid(embedded).values)))
 
 

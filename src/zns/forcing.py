@@ -125,8 +125,9 @@ class Forcing:
         assert parity_error(base) == 0.0 and reality_error(base) == 0.0
         _frozen(base.coeffs)
         self._base = base
-        # Phase-rotation frequency per mode: sigma * sign(k1), zonal frozen.
-        sign = np.sign(domain.kx)
+        # Phase-rotation frequency per column: sigma * sign(k1), zonal frozen.
+        # One row of N1 values; it broadcasts over the m2 rows.
+        sign = np.sign(domain.kx[0])
         self._rot = (spec.sigma if spec.kind == "time-periodic" else 0.0) * sign
 
     @property

@@ -6,7 +6,8 @@ e-folds (T_spin = 10/nu, nu = c0^2 mu) followed by a measurement window
 pure functions of the stored time series, so they can be recomputed from a
 RunRecord at any time.  Failed theorem checks are collected as violation
 strings in the record (and mapped to a nonzero exit code by the CLI); they
-never abort data capture.
+never abort data capture.  Every output file of an experiment is written
+here, before the experiment returns.
 """
 
 from __future__ import annotations
@@ -76,7 +77,6 @@ class ExperimentConfig:
     seed: int = 0
     omega0_norm: float = 1.0
     record_every: int = 10
-    advection: bool = True
     blowup_threshold: float = 1e12
     tolerances: Tolerances = field(default_factory=Tolerances)
 
@@ -123,12 +123,7 @@ class ExperimentConfig:
     def sim_config(self, epsilon: float) -> SimConfig:
         if epsilon not in self.epsilons:
             replace(self, epsilons=(epsilon,))  # runs the CFL check for this epsilon
-        return SimConfig(
-            epsilon=epsilon,
-            mu=self.mu,
-            advection=self.advection,
-            blowup_threshold=self.blowup_threshold,
-        )
+        return SimConfig(epsilon=epsilon, mu=self.mu, blowup_threshold=self.blowup_threshold)
 
 
 def config_hash(config: ExperimentConfig) -> str:
@@ -432,13 +427,15 @@ def run_contraction_test(
     config: ExperimentConfig,
     epsilon: float | None = None,
     seeds: tuple[int, int] | None = None,
+    out_dir: Path | None = None,
 ) -> RunRecord:
     """Two-trajectory and tangent-propagation contraction measurement.
 
     Integrates trajectories from two seeds (default: config.seed and the
     next one) plus a tangent perturbation along the first, and fits
     exponential decay rates of the trajectory distance and of the tangent
-    norm on the tail; both are compared against nu = c0^2 mu.
+    norm on the tail; both are compared against nu = c0^2 mu.  With
+    ``out_dir`` both curves are written to ``contraction.csv``.
     """
     forcing = make_forcing(config.forcing, config.domain)
     if not forcing.is_steady:
@@ -464,6 +461,9 @@ def run_contraction_test(
     )
     curves = {"distance": distance, "tangent": tangent}
     summary, violations = summarize_contraction(curves, config, eps)
+    if out_dir is not None:
+        write_csv(Path(out_dir) / "contraction.csv", ["t", "distance", "tangent"],
+                  ((t, d, p) for (t, d), (_, p) in zip(distance, tangent)))
     return RunRecord(
         kind="contraction",
         config_hash=config_hash(config),
@@ -501,9 +501,12 @@ def summarize_steady_sweep(
     return summary, violations
 
 
-def run_steady_residual_sweep(config: ExperimentConfig) -> RunRecord:
+def run_steady_residual_sweep(
+    config: ExperimentConfig, out_dir: Path | None = None
+) -> RunRecord:
     """Residual of the first-order steady flow, and distance from the
-    converged end state, across the epsilon list."""
+    converged end state, across the epsilon list; with ``out_dir`` the rows
+    are written to ``steady_residual.csv``."""
     forcing = make_forcing(config.forcing, config.domain)
     if not forcing.is_steady:
         raise ValueError("steady-residual sweep requires steady forcing")
@@ -532,6 +535,9 @@ def run_steady_residual_sweep(config: ExperimentConfig) -> RunRecord:
             }
         )
     summary, violations = summarize_steady_sweep(rows, config)
+    if out_dir is not None:
+        write_csv(Path(out_dir) / "steady_residual.csv", STEADY_COLUMNS,
+                  ([row[c] for c in STEADY_COLUMNS] for row in rows))
     return RunRecord(
         kind="steady-residual",
         config_hash=config_hash(config),
@@ -577,6 +583,9 @@ def simulate(
             raise ValueError(f"snapshot mu={mu} does not match config mu={config.mu}")
         if epsilon is not None and epsilon != eps:
             raise ValueError(f"epsilon={epsilon} does not match snapshot epsilon={eps}")
+        # NaN fails every comparison below, so it is refused first.
+        if not np.isfinite(w0.coeffs).all():
+            raise ValueError(f"{resume_from}: snapshot has non-finite coefficients")
         # A step reads only the m1 >= 0 half, so the m1 < 0 half must mirror
         # it; the dynamics keep odd parity, so the snapshot must have it too.
         bound = 1e-11 * np.abs(w0.coeffs).max()
@@ -641,6 +650,7 @@ def write_diagnostics_csv(path, records: list[DiagnosticsRecord]) -> None:
 SWEEP_SUMMARY_COLUMNS = [
     "epsilon", "sup_fast_sq", "ratio", "sup_fast_h1_sq", "ratio_h1", "slope", "slope_h1",
 ]
+STEADY_COLUMNS = ["epsilon", "residual", "distance", "end_rhs_norm"]
 TRIAD_COLUMNS = ["j1", "j2", "k1", "k2", "l1", "l2", "Bjkl", "Bkjl", "omega_sum", "residual"]
 
 

@@ -11,8 +11,9 @@ import pytest
 import zns
 from zns.cli import main
 from zns.config import load_config
-from zns.harness import TRIAD_COLUMNS
-from zns.lattice import parity_error, read_snapshot, write_snapshot
+from zns.forcing import ForcingSpec
+from zns.harness import TRIAD_COLUMNS, ExperimentConfig
+from zns.lattice import Domain, parity_error, read_snapshot, write_snapshot
 
 TINY_CONFIG = """
 # small benchmark setup
@@ -57,8 +58,9 @@ class TestSimulate:
 
     def test_bad_key_exits_1(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
-        # The second config is valid but for its last key.
-        for text in ("nope = 3\n", TINY_CONFIG + "reproject_every = 100\n"):
+        # The last two configs are valid but for their last key, a removed option.
+        for text in ("nope = 3\n", TINY_CONFIG + "reproject_every = 100\n",
+                     TINY_CONFIG + "advection = false\n"):
             path.write_text(text)
             assert main(["simulate", "--config", str(path)]) == 1
             assert "unknown config key" in capsys.readouterr().err
@@ -121,6 +123,21 @@ class TestSimulate:
         else:
             final, *_ = read_snapshot(out2 / "state_final.zns")
             assert parity_error(final) == 0.0
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_snapshot_exits_1(self, config_file, tmp_path, capsys, value):
+        out1 = tmp_path / "run1"
+        assert main(["simulate", "--config", str(config_file), "--out", str(out1),
+                     "--quiet"]) == 0
+        w, eps, mu, t = read_snapshot(out1 / "state_final.zns")
+        w.coeffs[2, 1] = value
+        write_snapshot(tmp_path / "bad.zns", w, eps, mu, t)
+        out2 = tmp_path / "run2"
+        code = main(["simulate", "--config", str(config_file), "--out", str(out2),
+                     "--resume", str(tmp_path / "bad.zns"), "--quiet"])
+        assert code == 1
+        assert "non-finite coefficients" in capsys.readouterr().err
+        assert not (out2 / "state_final.zns").exists()
 
     @pytest.mark.parametrize("every", ["0", "-0.1", "nan"])
     def test_bad_snapshot_every_exits_1(self, config_file, tmp_path, capsys, every):
@@ -240,6 +257,14 @@ def test_experiment_config_loads(path):
     config = load_config(path)  # validates the CFL estimate too
     steps = config.t_end / config.h
     assert steps == pytest.approx(round(steps), rel=1e-9)
+
+
+def test_unset_keys_take_the_dataclass_defaults(tmp_path):
+    path = tmp_path / "minimal.cfg"
+    path.write_text("mu = 1.0\nepsilon = 0.1\nh = 0.01\nt_end = 12.0\nforcing.mode = 1,1,0.5,0.0\n")
+    expected = ExperimentConfig(domain=Domain(), mu=1.0, epsilons=(0.1,),
+                                forcing=ForcingSpec(modes=((1, 1, 0.5),)), h=0.01, t_end=12.0)
+    assert load_config(path) == expected
 
 
 def test_cli_import_does_not_load_scipy():

@@ -157,6 +157,13 @@ class TestAgmonCheck:
         r4 = agmon_check(u, v, 1.0, oversample=4)
         assert r4.lhs >= r1.lhs * (1 - 1e-13)
         assert r4.lhs <= r1.lhs * 1.5  # band-limited: oversampling refines mildly
+        # Reference embedding: each coefficient at its own mode of the 4x lattice.
+        big = Domain(d.L1, d.L2, 4 * d.N1, 4 * d.N2)
+        embedded = SpectralField.zeros(big)
+        for i2, m2 in enumerate(d.m2):
+            for i1, m1 in enumerate(d.m1):
+                embedded.coeffs[m2 % big.N2, m1 % big.N1] = u.coeffs[i2, i1]
+        assert r4.lhs == float(np.max(np.abs(to_grid(embedded).values)))
 
 
 class TestApproxSteadyState:

@@ -87,6 +87,18 @@ class TestEvaluation:
         dcoef = forcing.derivative(0.3).coeffs
         assert np.allclose(np.abs(dcoef), 1.5 * np.abs(f0.coeffs), atol=1e-15)
 
+    def test_periodic_phase_matches_full_width_formula(self):
+        d = Domain(N1=16, N2=12)
+        modes = ((0, 1, 1.0), (1, 1, 0.5), (2, 1, 0.25j))
+        forcing = make_forcing(ForcingSpec(modes, kind="time-periodic", sigma=1.5), d)
+        base = make_forcing(ForcingSpec(modes), d).coeffs_at(0.0)
+        rot = 1.5 * np.sign(d.kx)  # one frequency per (m2, m1) entry
+        assert forcing._rot.shape == (d.N1,)
+        for t in (0.0, 0.37, 12.5):
+            phase = np.exp(1j * rot * t)
+            assert np.array_equal(forcing.coeffs_at(t), base * phase)
+            assert np.array_equal(forcing.derivative(t).coeffs, base * (1j * rot) * phase)
+
     def test_periodic_keeps_zonal_part_steady(self):
         d = Domain(N1=16, N2=16)
         spec = ForcingSpec(modes=((0, 1, 1.0), (1, 1, 0.5)), kind="time-periodic", sigma=2.0)

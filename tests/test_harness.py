@@ -310,8 +310,31 @@ class TestContraction:
         with pytest.raises(ValueError, match="steady"):
             run_contraction_test(cfg)
 
+    def test_csv_written_only_with_out_dir(self, tmp_path, monkeypatch):
+        cfg = tiny_config(epsilons=(0.05,), t_spin=0.5, t_end=1.0)
+        monkeypatch.chdir(tmp_path)
+        run_contraction_test(cfg)
+        assert list(tmp_path.iterdir()) == []
+        record = run_contraction_test(cfg, out_dir=tmp_path / "out")
+        lines = (tmp_path / "out" / "contraction.csv").read_text().splitlines()
+        assert lines[0] == "t,distance,tangent"
+        curves = zip(record.curves["distance"], record.curves["tangent"])
+        assert lines[1:] == [f"{t!r},{d!r},{p!r}" for (t, d), (_, p) in curves]
+
 
 class TestSteadyResidualSweep:
+    def test_csv_written_only_with_out_dir(self, tmp_path, monkeypatch):
+        cfg = tiny_config(t_spin=0.5, t_end=1.0, epsilons=(0.1, 0.05))
+        monkeypatch.chdir(tmp_path)
+        run_steady_residual_sweep(cfg)
+        assert list(tmp_path.iterdir()) == []
+        record = run_steady_residual_sweep(cfg, out_dir=tmp_path / "out")
+        lines = (tmp_path / "out" / "steady_residual.csv").read_text().splitlines()
+        columns = ["epsilon", "residual", "distance", "end_rhs_norm"]
+        assert lines[0] == ",".join(columns)
+        assert lines[1:] == [",".join(repr(row[c]) for c in columns)
+                             for row in record.summary["per_epsilon"]]
+
     def test_zonal_forcing_everything_vanishes(self):
         cfg = tiny_config(forcing=ZONAL, epsilons=(0.2, 0.1), t_spin=10.0, t_end=28.0)
         record = run_steady_residual_sweep(cfg)
