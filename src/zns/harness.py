@@ -568,8 +568,6 @@ def simulate(
     """
     if snapshot_every is not None and not snapshot_every > 0:
         raise ValueError(f"snapshot_every must be positive, got {snapshot_every!r}")
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     forcing = make_forcing(config.forcing, config.domain)
     eps = config.epsilons[0] if epsilon is None else epsilon
     t0 = 0.0
@@ -599,6 +597,9 @@ def simulate(
         w0 = project_parity(w0)
     else:
         w0 = initial_state(config.domain, config.seed, config.omega0_norm)
+    # Only now, so that a rejected resume leaves no directory behind.
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
 
     observe = None
     if snapshot_every is not None:

@@ -13,7 +13,9 @@ coefficient convention, per mode k:
   B_jkl = |M| (j1 k2 - j2 k1)/|j|^2 when j + k = l.  The kernel
   ``_advect_raw`` dispatches on the shape of its input: full or half-width
   coefficients take five real transforms, the m2 > 0 quarter of odd-in-y
-  fields three.
+  fields three.  The quarter kernel is the composition of two helpers, the
+  grids of quarters times the tables (``_odd_grids``) and the odd part of a
+  grid product (``_odd_part``), which the tangent step also uses on its own.
 
 Resonance tests (Omega_j + Omega_k = 0) are decided on integer lattice
 indices, never on floats: for zonal targets (j + k = l, l1 = 0, so
@@ -161,20 +163,39 @@ def _advect_odd(d: Domain, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     exactly the former.  The result is the quarter of an exactly odd field,
     with its m1 = 0 column imaginary, so it is Hermitian too once expanded.
     """
-    to_uv, to_dxy, mask = d._odd_advect_tables
+    grid, other = _odd_grids(d, A, B)
+    grid *= other
+    return _odd_part(d, grid)
+
+
+def _odd_grids(d: Domain, A: np.ndarray, B: np.ndarray | None = None) -> list[np.ndarray]:
+    """The grids ``u + v`` of quarter ``A`` and ``bx + by`` of quarter ``B`` (default ``A``).
+
+    Two raw inverse transforms of half-width spectra: a table of
+    ``d._odd_advect_tables`` times the quarter on rows m2 > 0 and, mirrored,
+    on rows m2 < 0; rows m2 = 0 and -N2/2 stay zero.
+    """
+    to_uv, to_dxy, _ = d._odd_advect_tables
     n2 = d.N2 // 2
-    # Half-width spectra of u + v and bx + by; rows m2 = 0 and -N2/2 stay zero.
     S = np.zeros((d.N2, A.shape[1]), dtype=np.complex128)
     grids = []
-    for table, C in ((to_uv, A), (to_dxy, B)):
+    for table, C in ((to_uv, A), (to_dxy, A if B is None else B)):
         np.multiply(table[1:n2], C, out=S[1:n2])
         np.multiply(table[:n2:-1], C, out=S[:n2:-1])
         grids.append(_irfft2(d, S))
-    grid = grids[0]
-    grid *= grids[1]
+    return grids
+
+
+def _odd_part(d: Domain, grid: np.ndarray) -> np.ndarray:
+    """The masked m2 > 0 quarter of the odd-in-y part of a product of quarter grids.
+
+    One raw forward transform; its m1 = 0 column is imaginary, so the quarter
+    expands to an exactly odd, exactly Hermitian half.
+    """
+    n2 = d.N2 // 2
     F = _rfft2(d, grid)
     out = F[1:n2] - F[:n2:-1]
-    out *= mask
+    out *= d._odd_advect_tables[2]
     out.real[:, 0] = 0.0
     return out
 

@@ -15,6 +15,11 @@ in y (and so is the forcing), it runs on the m2 > 0 quarter instead: the
 weights are even in m2 and the quarter advection kernel returns an exactly
 odd result, so the step's output is exactly odd, not odd to round-off.  The
 kernel ``_advect_raw`` picks its path from the shape of its input.
+
+A tangent step linearizes the step about its base stages.  On the quarter,
+``step_pair`` has the base step keep each stage's grids ``u + v`` and
+``bx + by``, and a tangent stage is the odd part of one grid sum over them:
+three transforms, where two advection calls would take six.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ import numpy as np
 
 from .forcing import Forcing
 from .lattice import Domain, SpectralField, _frozen, _odd_half, _odd_quarter, _unfold
-from .operators import _advect_raw
+from .operators import _advect_raw, _odd_grids, _odd_part
 
 ForcingFn = Callable[[float], SpectralField]
 
@@ -159,6 +164,8 @@ class StepStages:
     a: np.ndarray
     b: np.ndarray
     c: np.ndarray
+    # Per stage, the grids (u + v, bx + by) of a quarter step that kept them.
+    grids: tuple[list[np.ndarray], ...] | None = None
 
 
 class Stepper:
@@ -188,9 +195,16 @@ class Stepper:
 
     # -- right-hand sides ---------------------------------------------------
 
-    def _nonlinear(self, C: np.ndarray, f: np.ndarray | None) -> np.ndarray:
+    def _nonlinear(
+        self, C: np.ndarray, f: np.ndarray | None, grids: list | None = None
+    ) -> np.ndarray:
+        """``f - B(C, C)``; with a ``grids`` list (quarters only) it keeps the base grids too."""
         if self.config.advection:
-            out = _advect_raw(self.domain, C, C)
+            if grids is None:
+                out = _advect_raw(self.domain, C, C)
+            else:
+                grids.append(_odd_grids(self.domain, C))
+                out = _odd_part(self.domain, grids[-1][0] * grids[-1][1])
             np.negative(out, out=out)
         else:
             out = np.zeros_like(C)
@@ -198,11 +212,29 @@ class Stepper:
             out += f
         return out
 
-    def _tangent_nonlinear(self, W: np.ndarray, P: np.ndarray) -> np.ndarray:
+    def _tangent_nonlinear(
+        self, W: np.ndarray, P: np.ndarray, grids: list[np.ndarray] | None = None
+    ) -> np.ndarray:
+        """``-(B(W, P) + B(P, W))``.
+
+        On quarters it is the odd part of one grid sum,
+        ``(u_W + v_W)(P_x + P_y) + (u_P + v_P)(W_x + W_y)``: two inverse
+        transforms of ``P`` and one forward transform, with the base grids
+        ``grids`` of ``W`` (built here if None).  Halves take two advection calls.
+        """
+        d = self.domain
         if not self.config.advection:
             return np.zeros_like(P)
-        out = _advect_raw(self.domain, W, P)
-        out += _advect_raw(self.domain, P, W)
+        if P.shape[0] == d.N2:
+            out = _advect_raw(d, W, P)
+            out += _advect_raw(d, P, W)
+        else:
+            uv, dxy = _odd_grids(d, W) if grids is None else grids
+            uv_p, dxy_p = _odd_grids(d, P)
+            dxy_p *= uv
+            uv_p *= dxy
+            dxy_p += uv_p
+            out = _odd_part(d, dxy_p)
         return np.negative(out, out=out)
 
     def _etdrk4(
@@ -252,9 +284,13 @@ class Stepper:
         return SpectralField(d, _unfold(d, C if C.shape[0] == d.N2 else _odd_half(d, C)))
 
     def step_with_stages(
-        self, w: SpectralField, t: float, forcing: ForcingFn | None = None
+        self, w: SpectralField, t: float, forcing: ForcingFn | None = None, *, _grids: bool = False
     ) -> tuple[SpectralField, StepStages]:
-        """One ETDRK4 step; also returns the stage states for tangent use."""
+        """One ETDRK4 step; also returns the stage states for tangent use.
+
+        With ``_grids`` a quarter step also keeps the base grids of its stages
+        in ``StepStages.grids``, for a tangent step that follows at once.
+        """
         d = self.domain
         u0 = w.coeffs[self._half]
         f = [None if forcing is None else _forcing_at(forcing, s, self._half)
@@ -265,9 +301,10 @@ class Stepper:
             x is None or _odd_quarter(d, x) is not None for x in f
         )):
             u0, f = quarter, [x if x is None else x[1 : d.N2 // 2] for x in f]
-        out, a, b, c = self._etdrk4(u0, lambda i, x: self._nonlinear(x, f[i]))
+        grids = [] if _grids and self.config.advection and u0.shape[0] != d.N2 else None
+        out, a, b, c = self._etdrk4(u0, lambda i, x: self._nonlinear(x, f[i], grids))
         self._check_state(out, t + self.h)
-        return self._field(out), StepStages(t, u0, a, b, c)
+        return self._field(out), StepStages(t, u0, a, b, c, None if grids is None else tuple(grids))
 
     def step(self, w: SpectralField, t: float, forcing: ForcingFn | None = None) -> SpectralField:
         out, _ = self.step_with_stages(w, t, forcing)
@@ -279,9 +316,15 @@ class Stepper:
         ``stages`` must come from the matching step of the base trajectory;
         the map is then the exact differential of the nonlinear update, so
         finite differences of the nonlinear flow converge to it at O(delta^2).
+
+        On quarter stages an odd ``phi`` steps on its quarter, where each stage
+        costs three transforms: the base grids come from ``stages.grids`` if
+        the step kept them, else from the stage states.  Any other ``phi``
+        steps on the half with two advection calls per stage.
         """
         d = self.domain
         base = (stages.u0, stages.a, stages.b, stages.c)
+        grids = stages.grids or (None,) * 4
         p0 = phi.coeffs[self._half]
         if stages.u0.shape[0] != d.N2:
             # Quarter stages: step on the quarter if phi is odd, else on the half.
@@ -290,7 +333,7 @@ class Stepper:
                 base = tuple(_odd_half(d, x) for x in base)
             else:
                 p0 = quarter
-        out, *_ = self._etdrk4(p0, lambda i, p: self._tangent_nonlinear(base[i], p))
+        out, *_ = self._etdrk4(p0, lambda i, p: self._tangent_nonlinear(base[i], p, grids[i]))
         self._check_state(out, stages.t + self.h)
         return self._field(out)
 
@@ -298,7 +341,7 @@ class Stepper:
         self, w: SpectralField, phi: SpectralField, t: float, forcing: ForcingFn | None = None
     ) -> tuple[SpectralField, SpectralField]:
         """Advance the state and a tangent perturbation through the same step."""
-        w_next, stages = self.step_with_stages(w, t, forcing)
+        w_next, stages = self.step_with_stages(w, t, forcing, _grids=True)
         return w_next, self.tangent_step(phi, stages)
 
 

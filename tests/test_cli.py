@@ -139,6 +139,25 @@ class TestSimulate:
         assert "non-finite coefficients" in capsys.readouterr().err
         assert not (out2 / "state_final.zns").exists()
 
+    @pytest.mark.parametrize("defect", ["nan", "not-odd", "mu"])
+    def test_rejected_resume_leaves_no_output_directory(self, config_file, tmp_path, defect):
+        out1 = tmp_path / "run1"
+        assert main(["simulate", "--config", str(config_file), "--out", str(out1),
+                     "--quiet"]) == 0
+        w, eps, mu, t = read_snapshot(out1 / "state_final.zns")
+        if defect == "nan":
+            w.coeffs[2, 1] = np.nan
+        elif defect == "not-odd":
+            w.coeffs[0, 1] = w.coeffs[0, -1] = 1.0
+        else:
+            mu *= 2.0
+        write_snapshot(tmp_path / "bad.zns", w, eps, mu, t)
+        out2 = tmp_path / "nested" / "run2"
+        code = main(["simulate", "--config", str(config_file), "--out", str(out2),
+                     "--resume", str(tmp_path / "bad.zns"), "--quiet"])
+        assert code == 1
+        assert not out2.exists() and not out2.parent.exists()
+
     @pytest.mark.parametrize("every", ["0", "-0.1", "nan"])
     def test_bad_snapshot_every_exits_1(self, config_file, tmp_path, capsys, every):
         out = tmp_path / "run"

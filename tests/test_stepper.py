@@ -20,7 +20,7 @@ from zns.lattice import (
     random_field,
     reality_error,
 )
-from zns.operators import _advect_raw, apply_A, apply_L, jacobian
+from zns.operators import _advect_raw, _odd_grids, apply_A, apply_L, jacobian
 from zns.stepper import (
     BlowUpError,
     LinearSymbol,
@@ -564,6 +564,114 @@ class TestQuarterStep:
         with pytest.raises(BlowUpError) as info:
             st_.step(w, 0.0)
         assert info.value.mode == (2, 3)
+
+
+def count_transforms(monkeypatch) -> dict:
+    """Count the real transforms the solver makes, by patching ``np.fft``."""
+    counts = {"irfft2": 0, "rfft2": 0}
+    for name in counts:
+        fn = getattr(np.fft, name)
+
+        def counted(*args, fn=fn, name=name, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    return counts
+
+
+class TestCachedTangentStage:
+    """A quarter tangent stage is the odd part of one grid sum over cached base grids."""
+
+    SPEC = ForcingSpec(modes=((0, 1, 1.0), (1, 1, 0.5)))
+
+    @pytest.mark.parametrize("n", [32, 64])
+    def test_matches_two_advection_calls(self, n, rng):
+        d = Domain(N1=n, N2=n)
+        st_ = Stepper(d, SimConfig(epsilon=0.2, mu=0.5), h=0.01)
+        quarter = np.s_[1 : n // 2, : n // 2 + 1]
+        for _ in range(3):
+            W = random_field(d, rng, norm_target=2.0).coeffs[quarter]
+            P = random_field(d, rng, norm_target=1.0).coeffs[quarter]
+            want = -(_advect_raw(d, W, P) + _advect_raw(d, P, W))
+            for grids in (_odd_grids(d, W), None):
+                got = st_._tangent_nonlinear(W, P, grids)
+                assert got.shape == W.shape
+                assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("d", KERNEL_DOMAINS)
+    def test_tangent_step_without_grids_matches_step_pair(self, d, rng):
+        forcing = make_forcing(self.SPEC, d)
+        st_ = Stepper(d, SimConfig(epsilon=0.2, mu=0.5), h=0.01)
+        w = random_field(d, rng, norm_target=2.0)
+        phi = random_field(d, rng, norm_target=1.0)
+        w1, phi1 = st_.step_pair(w, phi, 0.3, forcing)
+        w2, stages = st_.step_with_stages(w, 0.3, forcing)
+        assert stages.grids is None and stages.u0.shape[0] == d.N2 // 2 - 1
+        phi2 = st_.tangent_step(phi, stages)
+        assert np.array_equal(w1.coeffs, w2.coeffs)
+        assert parity_error(phi2) == 0.0 and reality_error(phi2) == 0.0
+        assert np.max(np.abs(phi2.coeffs - phi1.coeffs)) <= 1e-15 * np.max(np.abs(phi1.coeffs))
+
+    def test_linear_flow_builds_no_grids(self, rng, monkeypatch):
+        import zns.stepper
+
+        def no_grids(d, Q):
+            raise AssertionError("the linear flow built a grid")
+
+        monkeypatch.setattr(zns.stepper, "_odd_grids", no_grids)
+        d = Domain(N1=16, N2=16)
+        st_ = Stepper(d, SimConfig(epsilon=0.5, mu=0.3, advection=False), h=0.01)
+        w = random_field(d, rng, norm_target=2.0)
+        phi = random_field(d, rng, norm_target=1.0)
+        _, stages = st_.step_with_stages(w, 0.0, _grids=True)
+        assert stages.grids is None and stages.u0.shape == (7, 9)
+        expected = np.exp(st_.symbol.lam * 0.01) * phi.coeffs
+        for got in (st_.tangent_step(phi, stages), st_.step_pair(w, phi, 0.0)[1]):
+            assert np.max(np.abs(got.coeffs - expected)) <= 1e-15 * np.max(np.abs(expected))
+
+    def test_transform_counts(self, monkeypatch, rng):
+        d = Domain(N1=16, N2=16)
+        forcing = make_forcing(self.SPEC, d)
+        st_ = Stepper(d, SimConfig(epsilon=0.2, mu=0.5), h=0.01)
+        w = random_field(d, rng, norm_target=2.0)
+        phi = random_field(d, rng, norm_target=1.0)
+        counts = count_transforms(monkeypatch)
+
+        def take():
+            out = dict(counts)
+            counts.update(irfft2=0, rfft2=0)
+            return out
+
+        # Odd state: 3 transforms per base stage; the tangent reuses the base grids.
+        _, stages = st_.step_with_stages(w, 0.0, forcing, _grids=True)
+        assert len(stages.grids) == 4 and take() == {"irfft2": 8, "rfft2": 4}
+        st_.tangent_step(phi, stages)
+        assert take() == {"irfft2": 8, "rfft2": 4}
+        st_.step_pair(w, phi, 0.0, forcing)
+        assert take() == {"irfft2": 16, "rfft2": 8}
+        # A plain step keeps no grids; a tangent on its stages builds them.
+        _, stages = st_.step_with_stages(w, 0.0, forcing)
+        assert stages.grids is None and take() == {"irfft2": 8, "rfft2": 4}
+        st_.tangent_step(phi, stages)
+        assert take() == {"irfft2": 16, "rfft2": 4}
+        # Not odd: 5 transforms per advection call, two calls per tangent stage.
+        st_.step_pair(random_field(d, rng, norm_target=2.0, odd_in_y=False), phi, 0.0, forcing)
+        assert take() == {"irfft2": 48, "rfft2": 12}
+
+    def test_step_pair_steps_and_tangents_through_the_instance(self, monkeypatch, rng):
+        # Tracing wraps these two methods on the class; step_pair must call both.
+        calls = []
+        for name in ("step_with_stages", "tangent_step"):
+            fn = getattr(Stepper, name)
+            monkeypatch.setattr(Stepper, name, lambda self, *a, fn=fn, name=name, **k:
+                                calls.append(name) or fn(self, *a, **k))
+        d = Domain(N1=16, N2=16)
+        st_ = Stepper(d, SimConfig(epsilon=0.2, mu=0.5), h=0.01)
+        w = random_field(d, rng, norm_target=2.0)
+        st_.step_pair(w, random_field(d, rng, norm_target=1.0), 0.0)
+        st_.step(w, 0.0)
+        assert calls == ["step_with_stages", "tangent_step", "step_with_stages"]
 
 
 class TestSteadyForcingView:
