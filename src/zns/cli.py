@@ -1,7 +1,8 @@
 """Command-line entry points.
 
-Exit codes: 0 success, 1 invalid configuration or usage, 2 numerical
-blow-up, 3 failed property or theorem check (data is still written).
+Exit codes: 0 success, 1 invalid configuration or usage (including a
+non-finite number in a config file or an option), 2 numerical blow-up,
+3 failed property or theorem check (data is still written).
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, load_config
+from .config import ConfigError, finite_float, load_config
 from .diagnostics import agmon_check
 from .harness import (
     run_contraction_test,
@@ -31,6 +32,12 @@ EXIT_BLOWUP = 2
 EXIT_VIOLATION = 3
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # usage errors exit 1; subparsers inherit this class
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
 def _add_common(p: argparse.ArgumentParser, needs_config: bool) -> None:
     if needs_config:
         p.add_argument("--config", required=True, type=Path, help="experiment config file")
@@ -43,7 +50,7 @@ def _add_common(p: argparse.ArgumentParser, needs_config: bool) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="zns",
         description="Pseudo-spectral beta-plane vorticity solver and verification harness",
     )
@@ -51,9 +58,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="single run: snapshots plus diagnostics CSV")
     _add_common(p, needs_config=True)
-    p.add_argument("--epsilon", type=float, default=None, help="run at this epsilon")
+    p.add_argument("--epsilon", type=finite_float, default=None, help="run at this epsilon")
     p.add_argument("--resume", type=Path, default=None, help="resume from a ZNS1 snapshot")
-    p.add_argument("--snapshot-every", type=float, default=None, metavar="T")
+    p.add_argument("--snapshot-every", type=finite_float, default=None, metavar="T")
 
     p = sub.add_parser("sweep-epsilon", help="attenuation scaling across the epsilon list")
     _add_common(p, needs_config=True)
@@ -61,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("contraction", help="two-trajectory and tangent contraction test")
     _add_common(p, needs_config=True)
-    p.add_argument("--epsilon", type=float, default=None)
+    p.add_argument("--epsilon", type=finite_float, default=None)
 
     p = sub.add_parser("steady-residual", help="first-order steady-state residual sweep")
     _add_common(p, needs_config=True)
@@ -69,15 +76,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("triad-check", help="exhaustive zonal-triad identity scan")
     _add_common(p, needs_config=False)
     p.add_argument("--max-k", type=int, default=16)
-    p.add_argument("--l1", type=float, default=2.0 * np.pi)
-    p.add_argument("--l2", type=float, default=2.0 * np.pi)
+    p.add_argument("--l1", type=finite_float, default=2.0 * np.pi)
+    p.add_argument("--l2", type=finite_float, default=2.0 * np.pi)
 
     p = sub.add_parser("agmon-check", help="sup-norm inequality ensemble")
     _add_common(p, needs_config=False)
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--resolution", type=int, default=64)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--constant", type=float, default=1.0, help="candidate constant")
+    p.add_argument("--constant", type=finite_float, default=1.0, help="candidate constant")
 
     return parser
 

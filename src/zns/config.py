@@ -1,8 +1,9 @@
 """Flat key-value experiment configuration files.
 
 Format: one ``key = value`` pair per line, ``#`` comments, blank lines
-ignored.  ``forcing.mode`` may repeat, one ``m1,m2,re,im`` entry per line.
-Keys mirror :class:`zns.harness.ExperimentConfig`:
+ignored.  Only ``forcing.mode`` may repeat, one ``m1,m2,re,im`` entry per
+line; any other key set twice is an error, and every real number must be
+finite.  Keys mirror :class:`zns.harness.ExperimentConfig`:
 
     n1, n2            mode counts (default 64)
     l1, l2            periods (default 2*pi)
@@ -15,14 +16,15 @@ Keys mirror :class:`zns.harness.ExperimentConfig`:
     omega0_norm       initial |w| (default 1.0)
     record_every      steps between diagnostics rows (default 10)
     blowup_threshold  abort when any |coefficient| exceeds this (default 1e12)
-    forcing.kind      steady | time-periodic
-    forcing.sigma     temporal frequency (default 0)
+    forcing.sigma     phase-rotation frequency; nonzero makes the forcing
+                      time-periodic (default 0, steady)
     forcing.mode      m1,m2,re,im  (repeatable, at least one required)
     tol.<name>        override a Tolerances field, e.g. tol.slope_min = 0.8
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import fields
 from pathlib import Path
 
@@ -30,12 +32,22 @@ from .forcing import spec_from_entries
 from .harness import ExperimentConfig, Tolerances
 from .lattice import Domain
 
-_TOL_TYPES = {f.name: type(f.default) for f in fields(Tolerances)}
+
+def finite_float(text: str) -> float:
+    """Parse a real number, rejecting nan and infinities."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {text!r}")
+    return value
+
+
+_TOL_TYPES = {f.name: finite_float if isinstance(f.default, float) else type(f.default)
+              for f in fields(Tolerances)}
 
 _SCALARS = {
-    "n1": int, "n2": int, "l1": float, "l2": float, "mu": float, "h": float,
-    "t_end": float, "t_spin": float, "seed": int, "omega0_norm": float,
-    "record_every": int, "blowup_threshold": float,
+    "n1": int, "n2": int, "l1": finite_float, "l2": finite_float, "mu": finite_float,
+    "h": finite_float, "t_end": finite_float, "t_spin": finite_float, "seed": int,
+    "omega0_norm": finite_float, "record_every": int, "blowup_threshold": finite_float,
 }
 
 _DOMAIN_FIELDS = {"n1": "N1", "n2": "N2", "l1": "L1", "l2": "L2"}
@@ -71,24 +83,26 @@ def build_config(entries: list[tuple[str, str]], overrides: dict | None = None) 
     """
     values: dict = {}
     modes: list[tuple[int, int, float, float]] = []
-    kind = "steady"
-    sigma = 0.0
+    forcing_values: dict = {}
     tol_values: dict = {}
+    seen: set[str] = set()
     try:
         for key, value in entries:
+            if key in seen and key != "forcing.mode":
+                raise ConfigError(f"config key {key!r} is set more than once")
+            seen.add(key)
             if key in _SCALARS:
                 values[key] = _SCALARS[key](value)
             elif key == "epsilon":
-                values["epsilon"] = tuple(float(v) for v in value.split(","))
-            elif key == "forcing.kind":
-                kind = value
+                values["epsilon"] = tuple(finite_float(v) for v in value.split(","))
             elif key == "forcing.sigma":
-                sigma = float(value)
+                forcing_values["sigma"] = finite_float(value)
             elif key == "forcing.mode":
                 parts = value.split(",")
                 if len(parts) != 4:
                     raise ConfigError(f"forcing.mode needs m1,m2,re,im; got {value!r}")
-                modes.append((int(parts[0]), int(parts[1]), float(parts[2]), float(parts[3])))
+                modes.append((int(parts[0]), int(parts[1]),
+                              finite_float(parts[2]), finite_float(parts[3])))
             elif key.startswith("tol."):
                 name = key[4:]
                 if name not in _TOL_TYPES:
@@ -114,7 +128,7 @@ def build_config(entries: list[tuple[str, str]], overrides: dict | None = None) 
     try:
         return ExperimentConfig(
             domain=domain,
-            forcing=spec_from_entries(modes, kind, sigma),
+            forcing=spec_from_entries(modes, **forcing_values),
             tolerances=Tolerances(**tol_values),
             **values,
         )

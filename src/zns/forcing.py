@@ -11,42 +11,32 @@ mode twice with incompatible amplitudes is rejected.  Zonal entries
 (m1 = 0) must have real amplitude; entries with m2 = 0 cannot carry any
 odd-in-y content and are rejected.
 
-Time dependence ("time-periodic" kind): non-zonal coefficients rotate in
-phase as ``exp(i sign(k1) sigma t)``, which keeps the field real and odd in
-y while leaving every mode's modulus constant in time; zonal coefficients
-are held steady, since a phase rotation there is incompatible with the
-symmetry.  Hence all the sup-in-time norms are attained at every t and have
-closed forms.
+Time dependence: a nonzero ``sigma`` makes the forcing time-periodic.
+Non-zonal coefficients rotate in phase as ``exp(i sign(k1) sigma t)``,
+which keeps the field real and odd in y while leaving every mode's modulus
+constant in time; zonal coefficients are held steady, since a phase
+rotation there is incompatible with the symmetry.  Hence all the
+sup-in-time norms are attained at every t and have closed forms.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Iterable
 
 import numpy as np
 
 from .lattice import Domain, SpectralField, _frozen, parity_error, reality_error, sanitize
 
-_DEFAULT_DOMAIN_FOR_NORMS = Domain(2.0 * np.pi, 2.0 * np.pi, 8, 8)
-
 
 @dataclass(frozen=True)
 class ForcingSpec:
-    """Declarative forcing description: mode list, temporal kind, frequency."""
+    """Declarative forcing description: mode list and phase-rotation frequency (0: steady)."""
 
     modes: tuple[tuple[int, int, complex], ...]
-    kind: str = "steady"
     sigma: float = 0.0
-    smoothness_order: int = 2
 
     def __post_init__(self):
-        if self.kind not in ("steady", "time-periodic"):
-            raise ValueError(f"unknown forcing kind {self.kind!r}")
-        if self.kind == "steady" and self.sigma != 0.0:
-            raise ValueError("steady forcing must have sigma = 0")
-        if self.smoothness_order < 0:
-            raise ValueError("smoothness order must be nonnegative")
         object.__setattr__(self, "modes", tuple(
             (int(m1), int(m2), complex(a)) for m1, m2, a in self.modes
         ))
@@ -94,12 +84,7 @@ class ForcingSpec:
         return entries
 
     def scaled(self, factor: float) -> "ForcingSpec":
-        return ForcingSpec(
-            modes=tuple((m1, m2, a * factor) for m1, m2, a in self.modes),
-            kind=self.kind,
-            sigma=self.sigma,
-            smoothness_order=self.smoothness_order,
-        )
+        return replace(self, modes=tuple((m1, m2, a * factor) for m1, m2, a in self.modes))
 
 
 class Forcing:
@@ -128,11 +113,11 @@ class Forcing:
         # Phase-rotation frequency per column: sigma * sign(k1), zonal frozen.
         # One row of N1 values; it broadcasts over the m2 rows.
         sign = np.sign(domain.kx[0])
-        self._rot = (spec.sigma if spec.kind == "time-periodic" else 0.0) * sign
+        self._rot = spec.sigma * sign
 
     @property
     def is_steady(self) -> bool:
-        return self.spec.kind == "steady" or self.spec.sigma == 0.0
+        return self.spec.sigma == 0.0
 
     def __call__(self, t: float) -> SpectralField:
         if self.is_steady:
@@ -156,45 +141,34 @@ def make_forcing(spec: ForcingSpec, domain: Domain) -> Forcing:
     return Forcing(spec, domain)
 
 
-def k_weighted_norm(spec: ForcingSpec, s: float, domain: Domain | None = None) -> float:
+def k_weighted_norm(spec: ForcingSpec, s: float, domain: Domain = Domain()) -> float:
     """Closed-form |grad^s f| of a spec's field (time-independent modulus)."""
-    d = domain if domain is not None else _DEFAULT_DOMAIN_FOR_NORMS
     total = 0.0
     for m1, m2, mod in spec.coefficient_moduli():
-        ksq = (2.0 * np.pi * m1 / d.L1) ** 2 + (2.0 * np.pi * m2 / d.L2) ** 2
+        ksq = (2.0 * np.pi * m1 / domain.L1) ** 2 + (2.0 * np.pi * m2 / domain.L2) ** 2
         total += ksq**s * mod**2
-    return float(np.sqrt(d.area * total))
+    return float(np.sqrt(domain.area * total))
 
 
-def k_s_norm(spec: ForcingSpec, s: int | None = None, domain: Domain | None = None) -> float:
+def k_s_norm(spec: ForcingSpec, s: int = 2, domain: Domain = Domain()) -> float:
     """Smoothness measure sup_t |grad^(s+2) f| + sup_t |grad^s df/dt|.
 
     Closed form: every coefficient modulus is constant in time, so both
-    suprema are attained at every t.  ``s`` defaults to the spec's declared
-    smoothness order; the default domain is the 2pi square.
+    suprema are attained at every t.  Only the domain's periods enter.
     """
-    if s is None:
-        s = spec.smoothness_order
     if s < 0 or s != int(s):
         raise ValueError("s must be a nonnegative integer")
-    d = domain if domain is not None else _DEFAULT_DOMAIN_FOR_NORMS
     spatial = 0.0
     temporal = 0.0
-    dt_rate = spec.sigma if spec.kind == "time-periodic" else 0.0
     for m1, m2, mod in spec.coefficient_moduli():
-        ksq = (2.0 * np.pi * m1 / d.L1) ** 2 + (2.0 * np.pi * m2 / d.L2) ** 2
+        ksq = (2.0 * np.pi * m1 / domain.L1) ** 2 + (2.0 * np.pi * m2 / domain.L2) ** 2
         spatial += ksq ** (s + 2) * mod**2
         if m1 != 0:
-            temporal += (dt_rate * mod) ** 2 * ksq**s
-    area = d.area
-    return float(np.sqrt(area * spatial) + np.sqrt(area * temporal))
+            temporal += (spec.sigma * mod) ** 2 * ksq**s
+    return float(np.sqrt(domain.area * spatial) + np.sqrt(domain.area * temporal))
 
 
-def spec_from_entries(
-    entries: Iterable[tuple[int, int, float, float]],
-    kind: str = "steady",
-    sigma: float = 0.0,
-) -> ForcingSpec:
-    """Build a spec from (m1, m2, re, im) rows, the config-file encoding."""
+def spec_from_entries(entries: Iterable[tuple[int, int, float, float]], **fields) -> ForcingSpec:
+    """Build a spec from (m1, m2, re, im) rows, the config-file encoding; ``fields`` pass on."""
     modes = tuple((int(m1), int(m2), complex(re, im)) for m1, m2, re, im in entries)
-    return ForcingSpec(modes=modes, kind=kind, sigma=sigma)
+    return ForcingSpec(modes=modes, **fields)

@@ -77,7 +77,7 @@ class ExperimentConfig:
     seed: int = 0
     omega0_norm: float = 1.0
     record_every: int = 10
-    blowup_threshold: float = 1e12
+    blowup_threshold: float = SimConfig.blowup_threshold
     tolerances: Tolerances = field(default_factory=Tolerances)
 
     def __post_init__(self):
@@ -167,7 +167,7 @@ def integrate(
     w0: SpectralField,
     t0: float,
     t_end: float,
-    record_every: int = 10,
+    record_every: int = ExperimentConfig.record_every,
     tangent: SpectralField | None = None,
     partner: SpectralField | None = None,
     observe: Callable | None = None,

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, outputs and exit codes."""
 
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -26,7 +27,6 @@ t_spin = 10.0
 t_end = 12.0
 seed = 3
 omega0_norm = 0.5
-forcing.kind = steady
 forcing.mode = 0,1,1.0,0.0
 forcing.mode = 1,1,0.5,0.0
 """
@@ -37,6 +37,14 @@ def config_file(tmp_path):
     path = tmp_path / "bench.cfg"
     path.write_text(TINY_CONFIG)
     return path
+
+
+def _exit_code(argv) -> int:
+    """What ``main`` returns, or the status a usage error exits with."""
+    try:
+        return main(argv)
+    except SystemExit as e:
+        return e.code
 
 
 class TestTriadCheck:
@@ -58,9 +66,10 @@ class TestSimulate:
 
     def test_bad_key_exits_1(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
-        # The last two configs are valid but for their last key, a removed option.
+        # The last three configs are valid but for their last key, a removed option.
         for text in ("nope = 3\n", TINY_CONFIG + "reproject_every = 100\n",
-                     TINY_CONFIG + "advection = false\n"):
+                     TINY_CONFIG + "advection = false\n",
+                     TINY_CONFIG + "forcing.kind = steady\n"):
             path.write_text(text)
             assert main(["simulate", "--config", str(path)]) == 1
             assert "unknown config key" in capsys.readouterr().err
@@ -158,13 +167,18 @@ class TestSimulate:
         assert code == 1
         assert not out2.exists() and not out2.parent.exists()
 
-    @pytest.mark.parametrize("every", ["0", "-0.1", "nan"])
-    def test_bad_snapshot_every_exits_1(self, config_file, tmp_path, capsys, every):
+    # nan is a usage error, refused while the options are parsed.
+    @pytest.mark.parametrize("every,message", [
+        pytest.param("0", "snapshot_every must be positive", id="0"),
+        pytest.param("-0.1", "snapshot_every must be positive", id="-0.1"),
+        pytest.param("nan", "argument --snapshot-every: invalid finite_float value", id="nan"),
+    ])
+    def test_bad_snapshot_every_exits_1(self, config_file, tmp_path, capsys, every, message):
         out = tmp_path / "run"
-        code = main(["simulate", "--config", str(config_file), "--out", str(out),
-                     f"--snapshot-every={every}", "--quiet"])
+        code = _exit_code(["simulate", "--config", str(config_file), "--out", str(out),
+                           f"--snapshot-every={every}", "--quiet"])
         assert code == 1
-        assert "snapshot_every must be positive" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_blowup_exits_2(self, tmp_path, capsys):
@@ -284,6 +298,57 @@ def test_unset_keys_take_the_dataclass_defaults(tmp_path):
     expected = ExperimentConfig(domain=Domain(), mu=1.0, epsilons=(0.1,),
                                 forcing=ForcingSpec(modes=((1, 1, 0.5),)), h=0.01, t_end=12.0)
     assert load_config(path) == expected
+
+
+def _config_setting(key, value):
+    """TINY_CONFIG with every ``key`` line replaced by ``key = value``."""
+    lines = [l for l in TINY_CONFIG.splitlines() if not l.startswith(f"{key} =")]
+    return "\n".join(lines + [f"{key} = {value}"]) + "\n"
+
+
+# (command-line arguments, config text); "CFG" stands for the config file.
+BAD_INPUTS = {
+    "usage:epsilon-abc": (["simulate", "--config", "CFG", "--epsilon", "abc"], TINY_CONFIG),
+    "usage:samples-x": (["agmon-check", "--samples", "x"], TINY_CONFIG),
+    "usage:unknown-flag": (["simulate", "--config", "CFG", "--no-such-flag"], TINY_CONFIG),
+    "nan:epsilon": (["simulate", "--config", "CFG"], _config_setting("epsilon", "nan")),
+    "nan:blowup_threshold": (["simulate", "--config", "CFG"],
+                             _config_setting("blowup_threshold", "nan")),
+    "nan:tol.cfl_max": (["simulate", "--config", "CFG"], _config_setting("tol.cfl_max", "nan")),
+    "inf:t_end": (["simulate", "--config", "CFG"], _config_setting("t_end", "inf")),
+    "inf:l1": (["simulate", "--config", "CFG"], _config_setting("l1", "inf")),
+    "nan:forcing.mode": (["simulate", "--config", "CFG"],
+                         _config_setting("forcing.mode", "1,1,nan,0.0")),
+    "nan:forcing.sigma": (["simulate", "--config", "CFG"], _config_setting("forcing.sigma", "nan")),
+    "nan:--epsilon": (["simulate", "--config", "CFG", "--epsilon", "nan"], TINY_CONFIG),
+    "inf:--l1": (["triad-check", "--l1", "inf"], TINY_CONFIG),
+    "nan:--constant": (["agmon-check", "--samples", "3", "--resolution", "16",
+                        "--constant", "nan"], TINY_CONFIG),
+    "repeated:mu": (["simulate", "--config", "CFG"], TINY_CONFIG + "mu = 5.0\n"),
+}
+
+
+@pytest.mark.parametrize("argv,text", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
+def test_bad_input_exits_1(argv, text, tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    argv = [str(cfg) if a == "CFG" else a for a in argv] + ["--out", str(out)]
+    assert _exit_code(argv) == 1
+    assert "error: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_benchmark_workload_configs_round_trip(tmp_path):
+    # Each workload's config must read back from its .cfg text unchanged;
+    # the benchmark's simulate workload refuses to start otherwise.
+    root = Path(__file__).resolve().parent.parent
+    workloads = runpy.run_path(str(root / "perfbench" / "workloads.py"))
+    for w in workloads["WORKLOADS"].values():
+        config = workloads["experiment_config"](w, workloads["DEFAULT_SEED"])
+        path = tmp_path / f"{w.name}.cfg"
+        path.write_text(workloads["config_text"](config))
+        assert load_config(path) == config, w.name
 
 
 def test_cli_import_does_not_load_scipy():

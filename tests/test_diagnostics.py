@@ -195,9 +195,7 @@ class TestApproxSteadyState:
 
     def test_requires_steady_forcing(self):
         d = Domain(N1=16, N2=16)
-        periodic = make_forcing(
-            ForcingSpec(modes=((1, 1, 0.5),), kind="time-periodic", sigma=1.0), d
-        )
+        periodic = make_forcing(ForcingSpec(modes=((1, 1, 0.5),), sigma=1.0), d)
         with pytest.raises(ValueError):
             approx_steady_state(periodic, 0.5, 0.1)
         with pytest.raises(ValueError):

@@ -41,12 +41,6 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             make_forcing(ForcingSpec(modes=((0, 3, 1.0),)), Domain(N1=8, N2=8))
 
-    def test_rejects_unknown_kind_and_bad_sigma(self):
-        with pytest.raises(ValueError):
-            ForcingSpec(modes=((0, 1, 1.0),), kind="random")
-        with pytest.raises(ValueError):
-            ForcingSpec(modes=((0, 1, 1.0),), kind="steady", sigma=2.0)
-
 
 class TestEvaluation:
     def test_zonal_pair_is_purely_zonal(self):
@@ -75,7 +69,7 @@ class TestEvaluation:
 
     def test_periodic_modulus_constant_and_derivative(self):
         d = Domain(N1=16, N2=16)
-        spec = ForcingSpec(modes=((1, 1, 0.5), (2, 1, 0.25j)), kind="time-periodic", sigma=1.5)
+        spec = ForcingSpec(modes=((1, 1, 0.5), (2, 1, 0.25j)), sigma=1.5)
         forcing = make_forcing(spec, d)
         f0, f1 = forcing(0.0), forcing(0.9)
         assert np.allclose(np.abs(f0.coeffs), np.abs(f1.coeffs), atol=1e-15)
@@ -90,8 +84,11 @@ class TestEvaluation:
     def test_periodic_phase_matches_full_width_formula(self):
         d = Domain(N1=16, N2=12)
         modes = ((0, 1, 1.0), (1, 1, 0.5), (2, 1, 0.25j))
-        forcing = make_forcing(ForcingSpec(modes, kind="time-periodic", sigma=1.5), d)
-        base = make_forcing(ForcingSpec(modes), d).coeffs_at(0.0)
+        # sigma alone makes a spec time-periodic; without it the spec is steady.
+        forcing = make_forcing(ForcingSpec(modes, sigma=1.5), d)
+        steady = make_forcing(ForcingSpec(modes), d)
+        assert not forcing.is_steady and steady.is_steady
+        base = steady.coeffs_at(0.0)
         rot = 1.5 * np.sign(d.kx)  # one frequency per (m2, m1) entry
         assert forcing._rot.shape == (d.N1,)
         for t in (0.0, 0.37, 12.5):
@@ -101,7 +98,7 @@ class TestEvaluation:
 
     def test_periodic_keeps_zonal_part_steady(self):
         d = Domain(N1=16, N2=16)
-        spec = ForcingSpec(modes=((0, 1, 1.0), (1, 1, 0.5)), kind="time-periodic", sigma=2.0)
+        spec = ForcingSpec(modes=((0, 1, 1.0), (1, 1, 0.5)), sigma=2.0)
         forcing = make_forcing(spec, d)
         z0, _ = split(forcing(0.0))
         z1, _ = split(forcing(1.234))
@@ -123,9 +120,9 @@ class TestEvaluation:
             seen.add((m1, m2))
             amp = complex(rng.normal(), 0.0 if m1 == 0 else rng.normal())
             modes.append((m1, m2, amp))
-        kind = "time-periodic" if rng.random() < 0.5 else "steady"
-        sigma = float(rng.uniform(0.1, 3.0)) if kind == "time-periodic" else 0.0
-        forcing = make_forcing(ForcingSpec(modes=tuple(modes), kind=kind, sigma=sigma), d)
+        periodic = rng.random() < 0.5
+        sigma = float(rng.uniform(0.1, 3.0)) if periodic else 0.0
+        forcing = make_forcing(ForcingSpec(modes=tuple(modes), sigma=sigma), d)
         t = float(rng.uniform(0, 10))
         f = forcing(t)
         assert f.coeffs[0, 0] == 0.0
@@ -141,9 +138,8 @@ def test_bulk_invariant_ensemble():
         m1 = int(rng.integers(0, 3))
         m2 = int(rng.integers(1, 3))
         amp = complex(rng.normal(), 0.0 if m1 == 0 else rng.normal())
-        kind = "time-periodic" if rng.random() < 0.5 else "steady"
-        sigma = 1.0 if kind == "time-periodic" else 0.0
-        forcing = make_forcing(ForcingSpec(((m1, m2, amp),), kind, sigma), d)
+        sigma = 1.0 if rng.random() < 0.5 else 0.0
+        forcing = make_forcing(ForcingSpec(((m1, m2, amp),), sigma), d)
         f = forcing(float(rng.uniform(0, 5)))
         assert f.coeffs[0, 0] == 0.0
         assert parity_error(f) < 1e-14
@@ -165,15 +161,14 @@ class TestKsNorm:
     def test_temporal_part_linear_in_sigma(self):
         d = Domain(N1=16, N2=16)
         base = ForcingSpec(modes=((1, 1, 1.0),))
-        k1 = k_s_norm(ForcingSpec(base.modes, "time-periodic", 1.0), 0, d)
-        k2 = k_s_norm(ForcingSpec(base.modes, "time-periodic", 2.0), 0, d)
+        k1 = k_s_norm(ForcingSpec(base.modes, sigma=1.0), 0, d)
+        k2 = k_s_norm(ForcingSpec(base.modes, sigma=2.0), 0, d)
         spatial = k_s_norm(base, 0, d)
         assert (k2 - spatial) == pytest.approx(2.0 * (k1 - spatial), rel=1e-13)
 
     def test_matches_field_norms(self):
         d = Domain(N1=32, N2=32)
-        spec = ForcingSpec(modes=((0, 1, 1.0), (1, 1, 0.5), (2, 3, 1.0 - 0.5j)),
-                           kind="time-periodic", sigma=0.7)
+        spec = ForcingSpec(modes=((0, 1, 1.0), (1, 1, 0.5), (2, 3, 1.0 - 0.5j)), sigma=0.7)
         forcing = make_forcing(spec, d)
         for s in (0, 1, 2):
             want = sobolev_norm(forcing(0.0), s + 2) + sobolev_norm(forcing.derivative(0.0), s)
@@ -185,9 +180,7 @@ class TestKsNorm:
 
     def test_order_defaults_to_declared_smoothness(self):
         d = Domain(N1=16, N2=16)
-        assert k_s_norm(BENCHMARK, domain=d) == k_s_norm(
-            BENCHMARK, BENCHMARK.smoothness_order, d
-        )
+        assert k_s_norm(BENCHMARK, domain=d) == k_s_norm(BENCHMARK, 2, d)
 
 
 class TestGrashofCoupling:
@@ -205,6 +198,8 @@ class TestGrashofCoupling:
 
 
 def test_spec_from_entries_roundtrip():
-    spec = spec_from_entries([(0, 1, 1.0, 0.0), (1, 1, 0.5, -0.25)], "time-periodic", 0.3)
+    rows = [(0, 1, 1.0, 0.0), (1, 1, 0.5, -0.25)]
+    spec = spec_from_entries(rows, sigma=0.3)
     assert spec.modes == ((0, 1, 1.0 + 0.0j), (1, 1, 0.5 - 0.25j))
-    assert spec.kind == "time-periodic" and spec.sigma == 0.3
+    assert spec.sigma == 0.3
+    assert spec_from_entries(rows) == ForcingSpec(spec.modes)

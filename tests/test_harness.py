@@ -222,9 +222,7 @@ class TestEpsilonSweep:
         assert not record.violations
 
     def test_time_periodic_forcing_sweep(self):
-        periodic = ForcingSpec(
-            modes=((0, 1, 1.0), (1, 1, 0.5)), kind="time-periodic", sigma=1.0
-        )
+        periodic = ForcingSpec(modes=((0, 1, 1.0), (1, 1, 0.5)), sigma=1.0)
         cfg = tiny_config(forcing=periodic, epsilons=(0.2, 0.1), t_end=12.0)
         record = run_epsilon_sweep(cfg)
         rows = record.summary["per_epsilon"]
@@ -305,7 +303,7 @@ class TestContraction:
         assert any("THEOREM-VIOLATION" in v for v in record.violations)
 
     def test_requires_steady_forcing(self):
-        periodic = ForcingSpec(modes=((1, 1, 0.5),), kind="time-periodic", sigma=1.0)
+        periodic = ForcingSpec(modes=((1, 1, 0.5),), sigma=1.0)
         cfg = tiny_config(forcing=periodic)
         with pytest.raises(ValueError, match="steady"):
             run_contraction_test(cfg)

@@ -703,8 +703,7 @@ class TestSteadyForcingView:
 @pytest.mark.parametrize("odd", [True, False], ids=["odd", "not-odd"])
 def test_forcing_evaluated_once_per_distinct_time(sigma, odd, rng):
     d = Domain(N1=16, N2=16)
-    kind = "time-periodic" if sigma else "steady"
-    forcing = make_forcing(ForcingSpec(TestSteadyForcingView.SPEC.modes, kind, sigma), d)
+    forcing = make_forcing(ForcingSpec(TestSteadyForcingView.SPEC.modes, sigma), d)
     times = []
 
     def counted(t):
