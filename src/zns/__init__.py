@@ -69,6 +69,7 @@ from .stepper import (
     BlowUpError,
     EtdCoefficients,
     LinearSymbol,
+    OddQuarter,
     SimConfig,
     Stepper,
     budget_residual,

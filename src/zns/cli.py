@@ -58,7 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="single run: snapshots plus diagnostics CSV")
     _add_common(p, needs_config=True)
-    p.add_argument("--epsilon", type=finite_float, default=None, help="run at this epsilon")
+    p.add_argument("--epsilon", type=float, default=None, help="run at this epsilon")
     p.add_argument("--resume", type=Path, default=None, help="resume from a ZNS1 snapshot")
     p.add_argument("--snapshot-every", type=finite_float, default=None, metavar="T")
 
@@ -68,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("contraction", help="two-trajectory and tangent contraction test")
     _add_common(p, needs_config=True)
-    p.add_argument("--epsilon", type=finite_float, default=None)
+    p.add_argument("--epsilon", type=float, default=None)
 
     p = sub.add_parser("steady-residual", help="first-order steady-state residual sweep")
     _add_common(p, needs_config=True)
@@ -76,8 +76,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("triad-check", help="exhaustive zonal-triad identity scan")
     _add_common(p, needs_config=False)
     p.add_argument("--max-k", type=int, default=16)
-    p.add_argument("--l1", type=finite_float, default=2.0 * np.pi)
-    p.add_argument("--l2", type=finite_float, default=2.0 * np.pi)
+    p.add_argument("--l1", type=float, default=2.0 * np.pi)
+    p.add_argument("--l2", type=float, default=2.0 * np.pi)
 
     p = sub.add_parser("agmon-check", help="sup-norm inequality ensemble")
     _add_common(p, needs_config=False)

@@ -3,7 +3,8 @@
 Format: one ``key = value`` pair per line, ``#`` comments, blank lines
 ignored.  Only ``forcing.mode`` may repeat, one ``m1,m2,re,im`` entry per
 line; any other key set twice is an error, and every real number must be
-finite.  Keys mirror :class:`zns.harness.ExperimentConfig`:
+finite (the dataclasses refuse any other).  Keys mirror
+:class:`zns.harness.ExperimentConfig`:
 
     n1, n2            mode counts (default 64)
     l1, l2            periods (default 2*pi)
@@ -34,20 +35,19 @@ from .lattice import Domain
 
 
 def finite_float(text: str) -> float:
-    """Parse a real number, rejecting nan and infinities."""
+    """Parse a real number, rejecting nan and infinities: for options that reach no dataclass."""
     value = float(text)
     if not math.isfinite(value):
         raise ValueError(f"expected a finite number, got {text!r}")
     return value
 
 
-_TOL_TYPES = {f.name: finite_float if isinstance(f.default, float) else type(f.default)
-              for f in fields(Tolerances)}
+_TOL_TYPES = {f.name: type(f.default) for f in fields(Tolerances)}
 
 _SCALARS = {
-    "n1": int, "n2": int, "l1": finite_float, "l2": finite_float, "mu": finite_float,
-    "h": finite_float, "t_end": finite_float, "t_spin": finite_float, "seed": int,
-    "omega0_norm": finite_float, "record_every": int, "blowup_threshold": finite_float,
+    "n1": int, "n2": int, "l1": float, "l2": float, "mu": float,
+    "h": float, "t_end": float, "t_spin": float, "seed": int,
+    "omega0_norm": float, "record_every": int, "blowup_threshold": float,
 }
 
 _DOMAIN_FIELDS = {"n1": "N1", "n2": "N2", "l1": "L1", "l2": "L2"}
@@ -94,15 +94,14 @@ def build_config(entries: list[tuple[str, str]], overrides: dict | None = None) 
             if key in _SCALARS:
                 values[key] = _SCALARS[key](value)
             elif key == "epsilon":
-                values["epsilon"] = tuple(finite_float(v) for v in value.split(","))
+                values["epsilon"] = tuple(float(v) for v in value.split(","))
             elif key == "forcing.sigma":
-                forcing_values["sigma"] = finite_float(value)
+                forcing_values["sigma"] = float(value)
             elif key == "forcing.mode":
                 parts = value.split(",")
                 if len(parts) != 4:
                     raise ConfigError(f"forcing.mode needs m1,m2,re,im; got {value!r}")
-                modes.append((int(parts[0]), int(parts[1]),
-                              finite_float(parts[2]), finite_float(parts[3])))
+                modes.append((int(parts[0]), int(parts[1]), float(parts[2]), float(parts[3])))
             elif key.startswith("tol."):
                 name = key[4:]
                 if name not in _TOL_TYPES:
@@ -122,12 +121,11 @@ def build_config(entries: list[tuple[str, str]], overrides: dict | None = None) 
     if not modes:
         raise ConfigError("at least one forcing.mode entry is required")
 
-    domain = Domain(**{name: values.pop(key)
-                       for key, name in _DOMAIN_FIELDS.items() if key in values})
+    domain = {name: values.pop(key) for key, name in _DOMAIN_FIELDS.items() if key in values}
     values["epsilons"] = values.pop("epsilon")
     try:
         return ExperimentConfig(
-            domain=domain,
+            domain=Domain(**domain),
             forcing=spec_from_entries(modes, **forcing_values),
             tolerances=Tolerances(**tol_values),
             **values,

@@ -13,8 +13,9 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .forcing import Forcing, ForcingSpec, k_weighted_norm
-from .lattice import Domain, SpectralField, _half_power, _irfft2, inner, norm, to_grid
-from .operators import apply_A, apply_I_omega, apply_inv_laplacian, apply_L, jacobian, split
+from .lattice import Domain, SpectralField, _require_odd, inner, norm, to_grid
+from .operators import _odd_grid, apply_A, apply_I_omega, apply_inv_laplacian, apply_L, jacobian
+from .operators import split
 
 
 def sobolev_norm(f: SpectralField, s: float) -> float:
@@ -192,20 +193,27 @@ assert CSV_COLUMNS == [
 
 
 def record_state(w: SpectralField, t: float, budget: float = 0.0) -> DiagnosticsRecord:
-    """Standard diagnostics of one state: ``norm``/``sobolev_norm`` of ``w`` and its
-    ``split`` parts and ``velocity(w).max_speed()``, in one pass over ``|c_k|^2``
-    on the m1 >= 0 half (m1 > 0 columns counted twice).
+    """Standard diagnostics of one exactly odd state (``ValueError`` for any other):
+    ``norm``/``sobolev_norm`` of ``w`` and its ``split`` parts and ``velocity(w).max_speed()``.
 
-    Zonal modes are column m1 = 0, fast modes the other columns.
+    Power sums are twice the sums of ``|c_k|^2`` over the m2 > 0 quarter (m1 > 0
+    columns counted twice; zonal modes are column m1 = 0).  ``u`` is even in y and
+    ``v`` odd, so with ``g = u + v`` one transform gives ``u^2 + v^2 = (g(y)^2 + g(-y)^2)/2``.
     """
     d = w.domain
-    half = w.coeffs[:, : d.N1 // 2 + 1]
-    p = _half_power(d, w.coeffs)
-    ksq = d.ksq[:, : d.N1 // 2 + 1]
+    q = _require_odd(w)
+    rows = np.s_[1 : d.N2 // 2, : d.N1 // 2 + 1]
+    p = np.square(q.real) + np.square(q.imag)
+    p *= d._half_weight[rows]
+    ksq = d.ksq[rows]
     kp = ksq * p
-    to_u, to_v = d._advect_tables[:2]
-    speed = np.hypot(_irfft2(d, to_u * half), _irfft2(d, to_v * half))
-    area = d.area
+    g, flipped = d._work.grids
+    _odd_grid(d, d._odd_advect_tables[0], q, out=g)
+    np.take(g, d._flip_m2, axis=0, out=flipped)  # row of -y
+    np.square(g, out=g)
+    np.square(flipped, out=flipped)
+    g += flipped
+    area = 2.0 * d.area
     return DiagnosticsRecord(
         t=t,
         enstrophy=float(area * p.sum()),
@@ -215,5 +223,5 @@ def record_state(w: SpectralField, t: float, budget: float = 0.0) -> Diagnostics
         fast_h1_sq=float(area * kp[:, 1:].sum()),
         fast_h2_sq=float(area * (ksq[:, 1:] * kp[:, 1:]).sum()),
         budget_residual=budget,
-        max_velocity=float(speed.max()),
+        max_velocity=math.sqrt(0.5 * float(g.max())),
     )

@@ -26,7 +26,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .lattice import Domain, SpectralField, _frozen, parity_error, reality_error, sanitize
+from .lattice import Domain, SpectralField, _frozen, _require_finite, parity_error, reality_error
+from .lattice import sanitize
 
 
 @dataclass(frozen=True)
@@ -40,6 +41,7 @@ class ForcingSpec:
         object.__setattr__(self, "modes", tuple(
             (int(m1), int(m2), complex(a)) for m1, m2, a in self.modes
         ))
+        _require_finite(sigma=self.sigma, amplitudes=tuple(a for _, _, a in self.modes))
 
     def canonical_modes(self) -> dict[tuple[int, int], complex]:
         """Fold listed entries to canonical keys (m1 >= 0, m2 > 0); validate."""

@@ -35,6 +35,7 @@ from .lattice import (
     Domain,
     SpectralField,
     _atomic_open,
+    _require_finite,
     norm,
     parity_error,
     project_parity,
@@ -44,7 +45,7 @@ from .lattice import (
     write_snapshot,
 )
 from .operators import TriadReport, apply_I_omega, apply_inv_laplacian, split, velocity
-from .stepper import BlowUpError, SimConfig, Stepper, budget_residual
+from .stepper import BlowUpError, OddQuarter, SimConfig, Stepper, budget_residual
 
 EPS_FLOOR = 100.0 * np.finfo(float).eps
 
@@ -62,6 +63,8 @@ class Tolerances:
     cfl_max: float = 0.5            # advective CFL ceiling used to validate h
     monotone_slack: float = 1e-6    # relative slack in monotonicity comparisons
 
+    def __post_init__(self):
+        _require_finite(**asdict(self))
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -81,6 +84,9 @@ class ExperimentConfig:
     tolerances: Tolerances = field(default_factory=Tolerances)
 
     def __post_init__(self):
+        _require_finite(mu=self.mu, epsilons=self.epsilons, h=self.h, t_end=self.t_end,
+                        t_spin=0.0 if self.t_spin is None else self.t_spin,
+                        omega0_norm=self.omega0_norm, blowup_threshold=self.blowup_threshold)
         if self.mu <= 0:
             raise ValueError("mu must be positive")
         if not self.epsilons:
@@ -177,9 +183,11 @@ def integrate(
     Diagnostics of ``w`` (with the enstrophy-budget residual of the step) are
     recorded at t0, every record_every steps and at t_end.  An optional
     ``tangent`` is propagated along ``w`` by the linearized step, and an
-    optional ``partner`` trajectory advances in lockstep.  After each step
-    ``observe(t, w, tangent, partner, recorded)`` is called, where
-    ``recorded`` says whether a diagnostics record was just taken.
+    optional ``partner`` trajectory advances in lockstep.  All three must be
+    exactly odd in y, and step as ``OddQuarter``s.  After each step
+    ``observe(t, w, tangent, partner, recorded)`` is called with those
+    (``.field`` builds a full field), where ``recorded`` says whether a
+    diagnostics record was just taken.
 
     Steps are counted from t = 0 (step i ends at ``i h``, cadences count i),
     so a resumed run repeats the uninterrupted one bit for bit; t0 and
@@ -197,8 +205,10 @@ def integrate(
         raise ValueError(
             f"t_end - t0 = {t_end - t0!r} is not a whole number of steps of h={h!r}"
         )
-    w = w0
-    records = [record_state(w, t0, budget=0.0)]
+    w = OddQuarter.of(w0)
+    tangent = None if tangent is None else OddQuarter.of(tangent)
+    partner = None if partner is None else OddQuarter.of(partner)
+    records = [record_state(w0, t0, budget=0.0)]
     for i in range(n0 + 1, n0 + n_steps + 1):
         t_prev, t = (i - 1) * h, i * h
         w_prev = w
@@ -211,10 +221,10 @@ def integrate(
         recorded = i % record_every == 0 or i == n0 + n_steps
         if recorded:
             b = budget_residual(w_prev, w, t_prev, h, forcing, stepper.config)
-            records.append(record_state(w, t, budget=b))
+            records.append(record_state(w.field, t, budget=b))
         if observe is not None:
             observe(t, w, tangent, partner, recorded)
-    return w, records
+    return w.field, records
 
 
 # ---------------------------------------------------------------------------
@@ -452,8 +462,8 @@ def run_contraction_test(
 
     def observe(t, w1, phi, w2, recorded):
         if recorded:
-            distance.append((t, norm(w1 - w2)))
-            tangent.append((t, norm(phi)))
+            distance.append((t, norm(w1.field - w2.field)))
+            tangent.append((t, norm(phi.field)))
 
     _, records = integrate(
         stepper, forcing, w1, 0.0, config.t_end, config.record_every,
@@ -597,7 +607,8 @@ def simulate(
         w0 = project_parity(w0)
     else:
         w0 = initial_state(config.domain, config.seed, config.omega0_norm)
-    # Only now, so that a rejected resume leaves no directory behind.
+    stepper = Stepper(config.domain, config.sim_config(eps), config.h)
+    # Only now, so that a rejected resume or epsilon leaves no directory behind.
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -609,10 +620,9 @@ def simulate(
         def observe(t, w, tangent, partner, recorded):
             nonlocal next_snapshot
             if t + 1e-12 >= next_snapshot:
-                write_snapshot(out / f"state_t{t:.6f}.zns", w, eps, config.mu, t)
+                write_snapshot(out / f"state_t{t:.6f}.zns", w.field, eps, config.mu, t)
                 next_snapshot += snapshot_every
 
-    stepper = Stepper(config.domain, config.sim_config(eps), config.h)
     w, records = integrate(
         stepper, forcing, w0, t0, config.t_end, config.record_every, observe=observe
     )

@@ -13,17 +13,17 @@ Conventions (fixed throughout the package):
 * The collocation grid is ``x_j = j L1/N1`` and ``y_j = -L2/2 + j L2/N2``,
   so grid row 0 sits on the line ``y = -L2/2``.
 * Grid fields are real, so a coefficient array is Hermitian,
-  ``c(-k) = conj(c(k))``; a time step reads only its ``m1 >= 0`` half and
-  returns the exact Hermitian ``_unfold`` of the new half.  The grid transform
-  (numpy's ``irfft2``) reads only the ``m1 >= 0`` half too, and the spectral
-  transform (``rfft2``) fills the ``m1 < 0`` half as the exact conjugate
-  mirror.  Each applies the y-phase ``(-1)^m2`` of the grid offset around a
-  raw transform; the advection tables carry that phase and use the raw pair.
+  ``c(-k) = conj(c(k))``.  The grid transform (numpy's ``irfftn``) reads
+  only the ``m1 >= 0`` half, and the spectral transform (``rfft2``) fills
+  the ``m1 < 0`` half as the exact conjugate mirror (``_unfold``).  Each
+  applies the y-phase ``(-1)^m2`` of the grid offset around a raw
+  transform; the advection tables carry that phase and use the raw pair.
 * A field odd in y has ``c(m1, -m2) = -c(m1, m2)``, so its half is fixed by
   the ``m2 > 0`` rows, the quarter ``(N2/2 - 1, N1/2 + 1)``; its m2 = 0 and
-  Nyquist rows are zero and its m1 = 0 column is imaginary.  A step whose
-  input is exactly odd runs on the quarter (``_odd_quarter``) and expands
-  it once, by ``_odd_half``, so an odd trajectory stays odd bit for bit.
+  Nyquist rows are zero and its m1 = 0 column is imaginary.  The solver
+  keeps only exactly odd fields: a trajectory's state is its quarter
+  (``_require_odd`` takes it from a field, refusing any other), and
+  ``_odd_half`` and ``_unfold`` expand it to a full field where one is needed.
 * Parseval: the grid mean square of ``w`` equals ``sum_k |c_k|^2`` and the
   L2 norm satisfies ``|w|^2 = L1 L2 sum_k |c_k|^2``.
 * The Nyquist row/column (``m = -N/2``) cannot be paired Hermitianly and is
@@ -32,12 +32,14 @@ Conventions (fixed throughout the package):
 
 from __future__ import annotations
 
+import cmath
 import os
 import struct
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -51,6 +53,13 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _require_finite(**values) -> None:
+    """ValueError naming the first keyword whose value (a number or a tuple) is not finite."""
+    for name, value in values.items():
+        if not all(cmath.isfinite(x) for x in (value if isinstance(value, tuple) else (value,))):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Domain:
     """Rectangular periodic domain [0, L1) x [-L2/2, L2/2) with an N1 x N2 grid."""
@@ -61,6 +70,7 @@ class Domain:
     N2: int = 64
 
     def __post_init__(self):
+        _require_finite(L1=self.L1, L2=self.L2)
         if not (self.L1 > 0 and self.L2 > 0):
             raise ValueError("domain lengths must be positive")
         for n in (self.N1, self.N2):
@@ -78,6 +88,7 @@ class Domain:
 
     # The cached arrays below are shared by every user of the domain and are
     # read-only; derive new arrays from them instead of writing into them.
+    # The one exception is ``_work``, the quarter kernel's scratch space.
 
     @cached_property
     def m1(self) -> np.ndarray:
@@ -174,6 +185,16 @@ class Domain:
         sign = np.where(self.m2 < 0, -1.0, 1.0)[:, None]
         mask = 0.5 * self._advect_mask[1 : self.N2 // 2]
         return _frozen(sign * (to_u + to_v)), _frozen(sign * (to_dx + to_dy)), _frozen(mask)
+
+    @cached_property
+    def _work(self) -> SimpleNamespace:
+        """Scratch of the quarter kernel, consumed within each call, so a step allocates no
+        grid-sized array: the half ``spectrum`` of an inverse transform (its m2 = 0 and Nyquist
+        rows stay zero), two real ``grids`` and the ``coeffs`` of a forward transform."""
+        half = (self.N2, self.N1 // 2 + 1)
+        return SimpleNamespace(spectrum=np.zeros(half, dtype=np.complex128),
+                               grids=np.empty((2, self.N2, self.N1)),
+                               coeffs=np.empty(half, dtype=np.complex128))
 
     @cached_property
     def _half_weight(self) -> np.ndarray:
@@ -323,14 +344,17 @@ def sanitize(f: SpectralField) -> SpectralField:
     return f
 
 
-def _irfft2(d: Domain, H: np.ndarray) -> np.ndarray:
-    """Raw inverse transform of half-width ``(N2, N1//2 + 1)`` coefficients, no y-phase."""
-    return np.fft.irfft2(H, s=(d.N2, d.N1), norm="forward")
+def _irfft2(d: Domain, H: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Raw inverse transform of half-width ``(N2, N1//2 + 1)`` coefficients, no y-phase.
+
+    ``irfftn``, since ``irfft2`` (numpy 2.4) ignores ``out`` and returns a fresh array.
+    """
+    return np.fft.irfftn(H, s=(d.N2, d.N1), axes=(0, 1), norm="forward", out=out)
 
 
-def _rfft2(d: Domain, V: np.ndarray) -> np.ndarray:
+def _rfft2(d: Domain, V: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Raw forward transform of real grid values to half-width coefficients, no y-phase."""
-    return np.fft.rfft2(V, norm="forward")
+    return np.fft.rfft2(V, norm="forward", out=out)
 
 
 def _unfold(d: Domain, half: np.ndarray) -> np.ndarray:
@@ -365,6 +389,15 @@ def _odd_quarter(d: Domain, H: np.ndarray) -> np.ndarray | None:
     if H[0].any() or H[n2].any() or (Q + H[:n2:-1]).any() or Q.real[:, 0].any():
         return None
     return Q
+
+
+def _require_odd(f: SpectralField) -> np.ndarray:
+    """The m2 > 0 quarter of ``f``; ValueError unless its half is exactly odd in y."""
+    d = f.domain
+    quarter = _odd_quarter(d, f.coeffs[:, : d.N1 // 2 + 1])
+    if quarter is None:
+        raise ValueError("field is not exactly odd in y (project_parity makes it odd)")
+    return quarter
 
 
 def _odd_half(d: Domain, Q: np.ndarray) -> np.ndarray:
@@ -429,15 +462,6 @@ def reality_error(f: SpectralField) -> float:
 def dealias_mask(domain: Domain) -> np.ndarray:
     """Per-mode boolean 2/3-rule mask (True = retained after products)."""
     return domain.dealias.copy()
-
-
-def _half_power(d: Domain, C: np.ndarray) -> np.ndarray:
-    """``|c|^2`` on the m1 >= 0 columns of Hermitian ``C``, the m1 > 0 columns
-    doubled, so that sums over it equal sums of ``|C|^2`` over the full array."""
-    half = C[:, : d.N1 // 2 + 1]
-    p = np.square(half.real) + np.square(half.imag)
-    p *= d._half_weight
-    return p
 
 
 def norm(f: SpectralField) -> float:

@@ -11,11 +11,12 @@ coefficient convention, per mode k:
 * ``advection B(a, b) = velocity(a) . grad(b)``, evaluated pseudo-spectrally
   with the 2/3 rule; the analytic triad coefficient is
   B_jkl = |M| (j1 k2 - j2 k1)/|j|^2 when j + k = l.  The kernel
-  ``_advect_raw`` dispatches on the shape of its input: full or half-width
-  coefficients take five real transforms, the m2 > 0 quarter of odd-in-y
-  fields three.  The quarter kernel is the composition of two helpers, the
+  ``_advect_raw`` takes full coefficients (for ``jacobian``: five real
+  transforms) or the m2 > 0 quarters of odd-in-y fields, the solver's state
+  (three).  The quarter kernel is the composition of two helpers, the
   grids of quarters times the tables (``_odd_grids``) and the odd part of a
-  grid product (``_odd_part``), which the tangent step also uses on its own.
+  grid product (``_odd_part``), which the step also uses on its own; they
+  work in the domain's reused buffers (``Domain._work``).
 
 Resonance tests (Omega_j + Omega_k = 0) are decided on integer lattice
 indices, never on floats: for zonal targets (j + k = l, l1 = 0, so
@@ -124,18 +125,18 @@ def divergence(vel: VelocityField) -> SpectralField:
 def _advect_raw(d: Domain, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Dealiased pseudo-spectral B(a, b) = velocity(a).grad(b) on raw coefficients.
 
-    ``A`` and ``B`` are coefficients of real fields: full ``(N2, N1)``, their
-    m1 >= 0 halves, or, for fields odd in y, their m2 > 0 quarters
-    ``(N2/2 - 1, N1/2 + 1)``.  The output has the shape of the input and is
-    chosen by it: full-width input gives the full Hermitian result, half-width
-    input its half, both from five raw transforms; quarter input gives the
-    quarter of the (odd) result from three (``_advect_odd``).  The y-phase is
-    in the tables and in ``d._advect_mask`` (with the 2/3 rule and the zero
-    mean), so the transforms are the raw pair.
+    ``A`` and ``B`` are the full ``(N2, N1)`` coefficients of real fields, or,
+    for fields odd in y, their m2 > 0 quarters ``(N2/2 - 1, N1/2 + 1)``; the
+    output has the shape of the input.  Full input gives the full Hermitian
+    result from five raw transforms of the m1 >= 0 halves; quarter input
+    gives the quarter of the (odd) result from three (``_advect_odd``).  The
+    y-phase is in the tables and in ``d._advect_mask`` (with the 2/3 rule and
+    the zero mean), so the transforms are the raw pair.
     """
     if A.shape[0] != d.N2:
         return _advect_odd(d, A, B)
-    full = A.shape[1] == d.N1
+    if A.shape[1] != d.N1:
+        raise ValueError(f"coefficients of shape {A.shape} are neither full nor a quarter")
     half = np.s_[:, : d.N1 // 2 + 1]
     A, B = A[half], B[half]
     to_u, to_v, to_dx, to_dy = d._advect_tables
@@ -152,7 +153,7 @@ def _advect_raw(d: Domain, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     # Column m1 = 0 holds m2 and -m2: mirror it, so the half is exactly Hermitian.
     n2 = d.N2 // 2
     np.conjugate(out[n2 - 1 : 0 : -1, 0], out=out[n2 + 1 :, 0])
-    return _unfold(d, out) if full else out
+    return _unfold(d, out)
 
 
 def _advect_odd(d: Domain, A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -163,27 +164,31 @@ def _advect_odd(d: Domain, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     exactly the former.  The result is the quarter of an exactly odd field,
     with its m1 = 0 column imaginary, so it is Hermitian too once expanded.
     """
-    grid, other = _odd_grids(d, A, B)
+    grid, other = _odd_grids(d, A, B, out=d._work.grids)
     grid *= other
     return _odd_part(d, grid)
 
 
-def _odd_grids(d: Domain, A: np.ndarray, B: np.ndarray | None = None) -> list[np.ndarray]:
-    """The grids ``u + v`` of quarter ``A`` and ``bx + by`` of quarter ``B`` (default ``A``).
-
-    Two raw inverse transforms of half-width spectra: a table of
-    ``d._odd_advect_tables`` times the quarter on rows m2 > 0 and, mirrored,
-    on rows m2 < 0; rows m2 = 0 and -N2/2 stay zero.
-    """
-    to_uv, to_dxy, _ = d._odd_advect_tables
+def _odd_grid(d: Domain, table: np.ndarray, C: np.ndarray, out=None) -> np.ndarray:
+    """Raw inverse transform (into ``out`` if given) of the half spectrum that holds a
+    table of ``d._odd_advect_tables`` times quarter ``C`` on rows m2 > 0 and, mirrored,
+    on rows m2 < 0; rows m2 = 0 and -N2/2 stay zero."""
     n2 = d.N2 // 2
-    S = np.zeros((d.N2, A.shape[1]), dtype=np.complex128)
-    grids = []
-    for table, C in ((to_uv, A), (to_dxy, A if B is None else B)):
-        np.multiply(table[1:n2], C, out=S[1:n2])
-        np.multiply(table[:n2:-1], C, out=S[:n2:-1])
-        grids.append(_irfft2(d, S))
-    return grids
+    S = d._work.spectrum
+    np.multiply(table[1:n2], C, out=S[1:n2])
+    np.multiply(table[:n2:-1], C, out=S[:n2:-1])
+    return _irfft2(d, S, out=out)
+
+
+def _odd_grids(d: Domain, A: np.ndarray, B: np.ndarray | None = None, out=None) -> np.ndarray:
+    """The grids ``u + v`` of quarter ``A`` and ``bx + by`` of quarter ``B`` (default ``A``),
+    stacked in ``out`` if given, else in a new ``(2, N2, N1)`` array."""
+    to_uv, to_dxy, _ = d._odd_advect_tables
+    if out is None:
+        out = np.empty((2, d.N2, d.N1))
+    _odd_grid(d, to_uv, A, out=out[0])
+    _odd_grid(d, to_dxy, A if B is None else B, out=out[1])
+    return out
 
 
 def _odd_part(d: Domain, grid: np.ndarray) -> np.ndarray:
@@ -193,7 +198,7 @@ def _odd_part(d: Domain, grid: np.ndarray) -> np.ndarray:
     expands to an exactly odd, exactly Hermitian half.
     """
     n2 = d.N2 // 2
-    F = _rfft2(d, grid)
+    F = _rfft2(d, grid, out=d._work.coeffs)
     out = F[1:n2] - F[:n2:-1]
     out *= d._odd_advect_tables[2]
     out.real[:, 0] = 0.0

@@ -10,37 +10,74 @@ Mode amplitudes are integrated in the laboratory frame.  Co-rotating
 amplitudes (the representation in which the rotation term disappears) are
 obtained by multiplying mode k by ``exp(+i Omega_k t / eps)``.
 
-A step runs on the m1 >= 0 half of the state.  When that half is exactly odd
-in y (and so is the forcing), it runs on the m2 > 0 quarter instead: the
-weights are even in m2 and the quarter advection kernel returns an exactly
-odd result, so the step's output is exactly odd, not odd to round-off.  The
-kernel ``_advect_raw`` picks its path from the shape of its input.
+The dynamics keep the odd-in-y subspace, and a step runs on the m2 > 0
+quarter of an exactly odd state: the weights are even in m2 and the quarter
+advection kernel returns an exactly odd result, so the step's output is
+exactly odd, not odd to round-off.  A state or perturbation that is not
+exactly odd is refused.  A trajectory loop keeps its state as an
+``OddQuarter`` between steps and builds a full field only where it needs one.
 
-A tangent step linearizes the step about its base stages.  On the quarter,
-``step_pair`` has the base step keep each stage's grids ``u + v`` and
-``bx + by``, and a tangent stage is the odd part of one grid sum over them:
-three transforms, where two advection calls would take six.
+A tangent step linearizes the step about its base stages.  ``step_pair`` has
+the base step keep each stage's grids ``u + v`` and ``bx + by`` in the
+stepper's buffers, and a tangent stage is the odd part of one grid sum over
+them: three transforms, where two advection calls would take six.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
 from .forcing import Forcing
-from .lattice import Domain, SpectralField, _frozen, _odd_half, _odd_quarter, _unfold
+from .lattice import Domain, SpectralField, _frozen, _odd_half, _require_finite, _require_odd
+from .lattice import _unfold
 from .operators import _advect_raw, _odd_grids, _odd_part
 
 ForcingFn = Callable[[float], SpectralField]
 
 
-def _forcing_at(forcing: ForcingFn, t: float, rows) -> np.ndarray:
-    """The forcing at ``t`` on ``rows``; for a steady ``Forcing`` a read-only view of its base."""
-    f = forcing.coeffs_at(t) if isinstance(forcing, Forcing) else forcing(t).coeffs
-    return f[rows]
+@dataclass(eq=False)
+class OddQuarter:
+    """A trajectory state between steps: the m2 > 0 quarter ``(N2/2 - 1, N1/2 + 1)``
+    of an exactly odd real field, whose ``field`` is built once, on first use."""
+
+    domain: Domain
+    coeffs: np.ndarray
+
+    @classmethod
+    def of(cls, f: SpectralField) -> OddQuarter:
+        return cls(f.domain, _require_odd(f))
+
+    @cached_property
+    def field(self) -> SpectralField:
+        """The full field, shared: do not write into it."""
+        d = self.domain
+        return SpectralField(d, _unfold(d, _odd_half(d, self.coeffs)))
+
+
+State = SpectralField | OddQuarter
+
+
+def _quarter(x: State) -> np.ndarray:
+    return x.coeffs if isinstance(x, OddQuarter) else _require_odd(x)
+
+
+def _forcing_at(forcing: ForcingFn, t: float, d: Domain) -> np.ndarray:
+    """The forcing at ``t`` on the m2 > 0 quarter: for a ``Forcing`` (odd by construction)
+    a view, read-only if steady; for any other callable its odd part ``(f[m2] - f[-m2])/2``,
+    with the imaginary m1 = 0 column of a real odd field."""
+    n2, n1 = d.N2 // 2, d.N1 // 2 + 1
+    if isinstance(forcing, Forcing):
+        return forcing.coeffs_at(t)[1:n2, :n1]
+    f = forcing(t).coeffs
+    out = f[1:n2, :n1] - f[:n2:-1, :n1]
+    out *= 0.5
+    out.real[:, 0] = 0.0
+    return out
 
 
 class BlowUpError(RuntimeError):
@@ -67,6 +104,7 @@ class SimConfig:
     blowup_threshold: float = 1e12
 
     def __post_init__(self):
+        _require_finite(epsilon=self.epsilon, mu=self.mu, blowup_threshold=self.blowup_threshold)
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
         if self.mu < 0:
@@ -156,29 +194,27 @@ def build_coefficients(symbol: LinearSymbol, h: float) -> EtdCoefficients:
 
 @dataclass
 class StepStages:
-    """Base-trajectory values at the quadrature nodes of one step: m1 >= 0
-    halves, or m2 > 0 quarters when the step ran on the quarter."""
+    """Base-trajectory quarters at the quadrature nodes of one step."""
 
     t: float
     u0: np.ndarray
     a: np.ndarray
     b: np.ndarray
     c: np.ndarray
-    # Per stage, the grids (u + v, bx + by) of a quarter step that kept them.
-    grids: tuple[list[np.ndarray], ...] | None = None
+    # Per stage, the grids (u + v, bx + by) of a step that kept them: views of
+    # the stepper's buffers, valid until its next ``step_pair``.
+    grids: np.ndarray | None = None
 
 
 class Stepper:
     """Advances vorticity (and tangent perturbations) with a fixed step size.
 
-    A step reads only the m1 >= 0 half of its input and returns the exact
-    Hermitian unfold of the updated half, so its output is real bit for bit.
-    If the half is exactly odd in m2, and so is the forcing (a ``Forcing`` is
-    by construction), the step runs on the m2 > 0 quarter and expands it to
-    the half once, before the unfold, so its output is exactly odd too.
-    Immutable after construction (the coefficient tables are shared
-    read-only), so one instance can serve any number of independent
-    trajectories, including concurrently.
+    A step takes an exactly odd state, a ``SpectralField`` or an
+    ``OddQuarter``, and returns the same kind; it refuses any other state
+    (``ValueError``).  It runs on the m2 > 0 quarter and its output is exactly
+    real and odd.  The coefficient tables are shared read-only; the base
+    grids that ``step_pair`` hands to its tangent step live in buffers of the
+    instance, so an instance takes one step at a time.
     """
 
     def __init__(self, domain: Domain, config: SimConfig, h: float):
@@ -191,20 +227,19 @@ class Stepper:
         self._quarter_coeffs = EtdCoefficients(h, *(
             _frozen(x[1 : domain.N2 // 2].copy()) for x in (k.E, k.E2, k.Q, k.f1, k.f2, k.f3)
         ))
-        self._half = np.s_[:, : domain.N1 // 2 + 1]
+        self._stage_grids = np.empty((4, 2, domain.N2, domain.N1))
 
     # -- right-hand sides ---------------------------------------------------
 
-    def _nonlinear(
-        self, C: np.ndarray, f: np.ndarray | None, grids: list | None = None
-    ) -> np.ndarray:
-        """``f - B(C, C)``; with a ``grids`` list (quarters only) it keeps the base grids too."""
+    def _nonlinear(self, C: np.ndarray, f: np.ndarray | None, keep) -> np.ndarray:
+        """``f - B(C, C)``; with ``keep`` the grids of ``C`` stay in that pair of buffers."""
+        d = self.domain
         if self.config.advection:
-            if grids is None:
-                out = _advect_raw(self.domain, C, C)
+            if keep is None:
+                out = _advect_raw(d, C, C)
             else:
-                grids.append(_odd_grids(self.domain, C))
-                out = _odd_part(self.domain, grids[-1][0] * grids[-1][1])
+                uv, dxy = _odd_grids(d, C, out=keep)
+                out = _odd_part(d, np.multiply(uv, dxy, out=d._work.grids[0]))
             np.negative(out, out=out)
         else:
             out = np.zeros_like(C)
@@ -213,41 +248,35 @@ class Stepper:
         return out
 
     def _tangent_nonlinear(
-        self, W: np.ndarray, P: np.ndarray, grids: list[np.ndarray] | None = None
+        self, W: np.ndarray, P: np.ndarray, grids: np.ndarray | None = None
     ) -> np.ndarray:
-        """``-(B(W, P) + B(P, W))``.
+        """``-(B(W, P) + B(P, W))`` on quarters.
 
-        On quarters it is the odd part of one grid sum,
-        ``(u_W + v_W)(P_x + P_y) + (u_P + v_P)(W_x + W_y)``: two inverse
-        transforms of ``P`` and one forward transform, with the base grids
-        ``grids`` of ``W`` (built here if None).  Halves take two advection calls.
+        The odd part of one grid sum, ``(u_W + v_W)(P_x + P_y) + (u_P + v_P)(W_x + W_y)``:
+        two inverse transforms of ``P`` and one forward transform, with the
+        base grids ``grids`` of ``W`` (built here if None).
         """
         d = self.domain
         if not self.config.advection:
             return np.zeros_like(P)
-        if P.shape[0] == d.N2:
-            out = _advect_raw(d, W, P)
-            out += _advect_raw(d, P, W)
-        else:
-            uv, dxy = _odd_grids(d, W) if grids is None else grids
-            uv_p, dxy_p = _odd_grids(d, P)
-            dxy_p *= uv
-            uv_p *= dxy
-            dxy_p += uv_p
-            out = _odd_part(d, dxy_p)
+        uv, dxy = _odd_grids(d, W) if grids is None else grids
+        uv_p, dxy_p = _odd_grids(d, P, out=d._work.grids)
+        dxy_p *= uv
+        uv_p *= dxy
+        dxy_p += uv_p
+        out = _odd_part(d, dxy_p)
         return np.negative(out, out=out)
 
     def _etdrk4(
         self, u0: np.ndarray, rhs: Callable[[int, np.ndarray], np.ndarray]
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """ETDRK4 update of ``u0``, where ``rhs(i, x)`` is the nonlinear term of stage i.
+        """ETDRK4 update of quarter ``u0``, where ``rhs(i, x)`` is the nonlinear term of stage i.
 
-        ``u0`` is a half or a quarter, and the weights are taken to match.
         Returns the new state and the stage states a, b, c.  The output sum
         ``E u0 + f1 n1 + 2 f2 (n2 + n3) + f3 n4`` is built in place, in that
         order, with the fresh stage terms as work space.
         """
-        k = self.coeffs if u0.shape[0] == self.domain.N2 else self._quarter_coeffs
+        k = self._quarter_coeffs
         n1 = rhs(0, u0)
         e2u0 = k.E2 * u0
         a = k.Q * n1 + e2u0
@@ -273,103 +302,89 @@ class Stepper:
             finite = np.isfinite(mags)
             i = int(mags.argmax()) if finite.all() else int(finite.argmin())
             i2, i1 = np.unravel_index(i, mags.shape)
-            # Quarter row i holds m2 = i + 1.
-            m2 = self.domain.m2[i2] if C.shape[0] == self.domain.N2 else i2 + 1
-            mode = (int(self.domain.m1[i1]), int(m2))
+            # Quarter row i2 holds m2 = i2 + 1.
+            mode = (int(self.domain.m1[i1]), int(i2) + 1)
             raise BlowUpError(t, mode, peak if finite.all() else float("inf"))
 
-    def _field(self, C: np.ndarray) -> SpectralField:
-        """The full field of a half or a quarter."""
-        d = self.domain
-        return SpectralField(d, _unfold(d, C if C.shape[0] == d.N2 else _odd_half(d, C)))
+    def _like(self, x: State, C: np.ndarray) -> State:
+        """Quarter ``C`` as the kind of state ``x`` is."""
+        out = OddQuarter(self.domain, C)
+        return out if isinstance(x, OddQuarter) else out.field
 
     def step_with_stages(
-        self, w: SpectralField, t: float, forcing: ForcingFn | None = None, *, _grids: bool = False
-    ) -> tuple[SpectralField, StepStages]:
+        self, w: State, t: float, forcing: ForcingFn | None = None, *, _grids: bool = False
+    ) -> tuple[State, StepStages]:
         """One ETDRK4 step; also returns the stage states for tangent use.
 
-        With ``_grids`` a quarter step also keeps the base grids of its stages
-        in ``StepStages.grids``, for a tangent step that follows at once.
+        With ``_grids`` the step also keeps the base grids of its stages in
+        ``StepStages.grids``, for a tangent step that follows at once.
         """
         d = self.domain
-        u0 = w.coeffs[self._half]
-        f = [None if forcing is None else _forcing_at(forcing, s, self._half)
+        u0 = _quarter(w)
+        f = [None if forcing is None else _forcing_at(forcing, s, d)
              for s in (t, t + self.h / 2, t + self.h)]
         f.insert(2, f[1])  # the two mid-step stages read one evaluation
-        quarter = _odd_quarter(d, u0)
-        if quarter is not None and (isinstance(forcing, Forcing) or all(
-            x is None or _odd_quarter(d, x) is not None for x in f
-        )):
-            u0, f = quarter, [x if x is None else x[1 : d.N2 // 2] for x in f]
-        grids = [] if _grids and self.config.advection and u0.shape[0] != d.N2 else None
-        out, a, b, c = self._etdrk4(u0, lambda i, x: self._nonlinear(x, f[i], grids))
+        grids = self._stage_grids if _grids and self.config.advection else None
+        keep = (None,) * 4 if grids is None else grids
+        out, a, b, c = self._etdrk4(u0, lambda i, x: self._nonlinear(x, f[i], keep[i]))
         self._check_state(out, t + self.h)
-        return self._field(out), StepStages(t, u0, a, b, c, None if grids is None else tuple(grids))
+        return self._like(w, out), StepStages(t, u0, a, b, c, grids)
 
-    def step(self, w: SpectralField, t: float, forcing: ForcingFn | None = None) -> SpectralField:
+    def step(self, w: State, t: float, forcing: ForcingFn | None = None) -> State:
         out, _ = self.step_with_stages(w, t, forcing)
         return out
 
-    def tangent_step(self, phi: SpectralField, stages: StepStages) -> SpectralField:
-        """Propagate a perturbation by the exact linearization of one step.
+    def tangent_step(self, phi: State, stages: StepStages) -> State:
+        """Propagate an odd perturbation by the exact linearization of one step.
 
         ``stages`` must come from the matching step of the base trajectory;
         the map is then the exact differential of the nonlinear update, so
         finite differences of the nonlinear flow converge to it at O(delta^2).
-
-        On quarter stages an odd ``phi`` steps on its quarter, where each stage
-        costs three transforms: the base grids come from ``stages.grids`` if
-        the step kept them, else from the stage states.  Any other ``phi``
-        steps on the half with two advection calls per stage.
+        Each stage costs three transforms: the base grids come from
+        ``stages.grids`` if the step kept them, else from the stage states.
         """
-        d = self.domain
         base = (stages.u0, stages.a, stages.b, stages.c)
-        grids = stages.grids or (None,) * 4
-        p0 = phi.coeffs[self._half]
-        if stages.u0.shape[0] != d.N2:
-            # Quarter stages: step on the quarter if phi is odd, else on the half.
-            quarter = _odd_quarter(d, p0)
-            if quarter is None:
-                base = tuple(_odd_half(d, x) for x in base)
-            else:
-                p0 = quarter
-        out, *_ = self._etdrk4(p0, lambda i, p: self._tangent_nonlinear(base[i], p, grids[i]))
+        grids = (None,) * 4 if stages.grids is None else stages.grids
+        out, *_ = self._etdrk4(
+            _quarter(phi), lambda i, p: self._tangent_nonlinear(base[i], p, grids[i])
+        )
         self._check_state(out, stages.t + self.h)
-        return self._field(out)
+        return self._like(phi, out)
 
     def step_pair(
-        self, w: SpectralField, phi: SpectralField, t: float, forcing: ForcingFn | None = None
-    ) -> tuple[SpectralField, SpectralField]:
+        self, w: State, phi: State, t: float, forcing: ForcingFn | None = None
+    ) -> tuple[State, State]:
         """Advance the state and a tangent perturbation through the same step."""
         w_next, stages = self.step_with_stages(w, t, forcing, _grids=True)
         return w_next, self.tangent_step(phi, stages)
 
 
 def budget_residual(
-    w: SpectralField,
-    w_next: SpectralField,
+    w: State,
+    w_next: State,
     t: float,
     h: float,
     forcing: ForcingFn | None,
     config: SimConfig,
 ) -> float:
-    """Midpoint defect of the enstrophy budget over one step.
+    """Midpoint defect of the enstrophy budget over one step of odd states.
 
     Returns ``|D(|w|^2/2)/h + mu |grad w|^2_mid - (f, w)_mid|``, O(h^2) on
     smooth trajectories.  The rotation term is antisymmetric and contributes
-    exactly zero, as does the advection term.
+    exactly zero, as does the advection term.  A field that is not exactly
+    odd is refused (``ValueError``).
     """
     d = w.domain
-    half = np.s_[:, : d.N1 // 2 + 1]
-    w0, w1 = w.coeffs[half], w_next.coeffs[half]
-    # One weighted sum over the half of Re((Dw/h + mu |k|^2 mid - f) conj(mid)):
-    # Re(Dw conj(mid))/h is D(|w|^2/2)/h per mode.
+    rows = np.s_[1 : d.N2 // 2, : d.N1 // 2 + 1]
+    w0, w1 = _quarter(w), _quarter(w_next)
+    # One weighted sum over the quarter of Re((Dw/h + mu |k|^2 mid - f) conj(mid)),
+    # doubled for the m2 < 0 rows: Re(Dw conj(mid))/h is D(|w|^2/2)/h per mode.
     mid = w0 + w1
     mid *= 0.5
     r = w1 - w0
     r /= h
-    r += config.mu * d.ksq[half] * mid
+    r += config.mu * d.ksq[rows] * mid
     if forcing is not None:
-        r -= _forcing_at(forcing, t + h / 2, half)
-    r *= d._half_weight
-    return float(abs(d.area * np.vdot(mid, r).real))
+        r -= _forcing_at(forcing, t + h / 2, d)
+    r *= d._half_weight[rows]
+    return float(abs(2.0 * d.area * np.vdot(mid, r).real))

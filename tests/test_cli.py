@@ -1,9 +1,11 @@
 """Command-line interface: subcommands, outputs and exit codes."""
 
+import math
 import os
 import runpy
 import subprocess
 import sys
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -11,10 +13,11 @@ import pytest
 
 import zns
 from zns.cli import main
-from zns.config import load_config
+from zns.config import ConfigError, load_config
 from zns.forcing import ForcingSpec
-from zns.harness import TRIAD_COLUMNS, ExperimentConfig
+from zns.harness import TRIAD_COLUMNS, ExperimentConfig, Tolerances
 from zns.lattice import Domain, parity_error, read_snapshot, write_snapshot
+from zns.stepper import SimConfig
 
 TINY_CONFIG = """
 # small benchmark setup
@@ -337,6 +340,45 @@ def test_bad_input_exits_1(argv, text, tmp_path, capsys):
     assert _exit_code(argv) == 1
     assert "error: " in capsys.readouterr().err
     assert not out.exists()
+
+
+# The reader leaves finiteness to the dataclasses: each key that carries a real number.
+FLOAT_KEYS = ["l1", "l2", "mu", "h", "t_end", "t_spin", "omega0_norm", "blowup_threshold",
+              "epsilon", "forcing.sigma", "forcing.mode"] + [
+    f"tol.{f.name}" for f in fields(Tolerances) if isinstance(f.default, float)]
+
+
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_reader_refuses_every_non_finite_number(key, tmp_path):
+    value = "1,1,nan,0.0" if key == "forcing.mode" else "nan"
+    path = tmp_path / "bad.cfg"
+    path.write_text(_config_setting(key, value))
+    with pytest.raises(ConfigError, match="must be finite"):
+        load_config(path)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_api_refuses_what_the_reader_refuses(value, config_file):
+    config = load_config(config_file)
+    builds = {
+        "l1": lambda: Domain(L1=value),
+        "l2": lambda: Domain(L2=value),
+        "epsilon": lambda: replace(config, epsilons=(0.1, value)),
+        "forcing.sigma": lambda: ForcingSpec(config.forcing.modes, sigma=value),
+        "forcing.mode": lambda: ForcingSpec(((1, 1, complex(0.5, value)),)),
+        "SimConfig.blowup_threshold": lambda: SimConfig(0.1, 0.5, blowup_threshold=value),
+        "SimConfig.epsilon": lambda: SimConfig(epsilon=value, mu=0.5),
+        "SimConfig.mu": lambda: SimConfig(epsilon=0.1, mu=value),
+    }
+    for name in ("mu", "h", "t_end", "t_spin", "omega0_norm", "blowup_threshold"):
+        builds[name] = lambda name=name: replace(config, **{name: value})
+    for f in fields(Tolerances):
+        if isinstance(f.default, float):
+            builds[f"tol.{f.name}"] = lambda f=f: Tolerances(**{f.name: value})
+    assert set(FLOAT_KEYS) <= set(builds)
+    for build in builds.values():
+        with pytest.raises(ValueError, match="must be finite"):
+            build()
 
 
 def test_benchmark_workload_configs_round_trip(tmp_path):

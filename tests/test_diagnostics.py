@@ -231,10 +231,15 @@ class TestDiagnosticsRecord:
         pytest.param(Domain(N1=16, N2=32), id="16x32"),
         pytest.param(Domain(L1=4 * np.pi, L2=2 * np.pi, N1=16, N2=16), id="L1=4pi"),
         pytest.param(Domain(L1=2 * np.pi, L2=3 * np.pi, N1=24, N2=16), id="24x16-L2=3pi"),
+        pytest.param(Domain(N1=6, N2=10), id="6x10"),  # N2/2 odd
     ])
     @pytest.mark.parametrize("odd", [True, False], ids=["odd", "not-odd"])
     def test_matches_definitions(self, d, odd, rng):
         w = random_field(d, rng, norm_target=1.5, odd_in_y=odd)
+        if not odd:  # the record is taken from the quarter of odd states only
+            with pytest.raises(ValueError, match="not exactly odd"):
+                record_state(w, 0.75, budget=0.25)
+            return
         zonal, fast = split(w)
         want = {
             "enstrophy": norm(w) ** 2,

@@ -140,7 +140,7 @@ class TestIntegrate:
         integrate(stepper, forcing, w0, 0.0, 2.0, tangent=phi, partner=partner,
                   observe=lambda t, *states: last.append(states[:3]))
         assert len(last) == 200
-        assert all(parity_error(f) == 0.0 for f in last[-1])
+        assert all(parity_error(f.field) == 0.0 for f in last[-1])
 
     def test_fractional_step_count_rejected(self):
         cfg = tiny_config()

@@ -17,6 +17,7 @@ from zns.lattice import (
     inner,
     norm,
     parity_error,
+    project_parity,
     random_field,
     reality_error,
 )
@@ -24,6 +25,7 @@ from zns.operators import _advect_raw, _odd_grids, apply_A, apply_L, jacobian
 from zns.stepper import (
     BlowUpError,
     LinearSymbol,
+    OddQuarter,
     SimConfig,
     Stepper,
     budget_residual,
@@ -246,8 +248,13 @@ class TestBlowUp:
         st_ = Stepper(d, SimConfig(epsilon=1.0, mu=0.1), h=0.1)
         w = SpectralField.zeros(d)
         w.coeffs[1, 1] = np.nan
-        with pytest.raises(BlowUpError):
+        # NaN is never exactly odd, so a NaN state is refused as input ...
+        with pytest.raises(ValueError, match="not exactly odd"):
             st_.step(w, 0.0)
+        # ... and a NaN that a step produces is a blow-up.
+        nan_forcing = lambda t: SpectralField(d, np.full((8, 8), np.nan + 0j))  # noqa: E731
+        with pytest.raises(BlowUpError):
+            st_.step(SpectralField.zeros(d), 0.0, nan_forcing)
 
 
 class TestTangent:
@@ -345,7 +352,8 @@ class TestBudgetResidual:
 
     @pytest.mark.parametrize("d", [
         Domain(N1=16, N2=16), Domain(L1=4 * np.pi, N1=24, N2=16), Domain(N1=16, N2=32),
-    ], ids=["16x16", "24x16-L1=4pi", "16x32"])
+        Domain(N1=6, N2=10),
+    ], ids=["16x16", "24x16-L1=4pi", "16x32", "6x10"])
     @pytest.mark.parametrize("forced", [True, False], ids=["forced", "unforced"])
     def test_matches_midpoint_formula(self, d, forced, rng):
         spec = ForcingSpec(modes=((0, 1, 1.0), (1, 1, 0.5)))
@@ -402,7 +410,11 @@ def full_width_step_pair(st_, k, w, phi, t, forcing):
 
 
 class TestHalfWidthStep:
-    """The step runs on the m1 >= 0 half and unfolds once, at its output."""
+    """The quarter step against full-width arithmetic; one unfold, at its output.
+
+    The half-width step is gone: a state or perturbation that is not exactly
+    odd is refused.
+    """
 
     SPEC = ForcingSpec(modes=((0, 1, 1.0), (1, 1, 0.5)))
 
@@ -414,6 +426,12 @@ class TestHalfWidthStep:
         k = full_width_tables(st_)
         w = random_field(d, rng, norm_target=2.0, odd_in_y=odd)
         phi = random_field(d, rng, norm_target=1.0, odd_in_y=odd)
+        if not odd:
+            odd_w = random_field(d, rng, norm_target=2.0)
+            for state, perturbation in ((w, phi), (odd_w, phi), (w, odd_w)):
+                with pytest.raises(ValueError, match="not exactly odd"):
+                    st_.step_pair(state, perturbation, 0.0, forcing)
+            return
         w_ref, phi_ref = w, phi
         for i in range(20):
             w, phi = st_.step_pair(w, phi, i * 0.01, forcing)
@@ -422,15 +440,25 @@ class TestHalfWidthStep:
             assert np.max(np.abs(got.coeffs - want.coeffs)) <= 1e-14 * np.max(np.abs(want.coeffs))
 
     def test_outputs_are_exactly_real_and_stages_half_width(self, rng):
+        # Only the weights are half-width now (their m2 > 0 rows serve the
+        # quarter); the stages are quarters, and input that is not odd, which
+        # used to step on half-width stages, is refused.
         d = Domain(L1=4 * np.pi, N1=24, N2=16)
         st_ = Stepper(d, SimConfig(epsilon=0.2, mu=0.5), h=0.01)
-        w = random_field(d, rng, norm_target=2.0, odd_in_y=False)
-        phi = random_field(d, rng, norm_target=1.0, odd_in_y=False)
-        w1, stages = st_.step_with_stages(w, 0.0, make_forcing(self.SPEC, d))
+        forcing = make_forcing(self.SPEC, d)
+        w = random_field(d, rng, norm_target=2.0)
+        phi = random_field(d, rng, norm_target=1.0)
+        w1, stages = st_.step_with_stages(w, 0.0, forcing)
         assert reality_error(w1) == 0.0
         assert reality_error(st_.tangent_step(phi, stages)) == 0.0
-        for x in (stages.u0, stages.a, stages.b, stages.c, st_.coeffs.E):
-            assert x.shape == (16, 13)
+        for x in (stages.u0, stages.a, stages.b, stages.c):
+            assert x.shape == (7, 13)
+        assert st_.coeffs.E.shape == (16, 13)
+        not_odd = random_field(d, rng, norm_target=2.0, odd_in_y=False)
+        with pytest.raises(ValueError, match="not exactly odd"):
+            st_.step_with_stages(not_odd, 0.0, forcing)
+        with pytest.raises(ValueError, match="not exactly odd"):
+            st_.tangent_step(not_odd, stages)
 
     def test_one_unfold_per_step_and_per_tangent_step(self, monkeypatch, rng):
         import zns.operators
@@ -454,42 +482,35 @@ class TestHalfWidthStep:
         assert calls == [(16, 9), (16, 9)]
 
 
-def general_path(monkeypatch):
-    """Make every step take the half-width path, as it does for input that is not odd."""
-    import zns.stepper
-
-    monkeypatch.setattr(zns.stepper, "_odd_quarter", lambda d, H: None)
-
-
 class TestQuarterStep:
     """Exactly odd input steps on the m2 > 0 quarter and stays exactly odd."""
 
     SPEC = ForcingSpec(modes=((0, 1, 1.0), (1, 1, 0.5)))
 
     @pytest.mark.parametrize("d", KERNEL_DOMAINS)
-    def test_matches_general_path(self, d, monkeypatch):
+    def test_matches_general_path(self, d):
+        # The general (half-width) path is gone; the general entry point, a
+        # step on full fields, matches a trajectory kept as quarters bit for bit.
         forcing = make_forcing(self.SPEC, d)
         st_ = Stepper(d, SimConfig(epsilon=0.2, mu=0.5), h=0.01)
         rng = np.random.default_rng(11)
         w0 = random_field(d, rng, norm_target=2.0)
         phi0 = random_field(d, rng, norm_target=1.0)
 
-        def run():
-            w, phi = w0, phi0
+        def run(w, phi):
             for i in range(20):
                 w, phi = st_.step_pair(w, phi, i * 0.01, forcing)
             return w, phi
 
         _, stages = st_.step_with_stages(w0, 0.0, forcing)
         assert stages.u0.shape == (d.N2 // 2 - 1, d.N1 // 2 + 1)
-        quarter = run()
-        general_path(monkeypatch)
-        _, stages = st_.step_with_stages(w0, 0.0, forcing)
-        assert stages.u0.shape == (d.N2, d.N1 // 2 + 1)
-        for got, want in zip(quarter, run()):
+        fields = run(w0, phi0)
+        quarters = run(OddQuarter.of(w0), OddQuarter.of(phi0))
+        for got, want in zip(fields, quarters):
+            assert isinstance(want, OddQuarter)
             assert parity_error(got) == 0.0
             assert reality_error(got) == 0.0
-            assert np.max(np.abs(got.coeffs - want.coeffs)) <= 1e-14 * np.max(np.abs(want.coeffs))
+            assert np.array_equal(got.coeffs, want.field.coeffs)
 
     def test_integrate_keeps_every_state_exactly_odd(self):
         from zns.harness import initial_state, integrate
@@ -500,7 +521,7 @@ class TestQuarterStep:
         errors = []
 
         def observe(t, w, tangent, partner, recorded):
-            errors.extend(parity_error(f) for f in (w, tangent, partner))
+            errors.extend(parity_error(f.field) for f in (w, tangent, partner))
 
         integrate(st_, make_forcing(self.SPEC, d), initial_state(d, 1, 0.5), 0.0, 3.0,
                   record_every=50, tangent=random_field(d, rng, norm_target=1.0),
@@ -509,6 +530,7 @@ class TestQuarterStep:
         assert max(errors) == 0.0
 
     def test_one_ulp_off_odd_and_not_odd_take_the_general_path(self, rng):
+        # There is no general path left: both are refused.
         d = Domain(N1=16, N2=16)
         st_ = Stepper(d, SimConfig(epsilon=0.2, mu=0.5), h=0.01)
         forcing = make_forcing(self.SPEC, d)
@@ -521,21 +543,30 @@ class TestQuarterStep:
         ulp.coeffs[-2, -1] = np.conj(ulp.coeffs[2, 1])  # still exactly real
         assert reality_error(ulp) == 0.0 and 0.0 < parity_error(ulp) < 1e-15
         for x in (ulp, random_field(d, rng, norm_target=2.0, odd_in_y=False)):
-            _, stages = st_.step_with_stages(x, 0.0, forcing)
-            for s in (stages.u0, stages.a, stages.b, stages.c):
-                assert s.shape == (16, 9)
+            with pytest.raises(ValueError, match="not exactly odd"):
+                st_.step_with_stages(x, 0.0, forcing)
+            with pytest.raises(ValueError, match="not exactly odd"):
+                st_.tangent_step(x, stages)
+            with pytest.raises(ValueError, match="not exactly odd"):
+                OddQuarter.of(x)
 
     def test_forcing_not_exactly_odd_takes_the_general_path(self, rng):
+        # A plain-callable forcing that is not odd is reduced to its odd part,
+        # exactly as ``project_parity`` gives it, and the step stays on the quarter.
         d = Domain(N1=16, N2=16)
         st_ = Stepper(d, SimConfig(epsilon=0.2, mu=0.5), h=0.01)
         even = random_field(d, rng, norm_target=1.0, odd_in_y=False)
         w = random_field(d, rng, norm_target=2.0)
-        _, stages = st_.step_with_stages(w, 0.0, lambda t: even)
-        assert stages.u0.shape == (16, 9)
+        w1, stages = st_.step_with_stages(w, 0.0, lambda t: even)
+        assert stages.u0.shape == (7, 9)
+        assert parity_error(w1) == 0.0 and reality_error(w1) == 0.0
+        w2 = st_.step(w, 0.0, lambda t: project_parity(even))
+        assert np.array_equal(w1.coeffs, w2.coeffs)
         _, stages = st_.step_with_stages(w, 0.0, make_forcing(self.SPEC, d))
         assert stages.u0.shape == (7, 9)
 
-    def test_tangent_not_odd_on_quarter_stages(self, rng, monkeypatch):
+    def test_tangent_not_odd_on_quarter_stages(self, rng):
+        # Refused, as a base state that is not odd is; its odd part steps.
         d = Domain(L1=4 * np.pi, N1=24, N2=16)
         st_ = Stepper(d, SimConfig(epsilon=0.2, mu=0.5), h=0.01)
         forcing = make_forcing(self.SPEC, d)
@@ -543,12 +574,10 @@ class TestQuarterStep:
         phi = random_field(d, rng, norm_target=1.0, odd_in_y=False)
         _, stages = st_.step_with_stages(w, 0.0, forcing)
         assert stages.u0.shape == (7, 13)
-        got = st_.tangent_step(phi, stages)
-        assert reality_error(got) == 0.0
-        general_path(monkeypatch)
-        _, stages = st_.step_with_stages(w, 0.0, forcing)
-        want = st_.tangent_step(phi, stages)
-        assert np.max(np.abs(got.coeffs - want.coeffs)) <= 1e-14 * np.max(np.abs(want.coeffs))
+        with pytest.raises(ValueError, match="not exactly odd"):
+            st_.tangent_step(phi, stages)
+        got = st_.tangent_step(project_parity(phi), stages)
+        assert parity_error(got) == 0.0 and reality_error(got) == 0.0
 
     @pytest.mark.parametrize("d", KERNEL_DOMAINS)
     @pytest.mark.parametrize("eps,mu", [(0.2, 0.5), (1e-4, 0.03), (3.0, 0.0)])
@@ -568,7 +597,7 @@ class TestQuarterStep:
 
 def count_transforms(monkeypatch) -> dict:
     """Count the real transforms the solver makes, by patching ``np.fft``."""
-    counts = {"irfft2": 0, "rfft2": 0}
+    counts = {"irfftn": 0, "rfft2": 0}
     for name in counts:
         fn = getattr(np.fft, name)
 
@@ -640,24 +669,25 @@ class TestCachedTangentStage:
 
         def take():
             out = dict(counts)
-            counts.update(irfft2=0, rfft2=0)
+            counts.update(irfftn=0, rfft2=0)
             return out
 
         # Odd state: 3 transforms per base stage; the tangent reuses the base grids.
         _, stages = st_.step_with_stages(w, 0.0, forcing, _grids=True)
-        assert len(stages.grids) == 4 and take() == {"irfft2": 8, "rfft2": 4}
+        assert len(stages.grids) == 4 and take() == {"irfftn": 8, "rfft2": 4}
         st_.tangent_step(phi, stages)
-        assert take() == {"irfft2": 8, "rfft2": 4}
+        assert take() == {"irfftn": 8, "rfft2": 4}
         st_.step_pair(w, phi, 0.0, forcing)
-        assert take() == {"irfft2": 16, "rfft2": 8}
+        assert take() == {"irfftn": 16, "rfft2": 8}
         # A plain step keeps no grids; a tangent on its stages builds them.
         _, stages = st_.step_with_stages(w, 0.0, forcing)
-        assert stages.grids is None and take() == {"irfft2": 8, "rfft2": 4}
+        assert stages.grids is None and take() == {"irfftn": 8, "rfft2": 4}
         st_.tangent_step(phi, stages)
-        assert take() == {"irfft2": 16, "rfft2": 4}
-        # Not odd: 5 transforms per advection call, two calls per tangent stage.
-        st_.step_pair(random_field(d, rng, norm_target=2.0, odd_in_y=False), phi, 0.0, forcing)
-        assert take() == {"irfft2": 48, "rfft2": 12}
+        assert take() == {"irfftn": 16, "rfft2": 4}
+        # Not odd: refused before any transform.
+        with pytest.raises(ValueError, match="not exactly odd"):
+            st_.step_pair(random_field(d, rng, norm_target=2.0, odd_in_y=False), phi, 0.0, forcing)
+        assert take() == {"irfftn": 0, "rfft2": 0}
 
     def test_step_pair_steps_and_tangents_through_the_instance(self, monkeypatch, rng):
         # Tracing wraps these two methods on the class; step_pair must call both.
@@ -674,6 +704,70 @@ class TestCachedTangentStage:
         assert calls == ["step_with_stages", "tangent_step", "step_with_stages"]
 
 
+class TestWorkBuffers:
+    """Reused buffers leave no trace: every entry point gives the same bits."""
+
+    SPEC = ForcingSpec(modes=((0, 1, 1.0), (1, 1, 0.5)))
+
+    @pytest.mark.parametrize("n", [32, 64])
+    def test_integrate_matches_public_steps(self, n):
+        from zns.harness import initial_state, integrate
+
+        d = Domain(N1=n, N2=n)
+        forcing = make_forcing(self.SPEC, d)
+        st_ = Stepper(d, SimConfig(epsilon=0.05, mu=0.5), h=0.008)
+        w0, phi0, partner0 = (initial_state(d, seed, 1.0) for seed in (1, 2, 3))
+        last = []
+        w, _ = integrate(st_, forcing, w0, 0.0, 40 * 0.008, record_every=3,
+                         tangent=phi0, partner=partner0,
+                         observe=lambda t, *states: last.append(states[:3]))
+        got = (w, last[-1][1].field, last[-1][2].field)
+        w, phi, partner = w0, phi0, partner0
+        for i in range(40):
+            w, phi = st_.step_pair(w, phi, i * 0.008, forcing)
+            partner = st_.step(partner, i * 0.008, forcing)
+        for a, b in zip(got, (w, phi, partner)):
+            assert np.array_equal(a.coeffs, b.coeffs)
+
+    @pytest.mark.parametrize("d", KERNEL_DOMAINS)
+    def test_alternating_trajectories_match_each_alone(self, d):
+        forcing = make_forcing(self.SPEC, d)
+        st_ = Stepper(d, SimConfig(epsilon=0.2, mu=0.5), h=0.01)
+        rng = np.random.default_rng(13)
+        starts = [(random_field(d, rng, norm_target=2.0), random_field(d, rng, norm_target=1.0))
+                  for _ in range(2)]
+
+        def advance(states, i):
+            w, phi, plain = states
+            w, phi = st_.step_pair(w, phi, i * 0.01, forcing)
+            return w, phi, st_.step(plain, i * 0.01, forcing)
+
+        alone = []
+        for w, phi in starts:
+            states = (w, phi, phi)
+            for i in range(10):
+                states = advance(states, i)
+            alone.append(states)
+        together = [(w, phi, phi) for w, phi in starts]
+        for i in range(10):
+            together = [advance(states, i) for states in together]
+        for a, b in zip(alone, together):
+            for x, y in zip(a, b):
+                assert np.array_equal(x.coeffs, y.coeffs)
+
+    def test_integrate_refuses_states_that_are_not_odd(self, rng):
+        from zns.harness import integrate
+
+        d = Domain(N1=16, N2=16)
+        st_ = Stepper(d, SimConfig(epsilon=0.2, mu=0.5), h=0.01)
+        odd = random_field(d, rng, norm_target=1.0)
+        not_odd = random_field(d, rng, norm_target=1.0, odd_in_y=False)
+        for kwargs in ({"w0": not_odd}, {"w0": odd, "tangent": not_odd},
+                       {"w0": odd, "partner": not_odd}):
+            with pytest.raises(ValueError, match="not exactly odd"):
+                integrate(st_, None, t0=0.0, t_end=0.1, **kwargs)
+
+
 class TestSteadyForcingView:
     SPEC = ForcingSpec(modes=((0, 1, 1.0), (1, 1, 0.5), (2, 3, 0.2 - 0.1j)))
 
@@ -685,12 +779,20 @@ class TestSteadyForcingView:
         st_ = Stepper(d, SimConfig(epsilon=0.2, mu=0.5), h=0.01)
         w = random_field(d, rng, norm_target=2.0, odd_in_y=odd)
         phi = random_field(d, rng, norm_target=1.0, odd_in_y=odd)
-        by_view = st_.step_pair(w, phi, 0.3, forcing)
-        by_call = st_.step_pair(w, phi, 0.3, lambda t: forcing(t))
-        for got, want in zip(by_view, by_call):
-            assert np.array_equal(got.coeffs, want.coeffs)
-        assert budget_residual(w, by_view[0], 0.3, 0.01, forcing, st_.config) == \
-            budget_residual(w, by_view[0], 0.3, 0.01, lambda t: forcing(t), st_.config)
+        if odd:
+            by_view = st_.step_pair(w, phi, 0.3, forcing)
+            by_call = st_.step_pair(w, phi, 0.3, lambda t: forcing(t))
+            for got, want in zip(by_view, by_call):
+                assert np.array_equal(got.coeffs, want.coeffs)
+            assert budget_residual(w, by_view[0], 0.3, 0.01, forcing, st_.config) == \
+                budget_residual(w, by_view[0], 0.3, 0.01, lambda t: forcing(t), st_.config)
+        else:
+            # Not odd: refused, whichever way the forcing is passed.
+            for f in (forcing, lambda t: forcing(t)):
+                with pytest.raises(ValueError, match="not exactly odd"):
+                    st_.step_pair(w, phi, 0.3, f)
+                with pytest.raises(ValueError, match="not exactly odd"):
+                    budget_residual(w, w, 0.3, 0.01, f, st_.config)
         assert not forcing.coeffs_at(0.0).flags.writeable
         assert np.array_equal(forcing.coeffs_at(0.7), base)
         # The call still hands out a private, writable copy.
@@ -713,16 +815,26 @@ def test_forcing_evaluated_once_per_distinct_time(sigma, odd, rng):
     st_ = Stepper(d, SimConfig(epsilon=0.2, mu=0.5), h=0.01)
     w = random_field(d, rng, norm_target=2.0, odd_in_y=odd)
     phi = random_field(d, rng, norm_target=1.0, odd_in_y=odd)
+    if not odd:  # refused before the forcing is evaluated
+        with pytest.raises(ValueError, match="not exactly odd"):
+            st_.step_pair(w, phi, 0.3, counted)
+        assert times == []
+        return
     by_call = st_.step_pair(w, phi, 0.3, counted)
     assert times == [0.3, 0.3 + 0.01 / 2, 0.3 + 0.01]
     for got, want in zip(by_call, st_.step_pair(w, phi, 0.3, forcing)):
         assert np.array_equal(got.coeffs, want.coeffs)
 
 
+def _half_power(d: Domain, C: np.ndarray) -> np.ndarray:
+    """``|c|^2`` on the m1 >= 0 columns of Hermitian ``C``, the m1 > 0 columns
+    doubled, so that sums over it equal sums of ``|C|^2`` over the full array."""
+    half = C[:, : d.N1 // 2 + 1]
+    return (np.square(half.real) + np.square(half.imag)) * d._half_weight
+
+
 def budget_residual_three_pass(w, w_next, t, h, forcing, config):
     """The enstrophy-budget defect as three ``_half_power`` sums and an inner product."""
-    from zns.lattice import _half_power
-
     d = w.domain
     mid = 0.5 * (w + w_next)
     d_ens = d.area * (_half_power(d, w_next.coeffs) - _half_power(d, w.coeffs)).sum() / (2.0 * h)
@@ -740,7 +852,11 @@ def test_budget_residual_matches_three_pass_formula(d, forced, odd, rng):
     sim = SimConfig(epsilon=0.2, mu=0.5)
     st_ = Stepper(d, sim, 4e-3)
     w = random_field(d, rng, norm_target=1.0, odd_in_y=odd)
+    if not odd:  # the budget is summed over the quarter of odd states only
+        with pytest.raises(ValueError, match="not exactly odd"):
+            budget_residual(w, w, 0.3, 4e-3, forcing, sim)
+        return
     w1 = st_.step(w, 0.3, forcing)
     want, scale = budget_residual_three_pass(w, w1, 0.3, 4e-3, forcing, sim)
     got = budget_residual(w, w1, 0.3, 4e-3, forcing, sim)
-    assert abs(got - want) <= 1e-12 * scale
+    assert abs(got - want) <= 1e-13 * scale
