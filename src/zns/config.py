@@ -52,6 +52,11 @@ _SCALARS = {
 
 _DOMAIN_FIELDS = {"n1": "N1", "n2": "N2", "l1": "L1", "l2": "L2"}
 
+# Dataclass field -> the key that sets it, so a refused value names its line of the file.
+_KEYS = {**{name: key for key, name in _DOMAIN_FIELDS.items()}, "epsilons": "epsilon",
+         "sigma": "forcing.sigma", "amplitudes": "forcing.mode",
+         **{name: f"tol.{name}" for name in _TOL_TYPES}}
+
 
 class ConfigError(ValueError):
     pass
@@ -131,7 +136,8 @@ def build_config(entries: list[tuple[str, str]], overrides: dict | None = None) 
             **values,
         )
     except ValueError as e:
-        raise ConfigError(str(e)) from e
+        name, finite, rest = str(e).partition(" must be finite")
+        raise ConfigError(f"{_KEYS.get(name, name)}{finite}{rest}") from e
 
 
 def load_config(path: Path, overrides: dict | None = None) -> ExperimentConfig:

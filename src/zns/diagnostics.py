@@ -13,8 +13,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .forcing import Forcing, ForcingSpec, k_weighted_norm
-from .lattice import Domain, SpectralField, _require_odd, inner, norm, to_grid
-from .operators import _odd_grid, apply_A, apply_I_omega, apply_inv_laplacian, apply_L, jacobian
+from .lattice import Domain, SpectralField, _irfft2, _require_odd, inner, norm, to_grid
+from .operators import _odd_spectra, apply_A, apply_I_omega, apply_inv_laplacian, apply_L, jacobian
 from .operators import split
 
 
@@ -208,7 +208,7 @@ def record_state(w: SpectralField, t: float, budget: float = 0.0) -> Diagnostics
     ksq = d.ksq[rows]
     kp = ksq * p
     g, flipped = d._work.grids
-    _odd_grid(d, d._odd_advect_tables[0], q, out=g)
+    _irfft2(d, _odd_spectra(d, (d._odd_advect_tables[0], q)), out=g[None])
     np.take(g, d._flip_m2, axis=0, out=flipped)  # row of -y
     np.square(g, out=g)
     np.square(flipped, out=flipped)

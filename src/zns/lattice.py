@@ -13,9 +13,10 @@ Conventions (fixed throughout the package):
 * The collocation grid is ``x_j = j L1/N1`` and ``y_j = -L2/2 + j L2/N2``,
   so grid row 0 sits on the line ``y = -L2/2``.
 * Grid fields are real, so a coefficient array is Hermitian,
-  ``c(-k) = conj(c(k))``.  The grid transform (numpy's ``irfftn``) reads
-  only the ``m1 >= 0`` half, and the spectral transform (``rfft2``) fills
-  the ``m1 < 0`` half as the exact conjugate mirror (``_unfold``).  Each
+  ``c(-k) = conj(c(k))``.  The grid transform (an ``ifft`` pass over y,
+  then an ``irfft`` pass over x) reads only the ``m1 >= 0`` half, and the
+  spectral transform (``rfft`` over x, then ``fft`` over y) fills the
+  ``m1 < 0`` half as the exact conjugate mirror (``_unfold``).  Each
   applies the y-phase ``(-1)^m2`` of the grid offset around a raw
   transform; the advection tables carry that phase and use the raw pair.
 * A field odd in y has ``c(m1, -m2) = -c(m1, m2)``, so its half is fixed by
@@ -147,6 +148,11 @@ class Domain:
         keep2 = np.abs(self.m2) < self.N2 / 3.0
         return _frozen(keep2[:, None] & keep1[None, :])
 
+    @property
+    def _kept_cols(self) -> int:
+        """The number of leading m1 >= 0 columns that ``dealias`` keeps, |m1| < N1/3."""
+        return -(-self.N1 // 3)
+
     @cached_property
     def _advect_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Half-width (m1 >= 0) multipliers of the advection kernel, y-phase included.
@@ -188,13 +194,13 @@ class Domain:
 
     @cached_property
     def _work(self) -> SimpleNamespace:
-        """Scratch of the quarter kernel, consumed within each call, so a step allocates no
-        grid-sized array: the half ``spectrum`` of an inverse transform (its m2 = 0 and Nyquist
-        rows stay zero), two real ``grids`` and the ``coeffs`` of a forward transform."""
-        half = (self.N2, self.N1 // 2 + 1)
-        return SimpleNamespace(spectrum=np.zeros(half, dtype=np.complex128),
+        """Scratch of the quarter kernel, consumed within each call, so a step allocates few
+        grid-sized arrays: the stacked half ``spectrum`` of an inverse transform of two grids
+        (its m2 = 0 and Nyquist rows stay zero), two real ``grids`` and the ``coeffs`` of a
+        forward transform on the ``|m1| < N1/3`` columns the 2/3 rule keeps."""
+        return SimpleNamespace(spectrum=np.zeros((2, self.N2, self.N1 // 2 + 1), np.complex128),
                                grids=np.empty((2, self.N2, self.N1)),
-                               coeffs=np.empty(half, dtype=np.complex128))
+                               coeffs=np.empty((self.N2, self._kept_cols), np.complex128))
 
     @cached_property
     def _half_weight(self) -> np.ndarray:
@@ -345,16 +351,18 @@ def sanitize(f: SpectralField) -> SpectralField:
 
 
 def _irfft2(d: Domain, H: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Raw inverse transform of half-width ``(N2, N1//2 + 1)`` coefficients, no y-phase.
+    """Raw inverse transform of half-width ``(..., N2, N1//2 + 1)`` coefficients, stacked
+    over leading axes, no y-phase: one ``ifft`` pass over y, then one ``irfft`` over x."""
+    Y = np.fft.ifft(H, axis=-2, norm="forward")
+    return np.fft.irfft(Y, d.N1, axis=-1, norm="forward", out=out)
 
-    ``irfftn``, since ``irfft2`` (numpy 2.4) ignores ``out`` and returns a fresh array.
-    """
-    return np.fft.irfftn(H, s=(d.N2, d.N1), axes=(0, 1), norm="forward", out=out)
 
-
-def _rfft2(d: Domain, V: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Raw forward transform of real grid values to half-width coefficients, no y-phase."""
-    return np.fft.rfft2(V, norm="forward", out=out)
+def _rfft2(d: Domain, V: np.ndarray, out: np.ndarray | None = None, cols=None) -> np.ndarray:
+    """Raw forward transform of real grid values to the leading ``cols`` (default all) of
+    their half-width coefficient columns, no y-phase: one ``rfft`` pass over x, then one
+    ``fft`` over y of just those columns."""
+    X = np.fft.rfft(V, axis=-1, norm="forward")
+    return np.fft.fft(X[..., :cols], axis=-2, norm="forward", out=out)
 
 
 def _unfold(d: Domain, half: np.ndarray) -> np.ndarray:

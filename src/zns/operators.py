@@ -13,10 +13,12 @@ coefficient convention, per mode k:
   B_jkl = |M| (j1 k2 - j2 k1)/|j|^2 when j + k = l.  The kernel
   ``_advect_raw`` takes full coefficients (for ``jacobian``: five real
   transforms) or the m2 > 0 quarters of odd-in-y fields, the solver's state
-  (three).  The quarter kernel is the composition of two helpers, the
-  grids of quarters times the tables (``_odd_grids``) and the odd part of a
-  grid product (``_odd_part``), which the step also uses on its own; they
-  work in the domain's reused buffers (``Domain._work``).
+  (three: one stacked inverse call for two grids and one forward call whose
+  y-pass runs only on the columns the 2/3 rule keeps).  The quarter kernel
+  is the composition of two helpers, the grids of quarters times the tables
+  (``_odd_grids``) and the odd part of a grid product (``_odd_part``), which
+  the step also uses on its own; they work in the domain's reused buffers
+  (``Domain._work``).
 
 Resonance tests (Omega_j + Omega_k = 0) are decided on integer lattice
 indices, never on floats: for zonal targets (j + k = l, l1 = 0, so
@@ -140,10 +142,7 @@ def _advect_raw(d: Domain, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     half = np.s_[:, : d.N1 // 2 + 1]
     A, B = A[half], B[half]
     to_u, to_v, to_dx, to_dy = d._advect_tables
-    ug = _irfft2(d, to_u * A)
-    vg = _irfft2(d, to_v * A)
-    bxg = _irfft2(d, to_dx * B)
-    byg = _irfft2(d, to_dy * B)
+    ug, vg, bxg, byg = _irfft2(d, np.stack((to_u * A, to_v * A, to_dx * B, to_dy * B)))
     # Products in place: fewer grid-sized temporaries alive at once.
     ug *= bxg
     vg *= byg
@@ -169,39 +168,40 @@ def _advect_odd(d: Domain, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return _odd_part(d, grid)
 
 
-def _odd_grid(d: Domain, table: np.ndarray, C: np.ndarray, out=None) -> np.ndarray:
-    """Raw inverse transform (into ``out`` if given) of the half spectrum that holds a
-    table of ``d._odd_advect_tables`` times quarter ``C`` on rows m2 > 0 and, mirrored,
-    on rows m2 < 0; rows m2 = 0 and -N2/2 stay zero."""
+def _odd_spectra(d: Domain, *pairs) -> np.ndarray:
+    """The stack, in ``d._work.spectrum``, of one half spectrum per ``(table, C)`` pair: a
+    table of ``d._odd_advect_tables`` times quarter ``C`` on rows m2 > 0 and, mirrored, on
+    rows m2 < 0; rows m2 = 0 and -N2/2 stay zero."""
     n2 = d.N2 // 2
-    S = d._work.spectrum
-    np.multiply(table[1:n2], C, out=S[1:n2])
-    np.multiply(table[:n2:-1], C, out=S[:n2:-1])
-    return _irfft2(d, S, out=out)
+    S = d._work.spectrum[: len(pairs)]
+    for s, (table, C) in zip(S, pairs):
+        np.multiply(table[1:n2], C, out=s[1:n2])
+        np.multiply(table[:n2:-1], C, out=s[:n2:-1])
+    return S
 
 
 def _odd_grids(d: Domain, A: np.ndarray, B: np.ndarray | None = None, out=None) -> np.ndarray:
     """The grids ``u + v`` of quarter ``A`` and ``bx + by`` of quarter ``B`` (default ``A``),
-    stacked in ``out`` if given, else in a new ``(2, N2, N1)`` array."""
+    from one stacked inverse transform, in ``out`` if given, else in a new ``(2, N2, N1)``
+    array."""
     to_uv, to_dxy, _ = d._odd_advect_tables
-    if out is None:
-        out = np.empty((2, d.N2, d.N1))
-    _odd_grid(d, to_uv, A, out=out[0])
-    _odd_grid(d, to_dxy, A if B is None else B, out=out[1])
-    return out
+    return _irfft2(d, _odd_spectra(d, (to_uv, A), (to_dxy, A if B is None else B)), out=out)
 
 
 def _odd_part(d: Domain, grid: np.ndarray) -> np.ndarray:
     """The masked m2 > 0 quarter of the odd-in-y part of a product of quarter grids.
 
-    One raw forward transform; its m1 = 0 column is imaginary, so the quarter
-    expands to an exactly odd, exactly Hermitian half.
+    One raw forward transform, whose y-pass runs only on the ``|m1| < N1/3``
+    columns that the 2/3 rule keeps; the other columns are exactly zero.  Its
+    m1 = 0 column is imaginary, so the quarter expands to an exactly odd,
+    exactly Hermitian half.
     """
-    n2 = d.N2 // 2
-    F = _rfft2(d, grid, out=d._work.coeffs)
-    out = F[1:n2] - F[:n2:-1]
-    out *= d._odd_advect_tables[2]
-    out.real[:, 0] = 0.0
+    n2, keep = d.N2 // 2, d._kept_cols
+    F = _rfft2(d, grid, out=d._work.coeffs, cols=keep)
+    out = np.zeros((n2 - 1, d.N1 // 2 + 1), dtype=np.complex128)
+    Q = np.subtract(F[1:n2], F[:n2:-1], out=out[:, :keep])
+    Q *= d._odd_advect_tables[2][:, :keep]
+    Q.real[:, 0] = 0.0
     return out
 
 

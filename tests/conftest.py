@@ -17,6 +17,11 @@ KERNEL_DOMAINS = [
     pytest.param(Domain(N1=6, N2=10), id="6x10"),
     pytest.param(Domain(L1=2 * np.pi, L2=3 * np.pi, N1=16, N2=16), id="16x16-L2=3pi"),
 ]
+# The kernel domains and the benchmark's larger sizes.
+TRANSFORM_DOMAINS = KERNEL_DOMAINS + [
+    pytest.param(Domain(N1=64, N2=64), id="64x64"),
+    pytest.param(Domain(N1=128, N2=128), id="128x128"),
+]
 
 
 @pytest.fixture

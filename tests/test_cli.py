@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import runpy
 import subprocess
 import sys
@@ -353,7 +354,8 @@ def test_reader_refuses_every_non_finite_number(key, tmp_path):
     value = "1,1,nan,0.0" if key == "forcing.mode" else "nan"
     path = tmp_path / "bad.cfg"
     path.write_text(_config_setting(key, value))
-    with pytest.raises(ConfigError, match="must be finite"):
+    # The message names the key as the file writes it, not the dataclass field.
+    with pytest.raises(ConfigError, match=rf"^{re.escape(key)} must be finite"):
         load_config(path)
 
 

@@ -24,6 +24,8 @@ from zns.lattice import (
     write_snapshot,
 )
 
+from conftest import TRANSFORM_DOMAINS
+
 TWO_PI = 2.0 * np.pi
 
 
@@ -374,3 +376,31 @@ class TestOddQuarter:
                 bad[14, 0] = -bad[2, 0]
             assert odd(d, bad) is None, (row, col)
         assert odd(d, half) is not None
+
+
+class TestPassTransforms:
+    """The raw pair runs as stacked 1-D passes and gives the bits of numpy's 2-D wrappers."""
+
+    @pytest.mark.parametrize("stack", [1, 2])
+    @pytest.mark.parametrize("d", TRANSFORM_DOMAINS)
+    def test_matches_the_2d_wrappers(self, d, stack):
+        rng = np.random.default_rng(29)
+        half = (stack, d.N2, d.N1 // 2 + 1)
+        H = rng.standard_normal(half) + 1j * rng.standard_normal(half)
+        V = rng.standard_normal((stack, d.N2, d.N1))
+        keep = d._kept_cols
+        assert keep == np.count_nonzero(d.dealias[0, : d.N1 // 2 + 1])
+        grids = zns.lattice._irfft2(d, H)
+        out = np.empty((stack, d.N2, d.N1))
+        assert zns.lattice._irfft2(d, H, out=out) is out and np.array_equal(out, grids)
+        coeffs = zns.lattice._rfft2(d, V)
+        kept = np.empty((stack, d.N2, keep), dtype=np.complex128)
+        assert zns.lattice._rfft2(d, V, out=kept, cols=keep) is kept
+        for i in range(stack):
+            want = np.fft.irfftn(H[i], s=(d.N2, d.N1), axes=(0, 1), norm="forward")
+            assert np.array_equal(grids[i], want)
+            assert np.array_equal(zns.lattice._irfft2(d, H[i]), want)
+            want = np.fft.rfft2(V[i], norm="forward")
+            assert np.array_equal(coeffs[i], want)
+            assert np.array_equal(kept[i], want[:, :keep])
+            assert np.array_equal(zns.lattice._rfft2(d, V[i], cols=keep), want[:, :keep])

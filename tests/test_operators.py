@@ -22,6 +22,7 @@ from zns.lattice import (
 )
 from zns.operators import (
     _advect_raw,
+    _odd_part,
     _grid,
     _spec,
     apply_A,
@@ -41,7 +42,7 @@ from zns.operators import (
     velocity,
 )
 
-from conftest import KERNEL_DOMAINS, triad_sum_oracle
+from conftest import KERNEL_DOMAINS, TRANSFORM_DOMAINS, triad_sum_oracle
 
 
 class TestOmegaFreq:
@@ -337,21 +338,36 @@ class TestOddKernel:
             oracle = triad_sum_oracle(a, b)
             assert norm(got - oracle) <= 1e-12 * norm(oracle)
 
+    @pytest.mark.parametrize("d", TRANSFORM_DOMAINS)
+    def test_odd_part_is_zero_beyond_the_kept_columns(self, d, rng):
+        n2, keep = d.N2 // 2, d._kept_cols
+        grid = rng.standard_normal((d.N2, d.N1))
+        got = _odd_part(d, grid)
+        assert got.shape == (n2 - 1, d.N1 // 2 + 1)
+        assert np.all(got[:, keep:] == 0.0) and not np.signbit(got[:, keep:].view(float)).any()
+        # The kept columns are those of a 2-D transform of every column.
+        F = np.fft.rfft2(grid, norm="forward")
+        want = (F[1:n2] - F[:n2:-1]) * d._odd_advect_tables[2]
+        want.real[:, 0] = 0.0
+        assert np.array_equal(got[:, :keep], want[:, :keep])
+        assert np.all(want[:, keep:] == 0.0)
+
     def test_three_transforms_per_call(self, monkeypatch, rng):
         import zns.operators
 
+        # Each call records its name and the number of transforms in its stack.
         calls = []
         for name in ("_irfft2", "_rfft2"):
             fn = getattr(zns.operators, name)
             monkeypatch.setattr(zns.operators, name, lambda d, x, fn=fn, name=name, **kw:
-                                calls.append(name) or fn(d, x, **kw))
+                                calls.append((name, x[..., 0, 0].size)) or fn(d, x, **kw))
         d = Domain(N1=16, N2=16)
         a = random_field(d, rng, norm_target=1.0)
         _advect_raw(d, *odd_quarters(d, a, a))
-        assert calls == ["_irfft2", "_irfft2", "_rfft2"]
+        assert calls == [("_irfft2", 2), ("_rfft2", 1)]
         calls.clear()
         _advect_raw(d, a.coeffs, a.coeffs)
-        assert len(calls) == 5
+        assert calls == [("_irfft2", 4), ("_rfft2", 1)]
 
 
 class TestTriadCoefficients:

@@ -1,5 +1,6 @@
 """Exponential integrator: weights, exactness, order, tangent propagation."""
 
+import dataclasses
 import math
 from types import SimpleNamespace
 
@@ -596,8 +597,12 @@ class TestQuarterStep:
 
 
 def count_transforms(monkeypatch) -> dict:
-    """Count the real transforms the solver makes, by patching ``np.fft``."""
-    counts = {"irfftn": 0, "rfft2": 0}
+    """Count the 1-D transform passes the solver makes, by patching ``np.fft``.
+
+    A 2-D transform is two passes: ``ifft`` over y then ``irfft`` over x for the
+    inverse, ``rfft`` over x then ``fft`` over y for the forward.
+    """
+    counts = {"ifft": 0, "irfft": 0, "rfft": 0, "fft": 0}
     for name in counts:
         fn = getattr(np.fft, name)
 
@@ -668,26 +673,28 @@ class TestCachedTangentStage:
         counts = count_transforms(monkeypatch)
 
         def take():
-            out = dict(counts)
-            counts.update(irfftn=0, rfft2=0)
+            out = (counts["ifft"], counts["irfft"], counts["rfft"], counts["fft"])
+            counts.update(ifft=0, irfft=0, rfft=0, fft=0)
             return out
 
-        # Odd state: 3 transforms per base stage; the tangent reuses the base grids.
+        # Odd state: per base stage, one stacked inverse transform of two grids
+        # (an ifft and an irfft pass) and one forward (an rfft and an fft pass);
+        # the tangent reuses the base grids.
         _, stages = st_.step_with_stages(w, 0.0, forcing, _grids=True)
-        assert len(stages.grids) == 4 and take() == {"irfftn": 8, "rfft2": 4}
+        assert len(stages.grids) == 4 and take() == (4, 4, 4, 4)
         st_.tangent_step(phi, stages)
-        assert take() == {"irfftn": 8, "rfft2": 4}
+        assert take() == (4, 4, 4, 4)
         st_.step_pair(w, phi, 0.0, forcing)
-        assert take() == {"irfftn": 16, "rfft2": 8}
+        assert take() == (8, 8, 8, 8)
         # A plain step keeps no grids; a tangent on its stages builds them.
         _, stages = st_.step_with_stages(w, 0.0, forcing)
-        assert stages.grids is None and take() == {"irfftn": 8, "rfft2": 4}
+        assert stages.grids is None and take() == (4, 4, 4, 4)
         st_.tangent_step(phi, stages)
-        assert take() == {"irfftn": 16, "rfft2": 4}
+        assert take() == (8, 8, 4, 4)
         # Not odd: refused before any transform.
         with pytest.raises(ValueError, match="not exactly odd"):
             st_.step_pair(random_field(d, rng, norm_target=2.0, odd_in_y=False), phi, 0.0, forcing)
-        assert take() == {"irfftn": 0, "rfft2": 0}
+        assert take() == (0, 0, 0, 0)
 
     def test_step_pair_steps_and_tangents_through_the_instance(self, monkeypatch, rng):
         # Tracing wraps these two methods on the class; step_pair must call both.
@@ -728,6 +735,53 @@ class TestWorkBuffers:
             partner = st_.step(partner, i * 0.008, forcing)
         for a, b in zip(got, (w, phi, partner)):
             assert np.array_equal(a.coeffs, b.coeffs)
+
+    def test_integrate_matches_2d_wrapper_reference(self, monkeypatch):
+        # The same run with the raw pair on numpy's 2-D wrappers, one call per grid.
+        import zns.diagnostics
+        import zns.operators
+        from zns.harness import initial_state, integrate
+
+        calls = []
+
+        def irfft2(d, H, out=None):
+            calls.append("irfft2")
+            if out is None:
+                out = np.empty(H.shape[:-2] + (d.N2, d.N1))
+            for i in np.ndindex(H.shape[:-2]):
+                np.fft.irfftn(H[i], s=(d.N2, d.N1), axes=(0, 1), norm="forward", out=out[i])
+            return out
+
+        def rfft2(d, V, out=None, cols=None):
+            calls.append("rfft2")
+            F = np.fft.rfft2(V, norm="forward")[..., :cols]
+            if out is None:
+                return F
+            out[...] = F
+            return out
+
+        d = Domain(N1=32, N2=32)
+        forcing = make_forcing(self.SPEC, d)
+        st_ = Stepper(d, SimConfig(epsilon=0.05, mu=0.5), h=0.008)
+        w0, phi0, partner0 = (initial_state(d, seed, 1.0) for seed in (1, 2, 3))
+
+        def run():
+            last = []
+            w, records = integrate(st_, forcing, w0, 0.0, 40 * 0.008, record_every=3,
+                                   tangent=phi0, partner=partner0,
+                                   observe=lambda t, *states: last.append(states[:3]))
+            return [w.coeffs, last[-1][1].field.coeffs, last[-1][2].field.coeffs,
+                    np.array([dataclasses.astuple(r) for r in records])]
+
+        got = run()
+        for module in (zns.operators, zns.diagnostics):
+            monkeypatch.setattr(module, "_irfft2", irfft2)
+        monkeypatch.setattr(zns.operators, "_rfft2", rfft2)
+        want = run()
+        # 12 per iteration (base, tangent and partner: 4 stages each), 1 per record.
+        assert calls.count("rfft2") == 40 * 12 and calls.count("irfft2") == 40 * 12 + len(want[3])
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("d", KERNEL_DOMAINS)
     def test_alternating_trajectories_match_each_alone(self, d):
