@@ -38,8 +38,6 @@ from .lattice import (
     GridField,
     SpectralField,
     WaveVector,
-    dealias_mask,
-    enumerate_modes,
     inner,
     norm,
     project_parity,
@@ -57,7 +55,6 @@ from .operators import (
     apply_L,
     apply_inv_laplacian,
     b_coeff,
-    b_omega_triple,
     jacobian,
     omega_freq,
     split,

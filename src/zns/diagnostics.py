@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .forcing import Forcing, ForcingSpec, k_weighted_norm
-from .lattice import Domain, SpectralField, _irfft2, _require_odd, inner, norm, to_grid
+from .lattice import SpectralField, _irfft2, _require_odd, inner, norm, to_grid
 from .operators import _odd_spectra, apply_A, apply_I_omega, apply_inv_laplacian, apply_L, jacobian
 from .operators import split
 
@@ -78,22 +78,7 @@ _CONVENTION = (
 )
 
 
-def _grid_max(f: SpectralField, oversample: int) -> float:
-    if oversample <= 1:
-        return float(np.max(np.abs(to_grid(f).values)))
-    d = f.domain
-    big = Domain(d.L1, d.L2, d.N1 * oversample, d.N2 * oversample)
-    embedded = SpectralField.zeros(big)
-    embedded.coeffs[np.ix_(d.m2 % big.N2, d.m1 % big.N1)] = f.coeffs
-    return float(np.max(np.abs(to_grid(embedded).values)))
-
-
-def agmon_check(
-    u: SpectralField,
-    v: SpectralField,
-    constant_candidate: float,
-    oversample: int = 1,
-) -> AgmonReport:
+def agmon_check(u: SpectralField, v: SpectralField, constant_candidate: float) -> AgmonReport:
     """Check |u|_inf <= C |grad w| (log(|D w|/(c0 |grad w|)) + 1)^(1/2), w = u + v.
 
     Requires u and v zero-mean and L2-orthogonal.  Besides the headline
@@ -114,7 +99,7 @@ def agmon_check(
     lap_w = sobolev_norm(w, 2.0)
     kappa = lap_w / (d.c0 * grad_w)
     rhs = grad_w * math.sqrt(math.log(kappa) + 1.0)
-    lhs = _grid_max(u, oversample)
+    lhs = float(np.max(np.abs(to_grid(u).values)))
 
     mag = np.sqrt(d.ksq)
     amp = np.abs(u.coeffs)

@@ -167,6 +167,23 @@ def initial_state(domain: Domain, seed: int, norm_target: float) -> SpectralFiel
     return random_field(domain, rng, kmax=kmax, slope=-1.0, norm_target=norm_target)
 
 
+def _step_range(h: float, t0: float, t_end: float) -> tuple[int, int]:
+    """The index of the step ending at t0 and the number of steps to t_end; ValueError
+    unless t0 and t_end - t0 are whole, non-negative numbers of steps of h."""
+    n0 = round(t0 / h)
+    if abs(t0 / h - n0) > 1e-9 * max(abs(n0), 1):
+        raise ValueError(f"start time t0={t0!r} is not a whole number of steps of h={h!r}")
+    n = (t_end - t0) / h
+    if n < -1e-9:
+        raise ValueError(f"t_end={t_end!r} is before the start time t0={t0!r}")
+    n_steps = round(n)
+    if abs(n - n_steps) > 1e-9 * max(n_steps, 1):
+        raise ValueError(
+            f"t_end - t0 = {t_end - t0!r} is not a whole number of steps of h={h!r}"
+        )
+    return n0, n_steps
+
+
 def integrate(
     stepper: Stepper,
     forcing: Forcing | None,
@@ -194,17 +211,7 @@ def integrate(
     t_end - t0 must be whole numbers of steps.
     """
     h = stepper.h
-    n0 = round(t0 / h)
-    if abs(t0 / h - n0) > 1e-9 * max(abs(n0), 1):
-        raise ValueError(f"start time t0={t0!r} is not a whole number of steps of h={h!r}")
-    n = (t_end - t0) / h
-    if n < -1e-9:
-        raise ValueError(f"t_end={t_end!r} is before the start time t0={t0!r}")
-    n_steps = round(n)
-    if abs(n - n_steps) > 1e-9 * max(n_steps, 1):
-        raise ValueError(
-            f"t_end - t0 = {t_end - t0!r} is not a whole number of steps of h={h!r}"
-        )
+    n0, n_steps = _step_range(h, t0, t_end)
     w = OddQuarter.of(w0)
     tangent = None if tangent is None else OddQuarter.of(tangent)
     partner = None if partner is None else OddQuarter.of(partner)
@@ -608,7 +615,8 @@ def simulate(
     else:
         w0 = initial_state(config.domain, config.seed, config.omega0_norm)
     stepper = Stepper(config.domain, config.sim_config(eps), config.h)
-    # Only now, so that a rejected resume or epsilon leaves no directory behind.
+    _step_range(stepper.h, t0, config.t_end)  # integrate's own check, made early
+    # Only now, so that a rejected resume, epsilon or time leaves no directory behind.
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 

@@ -135,13 +135,6 @@ class Domain:
         return _frozen((self.m2[:, None] == -self.N2 // 2) | (self.m1[None, :] == -self.N1 // 2))
 
     @cached_property
-    def active(self) -> np.ndarray:
-        """Modes that may carry nonzero amplitude: not Nyquist, not k = 0."""
-        out = ~self.nyquist
-        out[0, 0] = False
-        return _frozen(out)
-
-    @cached_property
     def dealias(self) -> np.ndarray:
         """2/3-rule mask: True iff |m_i| < N_i/3 in both directions."""
         keep1 = np.abs(self.m1) < self.N1 / 3.0
@@ -249,10 +242,6 @@ class WaveVector:
     k1: float
     k2: float
 
-    def __iter__(self):
-        yield self.k1
-        yield self.k2
-
     @property
     def norm_sq(self) -> float:
         return self.k1 * self.k1 + self.k2 * self.k2
@@ -260,19 +249,6 @@ class WaveVector:
     @property
     def is_zero(self) -> bool:
         return self.k1 == 0.0 and self.k2 == 0.0
-
-
-def enumerate_modes(domain: Domain) -> list[WaveVector]:
-    """All stored lattice modes in canonical order (k2-major, then k1).
-
-    The listing covers every retained mode exactly once, including ``k = 0``
-    and the Nyquist rows whose coefficients are structurally zero; it matches
-    the flattening order of the coefficient array and the snapshot layout.
-    ``domain.active`` flags the modes that may actually carry amplitude.
-    """
-    k1 = 2.0 * np.pi * domain.m1 / domain.L1
-    k2 = 2.0 * np.pi * domain.m2 / domain.L2
-    return [WaveVector(a, b) for b in k2 for a in k1]
 
 
 @dataclass
@@ -465,11 +441,6 @@ def reality_error(f: SpectralField) -> float:
     d = f.domain
     mirrored = np.conj(f.coeffs[np.ix_(d._flip_m2, d._flip_m1)])
     return float(np.max(np.abs(f.coeffs - mirrored)))
-
-
-def dealias_mask(domain: Domain) -> np.ndarray:
-    """Per-mode boolean 2/3-rule mask (True = retained after products)."""
-    return domain.dealias.copy()
 
 
 def norm(f: SpectralField) -> float:

@@ -20,7 +20,7 @@ coefficient convention, per mode k:
   the step also uses on its own; they work in the domain's reused buffers
   (``Domain._work``).
 
-Resonance tests (Omega_j + Omega_k = 0) are decided on integer lattice
+The triad scan decides resonance (Omega_j + Omega_k = 0) on integer lattice
 indices, never on floats: for zonal targets (j + k = l, l1 = 0, so
 k1 = -j1) the condition reduces exactly to m2(j)^2 == m2(k)^2.
 """
@@ -28,7 +28,6 @@ k1 = -j1) the condition reduces exactly to m2(j)^2 == m2(k)^2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -37,7 +36,7 @@ from .lattice import (
     SpectralField,
     WaveVector,
     _check_same_domain,
-    _grid,  # noqa: F401  (re-exported: the phased pair on full arrays)
+    _grid,  # noqa: F401  (re-exported for perfbench/test_benchmark.py::_broken_advect)
     _irfft2,
     _rfft2,
     _spec,  # noqa: F401
@@ -95,10 +94,6 @@ class VelocityField:
     u: SpectralField
     v: SpectralField
 
-    @property
-    def domain(self) -> Domain:
-        return self.u.domain
-
     def max_speed(self) -> float:
         ug = to_grid(self.u).values
         vg = to_grid(self.v).values
@@ -111,17 +106,6 @@ def velocity(w: SpectralField) -> VelocityField:
     u = SpectralField(d, 1j * d.ky * d.inv_ksq * w.coeffs)
     v = SpectralField(d, -1j * d.kx * d.inv_ksq * w.coeffs)
     return VelocityField(u, v)
-
-
-def curl(vel: VelocityField) -> SpectralField:
-    """dx(v) - dy(u); reproduces the vorticity the velocity came from."""
-    d = vel.domain
-    return SpectralField(d, 1j * d.kx * vel.v.coeffs - 1j * d.ky * vel.u.coeffs)
-
-
-def divergence(vel: VelocityField) -> SpectralField:
-    d = vel.domain
-    return SpectralField(d, 1j * d.kx * vel.u.coeffs + 1j * d.ky * vel.v.coeffs)
 
 
 def _advect_raw(d: Domain, A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -228,21 +212,6 @@ def b_coeff(j: WaveVector, k: WaveVector, l: WaveVector, domain: Domain) -> floa
     return domain.area * wedge / j.norm_sq
 
 
-def omega_sum_is_zero(j: WaveVector, k: WaveVector, domain: Domain) -> bool:
-    """Exact resonance test Omega_j + Omega_k = 0 in rational arithmetic."""
-    j1, j2 = domain.indices(j)
-    k1, k2 = domain.indices(k)
-    if (j1, j2) == (0, 0) or (k1, k2) == (0, 0):
-        raise ValueError("resonance test requires j, k != 0")
-    # Scale |k|^2 by (L2/2pi)^2: s(m) = m1^2 rho + m2^2 with rho = (L2/L1)^2,
-    # an exact rational of the float lengths.  Omega_j + Omega_k = 0 iff
-    # j1 s(k) + k1 s(j) = 0.
-    rho = (Fraction(domain.L2) / Fraction(domain.L1)) ** 2
-    sj = j1 * j1 * rho + j2 * j2
-    sk = k1 * k1 * rho + k2 * k2
-    return j1 * sk + k1 * sj == 0
-
-
 @dataclass
 class TriadReport:
     """One scanned triple j + k = l with l zonal."""
@@ -309,46 +278,3 @@ def triad_scan(domain: Domain, max_k: int) -> list[TriadReport]:
                 )
     return reports
 
-
-def b_omega_triple(
-    a: SpectralField, b: SpectralField, c: SpectralField, t: float, epsilon: float
-) -> float:
-    """Oscillation-weighted triple product against a zonal field.
-
-    Evaluates ``|M|/(2i) sum' l2 a_j b_k conj(c_l) exp(-i(Omega_j+Omega_k)t/eps)``
-    over non-resonant triads j + k = l with l zonal and j, k non-zonal; the
-    primed sum excludes exact resonances (decided on integer indices, which
-    for zonal targets means |m2(j)| = |m2(k)|).  Symmetric in (a, b); real
-    for Hermitian-symmetric inputs (the real part is returned).
-    """
-    _check_same_domain(a, b)
-    _check_same_domain(a, c)
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    d = a.domain
-    if np.any(np.abs(c.coeffs[:, d.m1 != 0]) > 0):
-        raise ValueError("third argument must be purely zonal")
-    M2, M1 = np.meshgrid(d.m2, d.m1, indexing="ij")
-    nonzonal = (M1 != 0) & d.active
-    A = a.coeffs * nonzonal
-    B = b.coeffs * nonzonal
-    # Index grids of the partner mode k = l - j given l = (0, ml).
-    flip1 = (-M1) % d.N1
-    total = 0.0 + 0.0j
-    half2 = d.N2 // 2
-    for i2 in range(d.N2):
-        ml = int(d.m2[i2])
-        cl = c.coeffs[i2, 0]
-        if ml == 0 or cl == 0 or ml == -half2:
-            continue
-        m2k = ml - M2
-        valid = nonzonal & (np.abs(m2k) <= half2 - 1)
-        rows = m2k % d.N2
-        Bk = B[rows, flip1] * valid
-        nonres = (M2 * M2) != (m2k * m2k)
-        osum = d.omega + d.omega[rows, flip1]
-        phase = np.exp(-1j * osum * (t / epsilon))
-        contrib = np.sum(A * Bk * phase * nonres)
-        l2 = 2.0 * np.pi * ml / d.L2
-        total += l2 * contrib * np.conj(cl)
-    return float((d.area / 2j * total).real)

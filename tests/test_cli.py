@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, outputs and exit codes."""
 
+import importlib
 import math
 import os
 import re
@@ -152,7 +153,7 @@ class TestSimulate:
         assert "non-finite coefficients" in capsys.readouterr().err
         assert not (out2 / "state_final.zns").exists()
 
-    @pytest.mark.parametrize("defect", ["nan", "not-odd", "mu"])
+    @pytest.mark.parametrize("defect", ["nan", "not-odd", "mu", "t-past-end", "t-off-step"])
     def test_rejected_resume_leaves_no_output_directory(self, config_file, tmp_path, defect):
         out1 = tmp_path / "run1"
         assert main(["simulate", "--config", str(config_file), "--out", str(out1),
@@ -162,14 +163,27 @@ class TestSimulate:
             w.coeffs[2, 1] = np.nan
         elif defect == "not-odd":
             w.coeffs[0, 1] = w.coeffs[0, -1] = 1.0
-        else:
+        elif defect == "mu":
             mu *= 2.0
+        elif defect == "t-past-end":
+            t = 13.0  # t_end is 12.0
+        else:
+            t = 11.0037  # not a whole number of steps of h = 0.01
         write_snapshot(tmp_path / "bad.zns", w, eps, mu, t)
         out2 = tmp_path / "nested" / "run2"
         code = main(["simulate", "--config", str(config_file), "--out", str(out2),
                      "--resume", str(tmp_path / "bad.zns"), "--quiet"])
         assert code == 1
         assert not out2.exists() and not out2.parent.exists()
+
+    def test_off_step_t_end_leaves_no_output_directory(self, tmp_path, capsys):
+        path = tmp_path / "off-step.cfg"
+        path.write_text(TINY_CONFIG.replace("t_end = 12.0", "t_end = 12.005"))
+        out = tmp_path / "nested" / "run"
+        code = main(["simulate", "--config", str(path), "--out", str(out), "--quiet"])
+        assert code == 1
+        assert "not a whole number of steps" in capsys.readouterr().err
+        assert not out.exists() and not out.parent.exists()
 
     # nan is a usage error, refused while the options are parsed.
     @pytest.mark.parametrize("every,message", [
@@ -393,6 +407,35 @@ def test_benchmark_workload_configs_round_trip(tmp_path):
         path = tmp_path / f"{w.name}.cfg"
         path.write_text(workloads["config_text"](config))
         assert load_config(path) == config, w.name
+
+
+# Every name of ``zns`` that perfbench/ imports, calls or patches, by module; a change
+# that removes one breaks the benchmark without failing any other test here.
+BENCHMARK_HOOKS = {
+    "zns.cli": ["main", "load_config"],
+    "zns.config": ["load_config"],
+    "zns.diagnostics": ["CSV_COLUMNS"],
+    "zns.forcing": ["Forcing.__call__", "ForcingSpec"],
+    "zns.harness": ["ExperimentConfig.__post_init__", "run_contraction_test",
+                    "run_epsilon_sweep", "record_state", "budget_residual", "project_parity",
+                    "write_snapshot", "write_diagnostics_csv"],
+    "zns.lattice": ["Domain", "parity_error", "reality_error", "random_field",
+                    "read_snapshot"],
+    "zns.operators": ["_advect_raw", "_grid", "_spec", "jacobian"],
+    "zns.stepper": ["_advect_raw", "Stepper.__init__", "Stepper.step_with_stages",
+                    "Stepper.tangent_step"],
+}
+
+
+@pytest.mark.parametrize("module,attr", [
+    (module, attr) for module, attrs in BENCHMARK_HOOKS.items() for attr in attrs])
+def test_benchmark_hooks_exist(module, attr):
+    obj = importlib.import_module(module)
+    for part in attr.split("."):
+        # Defined by zns itself: every class has an ``__init__`` and a ``__call__``.
+        owners = obj.__mro__[:-1] if isinstance(obj, type) else (obj,)
+        assert any(part in vars(o) for o in owners), f"{module}.{attr}: no {part!r}"
+        obj = getattr(obj, part)
 
 
 def test_cli_import_does_not_load_scipy():

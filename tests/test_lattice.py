@@ -10,8 +10,6 @@ from zns.lattice import (
     Domain,
     SpectralField,
     WaveVector,
-    dealias_mask,
-    enumerate_modes,
     inner,
     norm,
     parity_error,
@@ -43,7 +41,7 @@ class TestDomain:
         assert Domain(L1=4 * np.pi).c0 == pytest.approx(0.5)
 
     @pytest.mark.parametrize("name", [
-        "m1", "m2", "kx", "ky", "ksq", "inv_ksq", "omega", "nyquist", "active", "dealias",
+        "m1", "m2", "kx", "ky", "ksq", "inv_ksq", "omega", "nyquist", "dealias",
         "_yphase", "_flip_m2", "_flip_m1", "_advect_mask", "_half_weight",
     ])
     def test_cached_arrays_are_read_only(self, name):
@@ -90,42 +88,6 @@ class TestDomain:
         assert d.indices(d.wavevector(3, -2)) == (3, -2)
         with pytest.raises(ValueError):
             d.indices(WaveVector(0.3, 0.0))
-
-
-class TestEnumerateModes:
-    def test_4x4_lists_all_16_lattice_points(self):
-        modes = enumerate_modes(Domain(N1=4, N2=4))
-        assert len(modes) == 16
-        comps = {(round(m.k1), round(m.k2)) for m in modes}
-        assert comps == {(a, b) for a in range(-2, 2) for b in range(-2, 2)}
-
-    def test_disk_count_matches_brute_force(self):
-        # Independent oracle: count integer points with |m| <= 2 directly.
-        expected = sum(
-            1
-            for a in range(-3, 4)
-            for b in range(-3, 4)
-            if a * a + b * b <= 4
-        )
-        modes = enumerate_modes(Domain(N1=8, N2=8))
-        got = sum(1 for m in modes if m.norm_sq <= 4.0 + 1e-12)
-        assert got == expected == 13
-
-    def test_rectangular_domain_wavenumbers(self):
-        modes = enumerate_modes(Domain(L1=4 * np.pi, L2=TWO_PI, N1=4, N2=4))
-        for m in modes:
-            assert (m.k1 / 0.5) == pytest.approx(round(m.k1 / 0.5))
-
-    def test_order_is_k2_major_and_stable(self):
-        d = Domain(N1=4, N2=4)
-        modes = enumerate_modes(d)
-        # k2 constant along each row of 4 consecutive entries
-        for row in range(4):
-            k2s = {modes[4 * row + i].k2 for i in range(4)}
-            assert len(k2s) == 1
-        assert [(m.k1, m.k2) for m in modes] == [
-            (m.k1, m.k2) for m in enumerate_modes(Domain(N1=4, N2=4))
-        ]
 
 
 class TestTransforms:
@@ -234,10 +196,10 @@ class TestParityProjection:
 class TestDealias:
     def test_strict_third_rule_indices(self):
         d = Domain(N1=12, N2=12)
-        kept = sorted(int(m) for m in d.m1[dealias_mask(d)[0, :]])
+        kept = sorted(int(m) for m in d.m1[d.dealias[0, :]])
         assert kept == list(range(-3, 4))
         d8 = Domain(N1=8, N2=8)
-        kept8 = sorted(int(m) for m in d8.m1[dealias_mask(d8)[0, :]])
+        kept8 = sorted(int(m) for m in d8.m1[d8.dealias[0, :]])
         assert kept8 == list(range(-2, 3))
 
     def test_product_mode_against_convolution_oracle(self):
@@ -250,7 +212,7 @@ class TestDealias:
             prod = to_spectral(
                 type(to_grid(a))(d, to_grid(a).values * to_grid(b).values)
             )
-            prod.coeffs *= dealias_mask(d)
+            prod.coeffs *= d.dealias
             mode = prod.get_mode(3, 0)
             if expect_present:
                 assert mode == pytest.approx(0.25)

@@ -1,4 +1,4 @@
-"""Operator identities, triad coefficients and the oscillatory triple product."""
+"""Operator identities, the advection kernels and the triad coefficients."""
 
 import inspect
 
@@ -30,12 +30,8 @@ from zns.operators import (
     apply_L,
     apply_inv_laplacian,
     b_coeff,
-    b_omega_triple,
-    curl,
-    divergence,
     jacobian,
     omega_freq,
-    omega_sum_is_zero,
     split,
     triad_identity_residual,
     triad_scan,
@@ -122,10 +118,14 @@ class TestVelocity:
         assert norm(velocity(w).v) == 0.0
 
     def test_divergence_free_and_curl_inverse(self, domain, rng):
+        # Per mode: i k1 u + i k2 v = 0 and i k1 v - i k2 u = w.
         w = random_field(domain, rng, norm_target=1.0)
         vel = velocity(w)
-        assert norm(divergence(vel)) < 1e-14
-        assert norm(curl(vel) - w) < 1e-13
+        kx, ky = domain.kx, domain.ky
+        div = SpectralField(domain, 1j * kx * vel.u.coeffs + 1j * ky * vel.v.coeffs)
+        curl = SpectralField(domain, 1j * kx * vel.v.coeffs - 1j * ky * vel.u.coeffs)
+        assert norm(div) < 1e-14
+        assert norm(curl - w) < 1e-13
 
     def test_v_vanishes_on_symmetry_lines(self, rng):
         d = Domain(N1=16, N2=16)
@@ -389,7 +389,6 @@ class TestTriadCoefficients:
         j, k, l = d.wavevector(1, 1), d.wavevector(-1, 1), d.wavevector(0, 2)
         assert b_coeff(j, k, l, d) + b_coeff(k, j, l, d) == pytest.approx(0.0)
         assert omega_freq(j) + omega_freq(k) == 0.0
-        assert omega_sum_is_zero(j, k, d)
 
     def test_identity_residual_worked_examples(self):
         d = Domain()
@@ -468,85 +467,3 @@ class TestSplit:
             total = norm(f) ** 2
             assert abs(norm(zonal) ** 2 + norm(fast) ** 2 - total) < 1e-13 * total
             assert abs(inner(zonal, fast)) < 1e-14
-
-
-class TestBOmegaTriple:
-    @staticmethod
-    def _oracle(a, b, c, t, eps):
-        d = a.domain
-        half2 = d.N2 // 2
-        total = 0.0 + 0.0j
-        modes = [(int(m1), int(m2)) for m2 in d.m2 for m1 in d.m1]
-        for j1, j2 in modes:
-            aj = a.coeffs[j2 % d.N2, j1 % d.N1]
-            if aj == 0 or j1 == 0:
-                continue
-            for k1, k2 in modes:
-                bk = b.coeffs[k2 % d.N2, k1 % d.N1]
-                if bk == 0 or k1 == 0 or j1 + k1 != 0:
-                    continue
-                l2 = j2 + k2
-                if l2 == 0 or abs(l2) > half2 - 1:
-                    continue
-                cl = c.coeffs[l2 % d.N2, 0]
-                if cl == 0 or j2 * j2 == k2 * k2:
-                    continue
-                oj = omega_freq(d.wavevector(j1, j2))
-                ok = omega_freq(d.wavevector(k1, k2))
-                phase = np.exp(-1j * (oj + ok) * t / eps)
-                total += (2 * np.pi * l2 / d.L2) * aj * bk * np.conj(cl) * phase
-        return float((d.area / 2j * total).real)
-
-    def test_resonant_triads_excluded(self):
-        d = Domain(N1=16, N2=16)
-        a = SpectralField.from_modes(d, {(1, 1): 1.0, (-1, -1): 1.0})
-        c = SpectralField.from_modes(d, {(0, 2): 1j, (0, -2): -1j})
-        assert b_omega_triple(a, a, c, 0.0, 0.1) == 0.0
-
-    def test_single_triad_hand_value(self):
-        d = Domain(N1=16, N2=16)
-        av, bv, cv = 0.3 + 0.7j, -0.2 + 0.5j, 0.9 - 0.1j
-        a = SpectralField.from_modes(d, {(1, 0): av, (-1, 0): np.conj(av)})
-        b = SpectralField.from_modes(d, {(-1, 1): bv, (1, -1): np.conj(bv)})
-        c = SpectralField.from_modes(d, {(0, 1): cv, (0, -1): np.conj(cv)})
-        got = b_omega_triple(a, b, c, 0.0, 0.1)
-        assert got == pytest.approx(d.area * (av * bv * np.conj(cv)).imag)
-
-    def test_matches_brute_force_oracle(self, rng):
-        d = Domain(N1=16, N2=16)
-        a = random_field(d, rng, kmax=4.0, norm_target=1.0)
-        b = random_field(d, rng, kmax=4.0, norm_target=1.0)
-        c, _ = split(random_field(d, rng, kmax=4.0, norm_target=1.0))
-        for t in (0.0, 0.37, 2.1):
-            got = b_omega_triple(a, b, c, t, 0.05)
-            want = self._oracle(a, b, c, t, 0.05)
-            assert got == pytest.approx(want, abs=1e-12)
-
-    def test_symmetric_in_first_two_arguments(self, rng):
-        d = Domain(N1=16, N2=16)
-        a = random_field(d, rng, kmax=4.0)
-        b = random_field(d, rng, kmax=4.0)
-        c, _ = split(random_field(d, rng, kmax=4.0))
-        assert b_omega_triple(a, b, c, 0.3, 0.2) == pytest.approx(
-            b_omega_triple(b, a, c, 0.3, 0.2)
-        )
-
-    def test_rejects_non_zonal_third_argument(self, rng):
-        d = Domain(N1=16, N2=16)
-        f = random_field(d, rng, kmax=4.0)
-        with pytest.raises(ValueError):
-            b_omega_triple(f, f, f, 0.0, 0.1)
-        with pytest.raises(ValueError):
-            c, _ = split(f)
-            b_omega_triple(f, f, c, 0.0, -0.1)
-
-
-def test_resonance_test_is_exact_on_rectangles():
-    # On L1 = 2 L2 the frequencies differ but zonal-target resonance is
-    # still exactly |j2| == |k2|.
-    d = Domain(L1=4 * np.pi, L2=2 * np.pi, N1=16, N2=16)
-    j = d.wavevector(1, 2)
-    k = d.wavevector(-1, -2)
-    assert omega_sum_is_zero(j, k, d)
-    k2 = d.wavevector(-1, 1)
-    assert not omega_sum_is_zero(j, k2, d)
