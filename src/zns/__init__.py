@@ -17,11 +17,12 @@ from .diagnostics import (
     approx_steady_state,
     dim_bound,
     grashof,
+    k_s_norm,
     record_state,
     sobolev_norm,
     steady_residual,
 )
-from .forcing import Forcing, ForcingSpec, k_s_norm, make_forcing
+from .forcing import Forcing, ForcingSpec, make_forcing
 from .harness import (
     ExperimentConfig,
     RunRecord,

@@ -3,6 +3,8 @@
 All quantities use the fixed normalization of :mod:`zns.lattice`:
 ``|grad^s w|^2 = L1 L2 sum |k|^(2s) |w_k|^2`` (so s = 0 is the plain L2
 norm), and growing-derivative norms are plain per-mode multiplier sums.
+The a-priori forcing quantities (``grashof``, ``k_s_norm``) are such norms
+of the forcing's own fields, on its own domain.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .forcing import Forcing, ForcingSpec, k_weighted_norm
+from .forcing import Forcing
 from .lattice import SpectralField, _irfft2, _require_odd, inner, norm, to_grid
 from .operators import _odd_spectra, apply_A, apply_I_omega, apply_inv_laplacian, apply_L, jacobian
 from .operators import split
@@ -29,17 +31,20 @@ def sobolev_norm(f: SpectralField, s: float) -> float:
     return float(np.sqrt(d.area * total))
 
 
-def grashof(forcing: Forcing | ForcingSpec, mu: float) -> float:
-    """Dimensionless forcing strength |grad^-1 f| / mu^2.
-
-    Accepts a constructed forcing (norm of its field at t = 0) or a bare
-    spec (closed form over the mode list, on the spec's default domain).
-    """
+def grashof(forcing: Forcing, mu: float) -> float:
+    """Dimensionless forcing strength |grad^-1 f| / mu^2, from the field at t = 0
+    (every mode's modulus is constant in time) on the forcing's own domain."""
     if mu <= 0:
         raise ValueError("mu must be positive")
-    if isinstance(forcing, ForcingSpec):
-        return k_weighted_norm(forcing, -1.0) / mu**2
     return sobolev_norm(forcing(0.0), -1.0) / mu**2
+
+
+def k_s_norm(forcing: Forcing, s: int = 2) -> float:
+    """Smoothness measure sup_t |grad^(s+2) f| + sup_t |grad^s df/dt| on the forcing's
+    own domain; every mode's modulus is constant in time, so t = 0 attains both."""
+    if s < 0 or s != int(s):
+        raise ValueError("s must be a nonnegative integer")
+    return sobolev_norm(forcing(0.0), s + 2) + sobolev_norm(forcing.derivative(0.0), s)
 
 
 def dim_bound(G: float, c: float) -> float:

@@ -16,18 +16,19 @@ Non-zonal coefficients rotate in phase as ``exp(i sign(k1) sigma t)``,
 which keeps the field real and odd in y while leaving every mode's modulus
 constant in time; zonal coefficients are held steady, since a phase
 rotation there is incompatible with the symmetry.  Hence all the
-sup-in-time norms are attained at every t and have closed forms.
+sup-in-time norms are attained at every t, and :mod:`zns.diagnostics` takes
+them at t = 0.  A ``Forcing`` stores only the m2 > 0 quarter of the closure,
+the layout the step reads; calling it builds the full field.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
-from .lattice import Domain, SpectralField, _frozen, _require_finite, parity_error, reality_error
-from .lattice import sanitize
+from .lattice import Domain, SpectralField, _frozen, _odd_half, _require_finite, _unfold
 
 
 @dataclass(frozen=True)
@@ -72,22 +73,6 @@ class ForcingSpec:
             out[key] = a
         return out
 
-    def coefficient_moduli(self) -> list[tuple[int, int, float]]:
-        """Flat list of (m1, m2, |c|) over the full coefficient closure."""
-        entries = []
-        for (m1, m2), a in self.canonical_modes().items():
-            mod = abs(a) / 2.0
-            if m1 == 0:
-                entries += [(0, m2, abs(a)), (0, -m2, abs(a))]
-            else:
-                entries += [
-                    (m1, m2, mod), (m1, -m2, mod), (-m1, -m2, mod), (-m1, m2, mod),
-                ]
-        return entries
-
-    def scaled(self, factor: float) -> "ForcingSpec":
-        return replace(self, modes=tuple((m1, m2, a * factor) for m1, m2, a in self.modes))
-
 
 class Forcing:
     """Evaluable forcing: call with a time to get the spectral field."""
@@ -95,7 +80,7 @@ class Forcing:
     def __init__(self, spec: ForcingSpec, domain: Domain):
         self.spec = spec
         self.domain = domain
-        base = SpectralField.zeros(domain)
+        base = np.zeros((domain.N2 // 2 - 1, domain.N1 // 2 + 1), dtype=np.complex128)
         third1 = domain.N1 / 3.0
         third2 = domain.N2 / 3.0
         for (m1, m2), a in spec.canonical_modes().items():
@@ -103,71 +88,39 @@ class Forcing:
                 raise ValueError(
                     f"forcing mode ({m1},{m2}) outside the dealiased band of {domain}"
                 )
+            # Coefficient c at (m1, m2); the m1 = 0 column also holds the
+            # Hermitian partner -conj(c) of its parity partner.
             c = -0.5j * a
-            base.coeffs[m2 % domain.N2, m1 % domain.N1] += c
-            base.coeffs[(-m2) % domain.N2, m1 % domain.N1] += -c
-            base.coeffs[(-m2) % domain.N2, (-m1) % domain.N1] += np.conj(c)
-            base.coeffs[m2 % domain.N2, (-m1) % domain.N1] += -np.conj(c)
-        sanitize(base)
-        assert parity_error(base) == 0.0 and reality_error(base) == 0.0
-        _frozen(base.coeffs)
-        self._base = base
+            base[m2 - 1, m1] = c if m1 else c - np.conj(c)
+        self._base = _frozen(base)
         # Phase-rotation frequency per column: sigma * sign(k1), zonal frozen.
-        # One row of N1 values; it broadcasts over the m2 rows.
-        sign = np.sign(domain.kx[0])
-        self._rot = spec.sigma * sign
+        # One row of N1/2 + 1 values; it broadcasts over the m2 rows.
+        self._rot = spec.sigma * np.sign(domain.kx[0, : domain.N1 // 2 + 1])
 
     @property
     def is_steady(self) -> bool:
         return self.spec.sigma == 0.0
 
     def __call__(self, t: float) -> SpectralField:
-        if self.is_steady:
-            return self._base.copy()
-        return SpectralField(self.domain, self.coeffs_at(t))
+        d = self.domain
+        return SpectralField(d, _unfold(d, _odd_half(d, self.coeffs_at(t))))
 
     def coeffs_at(self, t: float) -> np.ndarray:
-        """Coefficients at time ``t``; a steady forcing gives its read-only base, not a copy."""
+        """The quarter at time ``t``; a steady forcing gives its read-only base, not a copy."""
         if self.is_steady:
-            return self._base.coeffs
-        return self._base.coeffs * np.exp(1j * self._rot * t)
+            return self._base
+        return self._base * np.exp(1j * self._rot * t)
 
     def derivative(self, t: float) -> SpectralField:
         """Analytic time derivative of the forcing field."""
-        coeffs = self._base.coeffs * (1j * self._rot) * np.exp(1j * self._rot * t)
-        return SpectralField(self.domain, coeffs)
+        d = self.domain
+        q = self._base * (1j * self._rot) * np.exp(1j * self._rot * t)
+        return SpectralField(d, _unfold(d, _odd_half(d, q)))
 
 
 def make_forcing(spec: ForcingSpec, domain: Domain) -> Forcing:
     """Construct a forcing; validates symmetry, band limits and k != 0."""
     return Forcing(spec, domain)
-
-
-def k_weighted_norm(spec: ForcingSpec, s: float, domain: Domain = Domain()) -> float:
-    """Closed-form |grad^s f| of a spec's field (time-independent modulus)."""
-    total = 0.0
-    for m1, m2, mod in spec.coefficient_moduli():
-        ksq = (2.0 * np.pi * m1 / domain.L1) ** 2 + (2.0 * np.pi * m2 / domain.L2) ** 2
-        total += ksq**s * mod**2
-    return float(np.sqrt(domain.area * total))
-
-
-def k_s_norm(spec: ForcingSpec, s: int = 2, domain: Domain = Domain()) -> float:
-    """Smoothness measure sup_t |grad^(s+2) f| + sup_t |grad^s df/dt|.
-
-    Closed form: every coefficient modulus is constant in time, so both
-    suprema are attained at every t.  Only the domain's periods enter.
-    """
-    if s < 0 or s != int(s):
-        raise ValueError("s must be a nonnegative integer")
-    spatial = 0.0
-    temporal = 0.0
-    for m1, m2, mod in spec.coefficient_moduli():
-        ksq = (2.0 * np.pi * m1 / domain.L1) ** 2 + (2.0 * np.pi * m2 / domain.L2) ** 2
-        spatial += ksq ** (s + 2) * mod**2
-        if m1 != 0:
-            temporal += (spec.sigma * mod) ** 2 * ksq**s
-    return float(np.sqrt(domain.area * spatial) + np.sqrt(domain.area * temporal))
 
 
 def spec_from_entries(entries: Iterable[tuple[int, int, float, float]], **fields) -> ForcingSpec:

@@ -39,6 +39,7 @@ from .lattice import (
     norm,
     parity_error,
     project_parity,
+    project_reality,
     random_field,
     read_snapshot,
     reality_error,
@@ -610,8 +611,9 @@ def simulate(
                 raise ValueError(
                     f"{resume_from}: snapshot is not {what} ({kind} error {err:.3g})"
                 )
-        # A no-op on a snapshot written here; it lets the run step on the quarter at once.
-        w0 = project_parity(w0)
+        # A no-op on a snapshot written here.  Reality first: it makes the real part of the
+        # m1 = 0 column even in m2, so the parity projection zeroes it, as a quarter needs.
+        w0 = project_parity(project_reality(w0))
     else:
         w0 = initial_state(config.domain, config.seed, config.omega0_norm)
     stepper = Stepper(config.domain, config.sim_config(eps), config.h)

@@ -11,10 +11,11 @@ amplitudes (the representation in which the rotation term disappears) are
 obtained by multiplying mode k by ``exp(+i Omega_k t / eps)``.
 
 The dynamics keep the odd-in-y subspace, and a step runs on the m2 > 0
-quarter of an exactly odd state: the weights are even in m2 and the quarter
-advection kernel returns an exactly odd result, so the step's output is
-exactly odd, not odd to round-off.  A state or perturbation that is not
-exactly odd is refused.  A trajectory loop keeps its state as an
+quarter of an exactly odd state: the weights are even in m2, so they are
+built on the quarter alone, as is the forcing a ``Forcing`` hands over, and
+the quarter advection kernel returns an exactly odd result, so the step's
+output is exactly odd, not odd to round-off.  A state or perturbation that
+is not exactly odd is refused.  A trajectory loop keeps its state as an
 ``OddQuarter`` between steps and builds a full field only where it needs one.
 
 A tangent step linearizes the step about its base stages.  ``step_pair`` has
@@ -67,12 +68,12 @@ def _quarter(x: State) -> np.ndarray:
 
 
 def _forcing_at(forcing: ForcingFn, t: float, d: Domain) -> np.ndarray:
-    """The forcing at ``t`` on the m2 > 0 quarter: for a ``Forcing`` (odd by construction)
-    a view, read-only if steady; for any other callable its odd part ``(f[m2] - f[-m2])/2``,
+    """The forcing at ``t`` on the m2 > 0 quarter: for a ``Forcing`` the quarter it stores
+    (read-only if steady); for any other callable its odd part ``(f[m2] - f[-m2])/2``,
     with the imaginary m1 = 0 column of a real odd field."""
-    n2, n1 = d.N2 // 2, d.N1 // 2 + 1
     if isinstance(forcing, Forcing):
-        return forcing.coeffs_at(t)[1:n2, :n1]
+        return forcing.coeffs_at(t)
+    n2, n1 = d.N2 // 2, d.N1 // 2 + 1
     f = forcing(t).coeffs
     out = f[1:n2, :n1] - f[:n2:-1, :n1]
     out *= 0.5
@@ -164,7 +165,7 @@ def _phi(z: np.ndarray, m: int) -> np.ndarray:
 
 @dataclass
 class EtdCoefficients:
-    """Precomputed per-mode exponential Runge-Kutta weights for step size h."""
+    """Precomputed per-mode ETDRK4 weights for step size h, on the m2 > 0 quarter."""
 
     h: float
     E: np.ndarray    # exp(lambda h)
@@ -176,10 +177,12 @@ class EtdCoefficients:
 
 
 def build_coefficients(symbol: LinearSymbol, h: float) -> EtdCoefficients:
-    """ETDRK4 weights on the m1 >= 0 columns; ~1e-13 relative for any lambda*h."""
+    """ETDRK4 weights on the symbol's m2 > 0 rows and m1 >= 0 columns; ~1e-13 relative
+    for any lambda*h.  The symbol is even in m2, so these rows serve the m2 < 0 ones too."""
     if h <= 0:
         raise ValueError("step size must be positive")
-    z = h * symbol.lam[:, : symbol.domain.N1 // 2 + 1]
+    d = symbol.domain
+    z = h * symbol.lam[1 : d.N2 // 2, : d.N1 // 2 + 1]
     p1, p2, p3 = _phi(z, 1), _phi(z, 2), _phi(z, 3)
     return EtdCoefficients(
         h=h,
@@ -222,11 +225,7 @@ class Stepper:
         self.config = config
         self.h = h
         self.symbol = LinearSymbol.build(domain, config)
-        k = self.coeffs = build_coefficients(self.symbol, h)
-        # The weights are even in m2, so their m2 > 0 rows serve the whole quarter.
-        self._quarter_coeffs = EtdCoefficients(h, *(
-            _frozen(x[1 : domain.N2 // 2].copy()) for x in (k.E, k.E2, k.Q, k.f1, k.f2, k.f3)
-        ))
+        self.coeffs = build_coefficients(self.symbol, h)
         self._stage_grids = np.empty((4, 2, domain.N2, domain.N1))
 
     # -- right-hand sides ---------------------------------------------------
@@ -276,7 +275,7 @@ class Stepper:
         ``E u0 + f1 n1 + 2 f2 (n2 + n3) + f3 n4`` is built in place, in that
         order, with the fresh stage terms as work space.
         """
-        k = self._quarter_coeffs
+        k = self.coeffs
         n1 = rhs(0, u0)
         e2u0 = k.E2 * u0
         a = k.Q * n1 + e2u0

@@ -2,10 +2,27 @@
 
 from __future__ import annotations
 
+import shutil
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from zns.lattice import Domain, SpectralField, random_field
+
+_HYPOTHESIS_HOME = pytest.StashKey[str]()
+
+
+def pytest_configure(config):
+    """Hypothesis keeps its example database and constants cache in a temporary
+    directory for the run, so a test run writes nothing into the working tree."""
+    config.stash[_HYPOTHESIS_HOME] = tempfile.mkdtemp(prefix="zns-hypothesis-")
+    set_hypothesis_home_dir(config.stash[_HYPOTHESIS_HOME])
+
+
+def pytest_unconfigure(config):
+    shutil.rmtree(config.stash[_HYPOTHESIS_HOME], ignore_errors=True)
 
 
 # Square, N1 != N2 both ways, L1 != L2 both ways, and mode counts not divisible by 4.

@@ -9,13 +9,15 @@ in place.  Total runtime is a few minutes on commodity hardware.
 import math
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from zns.config import load_config
 from zns.diagnostics import agmon_check, approx_steady_state, steady_residual
 from zns.forcing import ForcingSpec, make_forcing
-from zns.harness import ExperimentConfig, run_contraction_test, run_epsilon_sweep
+from zns.harness import run_contraction_test, run_epsilon_sweep
 from zns.lattice import Domain, inner, norm, random_field
 from zns.operators import (
     apply_A,
@@ -43,45 +45,25 @@ def criterion(n: int, description: str):
     print(f"ACCEPTANCE {n} PASS: {description} [{elapsed:.1f}s]")
 
 
+# The three heavyweight runs read the shipped configs, their one home.
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
 @pytest.fixture(scope="module")
 def benchmark_sweep():
-    config = ExperimentConfig(
-        domain=Domain(N1=64, N2=64),
-        mu=0.5,
-        epsilons=SWEEP_EPSILONS,
-        forcing=BENCHMARK,
-        h=0.008,
-        t_end=30.0,
-        seed=7,
-    )
+    config = load_config(CONFIGS / "benchmark_sweep.cfg")
     return config, run_epsilon_sweep(config)
 
 
 @pytest.fixture(scope="module")
 def seed_ensemble():
-    config = ExperimentConfig(
-        domain=Domain(N1=64, N2=64),
-        mu=0.5,
-        epsilons=(0.05,),
-        forcing=BENCHMARK,
-        h=0.008,
-        t_end=30.0,
-        seed=7,
-    )
+    config = load_config(CONFIGS / "seed_ensemble.cfg")
     return config, run_epsilon_sweep(config, n_seeds=3)
 
 
 @pytest.fixture(scope="module")
 def contraction_run():
-    config = ExperimentConfig(
-        domain=Domain(N1=64, N2=64),
-        mu=0.5,
-        epsilons=(0.01,),
-        forcing=BENCHMARK,
-        h=0.008,
-        t_end=40.0,
-        seed=11,
-    )
+    config = load_config(CONFIGS / "contraction.cfg")
     return config, run_contraction_test(config)
 
 

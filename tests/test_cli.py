@@ -18,7 +18,7 @@ from zns.cli import main
 from zns.config import ConfigError, load_config
 from zns.forcing import ForcingSpec
 from zns.harness import TRIAD_COLUMNS, ExperimentConfig, Tolerances
-from zns.lattice import Domain, parity_error, read_snapshot, write_snapshot
+from zns.lattice import Domain, parity_error, read_snapshot, reality_error, write_snapshot
 from zns.stepper import SimConfig
 
 TINY_CONFIG = """
@@ -118,16 +118,22 @@ class TestSimulate:
         assert code == 1
         assert "not a real field" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("size,code", [(1e-6, 1), (1e-14, 0)], ids=["not-odd", "nearly-odd"])
+    @pytest.mark.parametrize("size,code,real", [(1e-6, 1, True), (1e-14, 0, True),
+                                                 (1e-14, 0, False)],
+                             ids=["not-odd", "nearly-odd", "nearly-real"])
     def test_snapshot_parity_checked_and_projected(self, config_file, tmp_path, capsys, size,
-                                                   code):
+                                                   code, real):
         out1 = tmp_path / "run1"
         assert main(["simulate", "--config", str(config_file), "--out", str(out1),
                      "--quiet"]) == 0
         w, eps, mu, t = read_snapshot(out1 / "state_final.zns")
-        even = size * np.abs(w.coeffs).max()
-        w.coeffs[2, 1] += even  # mode (1, 2) and its mirror: real, even in y
-        w.coeffs[-2, -1] += even
+        defect = size * np.abs(w.coeffs).max()
+        if real:
+            w.coeffs[2, 1] += defect  # mode (1, 2) and its mirror: real, even in y
+            w.coeffs[-2, -1] += defect
+        else:
+            w.coeffs[1, 0] += defect  # mode (0, 1) alone: neither real nor odd
+            assert 0.0 < reality_error(w) <= 1e-11 * np.abs(w.coeffs).max()
         write_snapshot(tmp_path / "snap.zns", w, eps, mu, t)
         out2 = tmp_path / "run2"
         assert main(["simulate", "--config", str(config_file), "--out", str(out2),
@@ -136,7 +142,7 @@ class TestSimulate:
             assert "not odd in y" in capsys.readouterr().err
         else:
             final, *_ = read_snapshot(out2 / "state_final.zns")
-            assert parity_error(final) == 0.0
+            assert parity_error(final) == 0.0 and reality_error(final) == 0.0
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_snapshot_exits_1(self, config_file, tmp_path, capsys, value):

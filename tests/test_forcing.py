@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zns.diagnostics import grashof, sobolev_norm
-from zns.forcing import ForcingSpec, k_s_norm, make_forcing, spec_from_entries
+from zns.diagnostics import grashof, k_s_norm, sobolev_norm
+from zns.forcing import ForcingSpec, make_forcing, spec_from_entries
 from zns.lattice import Domain, norm, parity_error, reality_error, to_grid
 from zns.operators import split
 
@@ -88,12 +88,14 @@ class TestEvaluation:
         forcing = make_forcing(ForcingSpec(modes, sigma=1.5), d)
         steady = make_forcing(ForcingSpec(modes), d)
         assert not forcing.is_steady and steady.is_steady
-        base = steady.coeffs_at(0.0)
+        base, quarter = steady(0.0).coeffs, steady.coeffs_at(0.0)
+        rows = np.s_[1 : d.N2 // 2, : d.N1 // 2 + 1]
         rot = 1.5 * np.sign(d.kx)  # one frequency per (m2, m1) entry
-        assert forcing._rot.shape == (d.N1,)
+        assert forcing._rot.shape == (d.N1 // 2 + 1,)
         for t in (0.0, 0.37, 12.5):
             phase = np.exp(1j * rot * t)
-            assert np.array_equal(forcing.coeffs_at(t), base * phase)
+            assert np.array_equal(forcing.coeffs_at(t), quarter * phase[rows])
+            assert np.array_equal(forcing(t).coeffs, base * phase)
             assert np.array_equal(forcing.derivative(t).coeffs, base * (1j * rot) * phase)
 
     def test_periodic_keeps_zonal_part_steady(self):
@@ -146,55 +148,102 @@ def test_bulk_invariant_ensemble():
         assert reality_error(f) < 1e-14
 
 
+def four_way_scatter(spec: ForcingSpec, d: Domain, t: float) -> np.ndarray:
+    """The full coefficients as the forcing once stored them: each canonical mode's
+    coefficient and its parity and Hermitian partners, rotated as ``exp(i sign(k1) sigma t)``."""
+    base = np.zeros((d.N2, d.N1), dtype=np.complex128)
+    for (m1, m2), a in spec.canonical_modes().items():
+        c = -0.5j * a
+        base[m2 % d.N2, m1 % d.N1] += c
+        base[-m2 % d.N2, m1 % d.N1] += -c
+        base[-m2 % d.N2, -m1 % d.N1] += np.conj(c)
+        base[m2 % d.N2, -m1 % d.N1] += -np.conj(c)
+    return base * np.exp(1j * spec.sigma * np.sign(d.kx) * t)
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.7], ids=["steady", "time-periodic"])
+def test_matches_four_way_scatter(sigma):
+    modes = ((0, 1, 1.0), (1, 1, 0.5), (3, 2, 1.0 - 0.5j), (0, 4, -0.3), (7, 1, 0.1j))
+    spec = ForcingSpec(modes, sigma)
+    for d in (Domain(L1=4 * np.pi, N1=24, N2=16), Domain(N1=32, N2=32)):
+        forcing = make_forcing(spec, d)
+        for t in (0.0, 0.37, 12.5):
+            want = four_way_scatter(spec, d, t)
+            assert np.array_equal(forcing(t).coeffs, want)
+            assert np.array_equal(forcing.coeffs_at(t), want[1 : d.N2 // 2, : d.N1 // 2 + 1])
+
+
+def closed_form_sums(spec: ForcingSpec, d: Domain, weight) -> float:
+    """``L1 L2 sum weight(k^2, m1) |c|^2`` over the coefficient closure, from the mode list:
+    a zonal entry gives two coefficients of modulus |a|, any other four of |a|/2."""
+    total = 0.0
+    for (m1, m2), a in spec.canonical_modes().items():
+        ksq = (2.0 * np.pi * m1 / d.L1) ** 2 + (2.0 * np.pi * m2 / d.L2) ** 2
+        count, mod = (2, abs(a)) if m1 == 0 else (4, abs(a) / 2.0)
+        total += count * weight(ksq, m1) * mod**2
+    return d.area * total
+
+
+RECTANGLE = Domain(L1=4 * np.pi, N1=24, N2=16)
+RECTANGLE_SPEC = ForcingSpec(((0, 1, 1.0), (1, 1, 0.5), (3, 2, 1.0 - 0.5j), (0, 4, -0.3)),
+                             sigma=0.7)
+
+
 class TestKsNorm:
     def test_zero_spec(self):
-        assert k_s_norm(ForcingSpec(modes=()), 0) == 0.0
+        assert k_s_norm(make_forcing(ForcingSpec(modes=()), Domain(N1=8, N2=8)), 0) == 0.0
 
     def test_single_mode_gradient_factor(self):
         # |grad^2 f| = |k|^2 |f| = 2 |f| for the (1,1) mode set
         spec = ForcingSpec(modes=((1, 1, 1.0),))
         d = Domain(N1=16, N2=16)
-        f = make_forcing(spec, d)(0.0)
-        assert k_s_norm(spec, 0, d) == pytest.approx(2.0 * norm(f), rel=1e-13)
-        assert k_s_norm(spec, 0, d) == pytest.approx(sobolev_norm(f, 2), rel=1e-13)
+        forcing = make_forcing(spec, d)
+        f = forcing(0.0)
+        assert k_s_norm(forcing, 0) == pytest.approx(2.0 * norm(f), rel=1e-13)
+        assert k_s_norm(forcing, 0) == pytest.approx(sobolev_norm(f, 2), rel=1e-13)
 
     def test_temporal_part_linear_in_sigma(self):
         d = Domain(N1=16, N2=16)
         base = ForcingSpec(modes=((1, 1, 1.0),))
-        k1 = k_s_norm(ForcingSpec(base.modes, sigma=1.0), 0, d)
-        k2 = k_s_norm(ForcingSpec(base.modes, sigma=2.0), 0, d)
-        spatial = k_s_norm(base, 0, d)
+        k1 = k_s_norm(make_forcing(ForcingSpec(base.modes, sigma=1.0), d), 0)
+        k2 = k_s_norm(make_forcing(ForcingSpec(base.modes, sigma=2.0), d), 0)
+        spatial = k_s_norm(make_forcing(base, d), 0)
         assert (k2 - spatial) == pytest.approx(2.0 * (k1 - spatial), rel=1e-13)
 
-    def test_matches_field_norms(self):
-        d = Domain(N1=32, N2=32)
-        spec = ForcingSpec(modes=((0, 1, 1.0), (1, 1, 0.5), (2, 3, 1.0 - 0.5j)), sigma=0.7)
-        forcing = make_forcing(spec, d)
+    def test_matches_closed_form_on_a_rectangle(self):
+        # Spatial part over every coefficient; temporal part |df/dt| = sigma |f|
+        # on the rotating (m1 != 0) coefficients only.
+        forcing = make_forcing(RECTANGLE_SPEC, RECTANGLE)
+        sigma = RECTANGLE_SPEC.sigma
         for s in (0, 1, 2):
-            want = sobolev_norm(forcing(0.0), s + 2) + sobolev_norm(forcing.derivative(0.0), s)
-            assert k_s_norm(spec, s, d) == pytest.approx(want, rel=1e-12)
+            spatial = closed_form_sums(RECTANGLE_SPEC, RECTANGLE, lambda ksq, m1: ksq ** (s + 2))
+            temporal = closed_form_sums(
+                RECTANGLE_SPEC, RECTANGLE, lambda ksq, m1: (sigma**2 * ksq**s) if m1 else 0.0
+            )
+            want = np.sqrt(spatial) + np.sqrt(temporal)
+            assert k_s_norm(forcing, s) == pytest.approx(want, rel=1e-13)
 
     def test_rejects_negative_order(self):
         with pytest.raises(ValueError):
-            k_s_norm(BENCHMARK, -1)
+            k_s_norm(make_forcing(BENCHMARK, Domain(N1=16, N2=16)), -1)
 
     def test_order_defaults_to_declared_smoothness(self):
-        d = Domain(N1=16, N2=16)
-        assert k_s_norm(BENCHMARK, domain=d) == k_s_norm(BENCHMARK, 2, d)
+        forcing = make_forcing(BENCHMARK, Domain(N1=16, N2=16))
+        assert k_s_norm(forcing) == k_s_norm(forcing, 2)
 
 
 class TestGrashofCoupling:
     def test_linear_in_amplitude(self):
         d = Domain(N1=16, N2=16)
+        doubled = ForcingSpec(tuple((m1, m2, 2.0 * a) for m1, m2, a in BENCHMARK.modes))
         g1 = grashof(make_forcing(BENCHMARK, d), 0.5)
-        g2 = grashof(make_forcing(BENCHMARK.scaled(2.0), d), 0.5)
+        g2 = grashof(make_forcing(doubled, d), 0.5)
         assert g2 == pytest.approx(2.0 * g1, rel=1e-13)
 
-    def test_spec_closed_form_matches_field(self):
-        d = Domain(N1=16, N2=16)
-        from_field = grashof(make_forcing(BENCHMARK, d), 0.5)
-        from_spec = grashof(BENCHMARK, 0.5)
-        assert from_spec == pytest.approx(from_field, rel=1e-13)
+    def test_matches_closed_form_on_a_rectangle(self):
+        want = np.sqrt(closed_form_sums(RECTANGLE_SPEC, RECTANGLE, lambda ksq, m1: 1.0 / ksq))
+        got = grashof(make_forcing(RECTANGLE_SPEC, RECTANGLE), 0.5)
+        assert got == pytest.approx(want / 0.5**2, rel=1e-13)
 
 
 def test_spec_from_entries_roundtrip():

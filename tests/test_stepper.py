@@ -119,12 +119,12 @@ class TestCoefficients:
 
     def test_shared_tables_are_read_only(self):
         stepper = Stepper(Domain(N1=8, N2=8), SimConfig(epsilon=0.5, mu=1.0), 0.01)
-        k, q = stepper.coeffs, stepper._quarter_coeffs
-        for table in (stepper.symbol.lam, k.E, k.E2, k.Q, k.f1, k.f2, k.f3,
-                      q.E, q.E2, q.Q, q.f1, q.f2, q.f3):
+        k = stepper.coeffs
+        for table in (stepper.symbol.lam, k.E, k.E2, k.Q, k.f1, k.f2, k.f3):
             with pytest.raises(ValueError):
                 table[0, 0] = 0.0
-        assert all(x.flags.c_contiguous and x.shape == (3, 5) for x in (q.E, q.f3))
+        tables = (k.E, k.E2, k.Q, k.f1, k.f2, k.f3)
+        assert all(x.flags.c_contiguous and x.shape == (3, 5) for x in tables)
 
     def test_rejects_nonpositive_step(self):
         d = Domain(N1=8, N2=8)
@@ -412,8 +412,7 @@ def full_width_step_pair(st_, k, w, phi, t, forcing):
 class TestHalfWidthStep:
     """The quarter step against full-width arithmetic; one unfold, at its output.
 
-    The half-width step is gone: a state or perturbation that is not exactly
-    odd is refused.
+    A state or perturbation that is not exactly odd is refused.
     """
 
     SPEC = ForcingSpec(modes=((0, 1, 1.0), (1, 1, 0.5)))
@@ -440,9 +439,7 @@ class TestHalfWidthStep:
             assert np.max(np.abs(got.coeffs - want.coeffs)) <= 1e-14 * np.max(np.abs(want.coeffs))
 
     def test_outputs_are_exactly_real_and_stages_half_width(self, rng):
-        # Only the weights are half-width now (their m2 > 0 rows serve the
-        # quarter); the stages are quarters, and input that is not odd, which
-        # used to step on half-width stages, is refused.
+        # The stages and the weights are quarters, and input that is not odd is refused.
         d = Domain(L1=4 * np.pi, N1=24, N2=16)
         st_ = Stepper(d, SimConfig(epsilon=0.2, mu=0.5), h=0.01)
         forcing = make_forcing(self.SPEC, d)
@@ -453,7 +450,7 @@ class TestHalfWidthStep:
         assert reality_error(st_.tangent_step(phi, stages)) == 0.0
         for x in (stages.u0, stages.a, stages.b, stages.c):
             assert x.shape == (7, 13)
-        assert st_.coeffs.E.shape == (16, 13)
+        assert st_.coeffs.E.shape == (7, 13)
         not_odd = random_field(d, rng, norm_target=2.0, odd_in_y=False)
         with pytest.raises(ValueError, match="not exactly odd"):
             st_.step_with_stages(not_odd, 0.0, forcing)
@@ -489,8 +486,7 @@ class TestQuarterStep:
 
     @pytest.mark.parametrize("d", KERNEL_DOMAINS)
     def test_matches_general_path(self, d):
-        # The general (half-width) path is gone; the general entry point, a
-        # step on full fields, matches a trajectory kept as quarters bit for bit.
+        # A step on full fields matches a trajectory kept as quarters bit for bit.
         forcing = make_forcing(self.SPEC, d)
         st_ = Stepper(d, SimConfig(epsilon=0.2, mu=0.5), h=0.01)
         rng = np.random.default_rng(11)
@@ -530,7 +526,7 @@ class TestQuarterStep:
         assert max(errors) == 0.0
 
     def test_one_ulp_off_odd_and_not_odd_take_the_general_path(self, rng):
-        # There is no general path left: both are refused.
+        # Both are refused.
         d = Domain(N1=16, N2=16)
         st_ = Stepper(d, SimConfig(epsilon=0.2, mu=0.5), h=0.01)
         forcing = make_forcing(self.SPEC, d)
@@ -582,9 +578,15 @@ class TestQuarterStep:
     @pytest.mark.parametrize("d", KERNEL_DOMAINS)
     @pytest.mark.parametrize("eps,mu", [(0.2, 0.5), (1e-4, 0.03), (3.0, 0.0)])
     def test_weights_are_exactly_even_in_m2(self, d, eps, mu):
-        k = Stepper(d, SimConfig(epsilon=eps, mu=mu), h=0.01).coeffs
-        for table in (k.E, k.E2, k.Q, k.f1, k.f2, k.f3):
-            assert np.array_equal(table, table[d._flip_m2])
+        # The quarter tables are, bit for bit, both the m2 > 0 rows and the
+        # mirrored m2 < 0 rows of the tables on the full symbol.
+        st_ = Stepper(d, SimConfig(epsilon=eps, mu=mu), h=0.01)
+        k, full = st_.coeffs, full_width_tables(st_)
+        n2, n1 = d.N2 // 2, d.N1 // 2 + 1
+        for name in ("E", "E2", "Q", "f1", "f2", "f3"):
+            table = getattr(full, name)
+            assert np.array_equal(getattr(k, name), table[1:n2, :n1])
+            assert np.array_equal(getattr(k, name), table[: n2 : -1, :n1])
 
     def test_blowup_reports_the_true_mode(self):
         d = Domain(N1=16, N2=16)
@@ -847,7 +849,7 @@ class TestSteadyForcingView:
                 with pytest.raises(ValueError, match="not exactly odd"):
                     budget_residual(w, w, 0.3, 0.01, f, st_.config)
         assert not forcing.coeffs_at(0.0).flags.writeable
-        assert np.array_equal(forcing.coeffs_at(0.7), base)
+        assert np.array_equal(forcing.coeffs_at(0.7), base[1:8, :9])
         # The call still hands out a private, writable copy.
         f = forcing(1.0)
         f.coeffs[1, 1] = 5.0
