@@ -22,7 +22,7 @@ from .diagnostics import (
     sobolev_norm,
     steady_residual,
 )
-from .forcing import Forcing, ForcingSpec, make_forcing
+from .forcing import Forcing, ForcingSpec
 from .harness import (
     ExperimentConfig,
     RunRecord,
@@ -36,9 +36,7 @@ from .harness import (
 )
 from .lattice import (
     Domain,
-    GridField,
     SpectralField,
-    WaveVector,
     inner,
     norm,
     project_parity,

@@ -76,13 +76,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("triad-check", help="exhaustive zonal-triad identity scan")
     _add_common(p, needs_config=False)
     p.add_argument("--max-k", type=int, default=16)
-    p.add_argument("--l1", type=float, default=2.0 * np.pi)
-    p.add_argument("--l2", type=float, default=2.0 * np.pi)
+    p.add_argument("--l1", type=float, default=Domain.L1)
+    p.add_argument("--l2", type=float, default=Domain.L2)
 
     p = sub.add_parser("agmon-check", help="sup-norm inequality ensemble")
     _add_common(p, needs_config=False)
     p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--resolution", type=int, default=64)
+    p.add_argument("--resolution", type=int, default=Domain.N1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--constant", type=finite_float, default=1.0, help="candidate constant")
 

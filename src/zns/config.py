@@ -29,7 +29,7 @@ import math
 from dataclasses import fields
 from pathlib import Path
 
-from .forcing import spec_from_entries
+from .forcing import ForcingSpec
 from .harness import ExperimentConfig, Tolerances
 from .lattice import Domain
 
@@ -106,7 +106,8 @@ def build_config(entries: list[tuple[str, str]], overrides: dict | None = None) 
                 parts = value.split(",")
                 if len(parts) != 4:
                     raise ConfigError(f"forcing.mode needs m1,m2,re,im; got {value!r}")
-                modes.append((int(parts[0]), int(parts[1]), float(parts[2]), float(parts[3])))
+                m1, m2, re, im = parts
+                modes.append((int(m1), int(m2), complex(float(re), float(im))))
             elif key.startswith("tol."):
                 name = key[4:]
                 if name not in _TOL_TYPES:
@@ -131,7 +132,7 @@ def build_config(entries: list[tuple[str, str]], overrides: dict | None = None) 
     try:
         return ExperimentConfig(
             domain=Domain(**domain),
-            forcing=spec_from_entries(modes, **forcing_values),
+            forcing=ForcingSpec(tuple(modes), **forcing_values),
             tolerances=Tolerances(**tol_values),
             **values,
         )

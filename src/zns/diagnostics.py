@@ -104,7 +104,7 @@ def agmon_check(u: SpectralField, v: SpectralField, constant_candidate: float) -
     lap_w = sobolev_norm(w, 2.0)
     kappa = lap_w / (d.c0 * grad_w)
     rhs = grad_w * math.sqrt(math.log(kappa) + 1.0)
-    lhs = float(np.max(np.abs(to_grid(u).values)))
+    lhs = float(np.max(np.abs(to_grid(u))))
 
     mag = np.sqrt(d.ksq)
     amp = np.abs(u.coeffs)

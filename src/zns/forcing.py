@@ -24,7 +24,6 @@ the layout the step reads; calling it builds the full field.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -117,13 +116,3 @@ class Forcing:
         q = self._base * (1j * self._rot) * np.exp(1j * self._rot * t)
         return SpectralField(d, _unfold(d, _odd_half(d, q)))
 
-
-def make_forcing(spec: ForcingSpec, domain: Domain) -> Forcing:
-    """Construct a forcing; validates symmetry, band limits and k != 0."""
-    return Forcing(spec, domain)
-
-
-def spec_from_entries(entries: Iterable[tuple[int, int, float, float]], **fields) -> ForcingSpec:
-    """Build a spec from (m1, m2, re, im) rows, the config-file encoding; ``fields`` pass on."""
-    modes = tuple((int(m1), int(m2), complex(re, im)) for m1, m2, re, im in entries)
-    return ForcingSpec(modes=modes, **fields)

@@ -30,7 +30,7 @@ from .diagnostics import (
     steady_residual,
     approx_steady_state,
 )
-from .forcing import Forcing, ForcingSpec, make_forcing
+from .forcing import Forcing, ForcingSpec
 from .lattice import (
     Domain,
     SpectralField,
@@ -120,7 +120,7 @@ class ExperimentConfig:
 
     def estimated_max_speed(self) -> float:
         """A priori speed scale: first-order steady flow plus initial data."""
-        f0 = make_forcing(self.forcing, self.domain)(0.0)
+        f0 = Forcing(self.forcing, self.domain)(0.0)
         fbar, ftil = split(f0)
         eps_max = max(self.epsilons)
         w_ref = apply_inv_laplacian(fbar) * (-1.0 / self.mu) + apply_I_omega(ftil) * eps_max
@@ -258,7 +258,7 @@ def summarize_epsilon_sweep(
 ) -> tuple[dict, list[str]]:
     """Pure post-processing of a sweep's stored series."""
     tol = config.tolerances
-    forcing = make_forcing(config.forcing, config.domain)
+    forcing = Forcing(config.forcing, config.domain)
     grad_inv_f = sobolev_norm(forcing(0.0), -1.0)
     per_eps = []
     violations: list[str] = []
@@ -357,7 +357,7 @@ def run_epsilon_sweep(
     """
     if n_seeds < 1:
         raise ValueError(f"need at least one seed, got {n_seeds}")
-    forcing = make_forcing(config.forcing, config.domain)
+    forcing = Forcing(config.forcing, config.domain)
     seeds = tuple(config.seed + i for i in range(n_seeds))
     series: dict[str, list[DiagnosticsRecord]] = {}
     for eps in config.epsilons:
@@ -444,26 +444,23 @@ def summarize_contraction(
 def run_contraction_test(
     config: ExperimentConfig,
     epsilon: float | None = None,
-    seeds: tuple[int, int] | None = None,
     out_dir: Path | None = None,
 ) -> RunRecord:
     """Two-trajectory and tangent-propagation contraction measurement.
 
-    Integrates trajectories from two seeds (default: config.seed and the
-    next one) plus a tangent perturbation along the first, and fits
+    Integrates trajectories from two seeds (config.seed and the next one)
+    plus a tangent perturbation along the first, and fits
     exponential decay rates of the trajectory distance and of the tangent
     norm on the tail; both are compared against nu = c0^2 mu.  With
     ``out_dir`` both curves are written to ``contraction.csv``.
     """
-    forcing = make_forcing(config.forcing, config.domain)
+    forcing = Forcing(config.forcing, config.domain)
     if not forcing.is_steady:
         raise ValueError("contraction test requires steady forcing")
     eps = config.epsilons[0] if epsilon is None else epsilon
-    if seeds is None:
-        seeds = (config.seed, config.seed + 1)
     stepper = Stepper(config.domain, config.sim_config(eps), config.h)
-    w1 = initial_state(config.domain, seeds[0], config.omega0_norm)
-    w2 = initial_state(config.domain, seeds[1], config.omega0_norm)
+    w1 = initial_state(config.domain, config.seed, config.omega0_norm)
+    w2 = initial_state(config.domain, config.seed + 1, config.omega0_norm)
     phi = initial_state(config.domain, config.seed + 2, config.omega0_norm)
     distance = [(0.0, norm(w1 - w2))]
     tangent = [(0.0, norm(phi))]
@@ -525,7 +522,7 @@ def run_steady_residual_sweep(
     """Residual of the first-order steady flow, and distance from the
     converged end state, across the epsilon list; with ``out_dir`` the rows
     are written to ``steady_residual.csv``."""
-    forcing = make_forcing(config.forcing, config.domain)
+    forcing = Forcing(config.forcing, config.domain)
     if not forcing.is_steady:
         raise ValueError("steady-residual sweep requires steady forcing")
     series = {}
@@ -586,7 +583,7 @@ def simulate(
     """
     if snapshot_every is not None and not snapshot_every > 0:
         raise ValueError(f"snapshot_every must be positive, got {snapshot_every!r}")
-    forcing = make_forcing(config.forcing, config.domain)
+    forcing = Forcing(config.forcing, config.domain)
     eps = config.epsilons[0] if epsilon is None else epsilon
     t0 = 0.0
     if resume_from is not None:

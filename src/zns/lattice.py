@@ -1,4 +1,4 @@
-"""Periodic domain, wavevector lattice, truncated spectral fields and transforms.
+"""Periodic domain, wavenumber lattice, truncated spectral fields and transforms.
 
 Conventions (fixed throughout the package):
 
@@ -25,6 +25,11 @@ Conventions (fixed throughout the package):
   keeps only exactly odd fields: a trajectory's state is its quarter
   (``_require_odd`` takes it from a field, refusing any other), and
   ``_odd_half`` and ``_unfold`` expand it to a full field where one is needed.
+* Grid values are plain real ``(N2, N1)`` arrays, ``[j2, j1]`` at
+  ``(x_j1, y_j2)``: ``to_grid(f)`` returns one and ``to_spectral(domain,
+  values)`` is its inverse.
+* The triad layer works on integer index pairs ``(m1, m2)``;
+  ``Domain.wavenumber`` gives their physical wavevector.
 * Parseval: the grid mean square of ``w`` equals ``sum_k |c_k|^2`` and the
   L2 norm satisfies ``|w|^2 = L1 L2 sum_k |c_k|^2``.
 * The Nyquist row/column (``m = -N/2``) cannot be paired Hermitianly and is
@@ -222,33 +227,10 @@ class Domain:
     def grid_y(self) -> np.ndarray:
         return -self.L2 / 2.0 + self.L2 * np.arange(self.N2) / self.N2
 
-    def wavevector(self, m1: int, m2: int) -> "WaveVector":
-        return WaveVector(2.0 * np.pi * m1 / self.L1, 2.0 * np.pi * m2 / self.L2)
-
-    def indices(self, k: "WaveVector") -> tuple[int, int]:
-        """Integer lattice indices of a wavevector; rejects off-lattice input."""
-        a1 = k.k1 * self.L1 / (2.0 * np.pi)
-        a2 = k.k2 * self.L2 / (2.0 * np.pi)
-        m1, m2 = round(a1), round(a2)
-        if abs(a1 - m1) > 1e-9 or abs(a2 - m2) > 1e-9:
-            raise ValueError(f"wavevector {k} not on the lattice of {self}")
-        return m1, m2
-
-
-@dataclass(frozen=True)
-class WaveVector:
-    """A point of the wavenumber lattice (physical wavenumbers, not indices)."""
-
-    k1: float
-    k2: float
-
-    @property
-    def norm_sq(self) -> float:
-        return self.k1 * self.k1 + self.k2 * self.k2
-
-    @property
-    def is_zero(self) -> bool:
-        return self.k1 == 0.0 and self.k2 == 0.0
+    def wavenumber(self, m: tuple[int, int]) -> tuple[float, float]:
+        """Physical wavevector ``(2 pi m1/L1, 2 pi m2/L2)`` of the lattice indices ``m``."""
+        m1, m2 = m
+        return 2.0 * np.pi * m1 / self.L1, 2.0 * np.pi * m2 / self.L2
 
 
 @dataclass
@@ -299,19 +281,6 @@ class SpectralField:
 
     def __neg__(self) -> "SpectralField":
         return SpectralField(self.domain, -self.coeffs)
-
-
-@dataclass
-class GridField:
-    """Real samples on the collocation grid, values[j2, j1] = w(x_{j1}, y_{j2})."""
-
-    domain: Domain
-    values: np.ndarray
-
-    def __post_init__(self):
-        expected = (self.domain.N2, self.domain.N1)
-        if self.values.shape != expected:
-            raise ValueError(f"grid shape {self.values.shape} != {expected}")
 
 
 def _check_same_domain(a, b):
@@ -403,14 +372,18 @@ def _spec(d: Domain, V: np.ndarray) -> np.ndarray:
     return _unfold(d, _rfft2(d, V) * d._yphase)
 
 
-def to_grid(f: SpectralField) -> GridField:
-    """Evaluate a real field on the collocation grid; only its m1 >= 0 half is read."""
-    return GridField(f.domain, _grid(f.domain, f.coeffs))
+def to_grid(f: SpectralField) -> np.ndarray:
+    """Real ``(N2, N1)`` values of a field on the collocation grid, ``[j2, j1]`` at
+    ``(x_j1, y_j2)``; only its m1 >= 0 half is read."""
+    return _grid(f.domain, f.coeffs)
 
 
-def to_spectral(g: GridField) -> SpectralField:
+def to_spectral(domain: Domain, values: np.ndarray) -> SpectralField:
     """Inverse of to_grid; the result is Hermitian, mean- and Nyquist-free."""
-    return sanitize(SpectralField(g.domain, _spec(g.domain, g.values)))
+    expected = (domain.N2, domain.N1)
+    if values.shape != expected:
+        raise ValueError(f"grid shape {values.shape} != {expected}")
+    return sanitize(SpectralField(domain, _spec(domain, values)))
 
 
 def project_parity(f: SpectralField) -> SpectralField:
@@ -526,7 +499,11 @@ def read_snapshot(path) -> tuple[SpectralField, float, float, float]:
         raise ValueError(f"{path}: bad magic {magic!r}")
     if version != SNAPSHOT_VERSION:
         raise ValueError(f"{path}: unsupported version {version}")
-    domain = Domain(l1, l2, n1, n2)
+    try:
+        _require_finite(epsilon=eps, mu=mu, t=t)
+        domain = Domain(l1, l2, n1, n2)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
     expected = _HEADER.size + 16 * n1 * n2
     if len(raw) != expected:
         raise ValueError(f"{path}: expected {expected} bytes, got {len(raw)}")

@@ -20,9 +20,14 @@ coefficient convention, per mode k:
   the step also uses on its own; they work in the domain's reused buffers
   (``Domain._work``).
 
-The triad scan decides resonance (Omega_j + Omega_k = 0) on integer lattice
-indices, never on floats: for zonal targets (j + k = l, l1 = 0, so
-k1 = -j1) the condition reduces exactly to m2(j)^2 == m2(k)^2.
+The triad layer (``omega_freq``, ``b_coeff``, ``triad_identity_residual``,
+``triad_scan``) takes integer index pairs ``(m1, m2)``, so j + k = l is an
+exact integer test, and computes physical components through
+``Domain.wavenumber``.  The scan computes each triad's two coefficients and
+frequency sum once and builds its residual from them.  It decides resonance
+(Omega_j + Omega_k = 0) on the indices, never on floats: for zonal targets
+(j + k = l, l1 = 0, so k1 = -j1) the condition reduces exactly to
+m2(j)^2 == m2(k)^2.
 """
 
 from __future__ import annotations
@@ -34,7 +39,6 @@ import numpy as np
 from .lattice import (
     Domain,
     SpectralField,
-    WaveVector,
     _check_same_domain,
     _grid,  # noqa: F401  (re-exported for perfbench/test_benchmark.py::_broken_advect)
     _irfft2,
@@ -45,13 +49,14 @@ from .lattice import (
 )
 
 
-def omega_freq(k: WaveVector) -> float:
-    """Dispersion frequency Omega_k = -k1/|k|^2; zero exactly when k1 = 0."""
-    if k.is_zero:
+def omega_freq(m: tuple[int, int], domain: Domain) -> float:
+    """Dispersion frequency Omega_k = -k1/|k|^2 of the mode ``m``; zero exactly when m1 = 0."""
+    if m == (0, 0):
         raise ValueError("Omega is undefined at k = 0")
-    if k.k1 == 0.0:
+    if m[0] == 0:
         return 0.0
-    return -k.k1 / k.norm_sq
+    k1, k2 = domain.wavenumber(m)
+    return -k1 / (k1 * k1 + k2 * k2)
 
 
 def apply_A(f: SpectralField) -> SpectralField:
@@ -95,9 +100,7 @@ class VelocityField:
     v: SpectralField
 
     def max_speed(self) -> float:
-        ug = to_grid(self.u).values
-        vg = to_grid(self.v).values
-        return float(np.max(np.hypot(ug, vg)))
+        return float(np.max(np.hypot(to_grid(self.u), to_grid(self.v))))
 
 
 def velocity(w: SpectralField) -> VelocityField:
@@ -199,17 +202,14 @@ def jacobian(a: SpectralField, b: SpectralField) -> SpectralField:
     return SpectralField(a.domain, _advect_raw(a.domain, a.coeffs, b.coeffs))
 
 
-def b_coeff(j: WaveVector, k: WaveVector, l: WaveVector, domain: Domain) -> float:
-    """Analytic triad coefficient; |M|(j^k)/|j|^2 if j + k = l, else 0."""
-    if j.is_zero or k.is_zero:
+def b_coeff(j: tuple[int, int], k: tuple[int, int], l: tuple[int, int], domain: Domain) -> float:
+    """Analytic triad coefficient of index pairs; |M|(j^k)/|j|^2 if j + k = l, else 0."""
+    if (0, 0) in (j, k):
         raise ValueError("triad coefficient requires j, k != 0")
-    j1, j2 = domain.indices(j)
-    k1, k2 = domain.indices(k)
-    l1, l2 = domain.indices(l)
-    if (j1 + k1, j2 + k2) != (l1, l2):
+    if (j[0] + k[0], j[1] + k[1]) != l:
         return 0.0
-    wedge = j.k1 * k.k2 - j.k2 * k.k1
-    return domain.area * wedge / j.norm_sq
+    (j1, j2), (k1, k2) = domain.wavenumber(j), domain.wavenumber(k)
+    return domain.area * (j1 * k2 - j2 * k1) / (j1 * j1 + j2 * j2)
 
 
 @dataclass
@@ -226,22 +226,25 @@ class TriadReport:
     resonant: bool
 
 
-def triad_identity_residual(j: WaveVector, k: WaveVector, l: WaveVector, domain: Domain) -> float:
+def _zonal_triad(j, k, l, domain: Domain) -> tuple[float, float, float, float]:
+    """``(B_jkl, B_kjl, Omega_j + Omega_k, residual)`` of a triad j + k = l with l1 = 0."""
+    bjkl, bkjl = b_coeff(j, k, l, domain), b_coeff(k, j, l, domain)
+    osum = omega_freq(j, domain) + omega_freq(k, domain)
+    return bjkl, bkjl, osum, abs(bjkl + bkjl + domain.wavenumber(l)[1] * osum * domain.area)
+
+
+def triad_identity_residual(
+    j: tuple[int, int], k: tuple[int, int], l: tuple[int, int], domain: Domain
+) -> float:
     """|B_jkl + B_kjl + l2 (Omega_j + Omega_k) |M||; zero in exact arithmetic.
 
-    Defined on zonal-target triads: requires j + k = l with l1 = 0.
+    Defined on zonal-target triads of index pairs: requires j + k = l with l1 = 0.
     """
-    j1, j2 = domain.indices(j)
-    k1, k2 = domain.indices(k)
-    l1, l2 = domain.indices(l)
-    if (j1, j2) == (0, 0) or (k1, k2) == (0, 0):
+    if (0, 0) in (j, k):
         raise ValueError("requires j, k != 0")
-    if l1 != 0 or (j1 + k1, j2 + k2) != (l1, l2):
+    if l[0] != 0 or (j[0] + k[0], j[1] + k[1]) != l:
         raise ValueError("requires j + k = l with l1 = 0")
-    bjkl = b_coeff(j, k, l, domain)
-    bkjl = b_coeff(k, j, l, domain)
-    osum = omega_freq(j) + omega_freq(k)
-    return abs(bjkl + bkjl + l.k2 * osum * domain.area)
+    return _zonal_triad(j, k, l, domain)[3]
 
 
 def triad_scan(domain: Domain, max_k: int) -> list[TriadReport]:
@@ -260,21 +263,7 @@ def triad_scan(domain: Domain, max_k: int) -> list[TriadReport]:
             for k2 in range(-max_k, max_k + 1):
                 if (k1, k2) == (0, 0) or k1 * k1 + k2 * k2 > r2:
                     continue
-                j = domain.wavevector(j1, j2)
-                k = domain.wavevector(k1, k2)
-                l = domain.wavevector(0, j2 + k2)
-                res = triad_identity_residual(j, k, l, domain)
-                reports.append(
-                    TriadReport(
-                        j=(j1, j2),
-                        k=(k1, k2),
-                        l=(0, j2 + k2),
-                        bjkl=b_coeff(j, k, l, domain),
-                        bkjl=b_coeff(k, j, l, domain),
-                        omega_sum=omega_freq(j) + omega_freq(k),
-                        residual=res,
-                        resonant=(j2 * j2 == k2 * k2),
-                    )
-                )
+                j, k, l = (j1, j2), (k1, k2), (0, j2 + k2)
+                reports.append(TriadReport(j, k, l, *_zonal_triad(j, k, l, domain),
+                                           resonant=(j2 * j2 == k2 * k2)))
     return reports
-

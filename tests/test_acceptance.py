@@ -16,7 +16,7 @@ import pytest
 
 from zns.config import load_config
 from zns.diagnostics import agmon_check, approx_steady_state, steady_residual
-from zns.forcing import ForcingSpec, make_forcing
+from zns.forcing import Forcing, ForcingSpec
 from zns.harness import run_contraction_test, run_epsilon_sweep
 from zns.lattice import Domain, inner, norm, random_field
 from zns.operators import (
@@ -196,7 +196,7 @@ def test_criterion_8_approximate_steady_state():
         started = time.monotonic()
         domain = Domain(N1=64, N2=64)
         mu = 0.5
-        forcing = make_forcing(BENCHMARK, domain)
+        forcing = Forcing(BENCHMARK, domain)
         residuals = [
             steady_residual(approx_steady_state(forcing, mu, e), forcing, mu, e)
             for e in SWEEP_EPSILONS
@@ -204,7 +204,7 @@ def test_criterion_8_approximate_steady_state():
         slope = float(np.polyfit(np.log(SWEEP_EPSILONS), np.log(residuals), 1)[0])
         assert 0.8 <= slope <= 1.2, f"residual slope {slope:.3f}"
 
-        zonal = make_forcing(ForcingSpec(modes=((0, 1, 1.0),)), domain)
+        zonal = Forcing(ForcingSpec(modes=((0, 1, 1.0),)), domain)
         w_star = approx_steady_state(zonal, mu, 0.05)
         assert steady_residual(w_star, zonal, mu, 0.05) < 1e-12
         assert time.monotonic() - started < 60.0

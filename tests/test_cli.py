@@ -18,7 +18,9 @@ from zns.cli import main
 from zns.config import ConfigError, load_config
 from zns.forcing import ForcingSpec
 from zns.harness import TRIAD_COLUMNS, ExperimentConfig, Tolerances
-from zns.lattice import Domain, parity_error, read_snapshot, reality_error, write_snapshot
+from zns.lattice import (
+    Domain, parity_error, random_field, read_snapshot, reality_error, write_snapshot,
+)
 from zns.stepper import SimConfig
 
 TINY_CONFIG = """
@@ -158,6 +160,18 @@ class TestSimulate:
         assert code == 1
         assert "non-finite coefficients" in capsys.readouterr().err
         assert not (out2 / "state_final.zns").exists()
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_snapshot_time_exits_1(self, config_file, tmp_path, capsys, value):
+        w = random_field(Domain(N1=16, N2=16), np.random.default_rng(0))
+        write_snapshot(tmp_path / "bad.zns", w, 0.2, 1.0, value)
+        out = tmp_path / "run"
+        code = main(["simulate", "--config", str(config_file), "--out", str(out),
+                     "--resume", str(tmp_path / "bad.zns"), "--quiet"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "bad.zns: t must be finite" in err and "Traceback" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("defect", ["nan", "not-odd", "mu", "t-past-end", "t-off-step"])
     def test_rejected_resume_leaves_no_output_directory(self, config_file, tmp_path, defect):

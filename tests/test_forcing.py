@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zns.diagnostics import grashof, k_s_norm, sobolev_norm
-from zns.forcing import ForcingSpec, make_forcing, spec_from_entries
+from zns.forcing import Forcing, ForcingSpec
 from zns.lattice import Domain, norm, parity_error, reality_error, to_grid
 from zns.operators import split
 
@@ -16,61 +16,61 @@ BENCHMARK = ForcingSpec(modes=((0, 1, 1.0), (1, 1, 0.5)))
 class TestSpecValidation:
     def test_rejects_zero_mode(self):
         with pytest.raises(ValueError):
-            make_forcing(ForcingSpec(modes=((0, 0, 1.0),)), Domain(N1=16, N2=16))
+            Forcing(ForcingSpec(modes=((0, 0, 1.0),)), Domain(N1=16, N2=16))
 
     def test_rejects_flat_in_y_mode(self):
         with pytest.raises(ValueError):
-            make_forcing(ForcingSpec(modes=((2, 0, 1.0),)), Domain(N1=16, N2=16))
+            Forcing(ForcingSpec(modes=((2, 0, 1.0),)), Domain(N1=16, N2=16))
 
     def test_rejects_complex_zonal_amplitude(self):
         with pytest.raises(ValueError):
-            make_forcing(ForcingSpec(modes=((0, 1, 1.0 + 1.0j),)), Domain(N1=16, N2=16))
+            Forcing(ForcingSpec(modes=((0, 1, 1.0 + 1.0j),)), Domain(N1=16, N2=16))
 
     def test_rejects_inconsistent_duplicate(self):
         spec = ForcingSpec(modes=((1, 1, 1.0), (1, -1, 1.0)))  # partner must be -1.0
         with pytest.raises(ValueError):
-            make_forcing(spec, Domain(N1=16, N2=16))
+            Forcing(spec, Domain(N1=16, N2=16))
 
     def test_accepts_consistent_pair_without_doubling(self):
         d = Domain(N1=16, N2=16)
-        single = make_forcing(ForcingSpec(modes=((0, 1, 1.0),)), d)(0.0)
-        pair = make_forcing(ForcingSpec(modes=((0, 1, 1.0), (0, -1, -1.0))), d)(0.0)
+        single = Forcing(ForcingSpec(modes=((0, 1, 1.0),)), d)(0.0)
+        pair = Forcing(ForcingSpec(modes=((0, 1, 1.0), (0, -1, -1.0))), d)(0.0)
         assert np.array_equal(single.coeffs, pair.coeffs)
 
     def test_rejects_modes_outside_dealias_band(self):
         with pytest.raises(ValueError):
-            make_forcing(ForcingSpec(modes=((0, 3, 1.0),)), Domain(N1=8, N2=8))
+            Forcing(ForcingSpec(modes=((0, 3, 1.0),)), Domain(N1=8, N2=8))
 
 
 class TestEvaluation:
     def test_zonal_pair_is_purely_zonal(self):
         d = Domain(N1=16, N2=16)
-        f = make_forcing(ForcingSpec(modes=((0, 1, 1.0),)), d)(0.0)
+        f = Forcing(ForcingSpec(modes=((0, 1, 1.0),)), d)(0.0)
         zonal, fast = split(f)
         assert norm(fast) == 0.0
         # amplitude 1 on (0, 1) is the field 2 sin(y)
-        g = to_grid(f).values
+        g = to_grid(f)
         assert np.allclose(g, 2.0 * np.sin(d.grid_y())[:, None], atol=1e-14)
 
     def test_benchmark_has_both_components(self):
         d = Domain(N1=16, N2=16)
-        f = make_forcing(BENCHMARK, d)(0.0)
+        f = Forcing(BENCHMARK, d)(0.0)
         zonal, fast = split(f)
         assert norm(zonal) > 0 and norm(fast) > 0
         x, y = d.grid_x(), d.grid_y()
         want = 2.0 * np.sin(y)[:, None] + np.cos(x)[None, :] * np.sin(y)[:, None]
-        assert np.allclose(to_grid(f).values, want, atol=1e-14)
+        assert np.allclose(to_grid(f), want, atol=1e-14)
 
     def test_steady_output_time_independent(self):
         d = Domain(N1=16, N2=16)
-        forcing = make_forcing(BENCHMARK, d)
+        forcing = Forcing(BENCHMARK, d)
         assert forcing.is_steady
         assert np.array_equal(forcing(0.0).coeffs, forcing(17.3).coeffs)
 
     def test_periodic_modulus_constant_and_derivative(self):
         d = Domain(N1=16, N2=16)
         spec = ForcingSpec(modes=((1, 1, 0.5), (2, 1, 0.25j)), sigma=1.5)
-        forcing = make_forcing(spec, d)
+        forcing = Forcing(spec, d)
         f0, f1 = forcing(0.0), forcing(0.9)
         assert np.allclose(np.abs(f0.coeffs), np.abs(f1.coeffs), atol=1e-15)
         # derivative against central differences
@@ -85,8 +85,8 @@ class TestEvaluation:
         d = Domain(N1=16, N2=12)
         modes = ((0, 1, 1.0), (1, 1, 0.5), (2, 1, 0.25j))
         # sigma alone makes a spec time-periodic; without it the spec is steady.
-        forcing = make_forcing(ForcingSpec(modes, sigma=1.5), d)
-        steady = make_forcing(ForcingSpec(modes), d)
+        forcing = Forcing(ForcingSpec(modes, sigma=1.5), d)
+        steady = Forcing(ForcingSpec(modes), d)
         assert not forcing.is_steady and steady.is_steady
         base, quarter = steady(0.0).coeffs, steady.coeffs_at(0.0)
         rows = np.s_[1 : d.N2 // 2, : d.N1 // 2 + 1]
@@ -101,7 +101,7 @@ class TestEvaluation:
     def test_periodic_keeps_zonal_part_steady(self):
         d = Domain(N1=16, N2=16)
         spec = ForcingSpec(modes=((0, 1, 1.0), (1, 1, 0.5)), sigma=2.0)
-        forcing = make_forcing(spec, d)
+        forcing = Forcing(spec, d)
         z0, _ = split(forcing(0.0))
         z1, _ = split(forcing(1.234))
         assert np.array_equal(z0.coeffs, z1.coeffs)
@@ -124,7 +124,7 @@ class TestEvaluation:
             modes.append((m1, m2, amp))
         periodic = rng.random() < 0.5
         sigma = float(rng.uniform(0.1, 3.0)) if periodic else 0.0
-        forcing = make_forcing(ForcingSpec(modes=tuple(modes), sigma=sigma), d)
+        forcing = Forcing(ForcingSpec(modes=tuple(modes), sigma=sigma), d)
         t = float(rng.uniform(0, 10))
         f = forcing(t)
         assert f.coeffs[0, 0] == 0.0
@@ -141,7 +141,7 @@ def test_bulk_invariant_ensemble():
         m2 = int(rng.integers(1, 3))
         amp = complex(rng.normal(), 0.0 if m1 == 0 else rng.normal())
         sigma = 1.0 if rng.random() < 0.5 else 0.0
-        forcing = make_forcing(ForcingSpec(((m1, m2, amp),), sigma), d)
+        forcing = Forcing(ForcingSpec(((m1, m2, amp),), sigma), d)
         f = forcing(float(rng.uniform(0, 5)))
         assert f.coeffs[0, 0] == 0.0
         assert parity_error(f) < 1e-14
@@ -166,7 +166,7 @@ def test_matches_four_way_scatter(sigma):
     modes = ((0, 1, 1.0), (1, 1, 0.5), (3, 2, 1.0 - 0.5j), (0, 4, -0.3), (7, 1, 0.1j))
     spec = ForcingSpec(modes, sigma)
     for d in (Domain(L1=4 * np.pi, N1=24, N2=16), Domain(N1=32, N2=32)):
-        forcing = make_forcing(spec, d)
+        forcing = Forcing(spec, d)
         for t in (0.0, 0.37, 12.5):
             want = four_way_scatter(spec, d, t)
             assert np.array_equal(forcing(t).coeffs, want)
@@ -191,13 +191,13 @@ RECTANGLE_SPEC = ForcingSpec(((0, 1, 1.0), (1, 1, 0.5), (3, 2, 1.0 - 0.5j), (0, 
 
 class TestKsNorm:
     def test_zero_spec(self):
-        assert k_s_norm(make_forcing(ForcingSpec(modes=()), Domain(N1=8, N2=8)), 0) == 0.0
+        assert k_s_norm(Forcing(ForcingSpec(modes=()), Domain(N1=8, N2=8)), 0) == 0.0
 
     def test_single_mode_gradient_factor(self):
         # |grad^2 f| = |k|^2 |f| = 2 |f| for the (1,1) mode set
         spec = ForcingSpec(modes=((1, 1, 1.0),))
         d = Domain(N1=16, N2=16)
-        forcing = make_forcing(spec, d)
+        forcing = Forcing(spec, d)
         f = forcing(0.0)
         assert k_s_norm(forcing, 0) == pytest.approx(2.0 * norm(f), rel=1e-13)
         assert k_s_norm(forcing, 0) == pytest.approx(sobolev_norm(f, 2), rel=1e-13)
@@ -205,15 +205,15 @@ class TestKsNorm:
     def test_temporal_part_linear_in_sigma(self):
         d = Domain(N1=16, N2=16)
         base = ForcingSpec(modes=((1, 1, 1.0),))
-        k1 = k_s_norm(make_forcing(ForcingSpec(base.modes, sigma=1.0), d), 0)
-        k2 = k_s_norm(make_forcing(ForcingSpec(base.modes, sigma=2.0), d), 0)
-        spatial = k_s_norm(make_forcing(base, d), 0)
+        k1 = k_s_norm(Forcing(ForcingSpec(base.modes, sigma=1.0), d), 0)
+        k2 = k_s_norm(Forcing(ForcingSpec(base.modes, sigma=2.0), d), 0)
+        spatial = k_s_norm(Forcing(base, d), 0)
         assert (k2 - spatial) == pytest.approx(2.0 * (k1 - spatial), rel=1e-13)
 
     def test_matches_closed_form_on_a_rectangle(self):
         # Spatial part over every coefficient; temporal part |df/dt| = sigma |f|
         # on the rotating (m1 != 0) coefficients only.
-        forcing = make_forcing(RECTANGLE_SPEC, RECTANGLE)
+        forcing = Forcing(RECTANGLE_SPEC, RECTANGLE)
         sigma = RECTANGLE_SPEC.sigma
         for s in (0, 1, 2):
             spatial = closed_form_sums(RECTANGLE_SPEC, RECTANGLE, lambda ksq, m1: ksq ** (s + 2))
@@ -225,10 +225,10 @@ class TestKsNorm:
 
     def test_rejects_negative_order(self):
         with pytest.raises(ValueError):
-            k_s_norm(make_forcing(BENCHMARK, Domain(N1=16, N2=16)), -1)
+            k_s_norm(Forcing(BENCHMARK, Domain(N1=16, N2=16)), -1)
 
     def test_order_defaults_to_declared_smoothness(self):
-        forcing = make_forcing(BENCHMARK, Domain(N1=16, N2=16))
+        forcing = Forcing(BENCHMARK, Domain(N1=16, N2=16))
         assert k_s_norm(forcing) == k_s_norm(forcing, 2)
 
 
@@ -236,19 +236,12 @@ class TestGrashofCoupling:
     def test_linear_in_amplitude(self):
         d = Domain(N1=16, N2=16)
         doubled = ForcingSpec(tuple((m1, m2, 2.0 * a) for m1, m2, a in BENCHMARK.modes))
-        g1 = grashof(make_forcing(BENCHMARK, d), 0.5)
-        g2 = grashof(make_forcing(doubled, d), 0.5)
+        g1 = grashof(Forcing(BENCHMARK, d), 0.5)
+        g2 = grashof(Forcing(doubled, d), 0.5)
         assert g2 == pytest.approx(2.0 * g1, rel=1e-13)
 
     def test_matches_closed_form_on_a_rectangle(self):
         want = np.sqrt(closed_form_sums(RECTANGLE_SPEC, RECTANGLE, lambda ksq, m1: 1.0 / ksq))
-        got = grashof(make_forcing(RECTANGLE_SPEC, RECTANGLE), 0.5)
+        got = grashof(Forcing(RECTANGLE_SPEC, RECTANGLE), 0.5)
         assert got == pytest.approx(want / 0.5**2, rel=1e-13)
 
-
-def test_spec_from_entries_roundtrip():
-    rows = [(0, 1, 1.0, 0.0), (1, 1, 0.5, -0.25)]
-    spec = spec_from_entries(rows, sigma=0.3)
-    assert spec.modes == ((0, 1, 1.0 + 0.0j), (1, 1, 0.5 - 0.25j))
-    assert spec.sigma == 0.3
-    assert spec_from_entries(rows) == ForcingSpec(spec.modes)

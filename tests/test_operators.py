@@ -44,13 +44,13 @@ from conftest import KERNEL_DOMAINS, TRANSFORM_DOMAINS, triad_sum_oracle
 class TestOmegaFreq:
     def test_values(self):
         d = Domain()
-        assert omega_freq(d.wavevector(1, 0)) == -1.0
-        assert omega_freq(d.wavevector(0, 3)) == 0.0
-        assert omega_freq(d.wavevector(2, 1)) == pytest.approx(-0.4)
+        assert omega_freq((1, 0), d) == -1.0
+        assert omega_freq((0, 3), d) == 0.0
+        assert omega_freq((2, 1), d) == pytest.approx(-0.4)
 
     def test_rejects_origin(self):
         with pytest.raises(ValueError):
-            omega_freq(Domain().wavevector(0, 0))
+            omega_freq((0, 0), Domain())
 
 
 class TestLinearOperators:
@@ -130,7 +130,7 @@ class TestVelocity:
     def test_v_vanishes_on_symmetry_lines(self, rng):
         d = Domain(N1=16, N2=16)
         w = random_field(d, rng, norm_target=1.0)
-        vg = to_grid(velocity(w).v).values
+        vg = to_grid(velocity(w).v)
         assert np.max(np.abs(vg[0, :])) < 1e-12       # y = -L2/2
         assert np.max(np.abs(vg[d.N2 // 2, :])) < 1e-12  # y = 0
 
@@ -373,44 +373,40 @@ class TestOddKernel:
 class TestTriadCoefficients:
     def test_analytic_formula_substitution(self):
         d = Domain()
-        val = b_coeff(d.wavevector(1, 0), d.wavevector(0, 1), d.wavevector(1, 1), d)
+        val = b_coeff((1, 0), (0, 1), (1, 1), d)
         assert val == pytest.approx(d.area)
 
     def test_parallel_wavevectors_vanish(self):
         d = Domain()
-        assert b_coeff(d.wavevector(1, 0), d.wavevector(2, 0), d.wavevector(3, 0), d) == 0.0
+        assert b_coeff((1, 0), (2, 0), (3, 0), d) == 0.0
 
     def test_mismatched_triad_is_zero(self):
         d = Domain()
-        assert b_coeff(d.wavevector(1, 0), d.wavevector(0, 1), d.wavevector(2, 1), d) == 0.0
+        assert b_coeff((1, 0), (0, 1), (2, 1), d) == 0.0
 
     def test_resonant_antisymmetry(self):
         d = Domain()
-        j, k, l = d.wavevector(1, 1), d.wavevector(-1, 1), d.wavevector(0, 2)
+        j, k, l = (1, 1), (-1, 1), (0, 2)
         assert b_coeff(j, k, l, d) + b_coeff(k, j, l, d) == pytest.approx(0.0)
-        assert omega_freq(j) + omega_freq(k) == 0.0
+        assert omega_freq(j, d) + omega_freq(k, d) == 0.0
 
     def test_identity_residual_worked_examples(self):
         d = Domain()
         # Bjkl + Bkjl = |M|/2 balances -l2 (Omega_j + Omega_k) |M| = |M|/2.
-        j, k, l = d.wavevector(1, 0), d.wavevector(-1, 1), d.wavevector(0, 1)
+        j, k, l = (1, 0), (-1, 1), (0, 1)
         assert b_coeff(j, k, l, d) == pytest.approx(d.area)
         assert b_coeff(k, j, l, d) == pytest.approx(-d.area / 2)
         assert triad_identity_residual(j, k, l, d) < 1e-13 * d.area
         # resonant case: both sides vanish
-        j, k, l = d.wavevector(1, 1), d.wavevector(-1, 1), d.wavevector(0, 2)
+        j, k, l = (1, 1), (-1, 1), (0, 2)
         assert triad_identity_residual(j, k, l, d) < 1e-13 * d.area
 
     def test_identity_residual_preconditions(self):
         d = Domain()
         with pytest.raises(ValueError):
-            triad_identity_residual(
-                d.wavevector(1, 0), d.wavevector(0, 1), d.wavevector(1, 1), d
-            )
+            triad_identity_residual((1, 0), (0, 1), (1, 1), d)
         with pytest.raises(ValueError):
-            triad_identity_residual(
-                d.wavevector(1, 0), d.wavevector(-1, 1), d.wavevector(0, 2), d
-            )
+            triad_identity_residual((1, 0), (-1, 1), (0, 2), d)
 
     def test_small_exhaustive_scan(self):
         d = Domain()
@@ -427,6 +423,18 @@ class TestTriadCoefficients:
         reports = triad_scan(d, 4)
         assert max(r.residual for r in reports) < 1e-12 * d.area
 
+    def test_scan_reports_equal_the_per_triad_functions(self):
+        # The scan computes each triad's coefficients once; every report must
+        # equal, bit for bit, what the public per-triad functions return.
+        d = Domain(L1=4 * np.pi, L2=2 * np.pi)
+        reports = triad_scan(d, 5)
+        assert reports
+        for r in reports:
+            assert r.bjkl == b_coeff(r.j, r.k, r.l, d)
+            assert r.bkjl == b_coeff(r.k, r.j, r.l, d)
+            assert r.omega_sum == omega_freq(r.j, d) + omega_freq(r.k, d)
+            assert r.residual == triad_identity_residual(r.j, r.k, r.l, d)
+
 
 @given(
     j1=st.integers(-6, 6), j2=st.integers(-6, 6), k2=st.integers(-6, 6)
@@ -438,9 +446,7 @@ def test_triad_identity_residual_property(j1, j2, k2):
     if j1 == 0 and k2 == 0:
         return
     d = Domain()
-    j = d.wavevector(j1, j2)
-    k = d.wavevector(-j1, k2)
-    l = d.wavevector(0, j2 + k2)
+    j, k, l = (j1, j2), (-j1, k2), (0, j2 + k2)
     assert triad_identity_residual(j, k, l, d) < 1e-12 * d.area
 
 

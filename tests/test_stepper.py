@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zns.diagnostics import sobolev_norm
-from zns.forcing import ForcingSpec, make_forcing
+from zns.forcing import Forcing, ForcingSpec
 from zns.lattice import (
     Domain,
     SpectralField,
@@ -168,7 +168,7 @@ class TestLinearExactness:
         # With B off, the forced zonal mode relaxes onto f / (mu |k|^2).
         d = Domain(N1=16, N2=16)
         mu = 0.5
-        forcing = make_forcing(ForcingSpec(modes=((0, 1, 1.0),)), d)
+        forcing = Forcing(ForcingSpec(modes=((0, 1, 1.0),)), d)
         sim = SimConfig(epsilon=0.1, mu=mu, advection=False)
         st_ = Stepper(d, sim, h=0.05)
         fixed = SpectralField(d, forcing(0.0).coeffs / mu)  # |k|^2 = 1 there
@@ -193,7 +193,7 @@ class TestNonlinearStep:
 
     def test_parity_and_mean_preserved(self, rng):
         d = Domain(N1=16, N2=16)
-        forcing = make_forcing(ForcingSpec(modes=((0, 1, 1.0), (1, 1, 0.5))), d)
+        forcing = Forcing(ForcingSpec(modes=((0, 1, 1.0), (1, 1, 0.5))), d)
         st_ = Stepper(d, SimConfig(epsilon=0.1, mu=0.5), h=0.01)
         w = random_field(d, rng, kmax=4.0, norm_target=1.0)
         for i in range(50):
@@ -318,7 +318,7 @@ class TestBudgetResidual:
     def test_zonal_steady_state_balances(self):
         d = Domain(N1=16, N2=16)
         mu = 0.5
-        forcing = make_forcing(ForcingSpec(modes=((0, 1, 1.0),)), d)
+        forcing = Forcing(ForcingSpec(modes=((0, 1, 1.0),)), d)
         sim = SimConfig(epsilon=0.1, mu=mu, advection=False)
         st_ = Stepper(d, sim, h=0.05)
         w = SpectralField(d, forcing(0.0).coeffs / mu)
@@ -335,7 +335,7 @@ class TestBudgetResidual:
 
     def test_second_order_in_h(self, rng):
         d = Domain(N1=16, N2=16)
-        forcing = make_forcing(ForcingSpec(modes=((0, 1, 1.0), (1, 1, 0.5))), d)
+        forcing = Forcing(ForcingSpec(modes=((0, 1, 1.0), (1, 1, 0.5))), d)
         sim = SimConfig(epsilon=0.2, mu=0.5)
         w0 = random_field(d, rng, kmax=4.0, norm_target=1.0)
         vals = []
@@ -357,7 +357,7 @@ class TestBudgetResidual:
     @pytest.mark.parametrize("forced", [True, False], ids=["forced", "unforced"])
     def test_matches_midpoint_formula(self, d, forced, rng):
         spec = ForcingSpec(modes=((0, 1, 1.0), (1, 1, 0.5)))
-        forcing = make_forcing(spec, d) if forced else None
+        forcing = Forcing(spec, d) if forced else None
         sim = SimConfig(epsilon=0.2, mu=0.5)
         h = 4e-3
         w = random_field(d, rng, norm_target=1.0)
@@ -420,7 +420,7 @@ class TestHalfWidthStep:
     @pytest.mark.parametrize("d", KERNEL_DOMAINS)
     @pytest.mark.parametrize("odd", [True, False], ids=["odd", "not-odd"])
     def test_matches_full_width_reference(self, d, odd, rng):
-        forcing = make_forcing(self.SPEC, d)
+        forcing = Forcing(self.SPEC, d)
         st_ = Stepper(d, SimConfig(epsilon=0.2, mu=0.5), h=0.01)
         k = full_width_tables(st_)
         w = random_field(d, rng, norm_target=2.0, odd_in_y=odd)
@@ -442,7 +442,7 @@ class TestHalfWidthStep:
         # The stages and the weights are quarters, and input that is not odd is refused.
         d = Domain(L1=4 * np.pi, N1=24, N2=16)
         st_ = Stepper(d, SimConfig(epsilon=0.2, mu=0.5), h=0.01)
-        forcing = make_forcing(self.SPEC, d)
+        forcing = Forcing(self.SPEC, d)
         w = random_field(d, rng, norm_target=2.0)
         phi = random_field(d, rng, norm_target=1.0)
         w1, stages = st_.step_with_stages(w, 0.0, forcing)
@@ -473,7 +473,7 @@ class TestHalfWidthStep:
         d = Domain(N1=16, N2=16)
         st_ = Stepper(d, SimConfig(epsilon=0.2, mu=0.5), h=0.01)
         w = random_field(d, rng, norm_target=2.0)
-        _, stages = st_.step_with_stages(w, 0.0, make_forcing(self.SPEC, d))
+        _, stages = st_.step_with_stages(w, 0.0, Forcing(self.SPEC, d))
         assert calls == [(16, 9)]
         st_.tangent_step(random_field(d, rng, norm_target=1.0), stages)
         assert calls == [(16, 9), (16, 9)]
@@ -487,7 +487,7 @@ class TestQuarterStep:
     @pytest.mark.parametrize("d", KERNEL_DOMAINS)
     def test_matches_general_path(self, d):
         # A step on full fields matches a trajectory kept as quarters bit for bit.
-        forcing = make_forcing(self.SPEC, d)
+        forcing = Forcing(self.SPEC, d)
         st_ = Stepper(d, SimConfig(epsilon=0.2, mu=0.5), h=0.01)
         rng = np.random.default_rng(11)
         w0 = random_field(d, rng, norm_target=2.0)
@@ -519,7 +519,7 @@ class TestQuarterStep:
         def observe(t, w, tangent, partner, recorded):
             errors.extend(parity_error(f.field) for f in (w, tangent, partner))
 
-        integrate(st_, make_forcing(self.SPEC, d), initial_state(d, 1, 0.5), 0.0, 3.0,
+        integrate(st_, Forcing(self.SPEC, d), initial_state(d, 1, 0.5), 0.0, 3.0,
                   record_every=50, tangent=random_field(d, rng, norm_target=1.0),
                   partner=initial_state(d, 2, 0.5), observe=observe)
         assert len(errors) == 3 * 300
@@ -529,7 +529,7 @@ class TestQuarterStep:
         # Both are refused.
         d = Domain(N1=16, N2=16)
         st_ = Stepper(d, SimConfig(epsilon=0.2, mu=0.5), h=0.01)
-        forcing = make_forcing(self.SPEC, d)
+        forcing = Forcing(self.SPEC, d)
         w = random_field(d, rng, norm_target=2.0)
         _, stages = st_.step_with_stages(w, 0.0, forcing)
         assert stages.u0.shape == (7, 9)
@@ -558,14 +558,14 @@ class TestQuarterStep:
         assert parity_error(w1) == 0.0 and reality_error(w1) == 0.0
         w2 = st_.step(w, 0.0, lambda t: project_parity(even))
         assert np.array_equal(w1.coeffs, w2.coeffs)
-        _, stages = st_.step_with_stages(w, 0.0, make_forcing(self.SPEC, d))
+        _, stages = st_.step_with_stages(w, 0.0, Forcing(self.SPEC, d))
         assert stages.u0.shape == (7, 9)
 
     def test_tangent_not_odd_on_quarter_stages(self, rng):
         # Refused, as a base state that is not odd is; its odd part steps.
         d = Domain(L1=4 * np.pi, N1=24, N2=16)
         st_ = Stepper(d, SimConfig(epsilon=0.2, mu=0.5), h=0.01)
-        forcing = make_forcing(self.SPEC, d)
+        forcing = Forcing(self.SPEC, d)
         w = random_field(d, rng, norm_target=2.0)
         phi = random_field(d, rng, norm_target=1.0, odd_in_y=False)
         _, stages = st_.step_with_stages(w, 0.0, forcing)
@@ -636,7 +636,7 @@ class TestCachedTangentStage:
 
     @pytest.mark.parametrize("d", KERNEL_DOMAINS)
     def test_tangent_step_without_grids_matches_step_pair(self, d, rng):
-        forcing = make_forcing(self.SPEC, d)
+        forcing = Forcing(self.SPEC, d)
         st_ = Stepper(d, SimConfig(epsilon=0.2, mu=0.5), h=0.01)
         w = random_field(d, rng, norm_target=2.0)
         phi = random_field(d, rng, norm_target=1.0)
@@ -667,7 +667,7 @@ class TestCachedTangentStage:
 
     def test_transform_counts(self, monkeypatch, rng):
         d = Domain(N1=16, N2=16)
-        forcing = make_forcing(self.SPEC, d)
+        forcing = Forcing(self.SPEC, d)
         st_ = Stepper(d, SimConfig(epsilon=0.2, mu=0.5), h=0.01)
         w = random_field(d, rng, norm_target=2.0)
         phi = random_field(d, rng, norm_target=1.0)
@@ -722,7 +722,7 @@ class TestWorkBuffers:
         from zns.harness import initial_state, integrate
 
         d = Domain(N1=n, N2=n)
-        forcing = make_forcing(self.SPEC, d)
+        forcing = Forcing(self.SPEC, d)
         st_ = Stepper(d, SimConfig(epsilon=0.05, mu=0.5), h=0.008)
         w0, phi0, partner0 = (initial_state(d, seed, 1.0) for seed in (1, 2, 3))
         last = []
@@ -762,7 +762,7 @@ class TestWorkBuffers:
             return out
 
         d = Domain(N1=32, N2=32)
-        forcing = make_forcing(self.SPEC, d)
+        forcing = Forcing(self.SPEC, d)
         st_ = Stepper(d, SimConfig(epsilon=0.05, mu=0.5), h=0.008)
         w0, phi0, partner0 = (initial_state(d, seed, 1.0) for seed in (1, 2, 3))
 
@@ -786,7 +786,7 @@ class TestWorkBuffers:
 
     @pytest.mark.parametrize("d", KERNEL_DOMAINS)
     def test_alternating_trajectories_match_each_alone(self, d):
-        forcing = make_forcing(self.SPEC, d)
+        forcing = Forcing(self.SPEC, d)
         st_ = Stepper(d, SimConfig(epsilon=0.2, mu=0.5), h=0.01)
         rng = np.random.default_rng(13)
         starts = [(random_field(d, rng, norm_target=2.0), random_field(d, rng, norm_target=1.0))
@@ -829,7 +829,7 @@ class TestSteadyForcingView:
     @pytest.mark.parametrize("odd", [True, False], ids=["odd", "not-odd"])
     def test_step_unchanged_and_base_never_written(self, odd, rng):
         d = Domain(N1=16, N2=16)
-        forcing = make_forcing(self.SPEC, d)
+        forcing = Forcing(self.SPEC, d)
         base = forcing(0.0).coeffs
         st_ = Stepper(d, SimConfig(epsilon=0.2, mu=0.5), h=0.01)
         w = random_field(d, rng, norm_target=2.0, odd_in_y=odd)
@@ -860,7 +860,7 @@ class TestSteadyForcingView:
 @pytest.mark.parametrize("odd", [True, False], ids=["odd", "not-odd"])
 def test_forcing_evaluated_once_per_distinct_time(sigma, odd, rng):
     d = Domain(N1=16, N2=16)
-    forcing = make_forcing(ForcingSpec(TestSteadyForcingView.SPEC.modes, sigma), d)
+    forcing = Forcing(ForcingSpec(TestSteadyForcingView.SPEC.modes, sigma), d)
     times = []
 
     def counted(t):
@@ -903,7 +903,7 @@ def budget_residual_three_pass(w, w_next, t, h, forcing, config):
 @pytest.mark.parametrize("forced", [True, False], ids=["forced", "unforced"])
 @pytest.mark.parametrize("odd", [True, False], ids=["odd", "not-odd"])
 def test_budget_residual_matches_three_pass_formula(d, forced, odd, rng):
-    forcing = make_forcing(ForcingSpec(modes=((0, 1, 1.0), (1, 1, 0.5))), d) if forced else None
+    forcing = Forcing(ForcingSpec(modes=((0, 1, 1.0), (1, 1, 0.5))), d) if forced else None
     sim = SimConfig(epsilon=0.2, mu=0.5)
     st_ = Stepper(d, sim, 4e-3)
     w = random_field(d, rng, norm_target=1.0, odd_in_y=odd)
