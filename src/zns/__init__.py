@@ -36,6 +36,7 @@ from .harness import (
 )
 from .lattice import (
     Domain,
+    OddQuarter,
     SpectralField,
     inner,
     norm,
@@ -65,7 +66,6 @@ from .stepper import (
     BlowUpError,
     EtdCoefficients,
     LinearSymbol,
-    OddQuarter,
     SimConfig,
     Stepper,
     budget_residual,

@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .forcing import Forcing
-from .lattice import SpectralField, _irfft2, _require_odd, inner, norm, to_grid
+from .lattice import OddQuarter, SpectralField, _irfft2, inner, norm, to_grid
 from .operators import _odd_spectra, apply_A, apply_I_omega, apply_inv_laplacian, apply_L, jacobian
 from .operators import split
 
@@ -74,13 +74,6 @@ class AgmonReport:
     high_bound: float   # Cauchy-Schwarz bound on high_sum
     constant_candidate: float
     violation: bool
-    convention: str
-
-
-_CONVENTION = (
-    "continuum Fourier coefficients; |grad^s w|^2 = L1*L2*sum |k|^(2s)|w_k|^2; "
-    "sup norm from collocation maximum"
-)
 
 
 def agmon_check(u: SpectralField, v: SpectralField, constant_candidate: float) -> AgmonReport:
@@ -131,7 +124,6 @@ def agmon_check(u: SpectralField, v: SpectralField, constant_candidate: float) -
         high_bound=high_bound,
         constant_candidate=constant_candidate,
         violation=ratio > constant_candidate,
-        convention=_CONVENTION,
     )
 
 
@@ -191,7 +183,7 @@ def record_state(w: SpectralField, t: float, budget: float = 0.0) -> Diagnostics
     ``v`` odd, so with ``g = u + v`` one transform gives ``u^2 + v^2 = (g(y)^2 + g(-y)^2)/2``.
     """
     d = w.domain
-    q = _require_odd(w)
+    q = OddQuarter.of(w).coeffs
     rows = np.s_[1 : d.N2 // 2, : d.N1 // 2 + 1]
     p = np.square(q.real) + np.square(q.imag)
     p *= d._half_weight[rows]

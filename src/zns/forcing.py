@@ -18,7 +18,8 @@ constant in time; zonal coefficients are held steady, since a phase
 rotation there is incompatible with the symmetry.  Hence all the
 sup-in-time norms are attained at every t, and :mod:`zns.diagnostics` takes
 them at t = 0.  A ``Forcing`` stores only the m2 > 0 quarter of the closure,
-the layout the step reads; calling it builds the full field.
+the layout the step reads; calling it builds the full field through
+``OddQuarter.field``.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import Domain, SpectralField, _frozen, _odd_half, _require_finite, _unfold
+from .lattice import Domain, OddQuarter, SpectralField, _frozen, _require_finite
 
 
 @dataclass(frozen=True)
@@ -101,8 +102,7 @@ class Forcing:
         return self.spec.sigma == 0.0
 
     def __call__(self, t: float) -> SpectralField:
-        d = self.domain
-        return SpectralField(d, _unfold(d, _odd_half(d, self.coeffs_at(t))))
+        return OddQuarter(self.domain, self.coeffs_at(t)).field
 
     def coeffs_at(self, t: float) -> np.ndarray:
         """The quarter at time ``t``; a steady forcing gives its read-only base, not a copy."""
@@ -112,7 +112,6 @@ class Forcing:
 
     def derivative(self, t: float) -> SpectralField:
         """Analytic time derivative of the forcing field."""
-        d = self.domain
         q = self._base * (1j * self._rot) * np.exp(1j * self._rot * t)
-        return SpectralField(d, _unfold(d, _odd_half(d, q)))
+        return OddQuarter(self.domain, q).field
 

@@ -33,6 +33,7 @@ from .diagnostics import (
 from .forcing import Forcing, ForcingSpec
 from .lattice import (
     Domain,
+    OddQuarter,
     SpectralField,
     _atomic_open,
     _require_finite,
@@ -46,7 +47,7 @@ from .lattice import (
     write_snapshot,
 )
 from .operators import TriadReport, apply_I_omega, apply_inv_laplacian, split, velocity
-from .stepper import BlowUpError, OddQuarter, SimConfig, Stepper, budget_residual
+from .stepper import BlowUpError, SimConfig, Stepper, budget_residual
 
 EPS_FLOOR = 100.0 * np.finfo(float).eps
 
@@ -104,6 +105,8 @@ class ExperimentConfig:
             raise ValueError("need t_end > t_spin > 0")
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         vmax = self.estimated_max_speed()
         dx = min(self.domain.L1 / self.domain.N1, self.domain.L2 / self.domain.N2)
         cfl = vmax * self.h / dx
@@ -209,7 +212,8 @@ def integrate(
 
     Steps are counted from t = 0 (step i ends at ``i h``, cadences count i),
     so a resumed run repeats the uninterrupted one bit for bit; t0 and
-    t_end - t0 must be whole numbers of steps.
+    t_end - t0 must be whole numbers of steps.  A ``BlowUpError`` of the
+    tangent or the partner is marked as theirs.
     """
     h = stepper.h
     n0, n_steps = _step_range(h, t0, t_end)
@@ -225,7 +229,10 @@ def integrate(
         else:
             w, tangent = stepper.step_pair(w, tangent, t_prev, forcing)
         if partner is not None:
-            partner = stepper.step(partner, t_prev, forcing)
+            try:
+                partner = stepper.step(partner, t_prev, forcing)
+            except BlowUpError as e:
+                raise BlowUpError(e.t, e.mode, e.magnitude, "partner") from e
         recorded = i % record_every == 0 or i == n0 + n_steps
         if recorded:
             b = budget_residual(w_prev, w, t_prev, h, forcing, stepper.config)
@@ -233,6 +240,24 @@ def integrate(
         if observe is not None:
             observe(t, w, tangent, partner, recorded)
     return w.field, records
+
+
+def _trajectory(config: ExperimentConfig, forcing: Forcing, eps: float, seed: int | None = None,
+                *, stepper: Stepper | None = None, w0: SpectralField | None = None,
+                t0: float = 0.0, **kwargs) -> tuple[SpectralField, list[DiagnosticsRecord]]:
+    """``integrate`` one experiment member to ``config.t_end`` on the epsilon's ``stepper``
+    (built if None) from ``w0`` (if None, the seed's initial state); a ``BlowUpError`` is
+    raised again naming the epsilon and any seed, after its own mark (tangent, partner)."""
+    if stepper is None:
+        stepper = Stepper(config.domain, config.sim_config(eps), config.h)
+    if w0 is None:
+        w0 = initial_state(config.domain, seed, config.omega0_norm)
+    try:
+        return integrate(stepper, forcing, w0, t0, config.t_end, config.record_every, **kwargs)
+    except BlowUpError as e:
+        member = f"eps={eps:g}" if seed is None else f"eps={eps:g}, seed={seed}"
+        context = f"{e.context} of {member}" if e.context else member
+        raise BlowUpError(e.t, e.mode, e.magnitude, context) from e
 
 
 # ---------------------------------------------------------------------------
@@ -352,8 +377,8 @@ def run_epsilon_sweep(
 ) -> RunRecord:
     """Integrate each epsilon (and seed), then check the attenuation scaling.
 
-    A blow-up aborts the sweep naming the offending epsilon; violated
-    theorem checks are recorded, not raised.
+    A blow-up aborts the sweep naming the offending epsilon and seed;
+    violated theorem checks are recorded, not raised.
     """
     if n_seeds < 1:
         raise ValueError(f"need at least one seed, got {n_seeds}")
@@ -363,17 +388,7 @@ def run_epsilon_sweep(
     for eps in config.epsilons:
         stepper = Stepper(config.domain, config.sim_config(eps), config.h)
         for seed in seeds:
-            w0 = initial_state(config.domain, seed, config.omega0_norm)
-            try:
-                _, records = integrate(
-                    stepper, forcing, w0, 0.0, config.t_end, config.record_every
-                )
-            except BlowUpError as e:
-                raise BlowUpError(
-                    e.t, e.mode, e.magnitude,
-                    context=f"sweep member eps={eps:g}, seed={seed}",
-                ) from e
-            series[_label(eps, seed)] = records
+            series[_label(eps, seed)] = _trajectory(config, forcing, eps, seed, stepper=stepper)[1]
     summary, violations = summarize_epsilon_sweep(series, config, seeds)
     record = RunRecord(
         kind="epsilon-sweep",
@@ -458,10 +473,8 @@ def run_contraction_test(
     if not forcing.is_steady:
         raise ValueError("contraction test requires steady forcing")
     eps = config.epsilons[0] if epsilon is None else epsilon
-    stepper = Stepper(config.domain, config.sim_config(eps), config.h)
-    w1 = initial_state(config.domain, config.seed, config.omega0_norm)
-    w2 = initial_state(config.domain, config.seed + 1, config.omega0_norm)
-    phi = initial_state(config.domain, config.seed + 2, config.omega0_norm)
+    w1, w2, phi = (initial_state(config.domain, config.seed + i, config.omega0_norm)
+                   for i in range(3))
     distance = [(0.0, norm(w1 - w2))]
     tangent = [(0.0, norm(phi))]
 
@@ -470,9 +483,8 @@ def run_contraction_test(
             distance.append((t, norm(w1.field - w2.field)))
             tangent.append((t, norm(phi.field)))
 
-    _, records = integrate(
-        stepper, forcing, w1, 0.0, config.t_end, config.record_every,
-        tangent=phi, partner=w2, observe=observe,
+    _, records = _trajectory(
+        config, forcing, eps, config.seed, w0=w1, tangent=phi, partner=w2, observe=observe
     )
     curves = {"distance": distance, "tangent": tangent}
     summary, violations = summarize_contraction(curves, config, eps)
@@ -530,17 +542,7 @@ def run_steady_residual_sweep(
     for eps in config.epsilons:
         w_star = approx_steady_state(forcing, config.mu, eps)
         res = steady_residual(w_star, forcing, config.mu, eps)
-        w0 = initial_state(config.domain, config.seed, config.omega0_norm)
-        stepper = Stepper(config.domain, config.sim_config(eps), config.h)
-        try:
-            w_end, records = integrate(
-                stepper, forcing, w0, 0.0, config.t_end, config.record_every
-            )
-        except BlowUpError as e:
-            raise BlowUpError(
-                e.t, e.mode, e.magnitude, context=f"steady-sweep member eps={eps:g}"
-            ) from e
-        series[_label(eps, config.seed)] = records
+        w_end, series[_label(eps, config.seed)] = _trajectory(config, forcing, eps, config.seed)
         rows.append(
             {
                 "epsilon": eps,
@@ -585,7 +587,7 @@ def simulate(
         raise ValueError(f"snapshot_every must be positive, got {snapshot_every!r}")
     forcing = Forcing(config.forcing, config.domain)
     eps = config.epsilons[0] if epsilon is None else epsilon
-    t0 = 0.0
+    t0, w0 = 0.0, None
     if resume_from is not None:
         w0, eps, mu, t0 = read_snapshot(resume_from)
         if w0.domain != config.domain:
@@ -611,8 +613,6 @@ def simulate(
         # A no-op on a snapshot written here.  Reality first: it makes the real part of the
         # m1 = 0 column even in m2, so the parity projection zeroes it, as a quarter needs.
         w0 = project_parity(project_reality(w0))
-    else:
-        w0 = initial_state(config.domain, config.seed, config.omega0_norm)
     stepper = Stepper(config.domain, config.sim_config(eps), config.h)
     _step_range(stepper.h, t0, config.t_end)  # integrate's own check, made early
     # Only now, so that a rejected resume, epsilon or time leaves no directory behind.
@@ -630,8 +630,9 @@ def simulate(
                 write_snapshot(out / f"state_t{t:.6f}.zns", w.field, eps, config.mu, t)
                 next_snapshot += snapshot_every
 
-    w, records = integrate(
-        stepper, forcing, w0, t0, config.t_end, config.record_every, observe=observe
+    seed = config.seed if resume_from is None else None  # a resumed state has no seed
+    w, records = _trajectory(
+        config, forcing, eps, seed, stepper=stepper, w0=w0, t0=t0, observe=observe
     )
     t_final = records[-1].t
     write_snapshot(out / "state_final.zns", w, eps, config.mu, t_final)

@@ -22,9 +22,9 @@ Conventions (fixed throughout the package):
 * A field odd in y has ``c(m1, -m2) = -c(m1, m2)``, so its half is fixed by
   the ``m2 > 0`` rows, the quarter ``(N2/2 - 1, N1/2 + 1)``; its m2 = 0 and
   Nyquist rows are zero and its m1 = 0 column is imaginary.  The solver
-  keeps only exactly odd fields: a trajectory's state is its quarter
-  (``_require_odd`` takes it from a field, refusing any other), and
-  ``_odd_half`` and ``_unfold`` expand it to a full field where one is needed.
+  keeps only exactly odd fields: a trajectory's state is an ``OddQuarter``
+  (``OddQuarter.of`` takes it from a field, refusing any other), and its
+  ``field`` is the one expansion of a quarter to a full field.
 * Grid values are plain real ``(N2, N1)`` arrays, ``[j2, j1]`` at
   ``(x_j1, y_j2)``: ``to_grid(f)`` returns one and ``to_spectral(domain,
   values)`` is its inverse.
@@ -344,15 +344,6 @@ def _odd_quarter(d: Domain, H: np.ndarray) -> np.ndarray | None:
     return Q
 
 
-def _require_odd(f: SpectralField) -> np.ndarray:
-    """The m2 > 0 quarter of ``f``; ValueError unless its half is exactly odd in y."""
-    d = f.domain
-    quarter = _odd_quarter(d, f.coeffs[:, : d.N1 // 2 + 1])
-    if quarter is None:
-        raise ValueError("field is not exactly odd in y (project_parity makes it odd)")
-    return quarter
-
-
 def _odd_half(d: Domain, Q: np.ndarray) -> np.ndarray:
     """The half-width coefficients of the odd field whose m2 > 0 rows are ``Q``."""
     n2 = d.N2 // 2
@@ -360,6 +351,30 @@ def _odd_half(d: Domain, Q: np.ndarray) -> np.ndarray:
     H[1:n2] = Q
     np.negative(Q[::-1], out=H[n2 + 1 :])
     return H
+
+
+@dataclass(eq=False)
+class OddQuarter:
+    """The m2 > 0 quarter ``(N2/2 - 1, N1/2 + 1)`` of an exactly odd real field: a
+    trajectory's state, whose ``field`` is built once, on first use."""
+
+    domain: Domain
+    coeffs: np.ndarray
+
+    @classmethod
+    def of(cls, f: SpectralField) -> OddQuarter:
+        """The quarter of ``f``; ValueError unless its half is exactly odd in y."""
+        d = f.domain
+        quarter = _odd_quarter(d, f.coeffs[:, : d.N1 // 2 + 1])
+        if quarter is None:
+            raise ValueError("field is not exactly odd in y (project_parity makes it odd)")
+        return cls(d, quarter)
+
+    @cached_property
+    def field(self) -> SpectralField:
+        """The full field, shared: do not write into it."""
+        d = self.domain
+        return SpectralField(d, _unfold(d, _odd_half(d, self.coeffs)))
 
 
 def _grid(d: Domain, C: np.ndarray) -> np.ndarray:

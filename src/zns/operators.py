@@ -12,13 +12,14 @@ coefficient convention, per mode k:
   with the 2/3 rule; the analytic triad coefficient is
   B_jkl = |M| (j1 k2 - j2 k1)/|j|^2 when j + k = l.  The kernel
   ``_advect_raw`` takes full coefficients (for ``jacobian``: five real
-  transforms) or the m2 > 0 quarters of odd-in-y fields, the solver's state
-  (three: one stacked inverse call for two grids and one forward call whose
-  y-pass runs only on the columns the 2/3 rule keeps).  The quarter kernel
-  is the composition of two helpers, the grids of quarters times the tables
-  (``_odd_grids``) and the odd part of a grid product (``_odd_part``), which
-  the step also uses on its own; they work in the domain's reused buffers
-  (``Domain._work``).
+  transforms, after which ``_unfold`` alone mirrors the m1 < 0 half and the
+  m2 < 0 rows of column m1 = 0) or the m2 > 0 quarters of odd-in-y fields,
+  the solver's state (three: one stacked inverse call for two grids and one
+  forward call whose y-pass runs only on the columns the 2/3 rule keeps).
+  The quarter kernel is the composition of two helpers, the grids of
+  quarters times the tables (``_odd_grids``) and the odd part of a grid
+  product (``_odd_part``), which the step also uses on its own; they work in
+  the domain's reused buffers (``Domain._work``).
 
 The triad layer (``omega_freq``, ``b_coeff``, ``triad_identity_residual``,
 ``triad_scan``) takes integer index pairs ``(m1, m2)``, so j + k = l is an
@@ -136,9 +137,6 @@ def _advect_raw(d: Domain, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     ug += vg
     out = _rfft2(d, ug)
     out *= d._advect_mask
-    # Column m1 = 0 holds m2 and -m2: mirror it, so the half is exactly Hermitian.
-    n2 = d.N2 // 2
-    np.conjugate(out[n2 - 1 : 0 : -1, 0], out=out[n2 + 1 :, 0])
     return _unfold(d, out)
 
 

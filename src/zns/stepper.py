@@ -21,50 +21,28 @@ is not exactly odd is refused.  A trajectory loop keeps its state as an
 A tangent step linearizes the step about its base stages.  ``step_pair`` has
 the base step keep each stage's grids ``u + v`` and ``bx + by`` in the
 stepper's buffers, and a tangent stage is the odd part of one grid sum over
-them: three transforms, where two advection calls would take six.
+them: three transforms, where two advection calls would take six.  A
+tangent's blow-up is marked as its own: a failed contraction, not a broken state.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
 from .forcing import Forcing
-from .lattice import Domain, SpectralField, _frozen, _odd_half, _require_finite, _require_odd
-from .lattice import _unfold
+from .lattice import Domain, OddQuarter, SpectralField, _frozen, _require_finite
 from .operators import _advect_raw, _odd_grids, _odd_part
 
 ForcingFn = Callable[[float], SpectralField]
-
-
-@dataclass(eq=False)
-class OddQuarter:
-    """A trajectory state between steps: the m2 > 0 quarter ``(N2/2 - 1, N1/2 + 1)``
-    of an exactly odd real field, whose ``field`` is built once, on first use."""
-
-    domain: Domain
-    coeffs: np.ndarray
-
-    @classmethod
-    def of(cls, f: SpectralField) -> OddQuarter:
-        return cls(f.domain, _require_odd(f))
-
-    @cached_property
-    def field(self) -> SpectralField:
-        """The full field, shared: do not write into it."""
-        d = self.domain
-        return SpectralField(d, _unfold(d, _odd_half(d, self.coeffs)))
-
-
 State = SpectralField | OddQuarter
 
 
 def _quarter(x: State) -> np.ndarray:
-    return x.coeffs if isinstance(x, OddQuarter) else _require_odd(x)
+    return (x if isinstance(x, OddQuarter) else OddQuarter.of(x)).coeffs
 
 
 def _forcing_at(forcing: ForcingFn, t: float, d: Domain) -> np.ndarray:
@@ -294,7 +272,7 @@ class Stepper:
 
     # -- stepping -----------------------------------------------------------
 
-    def _check_state(self, C: np.ndarray, t: float) -> None:
+    def _check_state(self, C: np.ndarray, t: float, context: str = "") -> None:
         mags = np.abs(C)
         peak = float(mags.max())
         if not peak <= self.config.blowup_threshold:  # also true for NaN
@@ -303,7 +281,7 @@ class Stepper:
             i2, i1 = np.unravel_index(i, mags.shape)
             # Quarter row i2 holds m2 = i2 + 1.
             mode = (int(self.domain.m1[i1]), int(i2) + 1)
-            raise BlowUpError(t, mode, peak if finite.all() else float("inf"))
+            raise BlowUpError(t, mode, peak if finite.all() else float("inf"), context)
 
     def _like(self, x: State, C: np.ndarray) -> State:
         """Quarter ``C`` as the kind of state ``x`` is."""
@@ -347,7 +325,7 @@ class Stepper:
         out, *_ = self._etdrk4(
             _quarter(phi), lambda i, p: self._tangent_nonlinear(base[i], p, grids[i])
         )
-        self._check_state(out, stages.t + self.h)
+        self._check_state(out, stages.t + self.h, "tangent")
         return self._like(phi, out)
 
     def step_pair(

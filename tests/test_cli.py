@@ -377,6 +377,17 @@ def test_bad_input_exits_1(argv, text, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [["sweep-epsilon", "--config", "CFG"],
+                                  ["agmon-check", "--samples", "1", "--resolution", "16"]],
+                         ids=["sweep-epsilon", "agmon-check"])
+def test_negative_seed_exits_1_naming_it(argv, config_file, tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = [str(config_file) if a == "CFG" else a for a in argv]
+    assert main(argv + ["--seed", "-1", "--out", str(out), "--quiet"]) == 1
+    assert "seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # The reader leaves finiteness to the dataclasses: each key that carries a real number.
 FLOAT_KEYS = ["l1", "l2", "mu", "h", "t_end", "t_spin", "omega0_norm", "blowup_threshold",
               "epsilon", "forcing.sigma", "forcing.mode"] + [

@@ -37,7 +37,7 @@ from zns.lattice import (
     write_snapshot,
 )
 from zns.operators import split
-from zns.stepper import SimConfig, Stepper
+from zns.stepper import BlowUpError, SimConfig, Stepper
 
 ZONAL = ForcingSpec(modes=((0, 1, 1.0),))
 MIXED = ForcingSpec(modes=((0, 1, 1.0), (1, 1, 0.5)))
@@ -354,13 +354,25 @@ class TestSteadyResidualSweep:
         assert summary == record.summary
         assert violations == record.violations
 
-    def test_blowup_names_offending_epsilon(self):
-        from zns.stepper import BlowUpError
 
-        cfg = tiny_config(epsilons=(0.25, 0.1), blowup_threshold=1e-6,
-                          t_spin=0.5, t_end=1.0)
-        with pytest.raises(BlowUpError, match="eps=0.25"):
-            run_epsilon_sweep(cfg)
+@pytest.mark.parametrize("run", [run_epsilon_sweep, run_steady_residual_sweep,
+                                 run_contraction_test, simulate], ids=lambda f: f.__name__)
+def test_blowup_names_epsilon_and_seed(run, tmp_path):
+    cfg = tiny_config(epsilons=(0.25, 0.1), blowup_threshold=1e-6, t_spin=0.5, t_end=1.0)
+    args = (tmp_path / "run",) if run is simulate else ()
+    with pytest.raises(BlowUpError, match=r"\(eps=0\.25, seed=3\)$"):
+        run(cfg, *args)
+
+
+@pytest.mark.parametrize("member", ["tangent", "partner"])
+def test_blowup_of_tangent_or_partner_names_it(member):
+    # A growing tangent is a failed contraction, not a blow-up of the base state.
+    cfg = tiny_config(blowup_threshold=1e3)
+    stepper = Stepper(cfg.domain, cfg.sim_config(0.1), cfg.h)
+    w0 = initial_state(cfg.domain, 3, 1.0)
+    big = initial_state(cfg.domain, 4, 1e7)
+    with pytest.raises(BlowUpError, match=rf"\({member}\)$"):
+        integrate(stepper, Forcing(cfg.forcing, cfg.domain), w0, 0.0, 0.1, **{member: big})
 
 
 class TestSimulatePersistence:

@@ -458,8 +458,8 @@ class TestHalfWidthStep:
             st_.tangent_step(not_odd, stages)
 
     def test_one_unfold_per_step_and_per_tangent_step(self, monkeypatch, rng):
+        import zns.lattice
         import zns.operators
-        import zns.stepper
         from zns.lattice import _unfold
 
         calls = []
@@ -468,7 +468,7 @@ class TestHalfWidthStep:
             calls.append(half.shape)
             return _unfold(d, half)
 
-        monkeypatch.setattr(zns.stepper, "_unfold", counting_unfold)
+        monkeypatch.setattr(zns.lattice, "_unfold", counting_unfold)
         monkeypatch.setattr(zns.operators, "_unfold", counting_unfold)
         d = Domain(N1=16, N2=16)
         st_ = Stepper(d, SimConfig(epsilon=0.2, mu=0.5), h=0.01)
