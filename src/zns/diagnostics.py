@@ -15,8 +15,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .forcing import Forcing
-from .lattice import OddQuarter, SpectralField, _irfft2, inner, norm, to_grid
-from .operators import _odd_spectra, apply_A, apply_I_omega, apply_inv_laplacian, apply_L, jacobian
+from .lattice import OddQuarter, SpectralField, inner, norm, to_grid
+from .operators import _odd_inverse, apply_A, apply_I_omega, apply_inv_laplacian, apply_L, jacobian
 from .operators import split
 
 
@@ -175,22 +175,24 @@ assert CSV_COLUMNS == [
 
 
 def record_state(w: SpectralField, t: float, budget: float = 0.0) -> DiagnosticsRecord:
-    """Standard diagnostics of one exactly odd state (``ValueError`` for any other):
-    ``norm``/``sobolev_norm`` of ``w`` and its ``split`` parts and ``velocity(w).max_speed()``.
+    """Standard diagnostics of one exactly odd state in the 2/3 band (``ValueError`` for any
+    other): ``norm``/``sobolev_norm`` of ``w`` and its ``split`` parts and
+    ``velocity(w).max_speed()``.
 
     Power sums are twice the sums of ``|c_k|^2`` over the m2 > 0 quarter (m1 > 0
     columns counted twice; zonal modes are column m1 = 0).  ``u`` is even in y and
     ``v`` odd, so with ``g = u + v`` one transform gives ``u^2 + v^2 = (g(y)^2 + g(-y)^2)/2``.
     """
     d = w.domain
-    q = OddQuarter.of(w).coeffs
+    quarter = OddQuarter.of(w)
+    q = quarter.coeffs
     rows = np.s_[1 : d.N2 // 2, : d.N1 // 2 + 1]
     p = np.square(q.real) + np.square(q.imag)
     p *= d._half_weight[rows]
     ksq = d.ksq[rows]
     kp = ksq * p
     g, flipped = d._work.grids
-    _irfft2(d, _odd_spectra(d, (d._odd_advect_tables[0], q)), out=g[None])
+    _odd_inverse(d, (d._odd_advect_tables[0], quarter.band()), out=g[None])
     np.take(g, d._flip_m2, axis=0, out=flipped)  # row of -y
     np.square(g, out=g)
     np.square(flipped, out=flipped)

@@ -17,9 +17,9 @@ which keeps the field real and odd in y while leaving every mode's modulus
 constant in time; zonal coefficients are held steady, since a phase
 rotation there is incompatible with the symmetry.  Hence all the
 sup-in-time norms are attained at every t, and :mod:`zns.diagnostics` takes
-them at t = 0.  A ``Forcing`` stores only the m2 > 0 quarter of the closure,
-the layout the step reads; calling it builds the full field through
-``OddQuarter.field``.
+them at t = 0.  A ``Forcing`` stores only the 2/3-band block (``Domain._band``)
+of the m2 > 0 quarter of the closure, the block the step reads; calling it
+builds the full field through ``OddQuarter.field``.
 """
 
 from __future__ import annotations
@@ -80,11 +80,10 @@ class Forcing:
     def __init__(self, spec: ForcingSpec, domain: Domain):
         self.spec = spec
         self.domain = domain
-        base = np.zeros((domain.N2 // 2 - 1, domain.N1 // 2 + 1), dtype=np.complex128)
-        third1 = domain.N1 / 3.0
-        third2 = domain.N2 / 3.0
+        rows, cols = domain._band
+        base = np.zeros((rows.stop, cols.stop), dtype=np.complex128)
         for (m1, m2), a in spec.canonical_modes().items():
-            if abs(m1) >= third1 or abs(m2) >= third2:
+            if m1 >= cols.stop or m2 > rows.stop:  # canonical: m1 >= 0, m2 > 0
                 raise ValueError(
                     f"forcing mode ({m1},{m2}) outside the dealiased band of {domain}"
                 )
@@ -94,18 +93,19 @@ class Forcing:
             base[m2 - 1, m1] = c if m1 else c - np.conj(c)
         self._base = _frozen(base)
         # Phase-rotation frequency per column: sigma * sign(k1), zonal frozen.
-        # One row of N1/2 + 1 values; it broadcasts over the m2 rows.
-        self._rot = spec.sigma * np.sign(domain.kx[0, : domain.N1 // 2 + 1])
+        # One row of K values; it broadcasts over the m2 rows.
+        self._rot = spec.sigma * np.sign(domain.kx[0, cols])
 
     @property
     def is_steady(self) -> bool:
         return self.spec.sigma == 0.0
 
     def __call__(self, t: float) -> SpectralField:
-        return OddQuarter(self.domain, self.coeffs_at(t)).field
+        return OddQuarter.from_band(self.domain, self.coeffs_at(t)).field
 
     def coeffs_at(self, t: float) -> np.ndarray:
-        """The quarter at time ``t``; a steady forcing gives its read-only base, not a copy."""
+        """The band block at time ``t``; a steady forcing gives its read-only base, not a
+        copy."""
         if self.is_steady:
             return self._base
         return self._base * np.exp(1j * self._rot * t)
@@ -113,5 +113,5 @@ class Forcing:
     def derivative(self, t: float) -> SpectralField:
         """Analytic time derivative of the forcing field."""
         q = self._base * (1j * self._rot) * np.exp(1j * self._rot * t)
-        return OddQuarter(self.domain, q).field
+        return OddQuarter.from_band(self.domain, q).field
 

@@ -188,6 +188,14 @@ def _step_range(h: float, t0: float, t_end: float) -> tuple[int, int]:
     return n0, n_steps
 
 
+def _in_band(f: SpectralField, what: str) -> OddQuarter:
+    """``OddQuarter.of(f)``, refused (ValueError) if it has a nonzero coefficient outside
+    the 2/3 band, with ``what`` it is."""
+    quarter = OddQuarter.of(f)
+    quarter.band(what)
+    return quarter
+
+
 def integrate(
     stepper: Stepper,
     forcing: Forcing | None,
@@ -198,6 +206,7 @@ def integrate(
     tangent: SpectralField | None = None,
     partner: SpectralField | None = None,
     observe: Callable | None = None,
+    records: list[DiagnosticsRecord] | None = None,
 ) -> tuple[SpectralField, list[DiagnosticsRecord]]:
     """Advance one trajectory from t0 to t_end; every experiment runs through here.
 
@@ -205,10 +214,13 @@ def integrate(
     recorded at t0, every record_every steps and at t_end.  An optional
     ``tangent`` is propagated along ``w`` by the linearized step, and an
     optional ``partner`` trajectory advances in lockstep.  All three must be
-    exactly odd in y, and step as ``OddQuarter``s.  After each step
+    exactly odd in y and held in the 2/3 band, which is checked before the
+    first step, and step as ``OddQuarter``s.  After each step
     ``observe(t, w, tangent, partner, recorded)`` is called with those
     (``.field`` builds a full field), where ``recorded`` says whether a
-    diagnostics record was just taken.
+    diagnostics record was just taken.  The records are appended to
+    ``records`` (a new list if None), so a caller keeps those taken before a
+    blow-up.
 
     Steps are counted from t = 0 (step i ends at ``i h``, cadences count i),
     so a resumed run repeats the uninterrupted one bit for bit; t0 and
@@ -217,10 +229,11 @@ def integrate(
     """
     h = stepper.h
     n0, n_steps = _step_range(h, t0, t_end)
-    w = OddQuarter.of(w0)
-    tangent = None if tangent is None else OddQuarter.of(tangent)
-    partner = None if partner is None else OddQuarter.of(partner)
-    records = [record_state(w0, t0, budget=0.0)]
+    w = _in_band(w0, "state")
+    tangent = None if tangent is None else _in_band(tangent, "tangent")
+    partner = None if partner is None else _in_band(partner, "partner")
+    records = [] if records is None else records
+    records.append(record_state(w0, t0, budget=0.0))
     for i in range(n0 + 1, n0 + n_steps + 1):
         t_prev, t = (i - 1) * h, i * h
         w_prev = w
@@ -582,6 +595,7 @@ def simulate(
     With ``resume_from`` the state, time, epsilon and mu are restored from
     the snapshot (the domain must match the config, and ``epsilon``, if
     given, must match the snapshot) and integration continues to t_end.
+    A blow-up still leaves the diagnostics CSV of the records taken before it.
     """
     if snapshot_every is not None and not snapshot_every > 0:
         raise ValueError(f"snapshot_every must be positive, got {snapshot_every!r}")
@@ -613,6 +627,7 @@ def simulate(
         # A no-op on a snapshot written here.  Reality first: it makes the real part of the
         # m1 = 0 column even in m2, so the parity projection zeroes it, as a quarter needs.
         w0 = project_parity(project_reality(w0))
+        _in_band(w0, f"{resume_from}: snapshot")  # a step's own check, made early
     stepper = Stepper(config.domain, config.sim_config(eps), config.h)
     _step_range(stepper.h, t0, config.t_end)  # integrate's own check, made early
     # Only now, so that a rejected resume, epsilon or time leaves no directory behind.
@@ -631,9 +646,13 @@ def simulate(
                 next_snapshot += snapshot_every
 
     seed = config.seed if resume_from is None else None  # a resumed state has no seed
-    w, records = _trajectory(
-        config, forcing, eps, seed, stepper=stepper, w0=w0, t0=t0, observe=observe
-    )
+    records: list[DiagnosticsRecord] = []
+    try:
+        w, _ = _trajectory(config, forcing, eps, seed, stepper=stepper, w0=w0, t0=t0,
+                           observe=observe, records=records)
+    except BlowUpError:
+        write_diagnostics_csv(out / "diagnostics.csv", records)
+        raise
     t_final = records[-1].t
     write_snapshot(out / "state_final.zns", w, eps, config.mu, t_final)
     write_diagnostics_csv(out / "diagnostics.csv", records)

@@ -25,6 +25,10 @@ Conventions (fixed throughout the package):
   keeps only exactly odd fields: a trajectory's state is an ``OddQuarter``
   (``OddQuarter.of`` takes it from a field, refusing any other), and its
   ``field`` is the one expansion of a quarter to a full field.
+* A trajectory holds no mode outside the 2/3 band, so a step works on the
+  quarter's band block ``Domain._band``: rows m2 = 1..R with R = ceil(N2/3) - 1
+  and columns m1 = 0..K-1 with K = ceil(N1/3).  ``OddQuarter.band`` gives it,
+  refusing a quarter with a nonzero coefficient outside it.
 * Grid values are plain real ``(N2, N1)`` arrays, ``[j2, j1]`` at
   ``(x_j1, y_j2)``: ``to_grid(f)`` returns one and ``to_spectral(domain,
   values)`` is its inverse.
@@ -94,7 +98,7 @@ class Domain:
 
     # The cached arrays below are shared by every user of the domain and are
     # read-only; derive new arrays from them instead of writing into them.
-    # The one exception is ``_work``, the quarter kernel's scratch space.
+    # The one exception is ``_work``, the band kernel's scratch space.
 
     @cached_property
     def m1(self) -> np.ndarray:
@@ -152,6 +156,12 @@ class Domain:
         return -(-self.N1 // 3)
 
     @cached_property
+    def _band(self) -> tuple[slice, slice]:
+        """The 2/3-band block of the m2 > 0 quarter: its rows m2 = 1..R, R = ceil(N2/3) - 1,
+        and its columns m1 = 0..K-1, K = ``_kept_cols``; every mode ``dealias`` keeps there."""
+        return np.s_[: -(-self.N2 // 3) - 1, : self._kept_cols]
+
+    @cached_property
     def _advect_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Half-width (m1 >= 0) multipliers of the advection kernel, y-phase included.
 
@@ -174,31 +184,42 @@ class Domain:
 
     @cached_property
     def _odd_advect_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Tables of the advection kernel on the m2 > 0 quarter of odd-in-y input.
+        """Tables of the advection kernel on the band block of odd-in-y input.
 
         For odd vorticity ``u`` and the y-derivative are even in y, ``v`` and
         the x-derivative odd.  So one raw transform of ``(to_u + to_v) A``
         gives ``u + v``, one of ``(to_dx + to_dy) B`` gives ``bx + by``, and
         the odd part of their product is ``u bx + v by``.  The two sums are
         negated on the m2 < 0 rows, where the odd input is minus its m2 > 0
-        row, so they multiply the quarter itself.  The third table is half
-        the m2 > 0 rows of ``_advect_mask``, for the odd part
+        row, so they multiply the block itself: each is a ``(2, R, K)`` stack of
+        its rows m2 = 1..R and m2 = -1..-R on the band's columns.  The third
+        table is half the band block of ``_advect_mask``, for the odd part
         ``(c(m2) - c(-m2))/2`` of the product's coefficients.
         """
         to_u, to_v, to_dx, to_dy = self._advect_tables
+        rows, cols = self._band
+        r = rows.stop
         sign = np.where(self.m2 < 0, -1.0, 1.0)[:, None]
-        mask = 0.5 * self._advect_mask[1 : self.N2 // 2]
-        return _frozen(sign * (to_u + to_v)), _frozen(sign * (to_dx + to_dy)), _frozen(mask)
+        both = np.r_[1 : r + 1, self.N2 - 1 : self.N2 - r - 1 : -1]  # m2 = 1..R, -1..-R
+
+        def block(table):
+            return _frozen((sign * table)[both, cols].reshape(2, r, -1))
+
+        mask = 0.5 * self._advect_mask[1 : r + 1, cols]
+        return block(to_u + to_v), block(to_dx + to_dy), _frozen(mask)
 
     @cached_property
     def _work(self) -> SimpleNamespace:
-        """Scratch of the quarter kernel, consumed within each call, so a step allocates few
-        grid-sized arrays: the stacked half ``spectrum`` of an inverse transform of two grids
-        (its m2 = 0 and Nyquist rows stay zero), two real ``grids`` and the ``coeffs`` of a
-        forward transform on the ``|m1| < N1/3`` columns the 2/3 rule keeps."""
-        return SimpleNamespace(spectrum=np.zeros((2, self.N2, self.N1 // 2 + 1), np.complex128),
+        """Scratch of the band kernel, consumed within each call, so a step allocates few
+        grid-sized arrays: the stacked ``spectrum`` of the band's columns for the inverse
+        transform of two grids (its rows outside the band stay zero), the zero-padded half
+        ``ypass`` that its y-pass fills (its columns m1 >= K stay zero), two real ``grids``
+        and the ``coeffs`` of a forward transform on the band's columns."""
+        half, keep = self.N1 // 2 + 1, self._kept_cols
+        return SimpleNamespace(spectrum=np.zeros((2, self.N2, keep), np.complex128),
+                               ypass=np.zeros((2, self.N2, half), np.complex128),
                                grids=np.empty((2, self.N2, self.N1)),
-                               coeffs=np.empty((self.N2, self._kept_cols), np.complex128))
+                               coeffs=np.empty((self.N2, keep), np.complex128))
 
     @cached_property
     def _half_weight(self) -> np.ndarray:
@@ -295,10 +316,18 @@ def sanitize(f: SpectralField) -> SpectralField:
     return f
 
 
-def _irfft2(d: Domain, H: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _irfft2(d: Domain, H: np.ndarray, out: np.ndarray | None = None, pad=None) -> np.ndarray:
     """Raw inverse transform of half-width ``(..., N2, N1//2 + 1)`` coefficients, stacked
-    over leading axes, no y-phase: one ``ifft`` pass over y, then one ``irfft`` over x."""
-    Y = np.fft.ifft(H, axis=-2, norm="forward")
+    over leading axes, no y-phase: one ``ifft`` pass over y, then one ``irfft`` over x.
+
+    With ``pad``, a half-width buffer of the stack's shape whose other columns are zero,
+    ``H`` holds only the leading columns of the half: the y-pass runs on those alone, into
+    ``pad``, and the x-pass reads all of ``pad``."""
+    if pad is None:
+        Y = np.fft.ifft(H, axis=-2, norm="forward")
+    else:
+        Y = pad
+        np.fft.ifft(H, axis=-2, norm="forward", out=pad[..., : H.shape[-1]])
     return np.fft.irfft(Y, d.N1, axis=-1, norm="forward", out=out)
 
 
@@ -369,6 +398,25 @@ class OddQuarter:
         if quarter is None:
             raise ValueError("field is not exactly odd in y (project_parity makes it odd)")
         return cls(d, quarter)
+
+    @classmethod
+    def from_band(cls, d: Domain, block: np.ndarray) -> OddQuarter:
+        """The quarter whose band block (``Domain._band``) is ``block``, zero elsewhere."""
+        coeffs = np.zeros((d.N2 // 2 - 1, d.N1 // 2 + 1), dtype=np.complex128)
+        coeffs[d._band] = block
+        return cls(d, coeffs)
+
+    def band(self, what: str = "state") -> np.ndarray:
+        """The band block of the quarter (a view); ValueError naming the band, with ``what``
+        the quarter is, if a coefficient outside the band is nonzero."""
+        d, Q = self.domain, self.coeffs
+        rows, cols = d._band
+        if Q[rows.stop :].any() or Q[rows, cols.stop :].any():
+            raise ValueError(
+                f"{what} has a nonzero coefficient outside the 2/3 band "
+                f"0 < m2 <= {rows.stop}, |m1| <= {cols.stop - 1} of {d}"
+            )
+        return Q[rows, cols]
 
     @cached_property
     def field(self) -> SpectralField:

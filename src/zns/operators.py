@@ -13,13 +13,14 @@ coefficient convention, per mode k:
   B_jkl = |M| (j1 k2 - j2 k1)/|j|^2 when j + k = l.  The kernel
   ``_advect_raw`` takes full coefficients (for ``jacobian``: five real
   transforms, after which ``_unfold`` alone mirrors the m1 < 0 half and the
-  m2 < 0 rows of column m1 = 0) or the m2 > 0 quarters of odd-in-y fields,
-  the solver's state (three: one stacked inverse call for two grids and one
-  forward call whose y-pass runs only on the columns the 2/3 rule keeps).
-  The quarter kernel is the composition of two helpers, the grids of
-  quarters times the tables (``_odd_grids``) and the odd part of a grid
-  product (``_odd_part``), which the step also uses on its own; they work in
-  the domain's reused buffers (``Domain._work``).
+  m2 < 0 rows of column m1 = 0) or the band blocks (``Domain._band``) of
+  odd-in-y fields held in the 2/3 band, the solver's state (three: one
+  stacked inverse call for two grids, whose y-pass runs only on the band's
+  columns, and one forward call whose y-pass runs only on those columns).
+  The band kernel is the composition of two helpers, the grids of blocks
+  times the tables (``_odd_grids``) and the band block of the odd part of a
+  grid product (``_odd_part``), which the step also uses on its own; they
+  work in the domain's reused buffers (``Domain._work``).
 
 The triad layer (``omega_freq``, ``b_coeff``, ``triad_identity_residual``,
 ``triad_scan``) takes integer index pairs ``(m1, m2)``, so j + k = l is an
@@ -116,17 +117,20 @@ def _advect_raw(d: Domain, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Dealiased pseudo-spectral B(a, b) = velocity(a).grad(b) on raw coefficients.
 
     ``A`` and ``B`` are the full ``(N2, N1)`` coefficients of real fields, or,
-    for fields odd in y, their m2 > 0 quarters ``(N2/2 - 1, N1/2 + 1)``; the
-    output has the shape of the input.  Full input gives the full Hermitian
-    result from five raw transforms of the m1 >= 0 halves; quarter input
-    gives the quarter of the (odd) result from three (``_advect_odd``).  The
-    y-phase is in the tables and in ``d._advect_mask`` (with the 2/3 rule and
-    the zero mean), so the transforms are the raw pair.
+    for fields odd in y and held in the 2/3 band, their band blocks
+    ``(R, K)`` (``Domain._band``); the output has the shape of the input.
+    Full input gives the full Hermitian result from five raw transforms of the
+    m1 >= 0 halves; block input gives the block of the (odd) result from three
+    (``_advect_odd``).  The y-phase is in the tables and in ``d._advect_mask``
+    (with the 2/3 rule and the zero mean), so the transforms are the raw pair.
     """
-    if A.shape[0] != d.N2:
+    rows, cols = d._band
+    if A.shape == (rows.stop, cols.stop):
         return _advect_odd(d, A, B)
-    if A.shape[1] != d.N1:
-        raise ValueError(f"coefficients of shape {A.shape} are neither full nor a quarter")
+    if A.shape != (d.N2, d.N1):
+        raise ValueError(
+            f"coefficients of shape {A.shape} are neither full nor a quarter's band block"
+        )
     half = np.s_[:, : d.N1 // 2 + 1]
     A, B = A[half], B[half]
     to_u, to_v, to_dx, to_dy = d._advect_tables
@@ -141,53 +145,56 @@ def _advect_raw(d: Domain, A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 def _advect_odd(d: Domain, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """``_advect_raw`` on the m2 > 0 quarters of odd-in-y fields (see ``d._odd_advect_tables``).
+    """``_advect_raw`` on the band blocks of odd-in-y fields (see ``d._odd_advect_tables``).
 
     The grid product ``(u + v)(bx + by)`` has ``u bx + v by`` as its odd part
     in y, and its other part is even; the odd part of the coefficients keeps
-    exactly the former.  The result is the quarter of an exactly odd field,
-    with its m1 = 0 column imaginary, so it is Hermitian too once expanded.
+    exactly the former.  The result is the band block of an exactly odd
+    field, with its m1 = 0 column imaginary, so it is Hermitian too once
+    expanded.
     """
     grid, other = _odd_grids(d, A, B, out=d._work.grids)
     grid *= other
     return _odd_part(d, grid)
 
 
-def _odd_spectra(d: Domain, *pairs) -> np.ndarray:
-    """The stack, in ``d._work.spectrum``, of one half spectrum per ``(table, C)`` pair: a
-    table of ``d._odd_advect_tables`` times quarter ``C`` on rows m2 > 0 and, mirrored, on
-    rows m2 < 0; rows m2 = 0 and -N2/2 stay zero."""
-    n2 = d.N2 // 2
-    S = d._work.spectrum[: len(pairs)]
+def _odd_inverse(d: Domain, *pairs, out=None) -> np.ndarray:
+    """The stacked grids of one ``(table, C)`` pair each, from one inverse transform, in
+    ``out`` if given: a ``(2, R, K)`` table of ``d._odd_advect_tables`` times band block
+    ``C`` on rows m2 > 0 and, mirrored, on rows m2 < 0.  The spectrum is built in
+    ``d._work.spectrum``, whose other rows stay zero, and the y-pass runs on the band's
+    columns alone, into ``d._work.ypass``."""
+    n, r = len(pairs), d._band[0].stop
+    S = d._work.spectrum[:n]
     for s, (table, C) in zip(S, pairs):
-        np.multiply(table[1:n2], C, out=s[1:n2])
-        np.multiply(table[:n2:-1], C, out=s[:n2:-1])
-    return S
+        np.multiply(table[0], C, out=s[1 : r + 1])
+        np.multiply(table[1], C, out=s[: d.N2 - r - 1 : -1])
+    return _irfft2(d, S, out=out, pad=d._work.ypass[:n])
 
 
 def _odd_grids(d: Domain, A: np.ndarray, B: np.ndarray | None = None, out=None) -> np.ndarray:
-    """The grids ``u + v`` of quarter ``A`` and ``bx + by`` of quarter ``B`` (default ``A``),
-    from one stacked inverse transform, in ``out`` if given, else in a new ``(2, N2, N1)``
-    array."""
+    """The grids ``u + v`` of band block ``A`` and ``bx + by`` of band block ``B`` (default
+    ``A``), from one stacked inverse transform, in ``out`` if given, else in a new
+    ``(2, N2, N1)`` array."""
     to_uv, to_dxy, _ = d._odd_advect_tables
-    return _irfft2(d, _odd_spectra(d, (to_uv, A), (to_dxy, A if B is None else B)), out=out)
+    return _odd_inverse(d, (to_uv, A), (to_dxy, A if B is None else B), out=out)
 
 
 def _odd_part(d: Domain, grid: np.ndarray) -> np.ndarray:
-    """The masked m2 > 0 quarter of the odd-in-y part of a product of quarter grids.
+    """The masked band block of the odd-in-y part of a product of band grids.
 
     One raw forward transform, whose y-pass runs only on the ``|m1| < N1/3``
-    columns that the 2/3 rule keeps; the other columns are exactly zero.  Its
-    m1 = 0 column is imaginary, so the quarter expands to an exactly odd,
-    exactly Hermitian half.
+    columns that the 2/3 rule keeps, the band's columns.  Its m1 = 0 column
+    is imaginary, so the block expands to an exactly odd, exactly Hermitian
+    half.
     """
-    n2, keep = d.N2 // 2, d._kept_cols
-    F = _rfft2(d, grid, out=d._work.coeffs, cols=keep)
-    out = np.zeros((n2 - 1, d.N1 // 2 + 1), dtype=np.complex128)
-    Q = np.subtract(F[1:n2], F[:n2:-1], out=out[:, :keep])
-    Q *= d._odd_advect_tables[2][:, :keep]
+    rows, cols = d._band
+    r = rows.stop
+    F = _rfft2(d, grid, out=d._work.coeffs, cols=cols.stop)
+    Q = np.subtract(F[1 : r + 1], F[: d.N2 - r - 1 : -1])
+    Q *= d._odd_advect_tables[2]
     Q.real[:, 0] = 0.0
-    return out
+    return Q
 
 
 def jacobian(a: SpectralField, b: SpectralField) -> SpectralField:

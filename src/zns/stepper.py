@@ -10,13 +10,15 @@ Mode amplitudes are integrated in the laboratory frame.  Co-rotating
 amplitudes (the representation in which the rotation term disappears) are
 obtained by multiplying mode k by ``exp(+i Omega_k t / eps)``.
 
-The dynamics keep the odd-in-y subspace, and a step runs on the m2 > 0
-quarter of an exactly odd state: the weights are even in m2, so they are
-built on the quarter alone, as is the forcing a ``Forcing`` hands over, and
-the quarter advection kernel returns an exactly odd result, so the step's
-output is exactly odd, not odd to round-off.  A state or perturbation that
-is not exactly odd is refused.  A trajectory loop keeps its state as an
-``OddQuarter`` between steps and builds a full field only where it needs one.
+The dynamics keep the odd-in-y subspace and the 2/3 band, and a step runs
+on the band block (``Domain._band``) of the m2 > 0 quarter of an exactly odd
+state: the weights are even in m2, so they are built on the block alone, as
+is the forcing the step reads, and the band kernel returns an exactly odd
+result, so the step's output is exactly odd, not odd to round-off.  A state
+or perturbation that is not exactly odd, or that has a nonzero coefficient
+outside the band, is refused; so is a plain-callable forcing whose odd part
+has one.  A trajectory loop keeps its state as an ``OddQuarter`` between
+steps and builds a full field only where it needs one.
 
 A tangent step linearizes the step about its base stages.  ``step_pair`` has
 the base step keep each stage's grids ``u + v`` and ``bx + by`` in the
@@ -41,14 +43,17 @@ ForcingFn = Callable[[float], SpectralField]
 State = SpectralField | OddQuarter
 
 
-def _quarter(x: State) -> np.ndarray:
-    return (x if isinstance(x, OddQuarter) else OddQuarter.of(x)).coeffs
+def _quarter(x: State) -> OddQuarter:
+    return x if isinstance(x, OddQuarter) else OddQuarter.of(x)
 
 
 def _forcing_at(forcing: ForcingFn, t: float, d: Domain) -> np.ndarray:
-    """The forcing at ``t`` on the m2 > 0 quarter: for a ``Forcing`` the quarter it stores
+    """The forcing at ``t`` on the band block: for a ``Forcing`` the block it stores
     (read-only if steady); for any other callable its odd part ``(f[m2] - f[-m2])/2``,
-    with the imaginary m1 = 0 column of a real odd field."""
+    with the imaginary m1 = 0 column of a real odd field, refused if it has a nonzero
+    coefficient outside the band.  One that is not finite anywhere is not refused but
+    NaN on the whole block: a blow-up of the step, as a NaN in any mode spreads to every
+    mode through the transforms."""
     if isinstance(forcing, Forcing):
         return forcing.coeffs_at(t)
     n2, n1 = d.N2 // 2, d.N1 // 2 + 1
@@ -56,7 +61,9 @@ def _forcing_at(forcing: ForcingFn, t: float, d: Domain) -> np.ndarray:
     out = f[1:n2, :n1] - f[:n2:-1, :n1]
     out *= 0.5
     out.real[:, 0] = 0.0
-    return out
+    if not np.isfinite(out).all():
+        return np.full_like(out[d._band], np.nan)
+    return OddQuarter(d, out).band("forcing")
 
 
 class BlowUpError(RuntimeError):
@@ -143,7 +150,7 @@ def _phi(z: np.ndarray, m: int) -> np.ndarray:
 
 @dataclass
 class EtdCoefficients:
-    """Precomputed per-mode ETDRK4 weights for step size h, on the m2 > 0 quarter."""
+    """Precomputed per-mode ETDRK4 weights for step size h, on the band block."""
 
     h: float
     E: np.ndarray    # exp(lambda h)
@@ -155,12 +162,13 @@ class EtdCoefficients:
 
 
 def build_coefficients(symbol: LinearSymbol, h: float) -> EtdCoefficients:
-    """ETDRK4 weights on the symbol's m2 > 0 rows and m1 >= 0 columns; ~1e-13 relative
-    for any lambda*h.  The symbol is even in m2, so these rows serve the m2 < 0 ones too."""
+    """ETDRK4 weights on the band block (``Domain._band``) of the symbol's m2 > 0 rows;
+    ~1e-13 relative for any lambda*h.  The symbol is even in m2, so these rows serve the
+    m2 < 0 ones too."""
     if h <= 0:
         raise ValueError("step size must be positive")
-    d = symbol.domain
-    z = h * symbol.lam[1 : d.N2 // 2, : d.N1 // 2 + 1]
+    rows, cols = symbol.domain._band
+    z = h * symbol.lam[1 : rows.stop + 1, cols]
     p1, p2, p3 = _phi(z, 1), _phi(z, 2), _phi(z, 3)
     return EtdCoefficients(
         h=h,
@@ -175,7 +183,7 @@ def build_coefficients(symbol: LinearSymbol, h: float) -> EtdCoefficients:
 
 @dataclass
 class StepStages:
-    """Base-trajectory quarters at the quadrature nodes of one step."""
+    """Base-trajectory band blocks at the quadrature nodes of one step."""
 
     t: float
     u0: np.ndarray
@@ -190,9 +198,9 @@ class StepStages:
 class Stepper:
     """Advances vorticity (and tangent perturbations) with a fixed step size.
 
-    A step takes an exactly odd state, a ``SpectralField`` or an
-    ``OddQuarter``, and returns the same kind; it refuses any other state
-    (``ValueError``).  It runs on the m2 > 0 quarter and its output is exactly
+    A step takes an exactly odd state in the 2/3 band, a ``SpectralField``
+    or an ``OddQuarter``, and returns the same kind; it refuses any other state
+    (``ValueError``).  It runs on the band block and its output is exactly
     real and odd.  The coefficient tables are shared read-only; the base
     grids that ``step_pair`` hands to its tangent step live in buffers of the
     instance, so an instance takes one step at a time.
@@ -227,7 +235,7 @@ class Stepper:
     def _tangent_nonlinear(
         self, W: np.ndarray, P: np.ndarray, grids: np.ndarray | None = None
     ) -> np.ndarray:
-        """``-(B(W, P) + B(P, W))`` on quarters.
+        """``-(B(W, P) + B(P, W))`` on band blocks.
 
         The odd part of one grid sum, ``(u_W + v_W)(P_x + P_y) + (u_P + v_P)(W_x + W_y)``:
         two inverse transforms of ``P`` and one forward transform, with the
@@ -247,7 +255,7 @@ class Stepper:
     def _etdrk4(
         self, u0: np.ndarray, rhs: Callable[[int, np.ndarray], np.ndarray]
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """ETDRK4 update of quarter ``u0``, where ``rhs(i, x)`` is the nonlinear term of stage i.
+        """ETDRK4 update of band block ``u0``; ``rhs(i, x)`` is the nonlinear term of stage i.
 
         Returns the new state and the stage states a, b, c.  The output sum
         ``E u0 + f1 n1 + 2 f2 (n2 + n3) + f3 n4`` is built in place, in that
@@ -279,13 +287,13 @@ class Stepper:
             finite = np.isfinite(mags)
             i = int(mags.argmax()) if finite.all() else int(finite.argmin())
             i2, i1 = np.unravel_index(i, mags.shape)
-            # Quarter row i2 holds m2 = i2 + 1.
+            # Block row i2 holds m2 = i2 + 1, and column i1 holds m1 = i1.
             mode = (int(self.domain.m1[i1]), int(i2) + 1)
             raise BlowUpError(t, mode, peak if finite.all() else float("inf"), context)
 
     def _like(self, x: State, C: np.ndarray) -> State:
-        """Quarter ``C`` as the kind of state ``x`` is."""
-        out = OddQuarter(self.domain, C)
+        """Band block ``C`` as the kind of state ``x`` is."""
+        out = OddQuarter.from_band(self.domain, C)
         return out if isinstance(x, OddQuarter) else out.field
 
     def step_with_stages(
@@ -297,7 +305,7 @@ class Stepper:
         ``StepStages.grids``, for a tangent step that follows at once.
         """
         d = self.domain
-        u0 = _quarter(w)
+        u0 = _quarter(w).band()
         f = [None if forcing is None else _forcing_at(forcing, s, d)
              for s in (t, t + self.h / 2, t + self.h)]
         f.insert(2, f[1])  # the two mid-step stages read one evaluation
@@ -323,7 +331,8 @@ class Stepper:
         base = (stages.u0, stages.a, stages.b, stages.c)
         grids = (None,) * 4 if stages.grids is None else stages.grids
         out, *_ = self._etdrk4(
-            _quarter(phi), lambda i, p: self._tangent_nonlinear(base[i], p, grids[i])
+            _quarter(phi).band("tangent"),
+            lambda i, p: self._tangent_nonlinear(base[i], p, grids[i]),
         )
         self._check_state(out, stages.t + self.h, "tangent")
         return self._like(phi, out)
@@ -331,7 +340,9 @@ class Stepper:
     def step_pair(
         self, w: State, phi: State, t: float, forcing: ForcingFn | None = None
     ) -> tuple[State, State]:
-        """Advance the state and a tangent perturbation through the same step."""
+        """Advance the state and a tangent perturbation through the same step; a
+        perturbation outside the band is refused before the step."""
+        _quarter(phi).band("tangent")
         w_next, stages = self.step_with_stages(w, t, forcing, _grids=True)
         return w_next, self.tangent_step(phi, stages)
 
@@ -353,7 +364,7 @@ def budget_residual(
     """
     d = w.domain
     rows = np.s_[1 : d.N2 // 2, : d.N1 // 2 + 1]
-    w0, w1 = _quarter(w), _quarter(w_next)
+    w0, w1 = _quarter(w).coeffs, _quarter(w_next).coeffs
     # One weighted sum over the quarter of Re((Dw/h + mu |k|^2 mid - f) conj(mid)),
     # doubled for the m2 < 0 rows: Re(Dw conj(mid))/h is D(|w|^2/2)/h per mode.
     mid = w0 + w1
@@ -362,6 +373,6 @@ def budget_residual(
     r /= h
     r += config.mu * d.ksq[rows] * mid
     if forcing is not None:
-        r -= _forcing_at(forcing, t + h / 2, d)
+        r[d._band] -= _forcing_at(forcing, t + h / 2, d)
     r *= d._half_weight[rows]
     return float(abs(2.0 * d.area * np.vdot(mid, r).real))

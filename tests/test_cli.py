@@ -226,6 +226,45 @@ class TestSimulate:
         assert code == 2
         assert "BLOW-UP" in capsys.readouterr().err
 
+    def test_blowup_leaves_the_records_taken_before_it(self, tmp_path, capsys):
+        # The zonal forcing mode grows past 0.05 some steps in; each step is recorded.
+        text = TINY_CONFIG.replace("omega0_norm = 0.5", "omega0_norm = 0.01") + "record_every = 1\n"
+        clean, explode = tmp_path / "clean.cfg", tmp_path / "explode.cfg"
+        clean.write_text(text)
+        explode.write_text(text + "blowup_threshold = 0.05\n")
+        assert main(["simulate", "--config", str(clean), "--out", str(tmp_path / "a"),
+                     "--quiet"]) == 0
+        capsys.readouterr()
+        code = main(["simulate", "--config", str(explode), "--out", str(tmp_path / "b")])
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith("BLOW-UP: blow-up at t=") and len(err.splitlines()) == 1
+        t_blowup = float(re.search(r"blow-up at t=([0-9.e+-]+):", err).group(1))
+        rows = (tmp_path / "b" / "diagnostics.csv").read_text().splitlines()
+        want = [r for r in (tmp_path / "a" / "diagnostics.csv").read_text().splitlines()
+                if r.startswith("t,") or float(r.split(",")[0]) < t_blowup - 1e-9]
+        assert rows == want and len(rows) > 3
+        assert sorted(p.name for p in (tmp_path / "b").iterdir()) == ["diagnostics.csv"]
+
+    @pytest.mark.parametrize("where", ["m1=K", "m2=R+1"])
+    def test_resume_outside_the_band_exits_1(self, config_file, tmp_path, capsys, where):
+        # 16 x 16: the band is 0 < m2 <= R = 5, |m1| <= K - 1 = 5.
+        d = Domain(N1=16, N2=16)
+        w = random_field(d, np.random.default_rng(0), norm_target=0.5)
+        m1, m2 = (6, 1) if where == "m1=K" else (1, 6)
+        for (a1, a2), c in {(m1, m2): 1e-3j, (m1, -m2): -1e-3j,
+                            (-m1, m2): 1e-3j, (-m1, -m2): -1e-3j}.items():
+            w.coeffs[a2 % 16, a1 % 16] = c
+        assert parity_error(w) == 0.0 and reality_error(w) == 0.0
+        write_snapshot(tmp_path / "wide.zns", w, 0.2, 1.0, 0.0)
+        out = tmp_path / "nested" / "run"
+        code = main(["simulate", "--config", str(config_file), "--out", str(out),
+                     "--resume", str(tmp_path / "wide.zns"), "--quiet"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert "wide.zns: snapshot has a nonzero coefficient outside the 2/3 band" in err
+        assert not out.exists() and not out.parent.exists()
+
 
 class TestSweep:
     def test_summary_table_and_exit_zero(self, config_file, tmp_path, capsys):

@@ -70,13 +70,17 @@ class TestDomain:
         assert d._advect_mask is d._advect_mask
 
     def test_odd_advection_tables(self):
-        d = Domain(L1=4 * np.pi, N1=8, N2=6)
+        # The band block: m2 = 1..R with |m2| < N2/3 and m1 = 0..K-1 with |m1| < N1/3.
+        d = Domain(L1=4 * np.pi, N1=8, N2=10)
+        assert d._band == np.s_[:3, :3]
         to_u, to_v, to_dx, to_dy = d._advect_tables
-        sign = np.array([1.0, 1.0, 1.0, -1.0, -1.0, -1.0])[:, None]  # m2 = 0, 1, 2, -3, -2, -1
+        sign = np.where(d.m2 < 0, -1.0, 1.0)[:, None]  # m2 = 0..4, -5..-1
+        rows = [1, 2, 3], [9, 8, 7]  # m2 = 1, 2, 3 and m2 = -1, -2, -3
         to_uv, to_dxy, mask = d._odd_advect_tables
-        assert np.array_equal(to_uv, sign * (to_u + to_v))
-        assert np.array_equal(to_dxy, sign * (to_dx + to_dy))
-        assert np.array_equal(mask, 0.5 * d._advect_mask[1:3])
+        for table, full in ((to_uv, sign * (to_u + to_v)), (to_dxy, sign * (to_dx + to_dy))):
+            assert table.shape == (2, 3, 3)
+            assert np.array_equal(table, np.stack([full[r, :3] for r in rows]))
+        assert np.array_equal(mask, 0.5 * d._advect_mask[1:4, :3])
         for table in d._odd_advect_tables:
             with pytest.raises(ValueError):
                 table *= 2.0
@@ -346,6 +350,9 @@ class TestPassTransforms:
         grids = zns.lattice._irfft2(d, H)
         out = np.empty((stack, d.N2, d.N1))
         assert zns.lattice._irfft2(d, H, out=out) is out and np.array_equal(out, grids)
+        # Only the leading columns given: the y-pass runs on those, into a zero-padded half.
+        pad = np.zeros(half, dtype=np.complex128)
+        banded = zns.lattice._irfft2(d, H[..., :keep], pad=pad)
         coeffs = zns.lattice._rfft2(d, V)
         kept = np.empty((stack, d.N2, keep), dtype=np.complex128)
         assert zns.lattice._rfft2(d, V, out=kept, cols=keep) is kept
@@ -353,6 +360,9 @@ class TestPassTransforms:
             want = np.fft.irfftn(H[i], s=(d.N2, d.N1), axes=(0, 1), norm="forward")
             assert np.array_equal(grids[i], want)
             assert np.array_equal(zns.lattice._irfft2(d, H[i]), want)
+            lead = np.where(np.arange(d.N1 // 2 + 1) < keep, H[i], 0.0)
+            want = np.fft.irfftn(lead, s=(d.N2, d.N1), axes=(0, 1), norm="forward")
+            assert np.array_equal(banded[i], want) and not pad[i, :, keep:].any()
             want = np.fft.rfft2(V[i], norm="forward")
             assert np.array_equal(coeffs[i], want)
             assert np.array_equal(kept[i], want[:, :keep])

@@ -10,9 +10,8 @@ from hypothesis import strategies as st
 from zns.diagnostics import sobolev_norm
 from zns.lattice import (
     Domain,
+    OddQuarter,
     SpectralField,
-    _odd_half,
-    _unfold,
     inner,
     norm,
     parity_error,
@@ -299,30 +298,35 @@ class TestRealTransformKernel:
         assert np.array_equal(_advect_raw(d, a.coeffs, b.coeffs), want)
 
 
-def odd_quarters(d: Domain, *fields: SpectralField) -> list[np.ndarray]:
-    quarter = np.s_[1 : d.N2 // 2, : d.N1 // 2 + 1]
-    return [f.coeffs[quarter] for f in fields]
+def band_blocks(d: Domain, *fields: SpectralField) -> list[np.ndarray]:
+    return [OddQuarter.of(f).band() for f in fields]
+
+
+def expanded(d: Domain, block: np.ndarray) -> SpectralField:
+    return OddQuarter.from_band(d, block).field
 
 
 class TestOddKernel:
-    """``_advect_raw`` on m2 > 0 quarters: three transforms, exactly odd output."""
+    """``_advect_raw`` on band blocks of odd fields: three transforms, exactly odd output."""
 
     @pytest.mark.parametrize("d", KERNEL_DOMAINS)
     def test_matches_five_transform_kernel(self, d, rng):
         half = np.s_[:, : d.N1 // 2 + 1]
+        rows, cols = d._band
         for _ in range(5):
             a = random_field(d, rng, norm_target=1.0)
             b = random_field(d, rng, norm_target=1.0)
-            got = _advect_raw(d, *odd_quarters(d, a, b))
-            assert got.shape == (d.N2 // 2 - 1, d.N1 // 2 + 1)
+            got = _advect_raw(d, *band_blocks(d, a, b))
+            assert got.shape == (rows.stop, cols.stop) == (-(-d.N2 // 3) - 1, -(-d.N1 // 3))
             want = _advect_raw(d, a.coeffs, b.coeffs)[half]
-            assert np.max(np.abs(_odd_half(d, got) - want)) <= 1e-14 * np.max(np.abs(want))
+            got = expanded(d, got).coeffs[half]
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("d", KERNEL_DOMAINS)
     def test_output_is_exactly_odd_and_real(self, d, rng):
         a = random_field(d, rng, norm_target=1.0)
         b = random_field(d, rng, norm_target=1.0)
-        out = SpectralField(d, _unfold(d, _odd_half(d, _advect_raw(d, *odd_quarters(d, a, b)))))
+        out = expanded(d, _advect_raw(d, *band_blocks(d, a, b)))
         assert parity_error(out) == 0.0
         assert reality_error(out) == 0.0
         assert np.all(out.coeffs[~d.dealias] == 0.0)
@@ -334,23 +338,26 @@ class TestOddKernel:
         for _ in range(2):
             a = random_field(d, rng, kmax=5.0, norm_target=1.0)
             b = random_field(d, rng, kmax=5.0, norm_target=1.0)
-            got = SpectralField(d, _unfold(d, _odd_half(d, _advect_raw(d, *odd_quarters(d, a, b)))))
+            got = expanded(d, _advect_raw(d, *band_blocks(d, a, b)))
             oracle = triad_sum_oracle(a, b)
             assert norm(got - oracle) <= 1e-12 * norm(oracle)
 
     @pytest.mark.parametrize("d", TRANSFORM_DOMAINS)
     def test_odd_part_is_zero_beyond_the_kept_columns(self, d, rng):
         n2, keep = d.N2 // 2, d._kept_cols
+        rows = d._band[0].stop
         grid = rng.standard_normal((d.N2, d.N1))
         got = _odd_part(d, grid)
-        assert got.shape == (n2 - 1, d.N1 // 2 + 1)
-        assert np.all(got[:, keep:] == 0.0) and not np.signbit(got[:, keep:].view(float)).any()
-        # The kept columns are those of a 2-D transform of every column.
+        assert got.shape == (rows, keep)
+        # The block is that of a 2-D transform of every column, and the 2/3 mask is
+        # zero on all of the quarter outside it.
         F = np.fft.rfft2(grid, norm="forward")
-        want = (F[1:n2] - F[:n2:-1]) * d._odd_advect_tables[2]
+        mask = 0.5 * d._advect_mask[1:n2]
+        want = (F[1:n2] - F[:n2:-1]) * mask
         want.real[:, 0] = 0.0
-        assert np.array_equal(got[:, :keep], want[:, :keep])
-        assert np.all(want[:, keep:] == 0.0)
+        assert np.array_equal(got, want[:rows, :keep])
+        assert np.array_equal(mask[:rows, :keep], d._odd_advect_tables[2])
+        assert np.all(want[rows:] == 0.0) and np.all(want[:, keep:] == 0.0)
 
     def test_three_transforms_per_call(self, monkeypatch, rng):
         import zns.operators
@@ -363,7 +370,7 @@ class TestOddKernel:
                                 calls.append((name, x[..., 0, 0].size)) or fn(d, x, **kw))
         d = Domain(N1=16, N2=16)
         a = random_field(d, rng, norm_target=1.0)
-        _advect_raw(d, *odd_quarters(d, a, a))
+        _advect_raw(d, *band_blocks(d, a, a))
         assert calls == [("_irfft2", 2), ("_rfft2", 1)]
         calls.clear()
         _advect_raw(d, a.coeffs, a.coeffs)

@@ -15,6 +15,8 @@ from zns.forcing import Forcing, ForcingSpec
 from zns.lattice import (
     Domain,
     SpectralField,
+    _irfft2,
+    _rfft2,
     inner,
     norm,
     parity_error,
@@ -124,7 +126,7 @@ class TestCoefficients:
             with pytest.raises(ValueError):
                 table[0, 0] = 0.0
         tables = (k.E, k.E2, k.Q, k.f1, k.f2, k.f3)
-        assert all(x.flags.c_contiguous and x.shape == (3, 5) for x in tables)
+        assert all(x.flags.c_contiguous and x.shape == (2, 3) for x in tables)
 
     def test_rejects_nonpositive_step(self):
         d = Domain(N1=8, N2=8)
@@ -439,7 +441,7 @@ class TestHalfWidthStep:
             assert np.max(np.abs(got.coeffs - want.coeffs)) <= 1e-14 * np.max(np.abs(want.coeffs))
 
     def test_outputs_are_exactly_real_and_stages_half_width(self, rng):
-        # The stages and the weights are quarters, and input that is not odd is refused.
+        # The stages and the weights are band blocks, and input that is not odd is refused.
         d = Domain(L1=4 * np.pi, N1=24, N2=16)
         st_ = Stepper(d, SimConfig(epsilon=0.2, mu=0.5), h=0.01)
         forcing = Forcing(self.SPEC, d)
@@ -449,8 +451,8 @@ class TestHalfWidthStep:
         assert reality_error(w1) == 0.0
         assert reality_error(st_.tangent_step(phi, stages)) == 0.0
         for x in (stages.u0, stages.a, stages.b, stages.c):
-            assert x.shape == (7, 13)
-        assert st_.coeffs.E.shape == (7, 13)
+            assert x.shape == (5, 8)
+        assert st_.coeffs.E.shape == (5, 8)
         not_odd = random_field(d, rng, norm_target=2.0, odd_in_y=False)
         with pytest.raises(ValueError, match="not exactly odd"):
             st_.step_with_stages(not_odd, 0.0, forcing)
@@ -499,7 +501,7 @@ class TestQuarterStep:
             return w, phi
 
         _, stages = st_.step_with_stages(w0, 0.0, forcing)
-        assert stages.u0.shape == (d.N2 // 2 - 1, d.N1 // 2 + 1)
+        assert stages.u0.shape == (-(-d.N2 // 3) - 1, -(-d.N1 // 3))
         fields = run(w0, phi0)
         quarters = run(OddQuarter.of(w0), OddQuarter.of(phi0))
         for got, want in zip(fields, quarters):
@@ -532,7 +534,7 @@ class TestQuarterStep:
         forcing = Forcing(self.SPEC, d)
         w = random_field(d, rng, norm_target=2.0)
         _, stages = st_.step_with_stages(w, 0.0, forcing)
-        assert stages.u0.shape == (7, 9)
+        assert stages.u0.shape == (5, 6)
         ulp = w.copy()
         c = ulp.coeffs[2, 1]
         ulp.coeffs[2, 1] = complex(np.nextafter(c.real, np.inf), c.imag)
@@ -554,12 +556,12 @@ class TestQuarterStep:
         even = random_field(d, rng, norm_target=1.0, odd_in_y=False)
         w = random_field(d, rng, norm_target=2.0)
         w1, stages = st_.step_with_stages(w, 0.0, lambda t: even)
-        assert stages.u0.shape == (7, 9)
+        assert stages.u0.shape == (5, 6)
         assert parity_error(w1) == 0.0 and reality_error(w1) == 0.0
         w2 = st_.step(w, 0.0, lambda t: project_parity(even))
         assert np.array_equal(w1.coeffs, w2.coeffs)
         _, stages = st_.step_with_stages(w, 0.0, Forcing(self.SPEC, d))
-        assert stages.u0.shape == (7, 9)
+        assert stages.u0.shape == (5, 6)
 
     def test_tangent_not_odd_on_quarter_stages(self, rng):
         # Refused, as a base state that is not odd is; its odd part steps.
@@ -569,7 +571,7 @@ class TestQuarterStep:
         w = random_field(d, rng, norm_target=2.0)
         phi = random_field(d, rng, norm_target=1.0, odd_in_y=False)
         _, stages = st_.step_with_stages(w, 0.0, forcing)
-        assert stages.u0.shape == (7, 13)
+        assert stages.u0.shape == (5, 8)
         with pytest.raises(ValueError, match="not exactly odd"):
             st_.tangent_step(phi, stages)
         got = st_.tangent_step(project_parity(phi), stages)
@@ -578,15 +580,15 @@ class TestQuarterStep:
     @pytest.mark.parametrize("d", KERNEL_DOMAINS)
     @pytest.mark.parametrize("eps,mu", [(0.2, 0.5), (1e-4, 0.03), (3.0, 0.0)])
     def test_weights_are_exactly_even_in_m2(self, d, eps, mu):
-        # The quarter tables are, bit for bit, both the m2 > 0 rows and the
+        # The band tables are, bit for bit, both the m2 > 0 rows and the
         # mirrored m2 < 0 rows of the tables on the full symbol.
         st_ = Stepper(d, SimConfig(epsilon=eps, mu=mu), h=0.01)
         k, full = st_.coeffs, full_width_tables(st_)
-        n2, n1 = d.N2 // 2, d.N1 // 2 + 1
+        r, n1 = -(-d.N2 // 3) - 1, -(-d.N1 // 3)
         for name in ("E", "E2", "Q", "f1", "f2", "f3"):
             table = getattr(full, name)
-            assert np.array_equal(getattr(k, name), table[1:n2, :n1])
-            assert np.array_equal(getattr(k, name), table[: n2 : -1, :n1])
+            assert np.array_equal(getattr(k, name), table[1 : r + 1, :n1])
+            assert np.array_equal(getattr(k, name), table[: d.N2 - r - 1 : -1, :n1])
 
     def test_blowup_reports_the_true_mode(self):
         d = Domain(N1=16, N2=16)
@@ -624,10 +626,9 @@ class TestCachedTangentStage:
     def test_matches_two_advection_calls(self, n, rng):
         d = Domain(N1=n, N2=n)
         st_ = Stepper(d, SimConfig(epsilon=0.2, mu=0.5), h=0.01)
-        quarter = np.s_[1 : n // 2, : n // 2 + 1]
         for _ in range(3):
-            W = random_field(d, rng, norm_target=2.0).coeffs[quarter]
-            P = random_field(d, rng, norm_target=1.0).coeffs[quarter]
+            W = OddQuarter.of(random_field(d, rng, norm_target=2.0)).band()
+            P = OddQuarter.of(random_field(d, rng, norm_target=1.0)).band()
             want = -(_advect_raw(d, W, P) + _advect_raw(d, P, W))
             for grids in (_odd_grids(d, W), None):
                 got = st_._tangent_nonlinear(W, P, grids)
@@ -642,7 +643,7 @@ class TestCachedTangentStage:
         phi = random_field(d, rng, norm_target=1.0)
         w1, phi1 = st_.step_pair(w, phi, 0.3, forcing)
         w2, stages = st_.step_with_stages(w, 0.3, forcing)
-        assert stages.grids is None and stages.u0.shape[0] == d.N2 // 2 - 1
+        assert stages.grids is None and stages.u0.shape[0] == -(-d.N2 // 3) - 1
         phi2 = st_.tangent_step(phi, stages)
         assert np.array_equal(w1.coeffs, w2.coeffs)
         assert parity_error(phi2) == 0.0 and reality_error(phi2) == 0.0
@@ -660,7 +661,7 @@ class TestCachedTangentStage:
         w = random_field(d, rng, norm_target=2.0)
         phi = random_field(d, rng, norm_target=1.0)
         _, stages = st_.step_with_stages(w, 0.0, _grids=True)
-        assert stages.grids is None and stages.u0.shape == (7, 9)
+        assert stages.grids is None and stages.u0.shape == (5, 6)
         expected = np.exp(st_.symbol.lam * 0.01) * phi.coeffs
         for got in (st_.tangent_step(phi, stages), st_.step_pair(w, phi, 0.0)[1]):
             assert np.max(np.abs(got.coeffs - expected)) <= 1e-15 * np.max(np.abs(expected))
@@ -739,14 +740,15 @@ class TestWorkBuffers:
 
     def test_integrate_matches_2d_wrapper_reference(self, monkeypatch):
         # The same run with the raw pair on numpy's 2-D wrappers, one call per grid.
-        import zns.diagnostics
         import zns.operators
         from zns.harness import initial_state, integrate
 
         calls = []
 
-        def irfft2(d, H, out=None):
+        def irfft2(d, H, out=None, pad=None):
             calls.append("irfft2")
+            if pad is not None:  # H holds only the leading columns of the half
+                H = np.concatenate((H, pad[..., H.shape[-1] :]), axis=-1)
             if out is None:
                 out = np.empty(H.shape[:-2] + (d.N2, d.N1))
             for i in np.ndindex(H.shape[:-2]):
@@ -775,8 +777,7 @@ class TestWorkBuffers:
                     np.array([dataclasses.astuple(r) for r in records])]
 
         got = run()
-        for module in (zns.operators, zns.diagnostics):
-            monkeypatch.setattr(module, "_irfft2", irfft2)
+        monkeypatch.setattr(zns.operators, "_irfft2", irfft2)
         monkeypatch.setattr(zns.operators, "_rfft2", rfft2)
         want = run()
         # 12 per iteration (base, tangent and partner: 4 stages each), 1 per record.
@@ -849,7 +850,7 @@ class TestSteadyForcingView:
                 with pytest.raises(ValueError, match="not exactly odd"):
                     budget_residual(w, w, 0.3, 0.01, f, st_.config)
         assert not forcing.coeffs_at(0.0).flags.writeable
-        assert np.array_equal(forcing.coeffs_at(0.7), base[1:8, :9])
+        assert np.array_equal(forcing.coeffs_at(0.7), base[1:6, :6])
         # The call still hands out a private, writable copy.
         f = forcing(1.0)
         f.coeffs[1, 1] = 5.0
@@ -915,3 +916,234 @@ def test_budget_residual_matches_three_pass_formula(d, forced, odd, rng):
     want, scale = budget_residual_three_pass(w, w1, 0.3, 4e-3, forcing, sim)
     got = budget_residual(w, w1, 0.3, 4e-3, forcing, sim)
     assert abs(got - want) <= 1e-13 * scale
+
+
+def _odd_pair(d: Domain, m1: int, m2: int, c: complex) -> SpectralField:
+    """The real, exactly odd field of coefficient ``c`` (imaginary if m1 = 0) at (m1, m2)."""
+    f = SpectralField.zeros(d)
+    for (a1, a2), v in _parity_pack(m1, m2, c).items():
+        f.coeffs[a2 % d.N2, a1 % d.N1] = v
+    return f
+
+
+def _band_edges(d: Domain) -> dict[str, tuple[int, int]]:
+    """The first modes outside the band: column m1 = K and row m2 = R + 1."""
+    rows, cols = d._band
+    return {"m1=K": (cols.stop, 1), "m2=R+1": (1, rows.stop + 1)}
+
+
+class TestBand:
+    """A trajectory holds no mode outside the 2/3 band, so a step runs on its band block."""
+
+    SPEC = ForcingSpec(modes=((0, 1, 1.0), (1, 1, 0.5)))
+
+    @pytest.mark.parametrize("d", KERNEL_DOMAINS)
+    def test_band_is_the_dealiased_part_of_the_quarter(self, d):
+        n2, n1 = d.N2 // 2, d.N1 // 2 + 1
+        inside = np.zeros((n2 - 1, n1), dtype=bool)
+        inside[d._band] = True
+        assert np.array_equal(inside, d.dealias[1:n2, :n1])
+        assert inside.any() and not inside.all()
+
+    @pytest.mark.parametrize("d", KERNEL_DOMAINS)
+    def test_trajectory_inputs_are_zero_outside_the_band(self, d):
+        from zns.harness import initial_state
+
+        rows, cols = d._band
+        # Every canonical mode of the band, zonal ones with real amplitudes.
+        modes = tuple((m1, m2, 0.3 if m1 == 0 else 0.2 - 0.1j)
+                      for m2 in range(1, rows.stop + 1) for m1 in range(cols.stop))
+        rng = np.random.default_rng(31)
+        fields = [initial_state(d, seed, 1.0) for seed in range(3)]
+        fields += [random_field(d, rng, kmax=kmax, slope=slope, norm_target=1.0)
+                   for kmax in (None, 2.0, 1e3) for slope in (0.0, -1.0)]
+        for sigma in (0.0, 0.7):
+            forcing = Forcing(ForcingSpec(modes, sigma), d)
+            fields += [forcing(t) for t in (0.0, 0.37)]
+            assert np.array_equal(forcing.coeffs_at(0.37), OddQuarter.of(forcing(0.37)).band())
+        for f in fields:
+            assert np.all(f.coeffs[~d.dealias] == 0.0)
+            block = OddQuarter.of(f).band()
+            assert np.array_equal(OddQuarter.from_band(d, block).field.coeffs, f.coeffs)
+        for m1, m2 in _band_edges(d).values():
+            with pytest.raises(ValueError, match="outside the dealiased band"):
+                Forcing(ForcingSpec(((m1, m2, 0.5),)), d)
+
+    @pytest.mark.parametrize("d", KERNEL_DOMAINS)
+    @pytest.mark.parametrize("where", ["m1=K", "m2=R+1"])
+    @pytest.mark.parametrize("entry", [
+        "step", "step_pair-state", "step_pair-tangent", "tangent_step",
+        "integrate-partner", "forcing",
+    ])
+    def test_refused_before_any_step(self, d, where, entry, monkeypatch):
+        from zns.harness import initial_state, integrate
+
+        st_ = Stepper(d, SimConfig(epsilon=0.2, mu=0.5), h=0.01)
+        forcing = Forcing(self.SPEC, d)
+        w = initial_state(d, 1, 1.0)
+        wide = w + _odd_pair(d, *_band_edges(d)[where], 1e-3 + 2e-3j)
+        assert parity_error(wide) == 0.0 and reality_error(wide) == 0.0
+        _, stages = st_.step_with_stages(w, 0.0, forcing)
+        counts = count_transforms(monkeypatch)
+        calls = {
+            "step": lambda: st_.step(wide, 0.0, forcing),
+            "step_pair-state": lambda: st_.step_pair(wide, w, 0.0, forcing),
+            "step_pair-tangent": lambda: st_.step_pair(w, wide, 0.0, forcing),
+            "tangent_step": lambda: st_.tangent_step(wide, stages),
+            "integrate-partner": lambda: integrate(st_, forcing, w, 0.0, 0.1, partner=wide),
+            "forcing": lambda: st_.step(w, 0.0, lambda t: wide),
+        }
+        what = {"step_pair-tangent": "tangent", "tangent_step": "tangent",
+                "integrate-partner": "partner", "forcing": "forcing"}.get(entry, "state")
+        with pytest.raises(ValueError, match=f"^{what} has a nonzero coefficient outside "
+                                             r"the 2/3 band 0 < m2 <= \d+, \|m1\| <= \d+"):
+            calls[entry]()
+        assert counts == {"ifft": 0, "irfft": 0, "rfft": 0, "fft": 0}
+
+    def test_nan_forcing_is_a_blowup_not_a_refusal(self):
+        # Inside the band or only outside it (rows m2 = 6..7 and -7..-6 of 16 x 16).
+        d = Domain(N1=16, N2=16)
+        st_ = Stepper(d, SimConfig(epsilon=1.0, mu=0.1), h=0.1)
+        for rows in (np.s_[:], np.s_[6:11]):
+            coeffs = np.zeros((16, 16), dtype=complex)
+            coeffs[rows] = np.nan
+            with pytest.raises(BlowUpError):
+                st_.step(SpectralField.zeros(d), 0.0, lambda t: SpectralField(d, coeffs))
+
+
+class QuarterStage:
+    """The step as it ran on the whole m2 > 0 quarter, before the band block: weights,
+    stage arithmetic and both transforms' y-passes on every quarter mode (a test-only copy
+    of that code, the reference of the band step)."""
+
+    def __init__(self, st_: Stepper):
+        d, n2, n1 = st_.domain, st_.domain.N2 // 2, st_.domain.N1 // 2 + 1
+        self.d, self.h = d, st_.h
+        z = st_.h * st_.symbol.lam[1:n2, :n1]
+        p1, p2, p3 = _phi(z, 1), _phi(z, 2), _phi(z, 3)
+        self.k = SimpleNamespace(
+            E=np.exp(z), E2=np.exp(0.5 * z), Q=0.5 * st_.h * _phi(0.5 * z, 1),
+            f1=st_.h * (p1 - 3.0 * p2 + 4.0 * p3), f2=st_.h * (p2 - 2.0 * p3),
+            f3=st_.h * (4.0 * p3 - p2),
+        )
+        to_u, to_v, to_dx, to_dy = d._advect_tables
+        sign = np.where(d.m2 < 0, -1.0, 1.0)[:, None]
+        self.to_uv, self.to_dxy = sign * (to_u + to_v), sign * (to_dx + to_dy)
+        self.mask = 0.5 * d._advect_mask[1:n2]
+
+    def grids(self, A, B):
+        d, n2 = self.d, self.d.N2 // 2
+        S = np.zeros((2, d.N2, d.N1 // 2 + 1), dtype=np.complex128)
+        for s, table, C in ((S[0], self.to_uv, A), (S[1], self.to_dxy, B)):
+            np.multiply(table[1:n2], C, out=s[1:n2])
+            np.multiply(table[:n2:-1], C, out=s[:n2:-1])
+        return _irfft2(d, S)
+
+    def odd_part(self, grid):
+        d, n2, keep = self.d, self.d.N2 // 2, self.d._kept_cols
+        F = _rfft2(d, grid, cols=keep)
+        out = np.zeros((n2 - 1, d.N1 // 2 + 1), dtype=np.complex128)
+        Q = np.subtract(F[1:n2], F[:n2:-1], out=out[:, :keep])
+        Q *= self.mask[:, :keep]
+        Q.real[:, 0] = 0.0
+        return out
+
+    def etdrk4(self, u0, rhs):
+        k = self.k
+        n1 = rhs(0, u0)
+        e2u0 = k.E2 * u0
+        a = k.Q * n1 + e2u0
+        n2 = rhs(1, a)
+        b = k.Q * n2 + e2u0
+        n3 = rhs(2, b)
+        c = k.Q * (2.0 * n3 - n1) + k.E2 * a
+        n4 = rhs(3, c)
+        n2 += n3
+        n2 *= 2.0
+        out = k.E * u0
+        for f, n in ((k.f1, n1), (k.f2, n2), (k.f3, n4)):
+            n *= f
+            out += n
+        return out
+
+    def step_pair(self, w, phi, t, forcing):
+        """The quarters after one step of ``w`` and, unless None, of tangent ``phi``."""
+        times = (t, t + self.h / 2, t + self.h / 2, t + self.h)
+        f = [OddQuarter.of(forcing(s)).coeffs for s in times]
+        kept = []
+
+        def base(i, C):
+            uv, dxy = self.grids(C, C)
+            kept.append((uv, dxy))
+            out = self.odd_part(uv * dxy)
+            np.negative(out, out=out)
+            out += f[i]
+            return out
+
+        def tangent(i, P):
+            uv, dxy = kept[i]
+            uv_p, dxy_p = self.grids(P, P)
+            dxy_p *= uv
+            uv_p *= dxy
+            dxy_p += uv_p
+            out = self.odd_part(dxy_p)
+            return np.negative(out, out=out)
+
+        w_next = self.etdrk4(w, base)
+        return w_next, None if phi is None else self.etdrk4(phi, tangent)
+
+
+@pytest.mark.parametrize("d", [
+    pytest.param(Domain(N1=64, N2=64), id="64x64"),
+    pytest.param(Domain(L1=4 * np.pi, N1=24, N2=16), id="24x16-L1=4pi"),
+    pytest.param(Domain(N1=20, N2=14), id="20x14"),
+])
+def test_band_step_is_bit_identical_to_the_quarter_step(d):
+    from zns.harness import initial_state
+
+    forcing = Forcing(ForcingSpec(modes=((0, 1, 1.0), (1, 1, 0.5)), sigma=0.7), d)
+    st_ = Stepper(d, SimConfig(epsilon=0.05, mu=0.5), h=0.004)
+    ref = QuarterStage(st_)
+    w, phi, plain = (OddQuarter.of(initial_state(d, seed, 1.0)) for seed in (1, 2, 3))
+    w_ref, phi_ref, plain_ref = w.coeffs, phi.coeffs, plain.coeffs
+    for i in range(50):
+        t = i * 0.004
+        plain = st_.step(plain, t, forcing)
+        plain_ref, _ = ref.step_pair(plain_ref, None, t, forcing)
+        w, phi = st_.step_pair(w, phi, t, forcing)
+        w_ref, phi_ref = ref.step_pair(w_ref, phi_ref, t, forcing)
+    for got, want in ((plain, plain_ref), (w, w_ref), (phi, phi_ref)):
+        assert np.array_equal(got.coeffs, want)
+        assert np.abs(want).max() > 1e-3  # a nontrivial state
+
+
+def test_calls_that_tracing_counts(monkeypatch):
+    # A benchmark trace counts one ``step_with_stages`` per base or partner step, one
+    # ``tangent_step`` per tangent step and four ``zns.stepper._advect_raw`` per plain step.
+    import zns.stepper
+    from zns.harness import initial_state, integrate
+
+    calls = {"step_with_stages": 0, "tangent_step": 0, "_advect_raw": 0}
+    for name in ("step_with_stages", "tangent_step"):
+        fn = getattr(Stepper, name)
+        monkeypatch.setattr(Stepper, name, lambda self, *a, fn=fn, name=name, **k:
+                            calls.__setitem__(name, calls[name] + 1) or fn(self, *a, **k))
+    advect = zns.stepper._advect_raw
+    monkeypatch.setattr(zns.stepper, "_advect_raw", lambda *a: calls.__setitem__(
+        "_advect_raw", calls["_advect_raw"] + 1) or advect(*a))
+    d = Domain(N1=16, N2=16)
+    forcing = Forcing(ForcingSpec(modes=((0, 1, 1.0), (1, 1, 0.5))), d)
+    st_ = Stepper(d, SimConfig(epsilon=0.2, mu=0.5), h=0.01)
+    w0, phi0, partner0 = (initial_state(d, seed, 1.0) for seed in (1, 2, 3))
+
+    def take():
+        out = tuple(calls.values())
+        calls.update(dict.fromkeys(calls, 0))
+        return out
+
+    integrate(st_, forcing, w0, 0.0, 0.07, record_every=3)
+    assert take() == (7, 0, 28)
+    integrate(st_, forcing, w0, 0.0, 0.07, record_every=3, tangent=phi0, partner=partner0)
+    assert take() == (14, 7, 28)
+    st_.step(w0, 0.0, forcing)
+    assert take() == (1, 0, 4)
