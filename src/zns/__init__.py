@@ -36,7 +36,7 @@ from .harness import (
 )
 from .lattice import (
     Domain,
-    OddQuarter,
+    OddBand,
     SpectralField,
     inner,
     norm,

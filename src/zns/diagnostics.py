@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .forcing import Forcing
-from .lattice import OddQuarter, SpectralField, inner, norm, to_grid
+from .lattice import OddBand, SpectralField, inner, norm, to_grid
 from .operators import _odd_inverse, apply_A, apply_I_omega, apply_inv_laplacian, apply_L, jacobian
 from .operators import split
 
@@ -184,15 +184,15 @@ def record_state(w: SpectralField, t: float, budget: float = 0.0) -> Diagnostics
     ``v`` odd, so with ``g = u + v`` one transform gives ``u^2 + v^2 = (g(y)^2 + g(-y)^2)/2``.
     """
     d = w.domain
-    quarter = OddQuarter.of(w)
-    q = quarter.coeffs
+    band = OddBand.of(w)
     rows = np.s_[1 : d.N2 // 2, : d.N1 // 2 + 1]
+    q = w.coeffs[rows]
     p = np.square(q.real) + np.square(q.imag)
     p *= d._half_weight[rows]
     ksq = d.ksq[rows]
     kp = ksq * p
     g, flipped = d._work.grids
-    _odd_inverse(d, (d._odd_advect_tables[0], quarter.band()), out=g[None])
+    _odd_inverse(d, (d._odd_advect_tables[0], band.coeffs), out=g[None])
     np.take(g, d._flip_m2, axis=0, out=flipped)  # row of -y
     np.square(g, out=g)
     np.square(flipped, out=flipped)

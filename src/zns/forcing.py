@@ -18,8 +18,9 @@ constant in time; zonal coefficients are held steady, since a phase
 rotation there is incompatible with the symmetry.  Hence all the
 sup-in-time norms are attained at every t, and :mod:`zns.diagnostics` takes
 them at t = 0.  A ``Forcing`` stores only the 2/3-band block (``Domain._band``)
-of the m2 > 0 quarter of the closure, the block the step reads; calling it
-builds the full field through ``OddQuarter.field``.
+of the m2 > 0 quarter of the closure: ``coeffs_at`` gives the block the step
+reads, and calling it builds the full field through ``OddBand.field``.  A step
+takes no other kind of forcing.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import Domain, OddQuarter, SpectralField, _frozen, _require_finite
+from .lattice import Domain, OddBand, SpectralField, _frozen, _require_finite
 
 
 @dataclass(frozen=True)
@@ -101,7 +102,7 @@ class Forcing:
         return self.spec.sigma == 0.0
 
     def __call__(self, t: float) -> SpectralField:
-        return OddQuarter.from_band(self.domain, self.coeffs_at(t)).field
+        return OddBand(self.domain, self.coeffs_at(t)).field
 
     def coeffs_at(self, t: float) -> np.ndarray:
         """The band block at time ``t``; a steady forcing gives its read-only base, not a
@@ -113,5 +114,5 @@ class Forcing:
     def derivative(self, t: float) -> SpectralField:
         """Analytic time derivative of the forcing field."""
         q = self._base * (1j * self._rot) * np.exp(1j * self._rot * t)
-        return OddQuarter.from_band(self.domain, q).field
+        return OddBand(self.domain, q).field
 

@@ -7,7 +7,8 @@ pure functions of the stored time series, so they can be recomputed from a
 RunRecord at any time.  Failed theorem checks are collected as violation
 strings in the record (and mapped to a nonzero exit code by the CLI); they
 never abort data capture.  Every output file of an experiment is written
-here, before the experiment returns.
+here, before the experiment returns; a blow-up still writes the series taken
+before it, and is then raised again.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import csv
 import hashlib
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Callable
@@ -33,7 +35,7 @@ from .diagnostics import (
 from .forcing import Forcing, ForcingSpec
 from .lattice import (
     Domain,
-    OddQuarter,
+    OddBand,
     SpectralField,
     _atomic_open,
     _require_finite,
@@ -188,14 +190,6 @@ def _step_range(h: float, t0: float, t_end: float) -> tuple[int, int]:
     return n0, n_steps
 
 
-def _in_band(f: SpectralField, what: str) -> OddQuarter:
-    """``OddQuarter.of(f)``, refused (ValueError) if it has a nonzero coefficient outside
-    the 2/3 band, with ``what`` it is."""
-    quarter = OddQuarter.of(f)
-    quarter.band(what)
-    return quarter
-
-
 def integrate(
     stepper: Stepper,
     forcing: Forcing | None,
@@ -215,7 +209,7 @@ def integrate(
     ``tangent`` is propagated along ``w`` by the linearized step, and an
     optional ``partner`` trajectory advances in lockstep.  All three must be
     exactly odd in y and held in the 2/3 band, which is checked before the
-    first step, and step as ``OddQuarter``s.  After each step
+    first step, and step as ``OddBand``s.  After each step
     ``observe(t, w, tangent, partner, recorded)`` is called with those
     (``.field`` builds a full field), where ``recorded`` says whether a
     diagnostics record was just taken.  The records are appended to
@@ -229,9 +223,9 @@ def integrate(
     """
     h = stepper.h
     n0, n_steps = _step_range(h, t0, t_end)
-    w = _in_band(w0, "state")
-    tangent = None if tangent is None else _in_band(tangent, "tangent")
-    partner = None if partner is None else _in_band(partner, "partner")
+    w = OddBand.of(w0, "state")
+    tangent = None if tangent is None else OddBand.of(tangent, "tangent")
+    partner = None if partner is None else OddBand.of(partner, "partner")
     records = [] if records is None else records
     records.append(record_state(w0, t0, budget=0.0))
     for i in range(n0 + 1, n0 + n_steps + 1):
@@ -271,6 +265,20 @@ def _trajectory(config: ExperimentConfig, forcing: Forcing, eps: float, seed: in
         member = f"eps={eps:g}" if seed is None else f"eps={eps:g}, seed={seed}"
         context = f"{e.context} of {member}" if e.context else member
         raise BlowUpError(e.t, e.mode, e.magnitude, context) from e
+
+
+@contextmanager
+def _writes(out_dir: Path | None, write: Callable[[Path], None]):
+    """Run the block, then ``write(out_dir)`` what the experiment holds unless ``out_dir``
+    is None; a ``BlowUpError`` in the block still writes, and is then raised again."""
+    try:
+        yield
+    except BlowUpError:
+        if out_dir is not None:
+            write(Path(out_dir))
+        raise
+    if out_dir is not None:
+        write(Path(out_dir))
 
 
 # ---------------------------------------------------------------------------
@@ -388,22 +396,38 @@ def _label(eps: float, seed: int) -> str:
 def run_epsilon_sweep(
     config: ExperimentConfig, n_seeds: int = 1, out_dir: Path | None = None
 ) -> RunRecord:
-    """Integrate each epsilon (and seed), then check the attenuation scaling.
+    """Integrate each epsilon (and seed), then check the attenuation scaling; with
+    ``out_dir`` each member's series is written to ``diagnostics_<label>.csv`` and the
+    table to ``summary.csv``.
 
-    A blow-up aborts the sweep naming the offending epsilon and seed;
-    violated theorem checks are recorded, not raised.
+    A blow-up aborts the sweep naming the offending epsilon and seed, after
+    writing the series of the finished members and the records the blown-up
+    one took; violated theorem checks are recorded, not raised.
     """
     if n_seeds < 1:
         raise ValueError(f"need at least one seed, got {n_seeds}")
     forcing = Forcing(config.forcing, config.domain)
     seeds = tuple(config.seed + i for i in range(n_seeds))
     series: dict[str, list[DiagnosticsRecord]] = {}
-    for eps in config.epsilons:
-        stepper = Stepper(config.domain, config.sim_config(eps), config.h)
-        for seed in seeds:
-            series[_label(eps, seed)] = _trajectory(config, forcing, eps, seed, stepper=stepper)[1]
+
+    def write(out):
+        for label, records in series.items():
+            name = label.replace(":", "_").replace("=", "")
+            write_diagnostics_csv(out / f"diagnostics_{name}.csv", records)
+
+    with _writes(out_dir, write):
+        for eps in config.epsilons:
+            stepper = Stepper(config.domain, config.sim_config(eps), config.h)
+            for seed in seeds:
+                records = series[_label(eps, seed)] = []
+                _trajectory(config, forcing, eps, seed, stepper=stepper, records=records)
     summary, violations = summarize_epsilon_sweep(series, config, seeds)
-    record = RunRecord(
+    if out_dir is not None:
+        write_csv(Path(out_dir) / "summary.csv", SWEEP_SUMMARY_COLUMNS, (
+            [row[c] for c in SWEEP_SUMMARY_COLUMNS[:5]] + [summary["slope"], summary["slope_h1"]]
+            for row in summary["per_epsilon"]
+        ))
+    return RunRecord(
         kind="epsilon-sweep",
         config_hash=config_hash(config),
         series=series,
@@ -411,9 +435,6 @@ def run_epsilon_sweep(
         summary=summary,
         violations=violations,
     )
-    if out_dir is not None:
-        _write_sweep_outputs(record, Path(out_dir))
-    return record
 
 
 # ---------------------------------------------------------------------------
@@ -477,10 +498,11 @@ def run_contraction_test(
     """Two-trajectory and tangent-propagation contraction measurement.
 
     Integrates trajectories from two seeds (config.seed and the next one)
-    plus a tangent perturbation along the first, and fits
-    exponential decay rates of the trajectory distance and of the tangent
-    norm on the tail; both are compared against nu = c0^2 mu.  With
-    ``out_dir`` both curves are written to ``contraction.csv``.
+    plus a tangent perturbation along the first, whose initial value is the
+    initial field of seed config.seed + 2, and fits exponential decay rates
+    of the trajectory distance and of the tangent norm on the tail; both are
+    compared against nu = c0^2 mu.  With ``out_dir`` both curves are written
+    to ``contraction.csv``, also the rows taken before a blow-up.
     """
     forcing = Forcing(config.forcing, config.domain)
     if not forcing.is_steady:
@@ -496,14 +518,16 @@ def run_contraction_test(
             distance.append((t, norm(w1.field - w2.field)))
             tangent.append((t, norm(phi.field)))
 
-    _, records = _trajectory(
-        config, forcing, eps, config.seed, w0=w1, tangent=phi, partner=w2, observe=observe
-    )
+    def write(out):
+        write_csv(out / "contraction.csv", ["t", "distance", "tangent"],
+                  ((t, d, p) for (t, d), (_, p) in zip(distance, tangent)))
+
+    with _writes(out_dir, write):
+        _, records = _trajectory(
+            config, forcing, eps, config.seed, w0=w1, tangent=phi, partner=w2, observe=observe
+        )
     curves = {"distance": distance, "tangent": tangent}
     summary, violations = summarize_contraction(curves, config, eps)
-    if out_dir is not None:
-        write_csv(Path(out_dir) / "contraction.csv", ["t", "distance", "tangent"],
-                  ((t, d, p) for (t, d), (_, p) in zip(distance, tangent)))
     return RunRecord(
         kind="contraction",
         config_hash=config_hash(config),
@@ -546,28 +570,32 @@ def run_steady_residual_sweep(
 ) -> RunRecord:
     """Residual of the first-order steady flow, and distance from the
     converged end state, across the epsilon list; with ``out_dir`` the rows
-    are written to ``steady_residual.csv``."""
+    are written to ``steady_residual.csv``, also those of the epsilons that
+    finished before a blow-up."""
     forcing = Forcing(config.forcing, config.domain)
     if not forcing.is_steady:
         raise ValueError("steady-residual sweep requires steady forcing")
     series = {}
     rows = []
-    for eps in config.epsilons:
-        w_star = approx_steady_state(forcing, config.mu, eps)
-        res = steady_residual(w_star, forcing, config.mu, eps)
-        w_end, series[_label(eps, config.seed)] = _trajectory(config, forcing, eps, config.seed)
-        rows.append(
-            {
-                "epsilon": eps,
-                "residual": res,
-                "distance": norm(w_end - w_star),
-                "end_rhs_norm": steady_residual(w_end, forcing, config.mu, eps),
-            }
-        )
-    summary, violations = summarize_steady_sweep(rows, config)
-    if out_dir is not None:
-        write_csv(Path(out_dir) / "steady_residual.csv", STEADY_COLUMNS,
+
+    def write(out):
+        write_csv(out / "steady_residual.csv", STEADY_COLUMNS,
                   ([row[c] for c in STEADY_COLUMNS] for row in rows))
+
+    with _writes(out_dir, write):
+        for eps in config.epsilons:
+            w_star = approx_steady_state(forcing, config.mu, eps)
+            res = steady_residual(w_star, forcing, config.mu, eps)
+            w_end, series[_label(eps, config.seed)] = _trajectory(config, forcing, eps, config.seed)
+            rows.append(
+                {
+                    "epsilon": eps,
+                    "residual": res,
+                    "distance": norm(w_end - w_star),
+                    "end_rhs_norm": steady_residual(w_end, forcing, config.mu, eps),
+                }
+            )
+    summary, violations = summarize_steady_sweep(rows, config)
     return RunRecord(
         kind="steady-residual",
         config_hash=config_hash(config),
@@ -627,7 +655,7 @@ def simulate(
         # A no-op on a snapshot written here.  Reality first: it makes the real part of the
         # m1 = 0 column even in m2, so the parity projection zeroes it, as a quarter needs.
         w0 = project_parity(project_reality(w0))
-        _in_band(w0, f"{resume_from}: snapshot")  # a step's own check, made early
+        OddBand.of(w0, f"{resume_from}: snapshot")  # a step's own check, made early
     stepper = Stepper(config.domain, config.sim_config(eps), config.h)
     _step_range(stepper.h, t0, config.t_end)  # integrate's own check, made early
     # Only now, so that a rejected resume, epsilon or time leaves no directory behind.
@@ -647,15 +675,11 @@ def simulate(
 
     seed = config.seed if resume_from is None else None  # a resumed state has no seed
     records: list[DiagnosticsRecord] = []
-    try:
+    with _writes(out, lambda out: write_diagnostics_csv(out / "diagnostics.csv", records)):
         w, _ = _trajectory(config, forcing, eps, seed, stepper=stepper, w0=w0, t0=t0,
                            observe=observe, records=records)
-    except BlowUpError:
-        write_diagnostics_csv(out / "diagnostics.csv", records)
-        raise
     t_final = records[-1].t
     write_snapshot(out / "state_final.zns", w, eps, config.mu, t_final)
-    write_diagnostics_csv(out / "diagnostics.csv", records)
     return RunRecord(
         kind="simulate",
         config_hash=config_hash(config),
@@ -695,15 +719,4 @@ TRIAD_COLUMNS = ["j1", "j2", "k1", "k2", "l1", "l2", "Bjkl", "Bkjl", "omega_sum"
 def write_triad_csv(path, reports: list[TriadReport]) -> None:
     write_csv(path, TRIAD_COLUMNS, (
         (*r.j, *r.k, *r.l, r.bjkl, r.bkjl, r.omega_sum, r.residual) for r in reports
-    ))
-
-
-def _write_sweep_outputs(record: RunRecord, out: Path) -> None:
-    for label, records in record.series.items():
-        name = label.replace(":", "_").replace("=", "")
-        write_diagnostics_csv(out / f"diagnostics_{name}.csv", records)
-    s = record.summary
-    write_csv(out / "summary.csv", SWEEP_SUMMARY_COLUMNS, (
-        [row[c] for c in SWEEP_SUMMARY_COLUMNS[:5]] + [s["slope"], s["slope_h1"]]
-        for row in s["per_epsilon"]
     ))

@@ -21,14 +21,13 @@ Conventions (fixed throughout the package):
   transform; the advection tables carry that phase and use the raw pair.
 * A field odd in y has ``c(m1, -m2) = -c(m1, m2)``, so its half is fixed by
   the ``m2 > 0`` rows, the quarter ``(N2/2 - 1, N1/2 + 1)``; its m2 = 0 and
-  Nyquist rows are zero and its m1 = 0 column is imaginary.  The solver
-  keeps only exactly odd fields: a trajectory's state is an ``OddQuarter``
-  (``OddQuarter.of`` takes it from a field, refusing any other), and its
-  ``field`` is the one expansion of a quarter to a full field.
-* A trajectory holds no mode outside the 2/3 band, so a step works on the
-  quarter's band block ``Domain._band``: rows m2 = 1..R with R = ceil(N2/3) - 1
-  and columns m1 = 0..K-1 with K = ceil(N1/3).  ``OddQuarter.band`` gives it,
-  refusing a quarter with a nonzero coefficient outside it.
+  Nyquist rows are zero and its m1 = 0 column is imaginary.
+* A trajectory holds no mode outside the 2/3 band of the quarter, the block
+  ``Domain._band`` of rows m2 = 1..R with R = ceil(N2/3) - 1 and columns
+  m1 = 0..K-1 with K = ceil(N1/3).  So its state is an ``OddBand``, that block
+  and nothing else: ``OddBand.of`` is the one place that takes it from a field,
+  refusing one that is not exactly odd or has a nonzero coefficient outside
+  the band, and its ``field`` is the one expansion of a block to a full field.
 * Grid values are plain real ``(N2, N1)`` arrays, ``[j2, j1]`` at
   ``(x_j1, y_j2)``: ``to_grid(f)`` returns one and ``to_spectral(domain,
   values)`` is its inverse.
@@ -373,50 +372,46 @@ def _odd_quarter(d: Domain, H: np.ndarray) -> np.ndarray | None:
     return Q
 
 
-def _odd_half(d: Domain, Q: np.ndarray) -> np.ndarray:
-    """The half-width coefficients of the odd field whose m2 > 0 rows are ``Q``."""
+def _odd_half(d: Domain, B: np.ndarray) -> np.ndarray:
+    """The half-width coefficients of the odd field whose m2 > 0 rows are ``B`` in their
+    leading rows and columns (a quarter or its band block) and zero elsewhere."""
     n2 = d.N2 // 2
-    H = np.zeros((d.N2, Q.shape[1]), dtype=np.complex128)
-    H[1:n2] = Q
-    np.negative(Q[::-1], out=H[n2 + 1 :])
+    H = np.zeros((d.N2, d.N1 // 2 + 1), dtype=np.complex128)
+    H[1 : B.shape[0] + 1, : B.shape[1]] = B
+    np.negative(H[n2 - 1 : 0 : -1], out=H[n2 + 1 :])
     return H
 
 
 @dataclass(eq=False)
-class OddQuarter:
-    """The m2 > 0 quarter ``(N2/2 - 1, N1/2 + 1)`` of an exactly odd real field: a
-    trajectory's state, whose ``field`` is built once, on first use."""
+class OddBand:
+    """The 2/3-band block ``Domain._band`` of the m2 > 0 quarter of an exactly odd real field
+    that holds no mode outside the band: a trajectory's state, whose ``field`` is built
+    once, on first use."""
 
     domain: Domain
     coeffs: np.ndarray
 
+    def __post_init__(self):
+        rows, cols = self.domain._band
+        if self.coeffs.shape != (rows.stop, cols.stop):
+            raise ValueError(f"band block shape {self.coeffs.shape} != {(rows.stop, cols.stop)}")
+
     @classmethod
-    def of(cls, f: SpectralField) -> OddQuarter:
-        """The quarter of ``f``; ValueError unless its half is exactly odd in y."""
+    def of(cls, f: SpectralField, what: str = "state") -> OddBand:
+        """The band block of ``f`` (a view).  ValueError unless its half is exactly odd in y,
+        or, naming ``what`` ``f`` is and the band, if a coefficient outside the band is
+        nonzero."""
         d = f.domain
-        quarter = _odd_quarter(d, f.coeffs[:, : d.N1 // 2 + 1])
-        if quarter is None:
+        Q = _odd_quarter(d, f.coeffs[:, : d.N1 // 2 + 1])
+        if Q is None:
             raise ValueError("field is not exactly odd in y (project_parity makes it odd)")
-        return cls(d, quarter)
-
-    @classmethod
-    def from_band(cls, d: Domain, block: np.ndarray) -> OddQuarter:
-        """The quarter whose band block (``Domain._band``) is ``block``, zero elsewhere."""
-        coeffs = np.zeros((d.N2 // 2 - 1, d.N1 // 2 + 1), dtype=np.complex128)
-        coeffs[d._band] = block
-        return cls(d, coeffs)
-
-    def band(self, what: str = "state") -> np.ndarray:
-        """The band block of the quarter (a view); ValueError naming the band, with ``what``
-        the quarter is, if a coefficient outside the band is nonzero."""
-        d, Q = self.domain, self.coeffs
         rows, cols = d._band
         if Q[rows.stop :].any() or Q[rows, cols.stop :].any():
             raise ValueError(
                 f"{what} has a nonzero coefficient outside the 2/3 band "
                 f"0 < m2 <= {rows.stop}, |m1| <= {cols.stop - 1} of {d}"
             )
-        return Q[rows, cols]
+        return cls(d, Q[rows, cols])
 
     @cached_property
     def field(self) -> SpectralField:

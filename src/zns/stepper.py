@@ -10,15 +10,15 @@ Mode amplitudes are integrated in the laboratory frame.  Co-rotating
 amplitudes (the representation in which the rotation term disappears) are
 obtained by multiplying mode k by ``exp(+i Omega_k t / eps)``.
 
-The dynamics keep the odd-in-y subspace and the 2/3 band, and a step runs
-on the band block (``Domain._band``) of the m2 > 0 quarter of an exactly odd
-state: the weights are even in m2, so they are built on the block alone, as
-is the forcing the step reads, and the band kernel returns an exactly odd
-result, so the step's output is exactly odd, not odd to round-off.  A state
-or perturbation that is not exactly odd, or that has a nonzero coefficient
-outside the band, is refused; so is a plain-callable forcing whose odd part
-has one.  A trajectory loop keeps its state as an ``OddQuarter`` between
-steps and builds a full field only where it needs one.
+The dynamics keep the odd-in-y subspace and the 2/3 band, so a state is an
+``OddBand``, the band block (``Domain._band``) of the m2 > 0 quarter of an
+exactly odd field, and a step runs on that block alone: the weights are even
+in m2, so they are built on the block, as is the ``Forcing`` the step reads,
+and the band kernel returns an exactly odd result, so the step's output is
+exactly odd, not odd to round-off.  A full field given to a step becomes a
+state through ``OddBand.of``, which refuses one that is not exactly odd or has
+a nonzero coefficient outside the band.  A trajectory loop keeps its state as
+an ``OddBand`` between steps and builds a full field only where it needs one.
 
 A tangent step linearizes the step about its base stages.  ``step_pair`` has
 the base step keep each stage's grids ``u + v`` and ``bx + by`` in the
@@ -36,34 +36,15 @@ from typing import Callable
 import numpy as np
 
 from .forcing import Forcing
-from .lattice import Domain, OddQuarter, SpectralField, _frozen, _require_finite
+from .lattice import Domain, OddBand, SpectralField, _frozen, _require_finite
 from .operators import _advect_raw, _odd_grids, _odd_part
 
-ForcingFn = Callable[[float], SpectralField]
-State = SpectralField | OddQuarter
+State = SpectralField | OddBand
 
 
-def _quarter(x: State) -> OddQuarter:
-    return x if isinstance(x, OddQuarter) else OddQuarter.of(x)
-
-
-def _forcing_at(forcing: ForcingFn, t: float, d: Domain) -> np.ndarray:
-    """The forcing at ``t`` on the band block: for a ``Forcing`` the block it stores
-    (read-only if steady); for any other callable its odd part ``(f[m2] - f[-m2])/2``,
-    with the imaginary m1 = 0 column of a real odd field, refused if it has a nonzero
-    coefficient outside the band.  One that is not finite anywhere is not refused but
-    NaN on the whole block: a blow-up of the step, as a NaN in any mode spreads to every
-    mode through the transforms."""
-    if isinstance(forcing, Forcing):
-        return forcing.coeffs_at(t)
-    n2, n1 = d.N2 // 2, d.N1 // 2 + 1
-    f = forcing(t).coeffs
-    out = f[1:n2, :n1] - f[:n2:-1, :n1]
-    out *= 0.5
-    out.real[:, 0] = 0.0
-    if not np.isfinite(out).all():
-        return np.full_like(out[d._band], np.nan)
-    return OddQuarter(d, out).band("forcing")
+def _quarter(x: State, what: str = "state") -> OddBand:
+    """``x`` as an ``OddBand``: a field through ``OddBand.of``, which may refuse it."""
+    return x if isinstance(x, OddBand) else OddBand.of(x, what)
 
 
 class BlowUpError(RuntimeError):
@@ -199,7 +180,7 @@ class Stepper:
     """Advances vorticity (and tangent perturbations) with a fixed step size.
 
     A step takes an exactly odd state in the 2/3 band, a ``SpectralField``
-    or an ``OddQuarter``, and returns the same kind; it refuses any other state
+    or an ``OddBand``, and returns the same kind; it refuses any other state
     (``ValueError``).  It runs on the band block and its output is exactly
     real and odd.  The coefficient tables are shared read-only; the base
     grids that ``step_pair`` hands to its tangent step live in buffers of the
@@ -293,20 +274,19 @@ class Stepper:
 
     def _like(self, x: State, C: np.ndarray) -> State:
         """Band block ``C`` as the kind of state ``x`` is."""
-        out = OddQuarter.from_band(self.domain, C)
-        return out if isinstance(x, OddQuarter) else out.field
+        out = OddBand(self.domain, C)
+        return out if isinstance(x, OddBand) else out.field
 
     def step_with_stages(
-        self, w: State, t: float, forcing: ForcingFn | None = None, *, _grids: bool = False
+        self, w: State, t: float, forcing: Forcing | None = None, *, _grids: bool = False
     ) -> tuple[State, StepStages]:
         """One ETDRK4 step; also returns the stage states for tangent use.
 
         With ``_grids`` the step also keeps the base grids of its stages in
         ``StepStages.grids``, for a tangent step that follows at once.
         """
-        d = self.domain
-        u0 = _quarter(w).band()
-        f = [None if forcing is None else _forcing_at(forcing, s, d)
+        u0 = _quarter(w).coeffs
+        f = [None if forcing is None else forcing.coeffs_at(s)
              for s in (t, t + self.h / 2, t + self.h)]
         f.insert(2, f[1])  # the two mid-step stages read one evaluation
         grids = self._stage_grids if _grids and self.config.advection else None
@@ -315,7 +295,7 @@ class Stepper:
         self._check_state(out, t + self.h)
         return self._like(w, out), StepStages(t, u0, a, b, c, grids)
 
-    def step(self, w: State, t: float, forcing: ForcingFn | None = None) -> State:
+    def step(self, w: State, t: float, forcing: Forcing | None = None) -> State:
         out, _ = self.step_with_stages(w, t, forcing)
         return out
 
@@ -331,18 +311,18 @@ class Stepper:
         base = (stages.u0, stages.a, stages.b, stages.c)
         grids = (None,) * 4 if stages.grids is None else stages.grids
         out, *_ = self._etdrk4(
-            _quarter(phi).band("tangent"),
+            _quarter(phi, "tangent").coeffs,
             lambda i, p: self._tangent_nonlinear(base[i], p, grids[i]),
         )
         self._check_state(out, stages.t + self.h, "tangent")
         return self._like(phi, out)
 
     def step_pair(
-        self, w: State, phi: State, t: float, forcing: ForcingFn | None = None
+        self, w: State, phi: State, t: float, forcing: Forcing | None = None
     ) -> tuple[State, State]:
         """Advance the state and a tangent perturbation through the same step; a
         perturbation outside the band is refused before the step."""
-        _quarter(phi).band("tangent")
+        _quarter(phi, "tangent")
         w_next, stages = self.step_with_stages(w, t, forcing, _grids=True)
         return w_next, self.tangent_step(phi, stages)
 
@@ -352,27 +332,28 @@ def budget_residual(
     w_next: State,
     t: float,
     h: float,
-    forcing: ForcingFn | None,
+    forcing: Forcing | None,
     config: SimConfig,
 ) -> float:
     """Midpoint defect of the enstrophy budget over one step of odd states.
 
     Returns ``|D(|w|^2/2)/h + mu |grad w|^2_mid - (f, w)_mid|``, O(h^2) on
     smooth trajectories.  The rotation term is antisymmetric and contributes
-    exactly zero, as does the advection term.  A field that is not exactly
-    odd is refused (``ValueError``).
+    exactly zero, as does the advection term.  A field that is not a state
+    (exactly odd, in the band) is refused (``ValueError``).
     """
     d = w.domain
-    rows = np.s_[1 : d.N2 // 2, : d.N1 // 2 + 1]
+    rows, cols = d._band
+    block = np.s_[1 : rows.stop + 1, cols]  # the band block of full-width arrays
     w0, w1 = _quarter(w).coeffs, _quarter(w_next).coeffs
-    # One weighted sum over the quarter of Re((Dw/h + mu |k|^2 mid - f) conj(mid)),
+    # One weighted sum over the band block of Re((Dw/h + mu |k|^2 mid - f) conj(mid)),
     # doubled for the m2 < 0 rows: Re(Dw conj(mid))/h is D(|w|^2/2)/h per mode.
     mid = w0 + w1
     mid *= 0.5
     r = w1 - w0
     r /= h
-    r += config.mu * d.ksq[rows] * mid
+    r += config.mu * d.ksq[block] * mid
     if forcing is not None:
-        r[d._band] -= _forcing_at(forcing, t + h / 2, d)
-    r *= d._half_weight[rows]
+        r -= forcing.coeffs_at(t + h / 2)
+    r *= d._half_weight[block]
     return float(abs(2.0 * d.area * np.vdot(mid, r).real))

@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import shutil
 import tempfile
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from zns.lattice import Domain, SpectralField, random_field
+from zns.lattice import Domain, OddBand, SpectralField, project_parity, random_field
 
 _HYPOTHESIS_HOME = pytest.StashKey[str]()
 
@@ -54,6 +55,12 @@ def domain32():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+def field_forcing(fn):
+    """A manufactured forcing, read by a step as it reads a ``Forcing``: ``coeffs_at(t)`` is
+    the band block of the odd part of the field ``fn(t)``, which is odd only to round-off."""
+    return SimpleNamespace(coeffs_at=lambda t: OddBand.of(project_parity(fn(t)), "forcing").coeffs)
 
 
 def triad_sum_oracle(a: SpectralField, b: SpectralField) -> SpectralField:

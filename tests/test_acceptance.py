@@ -27,7 +27,7 @@ from zns.operators import (
 )
 from zns.stepper import SimConfig, Stepper
 
-from conftest import triad_sum_oracle
+from conftest import field_forcing, triad_sum_oracle
 
 BENCHMARK = ForcingSpec(modes=((0, 1, 1.0), (1, 1, 0.5)))
 SWEEP_EPSILONS = (0.1, 0.05, 0.025, 0.0125)
@@ -125,6 +125,7 @@ def test_criterion_4_integrator_order():
         def exact_dt(t):
             return 2.0 * math.cos(2.0 * t + 0.4) * chi1 - 1.1 * math.sin(1.1 * t) * chi2
 
+        @field_forcing
         def forcing(t):
             w = exact(t)
             return exact_dt(t) + jacobian(w, w) + apply_L(w) * (1 / eps) + apply_A(w) * mu

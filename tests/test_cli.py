@@ -266,7 +266,54 @@ class TestSimulate:
         assert not out.exists() and not out.parent.exists()
 
 
+# Two members under a tilted forcing alone: the eps = 0.01 member stays below 0.05, and
+# the eps = 10 one, whose forced response is larger, crosses it some steps in.
+BLOWUP_CONFIG = """
+n1 = 16
+n2 = 16
+mu = 1.0
+epsilon = 0.01, 10.0
+h = 0.01
+t_spin = 0.5
+t_end = 1.0
+seed = 3
+omega0_norm = 0.01
+record_every = 1
+forcing.mode = 1,1,0.5,0.0
+"""
+
+
+def _blowup_runs(tmp_path, capsys, argv) -> tuple[Path, Path, float]:
+    """Run the command ``argv`` on ``BLOWUP_CONFIG`` without and with ``blowup_threshold =
+    0.05``; the two output directories and the time of the eps = 10 member's blow-up."""
+    clean, explode = tmp_path / "clean.cfg", tmp_path / "explode.cfg"
+    clean.write_text(BLOWUP_CONFIG)
+    explode.write_text(BLOWUP_CONFIG + "blowup_threshold = 0.05\n")
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert main([argv[0], "--config", str(clean), "--out", str(a), "--quiet", *argv[1:]]) != 2
+    capsys.readouterr()
+    code = main([argv[0], "--config", str(explode), "--out", str(b), *argv[1:]])
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith("BLOW-UP: blow-up at t=") and len(err.splitlines()) == 1
+    assert err.rstrip().endswith("(eps=10, seed=3)")
+    return a, b, float(re.search(r"blow-up at t=([0-9.e+-]+):", err).group(1))
+
+
+def _rows_before(path: Path, t: float) -> list[str]:
+    """The header and the rows of the CSV ``path`` taken before time ``t``."""
+    return [r for r in path.read_text().splitlines()
+            if r.startswith("t,") or float(r.split(",")[0]) < t - 1e-9]
+
+
 class TestSweep:
+    def test_blowup_leaves_the_series_taken_before_it(self, tmp_path, capsys):
+        a, b, t = _blowup_runs(tmp_path, capsys, ["sweep-epsilon"])
+        finished, blown = "diagnostics_eps0.01_seed3.csv", "diagnostics_eps10_seed3.csv"
+        assert sorted(p.name for p in b.iterdir()) == [finished, blown]
+        assert (b / finished).read_text() == (a / finished).read_text()
+        rows = (b / blown).read_text().splitlines()
+        assert rows == _rows_before(a / blown, t) and len(rows) > 3
+
     def test_summary_table_and_exit_zero(self, config_file, tmp_path, capsys):
         out = tmp_path / "sweep"
         code = main(["sweep-epsilon", "--config", str(config_file), "--out", str(out)])
@@ -293,6 +340,12 @@ class TestSweep:
 
 
 class TestContraction:
+    def test_blowup_leaves_the_rows_taken_before_it(self, tmp_path, capsys):
+        a, b, t = _blowup_runs(tmp_path, capsys, ["contraction", "--epsilon", "10"])
+        assert [p.name for p in b.iterdir()] == ["contraction.csv"]
+        rows = (b / "contraction.csv").read_text().splitlines()
+        assert rows == _rows_before(a / "contraction.csv", t) and len(rows) > 3
+
     def test_violation_exit_3(self, tmp_path, capsys):
         path = tmp_path / "strict.cfg"
         path.write_text(
@@ -323,6 +376,13 @@ class TestContraction:
 
 
 class TestSteadyResidual:
+    def test_blowup_leaves_the_rows_of_the_finished_epsilons(self, tmp_path, capsys):
+        a, b, _ = _blowup_runs(tmp_path, capsys, ["steady-residual"])
+        assert [p.name for p in b.iterdir()] == ["steady_residual.csv"]
+        rows = (b / "steady_residual.csv").read_text().splitlines()
+        assert rows == (a / "steady_residual.csv").read_text().splitlines()[:2]
+        assert rows[1].startswith("0.01,")
+
     def test_runs_clean(self, tmp_path, capsys):
         path = tmp_path / "steady.cfg"
         path.write_text(TINY_CONFIG.replace("t_end = 12.0", "t_end = 28.0"))

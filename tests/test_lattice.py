@@ -335,6 +335,17 @@ class TestOddQuarter:
         assert odd(d, half) is not None
 
 
+class TestOddBand:
+    """The band block of an odd field: a trajectory's state, refused once, where it is made."""
+
+    def test_refuses_a_block_of_any_other_shape(self):
+        d = Domain(N1=16, N2=16)  # R = 5, K = 6
+        assert zns.lattice.OddBand(d, np.zeros((5, 6), complex)).field.coeffs.shape == (16, 16)
+        for shape in [(6, 6), (5, 7), (7, 9), (16, 16)]:
+            with pytest.raises(ValueError, match=rf"band block shape \({shape[0]}, {shape[1]}\)"):
+                zns.lattice.OddBand(d, np.zeros(shape, complex))
+
+
 class TestPassTransforms:
     """The raw pair runs as stacked 1-D passes and gives the bits of numpy's 2-D wrappers."""
 

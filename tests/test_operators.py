@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from zns.diagnostics import sobolev_norm
 from zns.lattice import (
     Domain,
-    OddQuarter,
+    OddBand,
     SpectralField,
     inner,
     norm,
@@ -299,11 +299,11 @@ class TestRealTransformKernel:
 
 
 def band_blocks(d: Domain, *fields: SpectralField) -> list[np.ndarray]:
-    return [OddQuarter.of(f).band() for f in fields]
+    return [OddBand.of(f).coeffs for f in fields]
 
 
 def expanded(d: Domain, block: np.ndarray) -> SpectralField:
-    return OddQuarter.from_band(d, block).field
+    return OddBand(d, block).field
 
 
 class TestOddKernel:

@@ -28,7 +28,7 @@ from zns.operators import _advect_raw, _odd_grids, apply_A, apply_L, jacobian
 from zns.stepper import (
     BlowUpError,
     LinearSymbol,
-    OddQuarter,
+    OddBand,
     SimConfig,
     Stepper,
     budget_residual,
@@ -36,7 +36,7 @@ from zns.stepper import (
     _phi,
 )
 
-from conftest import KERNEL_DOMAINS
+from conftest import KERNEL_DOMAINS, field_forcing
 
 mpmath.mp.dps = 40
 
@@ -217,6 +217,7 @@ class TestNonlinearStep:
         def exact_dt(t):
             return 2.0 * np.cos(2.0 * t + 0.4) * chi1 - 1.1 * np.sin(1.1 * t) * chi2
 
+        @field_forcing
         def forcing(t):
             w = exact(t)
             return exact_dt(t) + jacobian(w, w) + apply_L(w) * (1 / eps) + apply_A(w) * mu
@@ -253,10 +254,13 @@ class TestBlowUp:
         # NaN is never exactly odd, so a NaN state is refused as input ...
         with pytest.raises(ValueError, match="not exactly odd"):
             st_.step(w, 0.0)
-        # ... and a NaN that a step produces is a blow-up.
-        nan_forcing = lambda t: SpectralField(d, np.full((8, 8), np.nan + 0j))  # noqa: E731
-        with pytest.raises(BlowUpError):
-            st_.step(SpectralField.zeros(d), 0.0, nan_forcing)
+        # ... and a NaN that a step produces is a blow-up: the advection of two modes
+        # of 1e300 overflows, and the transform of the infinite grid is NaN.
+        huge = SpectralField.from_modes(d, {**_parity_pack(1, 1, 1e300j),
+                                            **_parity_pack(2, 1, 1e300j)})
+        with np.errstate(all="ignore"), pytest.raises(BlowUpError) as info:
+            st_.step(huge, 0.0)
+        assert info.value.magnitude == float("inf")
 
 
 class TestTangent:
@@ -503,9 +507,9 @@ class TestQuarterStep:
         _, stages = st_.step_with_stages(w0, 0.0, forcing)
         assert stages.u0.shape == (-(-d.N2 // 3) - 1, -(-d.N1 // 3))
         fields = run(w0, phi0)
-        quarters = run(OddQuarter.of(w0), OddQuarter.of(phi0))
+        quarters = run(OddBand.of(w0), OddBand.of(phi0))
         for got, want in zip(fields, quarters):
-            assert isinstance(want, OddQuarter)
+            assert isinstance(want, OddBand)
             assert parity_error(got) == 0.0
             assert reality_error(got) == 0.0
             assert np.array_equal(got.coeffs, want.field.coeffs)
@@ -546,22 +550,7 @@ class TestQuarterStep:
             with pytest.raises(ValueError, match="not exactly odd"):
                 st_.tangent_step(x, stages)
             with pytest.raises(ValueError, match="not exactly odd"):
-                OddQuarter.of(x)
-
-    def test_forcing_not_exactly_odd_takes_the_general_path(self, rng):
-        # A plain-callable forcing that is not odd is reduced to its odd part,
-        # exactly as ``project_parity`` gives it, and the step stays on the quarter.
-        d = Domain(N1=16, N2=16)
-        st_ = Stepper(d, SimConfig(epsilon=0.2, mu=0.5), h=0.01)
-        even = random_field(d, rng, norm_target=1.0, odd_in_y=False)
-        w = random_field(d, rng, norm_target=2.0)
-        w1, stages = st_.step_with_stages(w, 0.0, lambda t: even)
-        assert stages.u0.shape == (5, 6)
-        assert parity_error(w1) == 0.0 and reality_error(w1) == 0.0
-        w2 = st_.step(w, 0.0, lambda t: project_parity(even))
-        assert np.array_equal(w1.coeffs, w2.coeffs)
-        _, stages = st_.step_with_stages(w, 0.0, Forcing(self.SPEC, d))
-        assert stages.u0.shape == (5, 6)
+                OddBand.of(x)
 
     def test_tangent_not_odd_on_quarter_stages(self, rng):
         # Refused, as a base state that is not odd is; its odd part steps.
@@ -627,8 +616,8 @@ class TestCachedTangentStage:
         d = Domain(N1=n, N2=n)
         st_ = Stepper(d, SimConfig(epsilon=0.2, mu=0.5), h=0.01)
         for _ in range(3):
-            W = OddQuarter.of(random_field(d, rng, norm_target=2.0)).band()
-            P = OddQuarter.of(random_field(d, rng, norm_target=1.0)).band()
+            W = OddBand.of(random_field(d, rng, norm_target=2.0)).coeffs
+            P = OddBand.of(random_field(d, rng, norm_target=1.0)).coeffs
             want = -(_advect_raw(d, W, P) + _advect_raw(d, P, W))
             for grids in (_odd_grids(d, W), None):
                 got = st_._tangent_nonlinear(W, P, grids)
@@ -836,19 +825,18 @@ class TestSteadyForcingView:
         w = random_field(d, rng, norm_target=2.0, odd_in_y=odd)
         phi = random_field(d, rng, norm_target=1.0, odd_in_y=odd)
         if odd:
+            # The read-only block steps as a private copy of the forcing's field does.
             by_view = st_.step_pair(w, phi, 0.3, forcing)
-            by_call = st_.step_pair(w, phi, 0.3, lambda t: forcing(t))
-            for got, want in zip(by_view, by_call):
+            by_copy = st_.step_pair(w, phi, 0.3, field_forcing(forcing))
+            for got, want in zip(by_view, by_copy):
                 assert np.array_equal(got.coeffs, want.coeffs)
             assert budget_residual(w, by_view[0], 0.3, 0.01, forcing, st_.config) == \
-                budget_residual(w, by_view[0], 0.3, 0.01, lambda t: forcing(t), st_.config)
+                budget_residual(w, by_view[0], 0.3, 0.01, field_forcing(forcing), st_.config)
         else:
-            # Not odd: refused, whichever way the forcing is passed.
-            for f in (forcing, lambda t: forcing(t)):
-                with pytest.raises(ValueError, match="not exactly odd"):
-                    st_.step_pair(w, phi, 0.3, f)
-                with pytest.raises(ValueError, match="not exactly odd"):
-                    budget_residual(w, w, 0.3, 0.01, f, st_.config)
+            with pytest.raises(ValueError, match="not exactly odd"):
+                st_.step_pair(w, phi, 0.3, forcing)
+            with pytest.raises(ValueError, match="not exactly odd"):
+                budget_residual(w, w, 0.3, 0.01, forcing, st_.config)
         assert not forcing.coeffs_at(0.0).flags.writeable
         assert np.array_equal(forcing.coeffs_at(0.7), base[1:6, :6])
         # The call still hands out a private, writable copy.
@@ -859,27 +847,25 @@ class TestSteadyForcingView:
 
 @pytest.mark.parametrize("sigma", [0.0, 1.3], ids=["steady", "time-periodic"])
 @pytest.mark.parametrize("odd", [True, False], ids=["odd", "not-odd"])
-def test_forcing_evaluated_once_per_distinct_time(sigma, odd, rng):
+def test_forcing_evaluated_once_per_distinct_time(sigma, odd, rng, monkeypatch):
     d = Domain(N1=16, N2=16)
     forcing = Forcing(ForcingSpec(TestSteadyForcingView.SPEC.modes, sigma), d)
-    times = []
-
-    def counted(t):
-        times.append(t)
-        return forcing(t)
-
     st_ = Stepper(d, SimConfig(epsilon=0.2, mu=0.5), h=0.01)
     w = random_field(d, rng, norm_target=2.0, odd_in_y=odd)
     phi = random_field(d, rng, norm_target=1.0, odd_in_y=odd)
+    want = st_.step_pair(w, phi, 0.3, forcing) if odd else None
+    times = []
+    coeffs_at = Forcing.coeffs_at
+    monkeypatch.setattr(Forcing, "coeffs_at", lambda self, t: times.append(t) or coeffs_at(self, t))
     if not odd:  # refused before the forcing is evaluated
         with pytest.raises(ValueError, match="not exactly odd"):
-            st_.step_pair(w, phi, 0.3, counted)
+            st_.step_pair(w, phi, 0.3, forcing)
         assert times == []
         return
-    by_call = st_.step_pair(w, phi, 0.3, counted)
+    got = st_.step_pair(w, phi, 0.3, forcing)
     assert times == [0.3, 0.3 + 0.01 / 2, 0.3 + 0.01]
-    for got, want in zip(by_call, st_.step_pair(w, phi, 0.3, forcing)):
-        assert np.array_equal(got.coeffs, want.coeffs)
+    for a, b in zip(got, want):
+        assert np.array_equal(a.coeffs, b.coeffs)
 
 
 def _half_power(d: Domain, C: np.ndarray) -> np.ndarray:
@@ -960,11 +946,11 @@ class TestBand:
         for sigma in (0.0, 0.7):
             forcing = Forcing(ForcingSpec(modes, sigma), d)
             fields += [forcing(t) for t in (0.0, 0.37)]
-            assert np.array_equal(forcing.coeffs_at(0.37), OddQuarter.of(forcing(0.37)).band())
+            assert np.array_equal(forcing.coeffs_at(0.37), OddBand.of(forcing(0.37)).coeffs)
         for f in fields:
             assert np.all(f.coeffs[~d.dealias] == 0.0)
-            block = OddQuarter.of(f).band()
-            assert np.array_equal(OddQuarter.from_band(d, block).field.coeffs, f.coeffs)
+            block = OddBand.of(f).coeffs
+            assert np.array_equal(OddBand(d, block).field.coeffs, f.coeffs)
         for m1, m2 in _band_edges(d).values():
             with pytest.raises(ValueError, match="outside the dealiased band"):
                 Forcing(ForcingSpec(((m1, m2, 0.5),)), d)
@@ -972,8 +958,7 @@ class TestBand:
     @pytest.mark.parametrize("d", KERNEL_DOMAINS)
     @pytest.mark.parametrize("where", ["m1=K", "m2=R+1"])
     @pytest.mark.parametrize("entry", [
-        "step", "step_pair-state", "step_pair-tangent", "tangent_step",
-        "integrate-partner", "forcing",
+        "step", "step_pair-state", "step_pair-tangent", "tangent_step", "integrate-partner",
     ])
     def test_refused_before_any_step(self, d, where, entry, monkeypatch):
         from zns.harness import initial_state, integrate
@@ -991,24 +976,42 @@ class TestBand:
             "step_pair-tangent": lambda: st_.step_pair(w, wide, 0.0, forcing),
             "tangent_step": lambda: st_.tangent_step(wide, stages),
             "integrate-partner": lambda: integrate(st_, forcing, w, 0.0, 0.1, partner=wide),
-            "forcing": lambda: st_.step(w, 0.0, lambda t: wide),
         }
         what = {"step_pair-tangent": "tangent", "tangent_step": "tangent",
-                "integrate-partner": "partner", "forcing": "forcing"}.get(entry, "state")
+                "integrate-partner": "partner"}.get(entry, "state")
         with pytest.raises(ValueError, match=f"^{what} has a nonzero coefficient outside "
                                              r"the 2/3 band 0 < m2 <= \d+, \|m1\| <= \d+"):
             calls[entry]()
         assert counts == {"ifft": 0, "irfft": 0, "rfft": 0, "fft": 0}
 
-    def test_nan_forcing_is_a_blowup_not_a_refusal(self):
-        # Inside the band or only outside it (rows m2 = 6..7 and -7..-6 of 16 x 16).
+    def test_band_states_step_without_a_scan(self, monkeypatch):
+        # The band was checked where each field became a state: a step, a tangent step
+        # and a budget on states take no field apart, and a state is its block alone.
+        import zns.lattice
+        from zns.harness import initial_state
+
         d = Domain(N1=16, N2=16)
-        st_ = Stepper(d, SimConfig(epsilon=1.0, mu=0.1), h=0.1)
-        for rows in (np.s_[:], np.s_[6:11]):
-            coeffs = np.zeros((16, 16), dtype=complex)
-            coeffs[rows] = np.nan
-            with pytest.raises(BlowUpError):
-                st_.step(SpectralField.zeros(d), 0.0, lambda t: SpectralField(d, coeffs))
+        st_ = Stepper(d, SimConfig(epsilon=0.2, mu=0.5), h=0.01)
+        forcing = Forcing(self.SPEC, d)
+        w, phi = (initial_state(d, seed, 1.0) for seed in (1, 2))
+        want = st_.step_pair(w, phi, 0.0, forcing)
+        states = [OddBand.of(x) for x in (w, phi)]
+
+        def no_scan(*args):
+            raise AssertionError("a step on states scanned a field")
+
+        monkeypatch.setattr(zns.lattice, "_odd_quarter", no_scan)
+        monkeypatch.setattr(OddBand, "of", no_scan)
+        got = st_.step_pair(*states, 0.0, forcing)
+        for a, b in zip(got, want):
+            assert isinstance(a, OddBand) and a.coeffs.shape == (5, 6) and a.coeffs.base is None
+            assert np.array_equal(a.field.coeffs, b.coeffs)
+        assert budget_residual(states[0], got[0], 0.0, 0.01, forcing, st_.config) > 0.0
+
+
+def quarter(f: SpectralField) -> np.ndarray:
+    """The m2 > 0 quarter of the full field ``f``, a view."""
+    return f.coeffs[1 : f.domain.N2 // 2, : f.domain.N1 // 2 + 1]
 
 
 class QuarterStage:
@@ -1069,7 +1072,7 @@ class QuarterStage:
     def step_pair(self, w, phi, t, forcing):
         """The quarters after one step of ``w`` and, unless None, of tangent ``phi``."""
         times = (t, t + self.h / 2, t + self.h / 2, t + self.h)
-        f = [OddQuarter.of(forcing(s)).coeffs for s in times]
+        f = [quarter(forcing(s)) for s in times]
         kept = []
 
         def base(i, C):
@@ -1104,8 +1107,8 @@ def test_band_step_is_bit_identical_to_the_quarter_step(d):
     forcing = Forcing(ForcingSpec(modes=((0, 1, 1.0), (1, 1, 0.5)), sigma=0.7), d)
     st_ = Stepper(d, SimConfig(epsilon=0.05, mu=0.5), h=0.004)
     ref = QuarterStage(st_)
-    w, phi, plain = (OddQuarter.of(initial_state(d, seed, 1.0)) for seed in (1, 2, 3))
-    w_ref, phi_ref, plain_ref = w.coeffs, phi.coeffs, plain.coeffs
+    w, phi, plain = (OddBand.of(initial_state(d, seed, 1.0)) for seed in (1, 2, 3))
+    w_ref, phi_ref, plain_ref = (quarter(x.field) for x in (w, phi, plain))
     for i in range(50):
         t = i * 0.004
         plain = st_.step(plain, t, forcing)
@@ -1113,7 +1116,7 @@ def test_band_step_is_bit_identical_to_the_quarter_step(d):
         w, phi = st_.step_pair(w, phi, t, forcing)
         w_ref, phi_ref = ref.step_pair(w_ref, phi_ref, t, forcing)
     for got, want in ((plain, plain_ref), (w, w_ref), (phi, phi_ref)):
-        assert np.array_equal(got.coeffs, want)
+        assert np.array_equal(quarter(got.field), want)
         assert np.abs(want).max() > 1e-3  # a nontrivial state
 
 
