@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .forcing import Forcing
-from .lattice import OddBand, SpectralField, inner, norm, to_grid
+from .lattice import Domain, OddBand, SpectralField, inner, norm, to_grid
 from .operators import _odd_inverse, apply_A, apply_I_omega, apply_inv_laplacian, apply_L, jacobian
 from .operators import split
 
@@ -174,25 +174,35 @@ assert CSV_COLUMNS == [
 ]
 
 
+def _band_power(d: Domain, C: np.ndarray) -> np.ndarray:
+    """``|c|^2`` on band block ``C``, the m1 > 0 columns counted twice: ``2 L1 L2`` times
+    its sum is ``|w|^2`` of the field whose block it is, the 2 for the m2 < 0 rows."""
+    p = np.square(C.real) + np.square(C.imag)
+    p *= d._half_weight[1 : C.shape[0] + 1, : C.shape[1]]
+    return p
+
+
+def band_norm(d: Domain, C: np.ndarray) -> float:
+    """``norm`` of the field whose band block is ``C``, from the block alone."""
+    return math.sqrt(2.0 * d.area * _band_power(d, C).sum())
+
+
 def record_state(w: SpectralField, t: float, budget: float = 0.0) -> DiagnosticsRecord:
     """Standard diagnostics of one exactly odd state in the 2/3 band (``ValueError`` for any
     other): ``norm``/``sobolev_norm`` of ``w`` and its ``split`` parts and
     ``velocity(w).max_speed()``.
 
-    Power sums are twice the sums of ``|c_k|^2`` over the m2 > 0 quarter (m1 > 0
-    columns counted twice; zonal modes are column m1 = 0).  ``u`` is even in y and
-    ``v`` odd, so with ``g = u + v`` one transform gives ``u^2 + v^2 = (g(y)^2 + g(-y)^2)/2``.
+    Power sums are twice the ``_band_power`` sums over the band block of ``w`` (zonal
+    modes are column m1 = 0).  ``u`` is even in y and ``v`` odd, so with ``g = u + v``
+    one transform gives ``u^2 + v^2 = (g(y)^2 + g(-y)^2)/2``.
     """
     d = w.domain
-    band = OddBand.of(w)
-    rows = np.s_[1 : d.N2 // 2, : d.N1 // 2 + 1]
-    q = w.coeffs[rows]
-    p = np.square(q.real) + np.square(q.imag)
-    p *= d._half_weight[rows]
-    ksq = d.ksq[rows]
+    C = OddBand.of(w).coeffs
+    p = _band_power(d, C)
+    ksq = d.ksq[1 : C.shape[0] + 1, : C.shape[1]]
     kp = ksq * p
     g, flipped = d._work.grids
-    _odd_inverse(d, (d._odd_advect_tables[0], band.coeffs), out=g[None])
+    _odd_inverse(d, (d._odd_advect_tables[0], C), out=g[None])
     np.take(g, d._flip_m2, axis=0, out=flipped)  # row of -y
     np.square(g, out=g)
     np.square(flipped, out=flipped)

@@ -27,6 +27,7 @@ import numpy as np
 from .diagnostics import (
     CSV_COLUMNS,
     DiagnosticsRecord,
+    band_norm,
     record_state,
     sobolev_norm,
     steady_residual,
@@ -515,8 +516,8 @@ def run_contraction_test(
 
     def observe(t, w1, phi, w2, recorded):
         if recorded:
-            distance.append((t, norm(w1.field - w2.field)))
-            tangent.append((t, norm(phi.field)))
+            distance.append((t, band_norm(config.domain, w1.coeffs - w2.coeffs)))
+            tangent.append((t, band_norm(config.domain, phi.coeffs)))
 
     def write(out):
         write_csv(out / "contraction.csv", ["t", "distance", "tangent"],

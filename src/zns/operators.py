@@ -120,13 +120,18 @@ def _advect_raw(d: Domain, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     for fields odd in y and held in the 2/3 band, their band blocks
     ``(R, K)`` (``Domain._band``); the output has the shape of the input.
     Full input gives the full Hermitian result from five raw transforms of the
-    m1 >= 0 halves; block input gives the block of the (odd) result from three
-    (``_advect_odd``).  The y-phase is in the tables and in ``d._advect_mask``
-    (with the 2/3 rule and the zero mean), so the transforms are the raw pair.
+    m1 >= 0 halves.  Block input gives the block of the odd result from three
+    (see ``d._odd_advect_tables``): the grid product ``(u + v)(bx + by)`` has
+    ``u bx + v by`` as its odd part in y, and its other part is even, so the odd
+    part of its coefficients keeps exactly the former.  The y-phase is in the
+    tables and in ``d._advect_mask`` (with the 2/3 rule and the zero mean), so
+    the transforms are the raw pair.
     """
     rows, cols = d._band
     if A.shape == (rows.stop, cols.stop):
-        return _advect_odd(d, A, B)
+        grid, other = _odd_grids(d, A, B, out=d._work.grids)
+        grid *= other
+        return _odd_part(d, grid)
     if A.shape != (d.N2, d.N1):
         raise ValueError(
             f"coefficients of shape {A.shape} are neither full nor a quarter's band block"
@@ -142,20 +147,6 @@ def _advect_raw(d: Domain, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     out = _rfft2(d, ug)
     out *= d._advect_mask
     return _unfold(d, out)
-
-
-def _advect_odd(d: Domain, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """``_advect_raw`` on the band blocks of odd-in-y fields (see ``d._odd_advect_tables``).
-
-    The grid product ``(u + v)(bx + by)`` has ``u bx + v by`` as its odd part
-    in y, and its other part is even; the odd part of the coefficients keeps
-    exactly the former.  The result is the band block of an exactly odd
-    field, with its m1 = 0 column imaginary, so it is Hermitian too once
-    expanded.
-    """
-    grid, other = _odd_grids(d, A, B, out=d._work.grids)
-    grid *= other
-    return _odd_part(d, grid)
 
 
 def _odd_inverse(d: Domain, *pairs, out=None) -> np.ndarray:

@@ -15,16 +15,15 @@ The dynamics keep the odd-in-y subspace and the 2/3 band, so a state is an
 exactly odd field, and a step runs on that block alone: the weights are even
 in m2, so they are built on the block, as is the ``Forcing`` the step reads,
 and the band kernel returns an exactly odd result, so the step's output is
-exactly odd, not odd to round-off.  A full field given to a step becomes a
-state through ``OddBand.of``, which refuses one that is not exactly odd or has
-a nonzero coefficient outside the band.  A trajectory loop keeps its state as
-an ``OddBand`` between steps and builds a full field only where it needs one.
+exactly odd, not odd to round-off.  A step takes and returns ``OddBand``s
+only: ``OddBand.of`` makes a state of a field, and ``.field`` is the way back.
 
 A tangent step linearizes the step about its base stages.  ``step_pair`` has
 the base step keep each stage's grids ``u + v`` and ``bx + by`` in the
 stepper's buffers, and a tangent stage is the odd part of one grid sum over
-them: three transforms, where two advection calls would take six.  A
-tangent's blow-up is marked as its own: a failed contraction, not a broken state.
+them: three transforms, where two advection calls would take six.  They are
+the only base a tangent step reads.  A tangent's blow-up is marked as its
+own: a failed contraction, not a broken state.
 """
 
 from __future__ import annotations
@@ -36,15 +35,15 @@ from typing import Callable
 import numpy as np
 
 from .forcing import Forcing
-from .lattice import Domain, OddBand, SpectralField, _frozen, _require_finite
+from .lattice import Domain, OddBand, _frozen, _require_finite
 from .operators import _advect_raw, _odd_grids, _odd_part
 
-State = SpectralField | OddBand
 
-
-def _quarter(x: State, what: str = "state") -> OddBand:
-    """``x`` as an ``OddBand``: a field through ``OddBand.of``, which may refuse it."""
-    return x if isinstance(x, OddBand) else OddBand.of(x, what)
+def _block(x: OddBand, what: str = "state") -> np.ndarray:
+    """The band block of state ``x``; ``TypeError`` for anything else, a full field too."""
+    if not isinstance(x, OddBand):
+        raise TypeError(f"{what} must be an OddBand, not {type(x).__name__} (see OddBand.of)")
+    return x.coeffs
 
 
 class BlowUpError(RuntimeError):
@@ -164,27 +163,22 @@ def build_coefficients(symbol: LinearSymbol, h: float) -> EtdCoefficients:
 
 @dataclass
 class StepStages:
-    """Base-trajectory band blocks at the quadrature nodes of one step."""
+    """What a tangent step reads of the base step that starts at ``t``: per stage, the
+    grids ``(u + v, bx + by)`` of the base state, views of the stepper's buffers that are
+    valid until its next ``step_pair``; None if the step kept none."""
 
     t: float
-    u0: np.ndarray
-    a: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
-    # Per stage, the grids (u + v, bx + by) of a step that kept them: views of
-    # the stepper's buffers, valid until its next ``step_pair``.
-    grids: np.ndarray | None = None
+    grids: np.ndarray | None
 
 
 class Stepper:
     """Advances vorticity (and tangent perturbations) with a fixed step size.
 
-    A step takes an exactly odd state in the 2/3 band, a ``SpectralField``
-    or an ``OddBand``, and returns the same kind; it refuses any other state
-    (``ValueError``).  It runs on the band block and its output is exactly
-    real and odd.  The coefficient tables are shared read-only; the base
-    grids that ``step_pair`` hands to its tangent step live in buffers of the
-    instance, so an instance takes one step at a time.
+    A step takes and returns ``OddBand``s (``TypeError`` for a full field); it
+    runs on the band block and its output is exactly real and odd.  The
+    coefficient tables are shared read-only; the base grids that ``step_pair``
+    hands to its tangent step live in buffers of the instance, so an instance
+    takes one step at a time.
     """
 
     def __init__(self, domain: Domain, config: SimConfig, h: float):
@@ -213,19 +207,16 @@ class Stepper:
             out += f
         return out
 
-    def _tangent_nonlinear(
-        self, W: np.ndarray, P: np.ndarray, grids: np.ndarray | None = None
-    ) -> np.ndarray:
-        """``-(B(W, P) + B(P, W))`` on band blocks.
+    def _tangent_nonlinear(self, P: np.ndarray, grids: np.ndarray | None) -> np.ndarray:
+        """``-(B(W, P) + B(P, W))`` on band blocks, for the base ``W`` whose grids are ``grids``.
 
         The odd part of one grid sum, ``(u_W + v_W)(P_x + P_y) + (u_P + v_P)(W_x + W_y)``:
-        two inverse transforms of ``P`` and one forward transform, with the
-        base grids ``grids`` of ``W`` (built here if None).
+        two inverse transforms of ``P`` and one forward transform.
         """
         d = self.domain
         if not self.config.advection:
             return np.zeros_like(P)
-        uv, dxy = _odd_grids(d, W) if grids is None else grids
+        uv, dxy = grids
         uv_p, dxy_p = _odd_grids(d, P, out=d._work.grids)
         dxy_p *= uv
         uv_p *= dxy
@@ -233,14 +224,11 @@ class Stepper:
         out = _odd_part(d, dxy_p)
         return np.negative(out, out=out)
 
-    def _etdrk4(
-        self, u0: np.ndarray, rhs: Callable[[int, np.ndarray], np.ndarray]
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    def _etdrk4(self, u0: np.ndarray, rhs: Callable[[int, np.ndarray], np.ndarray]) -> np.ndarray:
         """ETDRK4 update of band block ``u0``; ``rhs(i, x)`` is the nonlinear term of stage i.
 
-        Returns the new state and the stage states a, b, c.  The output sum
-        ``E u0 + f1 n1 + 2 f2 (n2 + n3) + f3 n4`` is built in place, in that
-        order, with the fresh stage terms as work space.
+        The output sum ``E u0 + f1 n1 + 2 f2 (n2 + n3) + f3 n4`` is built in
+        place, in that order, with the fresh stage terms as work space.
         """
         k = self.coeffs
         n1 = rhs(0, u0)
@@ -257,7 +245,7 @@ class Stepper:
         for f, n in ((k.f1, n1), (k.f2, n2), (k.f3, n4)):
             n *= f
             out += n
-        return out, a, b, c
+        return out
 
     # -- stepping -----------------------------------------------------------
 
@@ -272,64 +260,54 @@ class Stepper:
             mode = (int(self.domain.m1[i1]), int(i2) + 1)
             raise BlowUpError(t, mode, peak if finite.all() else float("inf"), context)
 
-    def _like(self, x: State, C: np.ndarray) -> State:
-        """Band block ``C`` as the kind of state ``x`` is."""
-        out = OddBand(self.domain, C)
-        return out if isinstance(x, OddBand) else out.field
-
     def step_with_stages(
-        self, w: State, t: float, forcing: Forcing | None = None, *, _grids: bool = False
-    ) -> tuple[State, StepStages]:
-        """One ETDRK4 step; also returns the stage states for tangent use.
-
-        With ``_grids`` the step also keeps the base grids of its stages in
-        ``StepStages.grids``, for a tangent step that follows at once.
-        """
-        u0 = _quarter(w).coeffs
+        self, w: OddBand, t: float, forcing: Forcing | None = None, *, _grids: bool = False
+    ) -> tuple[OddBand, StepStages]:
+        """One ETDRK4 step and its ``StepStages``, which keep the base grids of its stages
+        only with ``_grids``, for a tangent step that follows at once."""
+        u0 = _block(w)
         f = [None if forcing is None else forcing.coeffs_at(s)
              for s in (t, t + self.h / 2, t + self.h)]
         f.insert(2, f[1])  # the two mid-step stages read one evaluation
         grids = self._stage_grids if _grids and self.config.advection else None
         keep = (None,) * 4 if grids is None else grids
-        out, a, b, c = self._etdrk4(u0, lambda i, x: self._nonlinear(x, f[i], keep[i]))
+        out = self._etdrk4(u0, lambda i, x: self._nonlinear(x, f[i], keep[i]))
         self._check_state(out, t + self.h)
-        return self._like(w, out), StepStages(t, u0, a, b, c, grids)
+        return OddBand(self.domain, out), StepStages(t, grids)
 
-    def step(self, w: State, t: float, forcing: Forcing | None = None) -> State:
+    def step(self, w: OddBand, t: float, forcing: Forcing | None = None) -> OddBand:
         out, _ = self.step_with_stages(w, t, forcing)
         return out
 
-    def tangent_step(self, phi: State, stages: StepStages) -> State:
+    def tangent_step(self, phi: OddBand, stages: StepStages) -> OddBand:
         """Propagate an odd perturbation by the exact linearization of one step.
 
         ``stages`` must come from the matching step of the base trajectory;
         the map is then the exact differential of the nonlinear update, so
         finite differences of the nonlinear flow converge to it at O(delta^2).
-        Each stage costs three transforms: the base grids come from
-        ``stages.grids`` if the step kept them, else from the stage states.
+        Each stage costs three transforms on the base grids that the step kept;
+        with advection on, stages that kept none are refused (``ValueError``).
         """
-        base = (stages.u0, stages.a, stages.b, stages.c)
-        grids = (None,) * 4 if stages.grids is None else stages.grids
-        out, *_ = self._etdrk4(
-            _quarter(phi, "tangent").coeffs,
-            lambda i, p: self._tangent_nonlinear(base[i], p, grids[i]),
-        )
+        P = _block(phi, "tangent")
+        grids = stages.grids if self.config.advection else (None,) * 4
+        if grids is None:
+            raise ValueError("tangent step on stages that kept no grids (step_pair keeps them)")
+        out = self._etdrk4(P, lambda i, p: self._tangent_nonlinear(p, grids[i]))
         self._check_state(out, stages.t + self.h, "tangent")
-        return self._like(phi, out)
+        return OddBand(self.domain, out)
 
     def step_pair(
-        self, w: State, phi: State, t: float, forcing: Forcing | None = None
-    ) -> tuple[State, State]:
-        """Advance the state and a tangent perturbation through the same step; a
-        perturbation outside the band is refused before the step."""
-        _quarter(phi, "tangent")
+        self, w: OddBand, phi: OddBand, t: float, forcing: Forcing | None = None
+    ) -> tuple[OddBand, OddBand]:
+        """Advance the state and a tangent perturbation through the same step."""
+        _block(phi, "tangent")
         w_next, stages = self.step_with_stages(w, t, forcing, _grids=True)
         return w_next, self.tangent_step(phi, stages)
 
 
 def budget_residual(
-    w: State,
-    w_next: State,
+    w: OddBand,
+    w_next: OddBand,
     t: float,
     h: float,
     forcing: Forcing | None,
@@ -339,13 +317,13 @@ def budget_residual(
 
     Returns ``|D(|w|^2/2)/h + mu |grad w|^2_mid - (f, w)_mid|``, O(h^2) on
     smooth trajectories.  The rotation term is antisymmetric and contributes
-    exactly zero, as does the advection term.  A field that is not a state
-    (exactly odd, in the band) is refused (``ValueError``).
+    exactly zero, as does the advection term.  Both states are ``OddBand``s
+    (``TypeError`` for a full field).
     """
     d = w.domain
     rows, cols = d._band
     block = np.s_[1 : rows.stop + 1, cols]  # the band block of full-width arrays
-    w0, w1 = _quarter(w).coeffs, _quarter(w_next).coeffs
+    w0, w1 = _block(w), _block(w_next)
     # One weighted sum over the band block of Re((Dw/h + mu |k|^2 mid - f) conj(mid)),
     # doubled for the m2 < 0 rows: Re(Dw conj(mid))/h is D(|w|^2/2)/h per mode.
     mid = w0 + w1

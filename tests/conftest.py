@@ -63,6 +63,16 @@ def field_forcing(fn):
     return SimpleNamespace(coeffs_at=lambda t: OddBand.of(project_parity(fn(t)), "forcing").coeffs)
 
 
+def on_fields(fn, *args, **kwargs):
+    """``fn(*args, **kwargs)``, a ``Stepper`` method or ``budget_residual``, on full fields:
+    each ``SpectralField`` argument becomes a state through ``OddBand.of``, and each
+    ``OddBand`` returned, alone or in a tuple, its ``.field``."""
+    out = fn(*(OddBand.of(a) if isinstance(a, SpectralField) else a for a in args), **kwargs)
+    if isinstance(out, tuple):
+        return tuple(x.field if isinstance(x, OddBand) else x for x in out)
+    return out.field if isinstance(out, OddBand) else out
+
+
 def triad_sum_oracle(a: SpectralField, b: SpectralField) -> SpectralField:
     """Brute-force advection term via the analytic triad coefficients.
 

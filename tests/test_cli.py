@@ -568,6 +568,29 @@ def test_benchmark_hooks_exist(module, attr):
         obj = getattr(obj, part)
 
 
+def test_integrate_records_full_fields(monkeypatch):
+    # The benchmark's output check hooks ``harness.record_state`` and indexes each state
+    # it gets as a full field, so a record of a band block would fail every benchmark run.
+    import zns.harness as harness
+    from zns.forcing import Forcing
+    from zns.lattice import SpectralField
+    from zns.stepper import Stepper
+
+    seen = []
+    record_state = harness.record_state
+    monkeypatch.setattr(harness, "record_state",
+                        lambda w, t, budget=0.0: seen.append(w) or record_state(w, t, budget))
+    d = Domain(N1=16, N2=16)
+    w0, phi, partner = (harness.initial_state(d, seed, 0.5) for seed in (1, 2, 3))
+    harness.integrate(Stepper(d, SimConfig(epsilon=0.2, mu=0.5), 0.01),
+                      Forcing(ForcingSpec(modes=((0, 1, 1.0), (1, 1, 0.5))), d), w0, 0.0, 0.05,
+                      record_every=2, tangent=phi, partner=partner)
+    assert len(seen) == 4  # t = 0, steps 2 and 4, and the last
+    for w in seen:
+        assert type(w) is SpectralField and w.coeffs.shape == (16, 16)
+        assert parity_error(w) == 0.0 and reality_error(w) == 0.0
+
+
 def test_cli_import_does_not_load_scipy():
     # numpy.fft alone serves the transforms; importing scipy.fft costs ~0.5 s.
     src = str(Path(zns.__file__).resolve().parent.parent)

@@ -39,6 +39,8 @@ from zns.lattice import (
 from zns.operators import split
 from zns.stepper import BlowUpError, SimConfig, Stepper
 
+from conftest import on_fields
+
 ZONAL = ForcingSpec(modes=((0, 1, 1.0),))
 MIXED = ForcingSpec(modes=((0, 1, 1.0), (1, 1, 0.5)))
 
@@ -272,8 +274,8 @@ class TestContraction:
         w1 = initial_state(cfg.domain, 5, 0.5)
         w2 = w1.copy()
         for i in range(25):
-            w1 = stepper.step(w1, i * cfg.h, forcing)
-            w2 = stepper.step(w2, i * cfg.h, forcing)
+            w1 = on_fields(stepper.step, w1, i * cfg.h, forcing)
+            w2 = on_fields(stepper.step, w2, i * cfg.h, forcing)
         assert norm(w1 - w2) == 0.0
 
     def test_linear_regime_single_mode_rate(self):
@@ -290,7 +292,7 @@ class TestContraction:
         )
         ts, vals = [], []
         for i in range(200):
-            phi = stepper.step(phi, i * 0.01)
+            phi = on_fields(stepper.step, phi, i * 0.01)
             ts.append((i + 1) * 0.01)
             vals.append(norm(phi))
         rate = fit_exponential_rate(ts, vals)

@@ -36,7 +36,7 @@ from zns.stepper import (
     _phi,
 )
 
-from conftest import KERNEL_DOMAINS, field_forcing
+from conftest import KERNEL_DOMAINS, field_forcing, on_fields
 
 mpmath.mp.dps = 40
 
@@ -150,7 +150,7 @@ class TestLinearExactness:
         sim = SimConfig(epsilon=0.01, mu=0.1, advection=False)
         st_ = Stepper(d, sim, h=0.05)
         w = SpectralField.from_modes(d, _parity_pack(1, 1, 0.8 + 0.1j))
-        w1 = st_.step(w, 0.0)
+        w1 = on_fields(st_.step, w, 0.0)
         factor = np.exp((-0.2 + 50.0j) * 0.05)
         assert w1.get_mode(1, 1) == pytest.approx(w.get_mode(1, 1) * factor, rel=1e-15)
 
@@ -160,7 +160,7 @@ class TestLinearExactness:
         sim = SimConfig(epsilon=eps, mu=0.7, advection=False)
         st_ = Stepper(d, sim, h=0.02)
         w = random_field(d, rng, norm_target=1.0)
-        w1 = st_.step(w, 0.0)
+        w1 = on_fields(st_.step, w, 0.0)
         # note: exp(.)*coeffs, matching the production operand order;
         # complex a*b and b*a differ by an ulp when the FPU fuses multiplies
         expected = np.exp(st_.symbol.lam * 0.02) * w.coeffs
@@ -176,7 +176,7 @@ class TestLinearExactness:
         fixed = SpectralField(d, forcing(0.0).coeffs / mu)  # |k|^2 = 1 there
         w = fixed.copy()
         for i in range(20):
-            w = st_.step(w, i * 0.05, forcing)
+            w = on_fields(st_.step, w, i * 0.05, forcing)
         assert norm(w - fixed) < 1e-13 * norm(fixed)
 
 
@@ -189,7 +189,7 @@ class TestNonlinearStep:
         ens0 = norm(w) ** 2
         energy0 = sobolev_norm(w, -1) ** 2
         for i in range(100):
-            w = st_.step(w, i * 1e-3)
+            w = on_fields(st_.step, w, i * 1e-3)
         assert abs(norm(w) ** 2 - ens0) < 1e-10 * ens0
         assert abs(sobolev_norm(w, -1) ** 2 - energy0) < 1e-10 * energy0
 
@@ -199,7 +199,7 @@ class TestNonlinearStep:
         st_ = Stepper(d, SimConfig(epsilon=0.1, mu=0.5), h=0.01)
         w = random_field(d, rng, kmax=4.0, norm_target=1.0)
         for i in range(50):
-            w = st_.step(w, i * 0.01, forcing)
+            w = on_fields(st_.step, w, i * 0.01, forcing)
         assert w.coeffs[0, 0] == 0.0
         assert parity_error(w) < 1e-13
         assert reality_error(w) == 0.0  # the advection term is Hermitian by construction
@@ -229,7 +229,7 @@ class TestNonlinearStep:
             st_ = Stepper(d, sim, h)
             w = exact(0.0)
             for i in range(int(round(T / h))):
-                w = st_.step(w, i * h, forcing)
+                w = on_fields(st_.step, w, i * h, forcing)
             errs.append(norm(w - exact(T)))
         order = math.log(errs[0] / errs[1]) / math.log(2.0)
         assert order >= 3.7
@@ -241,7 +241,7 @@ class TestBlowUp:
         st_ = Stepper(d, SimConfig(epsilon=1.0, mu=0.0), h=0.1)
         w = SpectralField.from_modes(d, _parity_pack(1, 1, 1e13))
         with pytest.raises(BlowUpError) as info:
-            st_.step(w, 3.0)
+            on_fields(st_.step, w, 3.0)
         assert info.value.t == pytest.approx(3.1)
         assert info.value.magnitude > 1e12
         assert info.value.mode in {(1, 1), (1, -1), (-1, 1), (-1, -1)}
@@ -253,13 +253,13 @@ class TestBlowUp:
         w.coeffs[1, 1] = np.nan
         # NaN is never exactly odd, so a NaN state is refused as input ...
         with pytest.raises(ValueError, match="not exactly odd"):
-            st_.step(w, 0.0)
+            on_fields(st_.step, w, 0.0)
         # ... and a NaN that a step produces is a blow-up: the advection of two modes
         # of 1e300 overflows, and the transform of the infinite grid is NaN.
         huge = SpectralField.from_modes(d, {**_parity_pack(1, 1, 1e300j),
                                             **_parity_pack(2, 1, 1e300j)})
         with np.errstate(all="ignore"), pytest.raises(BlowUpError) as info:
-            st_.step(huge, 0.0)
+            on_fields(st_.step, huge, 0.0)
         assert info.value.magnitude == float("inf")
 
 
@@ -268,16 +268,16 @@ class TestTangent:
         d = Domain(N1=16, N2=16)
         st_ = Stepper(d, SimConfig(epsilon=0.5, mu=0.3), h=0.01)
         w = random_field(d, rng, kmax=4.0, norm_target=1.0)
-        _, stages = st_.step_with_stages(w, 0.0)
-        phi = st_.tangent_step(SpectralField.zeros(d), stages)
+        _, stages = on_fields(st_.step_with_stages, w, 0.0, _grids=True)
+        phi = on_fields(st_.tangent_step, SpectralField.zeros(d), stages)
         assert norm(phi) == 0.0
 
     def test_zero_base_reduces_to_linear_flow(self, rng):
         d = Domain(N1=16, N2=16)
         st_ = Stepper(d, SimConfig(epsilon=0.5, mu=0.3), h=0.01)
-        _, stages = st_.step_with_stages(SpectralField.zeros(d), 0.0)
+        _, stages = on_fields(st_.step_with_stages, SpectralField.zeros(d), 0.0, _grids=True)
         phi0 = random_field(d, rng, kmax=4.0, norm_target=1.0)
-        phi1 = st_.tangent_step(phi0, stages)
+        phi1 = on_fields(st_.tangent_step, phi0, stages)
         expected = np.exp(st_.symbol.lam * 0.01) * phi0.coeffs
         assert np.max(np.abs(phi1.coeffs - expected)) == 0.0
 
@@ -285,12 +285,13 @@ class TestTangent:
         d = Domain(N1=16, N2=16)
         st_ = Stepper(d, SimConfig(epsilon=0.5, mu=0.3), h=0.01)
         w = random_field(d, rng, kmax=4.0, norm_target=1.0)
-        _, stages = st_.step_with_stages(w, 0.0)
+        _, stages = on_fields(st_.step_with_stages, w, 0.0, _grids=True)
         p1 = random_field(d, rng, kmax=4.0, norm_target=1.0)
         p2 = random_field(d, rng, kmax=4.0, norm_target=1.0)
         alpha = 1.7
-        combined = st_.tangent_step(alpha * p1 + p2, stages)
-        separate = alpha * st_.tangent_step(p1, stages) + st_.tangent_step(p2, stages)
+        combined = on_fields(st_.tangent_step, alpha * p1 + p2, stages)
+        separate = (alpha * on_fields(st_.tangent_step, p1, stages)
+                    + on_fields(st_.tangent_step, p2, stages))
         assert norm(combined - separate) < 1e-13 * norm(combined)
 
     def test_finite_difference_consistency(self, rng):
@@ -302,12 +303,12 @@ class TestTangent:
 
         def advance(w):
             for i in range(n):
-                w = st_.step(w, i * 0.01)
+                w = on_fields(st_.step, w, i * 0.01)
             return w
 
         w, phi = w0.copy(), phi0.copy()
         for i in range(n):
-            w, phi = st_.step_pair(w, phi, i * 0.01)
+            w, phi = on_fields(st_.step_pair, w, phi, i * 0.01)
         base = advance(w0.copy())
         residuals = []
         for delta in (1e-3, 1e-4, 1e-5):
@@ -328,16 +329,16 @@ class TestBudgetResidual:
         sim = SimConfig(epsilon=0.1, mu=mu, advection=False)
         st_ = Stepper(d, sim, h=0.05)
         w = SpectralField(d, forcing(0.0).coeffs / mu)
-        w1 = st_.step(w, 0.0, forcing)
-        assert budget_residual(w, w1, 0.0, 0.05, forcing, sim) < 1e-12
+        w1 = on_fields(st_.step, w, 0.0, forcing)
+        assert on_fields(budget_residual, w, w1, 0.0, 0.05, forcing, sim) < 1e-12
 
     def test_unforced_inviscid_conservation(self, rng):
         d = Domain(N1=16, N2=16)
         sim = SimConfig(epsilon=1.0, mu=0.0)
         st_ = Stepper(d, sim, h=1e-3)
         w = random_field(d, rng, kmax=4.0, norm_target=1.0)
-        w1 = st_.step(w, 0.0)
-        assert budget_residual(w, w1, 0.0, 1e-3, None, sim) < 1e-8
+        w1 = on_fields(st_.step, w, 0.0)
+        assert on_fields(budget_residual, w, w1, 0.0, 1e-3, None, sim) < 1e-8
 
     def test_second_order_in_h(self, rng):
         d = Domain(N1=16, N2=16)
@@ -350,9 +351,9 @@ class TestBudgetResidual:
             # evolve a little first so the state is generic
             w = w0.copy()
             for i in range(10):
-                w = st_.step(w, i * h, forcing)
-            w1 = st_.step(w, 10 * h, forcing)
-            vals.append(budget_residual(w, w1, 10 * h, h, forcing, sim))
+                w = on_fields(st_.step, w, i * h, forcing)
+            w1 = on_fields(st_.step, w, 10 * h, forcing)
+            vals.append(on_fields(budget_residual, w, w1, 10 * h, h, forcing, sim))
         ratio = vals[0] / vals[1]
         assert 2.5 < ratio < 6.0
 
@@ -367,7 +368,7 @@ class TestBudgetResidual:
         sim = SimConfig(epsilon=0.2, mu=0.5)
         h = 4e-3
         w = random_field(d, rng, norm_target=1.0)
-        w1 = Stepper(d, sim, h).step(w, 0.3, forcing)
+        w1 = on_fields(Stepper(d, sim, h).step, w, 0.3, forcing)
         mid = 0.5 * (w + w1)
         terms = (
             (norm(w1) ** 2 - norm(w) ** 2) / (2.0 * h),
@@ -375,7 +376,7 @@ class TestBudgetResidual:
             inner(forcing(0.3 + h / 2), mid) if forced else 0.0,
         )
         want = abs(terms[0] + terms[1] - terms[2])
-        got = budget_residual(w, w1, 0.3, h, forcing, sim)
+        got = on_fields(budget_residual, w, w1, 0.3, h, forcing, sim)
         assert type(got) is float
         assert abs(got - want) <= 1e-13 * sum(abs(x) for x in terms)
 
@@ -435,32 +436,33 @@ class TestHalfWidthStep:
             odd_w = random_field(d, rng, norm_target=2.0)
             for state, perturbation in ((w, phi), (odd_w, phi), (w, odd_w)):
                 with pytest.raises(ValueError, match="not exactly odd"):
-                    st_.step_pair(state, perturbation, 0.0, forcing)
+                    on_fields(st_.step_pair, state, perturbation, 0.0, forcing)
             return
         w_ref, phi_ref = w, phi
         for i in range(20):
-            w, phi = st_.step_pair(w, phi, i * 0.01, forcing)
+            w, phi = on_fields(st_.step_pair, w, phi, i * 0.01, forcing)
             w_ref, phi_ref = full_width_step_pair(st_, k, w_ref, phi_ref, i * 0.01, forcing)
         for got, want in ((w, w_ref), (phi, phi_ref)):
             assert np.max(np.abs(got.coeffs - want.coeffs)) <= 1e-14 * np.max(np.abs(want.coeffs))
 
     def test_outputs_are_exactly_real_and_stages_half_width(self, rng):
-        # The stages and the weights are band blocks, and input that is not odd is refused.
+        # The states and the weights are band blocks, the stages keep the base grids of
+        # each stage, and input that is not odd is refused.
         d = Domain(L1=4 * np.pi, N1=24, N2=16)
         st_ = Stepper(d, SimConfig(epsilon=0.2, mu=0.5), h=0.01)
         forcing = Forcing(self.SPEC, d)
-        w = random_field(d, rng, norm_target=2.0)
-        phi = random_field(d, rng, norm_target=1.0)
-        w1, stages = st_.step_with_stages(w, 0.0, forcing)
-        assert reality_error(w1) == 0.0
-        assert reality_error(st_.tangent_step(phi, stages)) == 0.0
-        for x in (stages.u0, stages.a, stages.b, stages.c):
-            assert x.shape == (5, 8)
-        assert st_.coeffs.E.shape == (5, 8)
+        w = OddBand.of(random_field(d, rng, norm_target=2.0))
+        phi = OddBand.of(random_field(d, rng, norm_target=1.0))
+        w1, stages = st_.step_with_stages(w, 0.0, forcing, _grids=True)
+        phi1 = st_.tangent_step(phi, stages)
+        assert reality_error(w1.field) == 0.0 and reality_error(phi1.field) == 0.0
+        for x in (w, phi, w1, phi1):
+            assert x.coeffs.shape == (5, 8)
+        assert st_.coeffs.E.shape == (5, 8) and stages.grids.shape == (4, 2, 16, 24)
         not_odd = random_field(d, rng, norm_target=2.0, odd_in_y=False)
         with pytest.raises(ValueError, match="not exactly odd"):
-            st_.step_with_stages(not_odd, 0.0, forcing)
-        with pytest.raises(ValueError, match="not exactly odd"):
+            OddBand.of(not_odd)
+        with pytest.raises(TypeError, match="^tangent must be an OddBand"):
             st_.tangent_step(not_odd, stages)
 
     def test_one_unfold_per_step_and_per_tangent_step(self, monkeypatch, rng):
@@ -479,9 +481,9 @@ class TestHalfWidthStep:
         d = Domain(N1=16, N2=16)
         st_ = Stepper(d, SimConfig(epsilon=0.2, mu=0.5), h=0.01)
         w = random_field(d, rng, norm_target=2.0)
-        _, stages = st_.step_with_stages(w, 0.0, Forcing(self.SPEC, d))
+        _, stages = on_fields(st_.step_with_stages, w, 0.0, Forcing(self.SPEC, d), _grids=True)
         assert calls == [(16, 9)]
-        st_.tangent_step(random_field(d, rng, norm_target=1.0), stages)
+        on_fields(st_.tangent_step, random_field(d, rng, norm_target=1.0), stages)
         assert calls == [(16, 9), (16, 9)]
 
 
@@ -492,22 +494,23 @@ class TestQuarterStep:
 
     @pytest.mark.parametrize("d", KERNEL_DOMAINS)
     def test_matches_general_path(self, d):
-        # A step on full fields matches a trajectory kept as quarters bit for bit.
+        # A trajectory taken through full fields, ``OddBand.of`` in and ``.field`` out at
+        # every step, matches one kept as states bit for bit: the expansion of a step's
+        # output is exactly odd and real, and taking it back loses nothing.
         forcing = Forcing(self.SPEC, d)
         st_ = Stepper(d, SimConfig(epsilon=0.2, mu=0.5), h=0.01)
         rng = np.random.default_rng(11)
         w0 = random_field(d, rng, norm_target=2.0)
         phi0 = random_field(d, rng, norm_target=1.0)
 
-        def run(w, phi):
+        def run(step_pair, w, phi):
             for i in range(20):
-                w, phi = st_.step_pair(w, phi, i * 0.01, forcing)
+                w, phi = step_pair(w, phi, i * 0.01, forcing)
             return w, phi
 
-        _, stages = st_.step_with_stages(w0, 0.0, forcing)
-        assert stages.u0.shape == (-(-d.N2 // 3) - 1, -(-d.N1 // 3))
-        fields = run(w0, phi0)
-        quarters = run(OddBand.of(w0), OddBand.of(phi0))
+        assert OddBand.of(w0).coeffs.shape == (-(-d.N2 // 3) - 1, -(-d.N1 // 3))
+        fields = run(lambda *args: on_fields(st_.step_pair, *args), w0, phi0)
+        quarters = run(st_.step_pair, OddBand.of(w0), OddBand.of(phi0))
         for got, want in zip(fields, quarters):
             assert isinstance(want, OddBand)
             assert parity_error(got) == 0.0
@@ -532,13 +535,9 @@ class TestQuarterStep:
         assert max(errors) == 0.0
 
     def test_one_ulp_off_odd_and_not_odd_take_the_general_path(self, rng):
-        # Both are refused.
+        # Neither becomes a state.
         d = Domain(N1=16, N2=16)
-        st_ = Stepper(d, SimConfig(epsilon=0.2, mu=0.5), h=0.01)
-        forcing = Forcing(self.SPEC, d)
         w = random_field(d, rng, norm_target=2.0)
-        _, stages = st_.step_with_stages(w, 0.0, forcing)
-        assert stages.u0.shape == (5, 6)
         ulp = w.copy()
         c = ulp.coeffs[2, 1]
         ulp.coeffs[2, 1] = complex(np.nextafter(c.real, np.inf), c.imag)
@@ -546,24 +545,19 @@ class TestQuarterStep:
         assert reality_error(ulp) == 0.0 and 0.0 < parity_error(ulp) < 1e-15
         for x in (ulp, random_field(d, rng, norm_target=2.0, odd_in_y=False)):
             with pytest.raises(ValueError, match="not exactly odd"):
-                st_.step_with_stages(x, 0.0, forcing)
-            with pytest.raises(ValueError, match="not exactly odd"):
-                st_.tangent_step(x, stages)
-            with pytest.raises(ValueError, match="not exactly odd"):
                 OddBand.of(x)
 
     def test_tangent_not_odd_on_quarter_stages(self, rng):
-        # Refused, as a base state that is not odd is; its odd part steps.
+        # Refused as a tangent, as a base state that is not odd is; its odd part steps.
         d = Domain(L1=4 * np.pi, N1=24, N2=16)
         st_ = Stepper(d, SimConfig(epsilon=0.2, mu=0.5), h=0.01)
         forcing = Forcing(self.SPEC, d)
         w = random_field(d, rng, norm_target=2.0)
         phi = random_field(d, rng, norm_target=1.0, odd_in_y=False)
-        _, stages = st_.step_with_stages(w, 0.0, forcing)
-        assert stages.u0.shape == (5, 8)
+        _, stages = on_fields(st_.step_with_stages, w, 0.0, forcing, _grids=True)
         with pytest.raises(ValueError, match="not exactly odd"):
-            st_.tangent_step(phi, stages)
-        got = st_.tangent_step(project_parity(phi), stages)
+            OddBand.of(phi, "tangent")
+        got = on_fields(st_.tangent_step, project_parity(phi), stages)
         assert parity_error(got) == 0.0 and reality_error(got) == 0.0
 
     @pytest.mark.parametrize("d", KERNEL_DOMAINS)
@@ -584,7 +578,7 @@ class TestQuarterStep:
         st_ = Stepper(d, SimConfig(epsilon=1.0, mu=0.0, advection=False), h=0.1)
         w = SpectralField.from_modes(d, _parity_pack(2, 3, 1e13j))
         with pytest.raises(BlowUpError) as info:
-            st_.step(w, 0.0)
+            on_fields(st_.step, w, 0.0)
         assert info.value.mode == (2, 3)
 
 
@@ -619,24 +613,29 @@ class TestCachedTangentStage:
             W = OddBand.of(random_field(d, rng, norm_target=2.0)).coeffs
             P = OddBand.of(random_field(d, rng, norm_target=1.0)).coeffs
             want = -(_advect_raw(d, W, P) + _advect_raw(d, P, W))
-            for grids in (_odd_grids(d, W), None):
-                got = st_._tangent_nonlinear(W, P, grids)
-                assert got.shape == W.shape
-                assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+            got = st_._tangent_nonlinear(P, _odd_grids(d, W))
+            assert got.shape == W.shape
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("d", KERNEL_DOMAINS)
     def test_tangent_step_without_grids_matches_step_pair(self, d, rng):
+        # A step that keeps no grids takes the same base step as step_pair.  Its stages
+        # are a tangent base only in the linear flow, where the tangent step is
+        # step_pair's; with advection on, a tangent step on them is refused.
         forcing = Forcing(self.SPEC, d)
-        st_ = Stepper(d, SimConfig(epsilon=0.2, mu=0.5), h=0.01)
-        w = random_field(d, rng, norm_target=2.0)
-        phi = random_field(d, rng, norm_target=1.0)
-        w1, phi1 = st_.step_pair(w, phi, 0.3, forcing)
-        w2, stages = st_.step_with_stages(w, 0.3, forcing)
-        assert stages.grids is None and stages.u0.shape[0] == -(-d.N2 // 3) - 1
-        phi2 = st_.tangent_step(phi, stages)
-        assert np.array_equal(w1.coeffs, w2.coeffs)
-        assert parity_error(phi2) == 0.0 and reality_error(phi2) == 0.0
-        assert np.max(np.abs(phi2.coeffs - phi1.coeffs)) <= 1e-15 * np.max(np.abs(phi1.coeffs))
+        w = OddBand.of(random_field(d, rng, norm_target=2.0))
+        phi = OddBand.of(random_field(d, rng, norm_target=1.0))
+        for advection in (True, False):
+            st_ = Stepper(d, SimConfig(epsilon=0.2, mu=0.5, advection=advection), h=0.01)
+            w1, phi1 = st_.step_pair(w, phi, 0.3, forcing)
+            w2, stages = st_.step_with_stages(w, 0.3, forcing)
+            assert stages.grids is None
+            assert np.array_equal(w1.coeffs, w2.coeffs)
+            if advection:
+                with pytest.raises(ValueError, match="kept no grids"):
+                    st_.tangent_step(phi, stages)
+            else:
+                assert np.array_equal(st_.tangent_step(phi, stages).coeffs, phi1.coeffs)
 
     def test_linear_flow_builds_no_grids(self, rng, monkeypatch):
         import zns.stepper
@@ -649,10 +648,11 @@ class TestCachedTangentStage:
         st_ = Stepper(d, SimConfig(epsilon=0.5, mu=0.3, advection=False), h=0.01)
         w = random_field(d, rng, norm_target=2.0)
         phi = random_field(d, rng, norm_target=1.0)
-        _, stages = st_.step_with_stages(w, 0.0, _grids=True)
-        assert stages.grids is None and stages.u0.shape == (5, 6)
+        _, stages = on_fields(st_.step_with_stages, w, 0.0, _grids=True)
+        assert stages.grids is None
         expected = np.exp(st_.symbol.lam * 0.01) * phi.coeffs
-        for got in (st_.tangent_step(phi, stages), st_.step_pair(w, phi, 0.0)[1]):
+        for got in (on_fields(st_.tangent_step, phi, stages),
+                    on_fields(st_.step_pair, w, phi, 0.0)[1]):
             assert np.max(np.abs(got.coeffs - expected)) <= 1e-15 * np.max(np.abs(expected))
 
     def test_transform_counts(self, monkeypatch, rng):
@@ -671,20 +671,21 @@ class TestCachedTangentStage:
         # Odd state: per base stage, one stacked inverse transform of two grids
         # (an ifft and an irfft pass) and one forward (an rfft and an fft pass);
         # the tangent reuses the base grids.
-        _, stages = st_.step_with_stages(w, 0.0, forcing, _grids=True)
+        _, stages = on_fields(st_.step_with_stages, w, 0.0, forcing, _grids=True)
         assert len(stages.grids) == 4 and take() == (4, 4, 4, 4)
-        st_.tangent_step(phi, stages)
+        on_fields(st_.tangent_step, phi, stages)
         assert take() == (4, 4, 4, 4)
-        st_.step_pair(w, phi, 0.0, forcing)
+        on_fields(st_.step_pair, w, phi, 0.0, forcing)
         assert take() == (8, 8, 8, 8)
-        # A plain step keeps no grids; a tangent on its stages builds them.
-        _, stages = st_.step_with_stages(w, 0.0, forcing)
+        # A plain step keeps no grids, and a tangent on its stages is refused.
+        _, stages = on_fields(st_.step_with_stages, w, 0.0, forcing)
         assert stages.grids is None and take() == (4, 4, 4, 4)
-        st_.tangent_step(phi, stages)
-        assert take() == (8, 8, 4, 4)
-        # Not odd: refused before any transform.
-        with pytest.raises(ValueError, match="not exactly odd"):
-            st_.step_pair(random_field(d, rng, norm_target=2.0, odd_in_y=False), phi, 0.0, forcing)
+        with pytest.raises(ValueError, match="kept no grids"):
+            on_fields(st_.tangent_step, phi, stages)
+        # A field, not a state: refused before any transform.
+        for args in ((w, OddBand.of(phi)), (OddBand.of(w), phi)):
+            with pytest.raises(TypeError, match="must be an OddBand"):
+                st_.step_pair(*args, 0.0, forcing)
         assert take() == (0, 0, 0, 0)
 
     def test_step_pair_steps_and_tangents_through_the_instance(self, monkeypatch, rng):
@@ -697,8 +698,8 @@ class TestCachedTangentStage:
         d = Domain(N1=16, N2=16)
         st_ = Stepper(d, SimConfig(epsilon=0.2, mu=0.5), h=0.01)
         w = random_field(d, rng, norm_target=2.0)
-        st_.step_pair(w, random_field(d, rng, norm_target=1.0), 0.0)
-        st_.step(w, 0.0)
+        on_fields(st_.step_pair, w, random_field(d, rng, norm_target=1.0), 0.0)
+        on_fields(st_.step, w, 0.0)
         assert calls == ["step_with_stages", "tangent_step", "step_with_stages"]
 
 
@@ -722,8 +723,8 @@ class TestWorkBuffers:
         got = (w, last[-1][1].field, last[-1][2].field)
         w, phi, partner = w0, phi0, partner0
         for i in range(40):
-            w, phi = st_.step_pair(w, phi, i * 0.008, forcing)
-            partner = st_.step(partner, i * 0.008, forcing)
+            w, phi = on_fields(st_.step_pair, w, phi, i * 0.008, forcing)
+            partner = on_fields(st_.step, partner, i * 0.008, forcing)
         for a, b in zip(got, (w, phi, partner)):
             assert np.array_equal(a.coeffs, b.coeffs)
 
@@ -784,8 +785,8 @@ class TestWorkBuffers:
 
         def advance(states, i):
             w, phi, plain = states
-            w, phi = st_.step_pair(w, phi, i * 0.01, forcing)
-            return w, phi, st_.step(plain, i * 0.01, forcing)
+            w, phi = on_fields(st_.step_pair, w, phi, i * 0.01, forcing)
+            return w, phi, on_fields(st_.step, plain, i * 0.01, forcing)
 
         alone = []
         for w, phi in starts:
@@ -826,17 +827,18 @@ class TestSteadyForcingView:
         phi = random_field(d, rng, norm_target=1.0, odd_in_y=odd)
         if odd:
             # The read-only block steps as a private copy of the forcing's field does.
-            by_view = st_.step_pair(w, phi, 0.3, forcing)
-            by_copy = st_.step_pair(w, phi, 0.3, field_forcing(forcing))
+            by_view = on_fields(st_.step_pair, w, phi, 0.3, forcing)
+            by_copy = on_fields(st_.step_pair, w, phi, 0.3, field_forcing(forcing))
             for got, want in zip(by_view, by_copy):
                 assert np.array_equal(got.coeffs, want.coeffs)
-            assert budget_residual(w, by_view[0], 0.3, 0.01, forcing, st_.config) == \
-                budget_residual(w, by_view[0], 0.3, 0.01, field_forcing(forcing), st_.config)
+            budgets = [on_fields(budget_residual, w, by_view[0], 0.3, 0.01, f, st_.config)
+                       for f in (forcing, field_forcing(forcing))]
+            assert budgets[0] == budgets[1]
         else:
             with pytest.raises(ValueError, match="not exactly odd"):
-                st_.step_pair(w, phi, 0.3, forcing)
+                on_fields(st_.step_pair, w, phi, 0.3, forcing)
             with pytest.raises(ValueError, match="not exactly odd"):
-                budget_residual(w, w, 0.3, 0.01, forcing, st_.config)
+                on_fields(budget_residual, w, w, 0.3, 0.01, forcing, st_.config)
         assert not forcing.coeffs_at(0.0).flags.writeable
         assert np.array_equal(forcing.coeffs_at(0.7), base[1:6, :6])
         # The call still hands out a private, writable copy.
@@ -853,16 +855,16 @@ def test_forcing_evaluated_once_per_distinct_time(sigma, odd, rng, monkeypatch):
     st_ = Stepper(d, SimConfig(epsilon=0.2, mu=0.5), h=0.01)
     w = random_field(d, rng, norm_target=2.0, odd_in_y=odd)
     phi = random_field(d, rng, norm_target=1.0, odd_in_y=odd)
-    want = st_.step_pair(w, phi, 0.3, forcing) if odd else None
+    want = on_fields(st_.step_pair, w, phi, 0.3, forcing) if odd else None
     times = []
     coeffs_at = Forcing.coeffs_at
     monkeypatch.setattr(Forcing, "coeffs_at", lambda self, t: times.append(t) or coeffs_at(self, t))
     if not odd:  # refused before the forcing is evaluated
         with pytest.raises(ValueError, match="not exactly odd"):
-            st_.step_pair(w, phi, 0.3, forcing)
+            on_fields(st_.step_pair, w, phi, 0.3, forcing)
         assert times == []
         return
-    got = st_.step_pair(w, phi, 0.3, forcing)
+    got = on_fields(st_.step_pair, w, phi, 0.3, forcing)
     assert times == [0.3, 0.3 + 0.01 / 2, 0.3 + 0.01]
     for a, b in zip(got, want):
         assert np.array_equal(a.coeffs, b.coeffs)
@@ -896,11 +898,11 @@ def test_budget_residual_matches_three_pass_formula(d, forced, odd, rng):
     w = random_field(d, rng, norm_target=1.0, odd_in_y=odd)
     if not odd:  # the budget is summed over the quarter of odd states only
         with pytest.raises(ValueError, match="not exactly odd"):
-            budget_residual(w, w, 0.3, 4e-3, forcing, sim)
+            on_fields(budget_residual, w, w, 0.3, 4e-3, forcing, sim)
         return
-    w1 = st_.step(w, 0.3, forcing)
+    w1 = on_fields(st_.step, w, 0.3, forcing)
     want, scale = budget_residual_three_pass(w, w1, 0.3, 4e-3, forcing, sim)
-    got = budget_residual(w, w1, 0.3, 4e-3, forcing, sim)
+    got = on_fields(budget_residual, w, w1, 0.3, 4e-3, forcing, sim)
     assert abs(got - want) <= 1e-13 * scale
 
 
@@ -958,9 +960,12 @@ class TestBand:
     @pytest.mark.parametrize("d", KERNEL_DOMAINS)
     @pytest.mark.parametrize("where", ["m1=K", "m2=R+1"])
     @pytest.mark.parametrize("entry", [
-        "step", "step_pair-state", "step_pair-tangent", "tangent_step", "integrate-partner",
+        "step", "step_pair-state", "step_pair-tangent", "tangent_step",
+        "integrate-state", "integrate-tangent", "integrate-partner",
     ])
     def test_refused_before_any_step(self, d, where, entry, monkeypatch):
+        # ``integrate`` makes its states through ``OddBand.of``, which names what it
+        # refuses and the band; a stepper method refuses the field itself.
         from zns.harness import initial_state, integrate
 
         st_ = Stepper(d, SimConfig(epsilon=0.2, mu=0.5), h=0.01)
@@ -968,21 +973,47 @@ class TestBand:
         w = initial_state(d, 1, 1.0)
         wide = w + _odd_pair(d, *_band_edges(d)[where], 1e-3 + 2e-3j)
         assert parity_error(wide) == 0.0 and reality_error(wide) == 0.0
-        _, stages = st_.step_with_stages(w, 0.0, forcing)
+        state = OddBand.of(w)
+        _, stages = st_.step_with_stages(state, 0.0, forcing, _grids=True)
         counts = count_transforms(monkeypatch)
         calls = {
             "step": lambda: st_.step(wide, 0.0, forcing),
-            "step_pair-state": lambda: st_.step_pair(wide, w, 0.0, forcing),
-            "step_pair-tangent": lambda: st_.step_pair(w, wide, 0.0, forcing),
+            "step_pair-state": lambda: st_.step_pair(wide, state, 0.0, forcing),
+            "step_pair-tangent": lambda: st_.step_pair(state, wide, 0.0, forcing),
             "tangent_step": lambda: st_.tangent_step(wide, stages),
+            "integrate-state": lambda: integrate(st_, forcing, wide, 0.0, 0.1),
+            "integrate-tangent": lambda: integrate(st_, forcing, w, 0.0, 0.1, tangent=wide),
             "integrate-partner": lambda: integrate(st_, forcing, w, 0.0, 0.1, partner=wide),
         }
-        what = {"step_pair-tangent": "tangent", "tangent_step": "tangent",
-                "integrate-partner": "partner"}.get(entry, "state")
-        with pytest.raises(ValueError, match=f"^{what} has a nonzero coefficient outside "
-                                             r"the 2/3 band 0 < m2 <= \d+, \|m1\| <= \d+"):
+        what = "tangent" if "tangent" in entry else "partner" if "partner" in entry else "state"
+        if entry.startswith("integrate"):
+            refusal = pytest.raises(ValueError, match=f"^{what} has a nonzero coefficient "
+                                    r"outside the 2/3 band 0 < m2 <= \d+, \|m1\| <= \d+")
+        else:
+            refusal = pytest.raises(TypeError, match=f"^{what} must be an OddBand, not "
+                                    "SpectralField")
+        with refusal:
             calls[entry]()
         assert counts == {"ifft": 0, "irfft": 0, "rfft": 0, "fft": 0}
+
+    def test_stepper_refuses_fields(self, rng):
+        # A step, a tangent step and a budget take states only, also a field in the band.
+        d = Domain(N1=16, N2=16)
+        st_ = Stepper(d, SimConfig(epsilon=0.2, mu=0.5), h=0.01)
+        forcing = Forcing(self.SPEC, d)
+        f = random_field(d, rng, norm_target=1.0)
+        state = OddBand.of(f)
+        _, stages = st_.step_with_stages(state, 0.0, forcing, _grids=True)
+        calls = [
+            lambda: st_.step(f, 0.0, forcing),
+            lambda: st_.step_with_stages(f, 0.0, forcing, _grids=True),
+            lambda: st_.tangent_step(f, stages),
+            lambda: budget_residual(f, state, 0.0, 0.01, forcing, st_.config),
+            lambda: budget_residual(state, f, 0.0, 0.01, forcing, st_.config),
+        ]
+        for call in calls:
+            with pytest.raises(TypeError, match="must be an OddBand, not SpectralField"):
+                call()
 
     def test_band_states_step_without_a_scan(self, monkeypatch):
         # The band was checked where each field became a state: a step, a tangent step
@@ -994,7 +1025,7 @@ class TestBand:
         st_ = Stepper(d, SimConfig(epsilon=0.2, mu=0.5), h=0.01)
         forcing = Forcing(self.SPEC, d)
         w, phi = (initial_state(d, seed, 1.0) for seed in (1, 2))
-        want = st_.step_pair(w, phi, 0.0, forcing)
+        want = on_fields(st_.step_pair, w, phi, 0.0, forcing)
         states = [OddBand.of(x) for x in (w, phi)]
 
         def no_scan(*args):
@@ -1148,5 +1179,5 @@ def test_calls_that_tracing_counts(monkeypatch):
     assert take() == (7, 0, 28)
     integrate(st_, forcing, w0, 0.0, 0.07, record_every=3, tangent=phi0, partner=partner0)
     assert take() == (14, 7, 28)
-    st_.step(w0, 0.0, forcing)
+    on_fields(st_.step, w0, 0.0, forcing)
     assert take() == (1, 0, 4)
