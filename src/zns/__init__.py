@@ -65,7 +65,6 @@ from .operators import (
 from .stepper import (
     BlowUpError,
     EtdCoefficients,
-    LinearSymbol,
     SimConfig,
     Stepper,
     budget_residual,

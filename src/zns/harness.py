@@ -98,8 +98,10 @@ class ExperimentConfig:
             raise ValueError("at least one epsilon is required")
         if any(e <= 0 for e in self.epsilons):
             raise ValueError("epsilon values must be positive")
-        if len(set(self.epsilons)) != len(self.epsilons):
-            raise ValueError("epsilon values must be distinct")
+        for i, e in enumerate(self.epsilons):  # a member's label names its output files
+            for other in self.epsilons[:i]:
+                if _label(other, 0) == _label(e, 0):
+                    raise ValueError(f"epsilons {other!r} and {e!r} share the label eps={e:g}")
         if self.h <= 0:
             raise ValueError("step size must be positive")
         if self.t_spin is None:
@@ -665,14 +667,14 @@ def simulate(
 
     observe = None
     if snapshot_every is not None:
-        # Snapshot times are multiples of snapshot_every, also after a resume.
-        next_snapshot = (math.floor(t0 / snapshot_every + 1e-9) + 1) * snapshot_every
+        # The k-th snapshot is at k * snapshot_every, also after a resume (no drifting sum).
+        k = math.floor(t0 / snapshot_every + 1e-9) + 1
 
         def observe(t, w, tangent, partner, recorded):
-            nonlocal next_snapshot
-            if t + 1e-12 >= next_snapshot:
+            nonlocal k
+            if t + 1e-12 >= k * snapshot_every:
                 write_snapshot(out / f"state_t{t:.6f}.zns", w.field, eps, config.mu, t)
-                next_snapshot += snapshot_every
+                k += 1
 
     seed = config.seed if resume_from is None else None  # a resumed state has no seed
     records: list[DiagnosticsRecord] = []

@@ -22,8 +22,8 @@ A tangent step linearizes the step about its base stages.  ``step_pair`` has
 the base step keep each stage's grids ``u + v`` and ``bx + by`` in the
 stepper's buffers, and a tangent stage is the odd part of one grid sum over
 them: three transforms, where two advection calls would take six.  They are
-the only base a tangent step reads.  A tangent's blow-up is marked as its
-own: a failed contraction, not a broken state.
+the only base a tangent step reads: on stages that kept none it is refused.
+A tangent's blow-up is its own: a failed contraction, not a broken state.
 """
 
 from __future__ import annotations
@@ -66,7 +66,6 @@ class SimConfig:
 
     epsilon: float
     mu: float
-    advection: bool = True
     blowup_threshold: float = 1e12
 
     def __post_init__(self):
@@ -75,19 +74,6 @@ class SimConfig:
             raise ValueError("epsilon must be positive")
         if self.mu < 0:
             raise ValueError("mu must be nonnegative")
-
-
-@dataclass
-class LinearSymbol:
-    """Per-mode stiff symbol lambda_k = -mu |k|^2 - i Omega_k / eps."""
-
-    domain: Domain
-    lam: np.ndarray
-
-    @classmethod
-    def build(cls, domain: Domain, config: SimConfig) -> "LinearSymbol":
-        lam = -config.mu * domain.ksq - 1j * domain.omega / config.epsilon
-        return cls(domain, _frozen(lam.astype(np.complex128)))
 
 
 # Taylor coefficients 1/(n+m)! of phi_m, enough terms that the remainder at
@@ -130,9 +116,8 @@ def _phi(z: np.ndarray, m: int) -> np.ndarray:
 
 @dataclass
 class EtdCoefficients:
-    """Precomputed per-mode ETDRK4 weights for step size h, on the band block."""
+    """Precomputed per-mode ETDRK4 weights for one step size, on the band block."""
 
-    h: float
     E: np.ndarray    # exp(lambda h)
     E2: np.ndarray   # exp(lambda h/2)
     Q: np.ndarray    # stage weight (h/2) phi_1(lambda h/2)
@@ -141,24 +126,27 @@ class EtdCoefficients:
     f3: np.ndarray   # h (4 phi_3 - phi_2)
 
 
-def build_coefficients(symbol: LinearSymbol, h: float) -> EtdCoefficients:
-    """ETDRK4 weights on the band block (``Domain._band``) of the symbol's m2 > 0 rows;
-    ~1e-13 relative for any lambda*h.  The symbol is even in m2, so these rows serve the
-    m2 < 0 ones too."""
+def build_coefficients(domain: Domain, lam: np.ndarray, h: float) -> EtdCoefficients:
+    """ETDRK4 weights on the band block (``Domain._band``) of the m2 > 0 rows of the full
+    (N2, N1) symbol ``lam``; ~1e-13 relative for any lambda*h.  The symbol is even in m2,
+    so these rows serve the m2 < 0 ones too.  Weights that overflow are refused."""
     if h <= 0:
         raise ValueError("step size must be positive")
-    rows, cols = symbol.domain._band
-    z = h * symbol.lam[1 : rows.stop + 1, cols]
-    p1, p2, p3 = _phi(z, 1), _phi(z, 2), _phi(z, 3)
-    return EtdCoefficients(
-        h=h,
-        E=_frozen(np.exp(z)),
-        E2=_frozen(np.exp(0.5 * z)),
-        Q=_frozen(0.5 * h * _phi(0.5 * z, 1)),
-        f1=_frozen(h * (p1 - 3.0 * p2 + 4.0 * p3)),
-        f2=_frozen(h * (p2 - 2.0 * p3)),
-        f3=_frozen(h * (4.0 * p3 - p2)),
-    )
+    rows, cols = domain._band
+    z = h * lam[1 : rows.stop + 1, cols]
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        p1, p2, p3 = _phi(z, 1), _phi(z, 2), _phi(z, 3)
+        k = EtdCoefficients(
+            E=_frozen(np.exp(z)),
+            E2=_frozen(np.exp(0.5 * z)),
+            Q=_frozen(0.5 * h * _phi(0.5 * z, 1)),
+            f1=_frozen(h * (p1 - 3.0 * p2 + 4.0 * p3)),
+            f2=_frozen(h * (p2 - 2.0 * p3)),
+            f3=_frozen(h * (4.0 * p3 - p2)),
+        )
+    if not all(np.isfinite(w).all() for w in vars(k).values()):
+        raise ValueError(f"ETDRK4 weights overflow at h={h}, |lambda h| up to {abs(z).max():.3g}")
+    return k
 
 
 @dataclass
@@ -175,18 +163,21 @@ class Stepper:
     """Advances vorticity (and tangent perturbations) with a fixed step size.
 
     A step takes and returns ``OddBand``s (``TypeError`` for a full field); it
-    runs on the band block and its output is exactly real and odd.  The
-    coefficient tables are shared read-only; the base grids that ``step_pair``
-    hands to its tangent step live in buffers of the instance, so an instance
-    takes one step at a time.
+    runs on the band block and its output is exactly real and odd.  The full
+    symbol ``lam`` (lambda_k above) and the coefficient tables are shared
+    read-only; the base grids that ``step_pair`` hands to its tangent step live
+    in buffers of the instance, so an instance takes one step at a time.
     """
 
     def __init__(self, domain: Domain, config: SimConfig, h: float):
         self.domain = domain
         self.config = config
         self.h = h
-        self.symbol = LinearSymbol.build(domain, config)
-        self.coeffs = build_coefficients(self.symbol, h)
+        self.lam = _frozen(-config.mu * domain.ksq - 1j * domain.omega / config.epsilon)
+        try:
+            self.coeffs = build_coefficients(domain, self.lam, h)
+        except ValueError as e:
+            raise ValueError(f"epsilon={config.epsilon}: {e}") from None
         self._stage_grids = np.empty((4, 2, domain.N2, domain.N1))
 
     # -- right-hand sides ---------------------------------------------------
@@ -194,28 +185,23 @@ class Stepper:
     def _nonlinear(self, C: np.ndarray, f: np.ndarray | None, keep) -> np.ndarray:
         """``f - B(C, C)``; with ``keep`` the grids of ``C`` stay in that pair of buffers."""
         d = self.domain
-        if self.config.advection:
-            if keep is None:
-                out = _advect_raw(d, C, C)
-            else:
-                uv, dxy = _odd_grids(d, C, out=keep)
-                out = _odd_part(d, np.multiply(uv, dxy, out=d._work.grids[0]))
-            np.negative(out, out=out)
+        if keep is None:
+            out = _advect_raw(d, C, C)
         else:
-            out = np.zeros_like(C)
+            uv, dxy = _odd_grids(d, C, out=keep)
+            out = _odd_part(d, np.multiply(uv, dxy, out=d._work.grids[0]))
+        np.negative(out, out=out)
         if f is not None:
             out += f
         return out
 
-    def _tangent_nonlinear(self, P: np.ndarray, grids: np.ndarray | None) -> np.ndarray:
+    def _tangent_nonlinear(self, P: np.ndarray, grids: np.ndarray) -> np.ndarray:
         """``-(B(W, P) + B(P, W))`` on band blocks, for the base ``W`` whose grids are ``grids``.
 
         The odd part of one grid sum, ``(u_W + v_W)(P_x + P_y) + (u_P + v_P)(W_x + W_y)``:
         two inverse transforms of ``P`` and one forward transform.
         """
         d = self.domain
-        if not self.config.advection:
-            return np.zeros_like(P)
         uv, dxy = grids
         uv_p, dxy_p = _odd_grids(d, P, out=d._work.grids)
         dxy_p *= uv
@@ -269,15 +255,14 @@ class Stepper:
         f = [None if forcing is None else forcing.coeffs_at(s)
              for s in (t, t + self.h / 2, t + self.h)]
         f.insert(2, f[1])  # the two mid-step stages read one evaluation
-        grids = self._stage_grids if _grids and self.config.advection else None
+        grids = self._stage_grids if _grids else None
         keep = (None,) * 4 if grids is None else grids
         out = self._etdrk4(u0, lambda i, x: self._nonlinear(x, f[i], keep[i]))
         self._check_state(out, t + self.h)
         return OddBand(self.domain, out), StepStages(t, grids)
 
     def step(self, w: OddBand, t: float, forcing: Forcing | None = None) -> OddBand:
-        out, _ = self.step_with_stages(w, t, forcing)
-        return out
+        return self.step_with_stages(w, t, forcing)[0]
 
     def tangent_step(self, phi: OddBand, stages: StepStages) -> OddBand:
         """Propagate an odd perturbation by the exact linearization of one step.
@@ -286,13 +271,12 @@ class Stepper:
         the map is then the exact differential of the nonlinear update, so
         finite differences of the nonlinear flow converge to it at O(delta^2).
         Each stage costs three transforms on the base grids that the step kept;
-        with advection on, stages that kept none are refused (``ValueError``).
+        stages that kept none are refused (``ValueError``).
         """
         P = _block(phi, "tangent")
-        grids = stages.grids if self.config.advection else (None,) * 4
-        if grids is None:
+        if stages.grids is None:
             raise ValueError("tangent step on stages that kept no grids (step_pair keeps them)")
-        out = self._etdrk4(P, lambda i, p: self._tangent_nonlinear(p, grids[i]))
+        out = self._etdrk4(P, lambda i, p: self._tangent_nonlinear(p, stages.grids[i]))
         self._check_state(out, stages.t + self.h, "tangent")
         return OddBand(self.domain, out)
 

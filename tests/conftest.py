@@ -11,6 +11,7 @@ import pytest
 from hypothesis.configuration import set_hypothesis_home_dir
 
 from zns.lattice import Domain, OddBand, SpectralField, project_parity, random_field
+from zns.stepper import Stepper
 
 _HYPOTHESIS_HOME = pytest.StashKey[str]()
 
@@ -71,6 +72,21 @@ def on_fields(fn, *args, **kwargs):
     if isinstance(out, tuple):
         return tuple(x.field if isinstance(x, OddBand) else x for x in out)
     return out.field if isinstance(out, OddBand) else out
+
+
+class LinearStepper(Stepper):
+    """A ``Stepper`` of the linear flow, B = 0: the nonlinear term of a step is the
+    forcing block alone, and that of a tangent step is zero.  Each step is then one
+    exponential of the linear symbol per mode (plus the forced response)."""
+
+    def _nonlinear(self, C, f, keep):
+        out = np.zeros_like(C)
+        if f is not None:
+            out += f
+        return out
+
+    def _tangent_nonlinear(self, P, grids):
+        return np.zeros_like(P)
 
 
 def triad_sum_oracle(a: SpectralField, b: SpectralField) -> SpectralField:

@@ -462,6 +462,9 @@ BAD_INPUTS = {
     "nan:--constant": (["agmon-check", "--samples", "3", "--resolution", "16",
                         "--constant", "nan"], TINY_CONFIG),
     "repeated:mu": (["simulate", "--config", "CFG"], TINY_CONFIG + "mu = 5.0\n"),
+    "label:epsilon": (["sweep-epsilon", "--config", "CFG"],
+                      _config_setting("epsilon", "0.1, 0.1000001, 0.05")),
+    "overflow:--epsilon": (["simulate", "--config", "CFG", "--epsilon", "1e-300"], TINY_CONFIG),
 }
 
 

@@ -39,7 +39,7 @@ from zns.lattice import (
 from zns.operators import split
 from zns.stepper import BlowUpError, SimConfig, Stepper
 
-from conftest import on_fields
+from conftest import LinearStepper, on_fields
 
 ZONAL = ForcingSpec(modes=((0, 1, 1.0),))
 MIXED = ForcingSpec(modes=((0, 1, 1.0), (1, 1, 0.5)))
@@ -76,6 +76,9 @@ class TestExperimentConfig:
             tiny_config(epsilons=(0.1, -0.2))
         with pytest.raises(ValueError):
             tiny_config(epsilons=(0.1, 0.1))
+        # Distinct values that print alike would share one output file.
+        with pytest.raises(ValueError, match=r"0\.1 and 0\.1000001 share the label eps=0\.1$"):
+            tiny_config(epsilons=(0.1, 0.1000001, 0.05))
 
     def test_cfl_guard(self):
         with pytest.raises(ValueError, match="CFL"):
@@ -279,11 +282,11 @@ class TestContraction:
         assert norm(w1 - w2) == 0.0
 
     def test_linear_regime_single_mode_rate(self):
-        # With advection off, a single fast mode decays at exactly mu |k|^2.
+        # In the linear flow (B = 0), a single fast mode decays at exactly mu |k|^2.
         d = Domain(N1=16, N2=16)
         mu = 0.8
-        sim = SimConfig(epsilon=0.1, mu=mu, advection=False)
-        stepper = Stepper(d, sim, h=0.01)
+        sim = SimConfig(epsilon=0.1, mu=mu)
+        stepper = LinearStepper(d, sim, h=0.01)
         from zns.lattice import SpectralField
 
         a = 0.01
@@ -420,6 +423,18 @@ class TestSimulatePersistence:
         # Same rows, times included, for every record after the resume point.
         t_resume = float(resumed[1].split(",")[0])
         assert resumed[2:] == [line for line in full[1:] if float(line.split(",")[0]) > t_resume]
+
+    def test_snapshot_times_do_not_drift(self, tmp_path):
+        # 1100 steps of 0.1 and a snapshot every 0.2: a running sum of 0.2 overtakes the
+        # step times near t = 109 and would write the last five snapshots a step late.
+        cfg = ExperimentConfig(
+            domain=Domain(N1=8, N2=8), mu=0.5, epsilons=(0.1,),
+            forcing=ForcingSpec(modes=((0, 1, 0.5), (1, 1, 0.2))),
+            h=0.1, t_end=110.0, t_spin=1.0, omega0_norm=0.5, record_every=100,
+        )
+        simulate(cfg, tmp_path, snapshot_every=0.2)
+        names = sorted(p.name for p in tmp_path.glob("state_t*.zns"))
+        assert names == sorted(f"state_t{k * 0.2:.6f}.zns" for k in range(1, 551))
 
     @given(split=st.integers(1, 39), record_every=st.integers(1, 12))
     @settings(max_examples=12, deadline=None)

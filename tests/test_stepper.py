@@ -27,7 +27,6 @@ from zns.lattice import (
 from zns.operators import _advect_raw, _odd_grids, apply_A, apply_L, jacobian
 from zns.stepper import (
     BlowUpError,
-    LinearSymbol,
     OddBand,
     SimConfig,
     Stepper,
@@ -36,7 +35,7 @@ from zns.stepper import (
     _phi,
 )
 
-from conftest import KERNEL_DOMAINS, field_forcing, on_fields
+from conftest import KERNEL_DOMAINS, LinearStepper, field_forcing, on_fields
 
 mpmath.mp.dps = 40
 
@@ -99,9 +98,8 @@ class TestPhiFunctions:
 class TestCoefficients:
     def test_rk4_limit_at_zero_symbol(self):
         d = Domain(N1=8, N2=8)
-        sym = LinearSymbol(d, np.zeros((8, 8), dtype=complex))
         h = 0.25
-        co = build_coefficients(sym, h)
+        co = build_coefficients(d, np.zeros((8, 8), dtype=complex), h)
         assert np.allclose(co.E, 1.0)
         assert np.allclose(co.Q, h / 2)
         assert np.allclose(co.f1, h / 6)
@@ -110,29 +108,37 @@ class TestCoefficients:
 
     def test_symbol_real_part_bound(self):
         d = Domain(N1=16, N2=16)
-        sym = LinearSymbol.build(d, SimConfig(epsilon=0.01, mu=0.3))
-        assert np.all(sym.lam[d.ksq > 0].real <= -0.3 * d.c0**2 + 1e-15)
-        assert np.all(np.abs(np.exp(sym.lam * 0.1)) <= 1.0 + 1e-15)
+        lam = Stepper(d, SimConfig(epsilon=0.01, mu=0.3), 0.1).lam
+        assert np.all(lam[d.ksq > 0].real <= -0.3 * d.c0**2 + 1e-15)
+        assert np.all(np.abs(np.exp(lam * 0.1)) <= 1.0 + 1e-15)
 
     def test_symbol_imaginary_when_inviscid(self):
         d = Domain(N1=8, N2=8)
-        sym = LinearSymbol.build(d, SimConfig(epsilon=0.5, mu=0.0))
-        assert np.all(sym.lam.real == 0.0)
+        lam = Stepper(d, SimConfig(epsilon=0.5, mu=0.0), 0.1).lam
+        assert np.all(lam.real == 0.0)
 
     def test_shared_tables_are_read_only(self):
         stepper = Stepper(Domain(N1=8, N2=8), SimConfig(epsilon=0.5, mu=1.0), 0.01)
         k = stepper.coeffs
-        for table in (stepper.symbol.lam, k.E, k.E2, k.Q, k.f1, k.f2, k.f3):
+        for table in (stepper.lam, k.E, k.E2, k.Q, k.f1, k.f2, k.f3):
             with pytest.raises(ValueError):
                 table[0, 0] = 0.0
         tables = (k.E, k.E2, k.Q, k.f1, k.f2, k.f3)
         assert all(x.flags.c_contiguous and x.shape == (2, 3) for x in tables)
 
+    def test_refuses_weights_that_overflow(self):
+        # phi_m's z**m overflows once |lambda h| passes ~1e154: the weights would be NaN.
+        d = Domain(N1=16, N2=16)
+        k = Stepper(d, SimConfig(epsilon=1e-155, mu=0.5), 0.01).coeffs
+        assert all(np.isfinite(table).all() for table in vars(k).values())
+        with pytest.raises(ValueError, match=r"^epsilon=1e-160: .* overflow at h=0\.01"):
+            Stepper(d, SimConfig(epsilon=1e-160, mu=0.5), 0.01)
+
     def test_rejects_nonpositive_step(self):
         d = Domain(N1=8, N2=8)
-        sym = LinearSymbol.build(d, SimConfig(epsilon=1.0, mu=1.0))
+        lam = Stepper(d, SimConfig(epsilon=1.0, mu=1.0), 0.1).lam
         with pytest.raises(ValueError):
-            build_coefficients(sym, 0.0)
+            build_coefficients(d, lam, 0.0)
 
 
 def _parity_pack(m1, m2, a):
@@ -147,8 +153,8 @@ class TestLinearExactness:
         # Mode (1,1) with mu = 0.1, eps = 0.01 rotates and decays by
         # exp((-0.2 + 50 i) h): |k|^2 = 2 and Omega = -1/2.
         d = Domain(N1=16, N2=16)
-        sim = SimConfig(epsilon=0.01, mu=0.1, advection=False)
-        st_ = Stepper(d, sim, h=0.05)
+        sim = SimConfig(epsilon=0.01, mu=0.1)
+        st_ = LinearStepper(d, sim, h=0.05)
         w = SpectralField.from_modes(d, _parity_pack(1, 1, 0.8 + 0.1j))
         w1 = on_fields(st_.step, w, 0.0)
         factor = np.exp((-0.2 + 50.0j) * 0.05)
@@ -157,13 +163,13 @@ class TestLinearExactness:
     @pytest.mark.parametrize("eps", [1.0, 1e-3, 1e-6])
     def test_exact_for_any_stiffness(self, eps, rng):
         d = Domain(N1=16, N2=16)
-        sim = SimConfig(epsilon=eps, mu=0.7, advection=False)
-        st_ = Stepper(d, sim, h=0.02)
+        sim = SimConfig(epsilon=eps, mu=0.7)
+        st_ = LinearStepper(d, sim, h=0.02)
         w = random_field(d, rng, norm_target=1.0)
         w1 = on_fields(st_.step, w, 0.0)
         # note: exp(.)*coeffs, matching the production operand order;
         # complex a*b and b*a differ by an ulp when the FPU fuses multiplies
-        expected = np.exp(st_.symbol.lam * 0.02) * w.coeffs
+        expected = np.exp(st_.lam * 0.02) * w.coeffs
         assert np.max(np.abs(w1.coeffs - expected)) == 0.0
 
     def test_zonal_steady_balance(self):
@@ -171,8 +177,8 @@ class TestLinearExactness:
         d = Domain(N1=16, N2=16)
         mu = 0.5
         forcing = Forcing(ForcingSpec(modes=((0, 1, 1.0),)), d)
-        sim = SimConfig(epsilon=0.1, mu=mu, advection=False)
-        st_ = Stepper(d, sim, h=0.05)
+        sim = SimConfig(epsilon=0.1, mu=mu)
+        st_ = LinearStepper(d, sim, h=0.05)
         fixed = SpectralField(d, forcing(0.0).coeffs / mu)  # |k|^2 = 1 there
         w = fixed.copy()
         for i in range(20):
@@ -278,7 +284,7 @@ class TestTangent:
         _, stages = on_fields(st_.step_with_stages, SpectralField.zeros(d), 0.0, _grids=True)
         phi0 = random_field(d, rng, kmax=4.0, norm_target=1.0)
         phi1 = on_fields(st_.tangent_step, phi0, stages)
-        expected = np.exp(st_.symbol.lam * 0.01) * phi0.coeffs
+        expected = np.exp(st_.lam * 0.01) * phi0.coeffs
         assert np.max(np.abs(phi1.coeffs - expected)) == 0.0
 
     def test_linearity(self, rng):
@@ -326,8 +332,8 @@ class TestBudgetResidual:
         d = Domain(N1=16, N2=16)
         mu = 0.5
         forcing = Forcing(ForcingSpec(modes=((0, 1, 1.0),)), d)
-        sim = SimConfig(epsilon=0.1, mu=mu, advection=False)
-        st_ = Stepper(d, sim, h=0.05)
+        sim = SimConfig(epsilon=0.1, mu=mu)
+        st_ = LinearStepper(d, sim, h=0.05)
         w = SpectralField(d, forcing(0.0).coeffs / mu)
         w1 = on_fields(st_.step, w, 0.0, forcing)
         assert on_fields(budget_residual, w, w1, 0.0, 0.05, forcing, sim) < 1e-12
@@ -383,7 +389,7 @@ class TestBudgetResidual:
 
 def full_width_tables(st_: Stepper) -> SimpleNamespace:
     """The ETDRK4 weights on the full (N2, N1) symbol."""
-    h, z = st_.h, st_.h * st_.symbol.lam
+    h, z = st_.h, st_.h * st_.lam
     p1, p2, p3 = (_phi(z, m) for m in (1, 2, 3))
     return SimpleNamespace(
         E=np.exp(z), E2=np.exp(0.5 * z), Q=0.5 * h * _phi(0.5 * z, 1),
@@ -575,7 +581,7 @@ class TestQuarterStep:
 
     def test_blowup_reports_the_true_mode(self):
         d = Domain(N1=16, N2=16)
-        st_ = Stepper(d, SimConfig(epsilon=1.0, mu=0.0, advection=False), h=0.1)
+        st_ = LinearStepper(d, SimConfig(epsilon=1.0, mu=0.0), h=0.1)
         w = SpectralField.from_modes(d, _parity_pack(2, 3, 1e13j))
         with pytest.raises(BlowUpError) as info:
             on_fields(st_.step, w, 0.0)
@@ -619,23 +625,18 @@ class TestCachedTangentStage:
 
     @pytest.mark.parametrize("d", KERNEL_DOMAINS)
     def test_tangent_step_without_grids_matches_step_pair(self, d, rng):
-        # A step that keeps no grids takes the same base step as step_pair.  Its stages
-        # are a tangent base only in the linear flow, where the tangent step is
-        # step_pair's; with advection on, a tangent step on them is refused.
+        # A step that keeps no grids takes the same base step as step_pair, and a
+        # tangent step on its stages is refused.
         forcing = Forcing(self.SPEC, d)
         w = OddBand.of(random_field(d, rng, norm_target=2.0))
         phi = OddBand.of(random_field(d, rng, norm_target=1.0))
-        for advection in (True, False):
-            st_ = Stepper(d, SimConfig(epsilon=0.2, mu=0.5, advection=advection), h=0.01)
-            w1, phi1 = st_.step_pair(w, phi, 0.3, forcing)
-            w2, stages = st_.step_with_stages(w, 0.3, forcing)
-            assert stages.grids is None
-            assert np.array_equal(w1.coeffs, w2.coeffs)
-            if advection:
-                with pytest.raises(ValueError, match="kept no grids"):
-                    st_.tangent_step(phi, stages)
-            else:
-                assert np.array_equal(st_.tangent_step(phi, stages).coeffs, phi1.coeffs)
+        st_ = Stepper(d, SimConfig(epsilon=0.2, mu=0.5), h=0.01)
+        w1, _ = st_.step_pair(w, phi, 0.3, forcing)
+        w2, stages = st_.step_with_stages(w, 0.3, forcing)
+        assert stages.grids is None
+        assert np.array_equal(w1.coeffs, w2.coeffs)
+        with pytest.raises(ValueError, match="kept no grids"):
+            st_.tangent_step(phi, stages)
 
     def test_linear_flow_builds_no_grids(self, rng, monkeypatch):
         import zns.stepper
@@ -645,12 +646,11 @@ class TestCachedTangentStage:
 
         monkeypatch.setattr(zns.stepper, "_odd_grids", no_grids)
         d = Domain(N1=16, N2=16)
-        st_ = Stepper(d, SimConfig(epsilon=0.5, mu=0.3, advection=False), h=0.01)
+        st_ = LinearStepper(d, SimConfig(epsilon=0.5, mu=0.3), h=0.01)
         w = random_field(d, rng, norm_target=2.0)
         phi = random_field(d, rng, norm_target=1.0)
         _, stages = on_fields(st_.step_with_stages, w, 0.0, _grids=True)
-        assert stages.grids is None
-        expected = np.exp(st_.symbol.lam * 0.01) * phi.coeffs
+        expected = np.exp(st_.lam * 0.01) * phi.coeffs
         for got in (on_fields(st_.tangent_step, phi, stages),
                     on_fields(st_.step_pair, w, phi, 0.0)[1]):
             assert np.max(np.abs(got.coeffs - expected)) <= 1e-15 * np.max(np.abs(expected))
@@ -1053,7 +1053,7 @@ class QuarterStage:
     def __init__(self, st_: Stepper):
         d, n2, n1 = st_.domain, st_.domain.N2 // 2, st_.domain.N1 // 2 + 1
         self.d, self.h = d, st_.h
-        z = st_.h * st_.symbol.lam[1:n2, :n1]
+        z = st_.h * st_.lam[1:n2, :n1]
         p1, p2, p3 = _phi(z, 1), _phi(z, 2), _phi(z, 3)
         self.k = SimpleNamespace(
             E=np.exp(z), E2=np.exp(0.5 * z), Q=0.5 * st_.h * _phi(0.5 * z, 1),
