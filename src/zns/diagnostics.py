@@ -16,7 +16,7 @@ import numpy as np
 
 from .forcing import Forcing
 from .lattice import Domain, OddBand, SpectralField, inner, norm, to_grid
-from .operators import _odd_inverse, apply_A, apply_I_omega, apply_inv_laplacian, apply_L, jacobian
+from .operators import _odd_uv, apply_A, apply_I_omega, apply_inv_laplacian, apply_L, jacobian
 from .operators import split
 
 
@@ -202,7 +202,7 @@ def record_state(w: SpectralField, t: float, budget: float = 0.0) -> Diagnostics
     ksq = d.ksq[1 : C.shape[0] + 1, : C.shape[1]]
     kp = ksq * p
     g, flipped = d._work.grids
-    _odd_inverse(d, (d._odd_advect_tables[0], C), out=g[None])
+    _odd_uv(d, C, out=g)
     np.take(g, d._flip_m2, axis=0, out=flipped)  # row of -y
     np.square(g, out=g)
     np.square(flipped, out=flipped)

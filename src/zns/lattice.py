@@ -190,22 +190,20 @@ class Domain:
         gives ``u + v``, one of ``(to_dx + to_dy) B`` gives ``bx + by``, and
         the odd part of their product is ``u bx + v by``.  The two sums are
         negated on the m2 < 0 rows, where the odd input is minus its m2 > 0
-        row, so they multiply the block itself: each is a ``(2, R, K)`` stack of
-        its rows m2 = 1..R and m2 = -1..-R on the band's columns.  The third
-        table is half the band block of ``_advect_mask``, for the odd part
-        ``(c(m2) - c(-m2))/2`` of the product's coefficients.
+        row, so they multiply the block itself, laid out by half: the first is the
+        ``(2, R, K)`` stack of both on rows m2 = 1..R and the band's columns, the
+        second on rows m2 = -1..-R.  The third table is half the band block of
+        ``_advect_mask``, for the odd part ``(c(m2) - c(-m2))/2`` of the product's
+        coefficients.
         """
         to_u, to_v, to_dx, to_dy = self._advect_tables
         rows, cols = self._band
         r = rows.stop
         sign = np.where(self.m2 < 0, -1.0, 1.0)[:, None]
-        both = np.r_[1 : r + 1, self.N2 - 1 : self.N2 - r - 1 : -1]  # m2 = 1..R, -1..-R
-
-        def block(table):
-            return _frozen((sign * table)[both, cols].reshape(2, r, -1))
-
+        sums = (sign * np.stack((to_u + to_v, to_dx + to_dy)))[:, :, cols]
         mask = 0.5 * self._advect_mask[1 : r + 1, cols]
-        return block(to_u + to_v), block(to_dx + to_dy), _frozen(mask)
+        up, down = sums[:, 1 : r + 1], sums[:, : self.N2 - r - 1 : -1]
+        return _frozen(up.copy()), _frozen(down.copy()), _frozen(mask)
 
     @cached_property
     def _work(self) -> SimpleNamespace:
@@ -213,12 +211,17 @@ class Domain:
         grid-sized arrays: the stacked ``spectrum`` of the band's columns for the inverse
         transform of two grids (its rows outside the band stay zero), the zero-padded half
         ``ypass`` that its y-pass fills (its columns m1 >= K stay zero), two real ``grids``
-        and the ``coeffs`` of a forward transform on the band's columns."""
-        half, keep = self.N1 // 2 + 1, self._kept_cols
-        return SimpleNamespace(spectrum=np.zeros((2, self.N2, keep), np.complex128),
-                               ypass=np.zeros((2, self.N2, half), np.complex128),
+        and the ``coeffs`` of a forward transform on the band's columns.  ``rows`` and
+        ``coeff_rows`` are the views of rows m2 = 1..R and m2 = -1..-R of ``spectrum`` and
+        ``coeffs``, made here once, not on every call."""
+        keep, r = self._kept_cols, self._band[0].stop
+        halves = np.s_[1 : r + 1], np.s_[: self.N2 - r - 1 : -1]
+        spectrum = np.zeros((2, self.N2, keep), np.complex128)
+        coeffs = np.empty((self.N2, keep), np.complex128)
+        return SimpleNamespace(spectrum=spectrum, rows=tuple(spectrum[:, s] for s in halves),
+                               ypass=np.zeros((2, self.N2, self.N1 // 2 + 1), np.complex128),
                                grids=np.empty((2, self.N2, self.N1)),
-                               coeffs=np.empty((self.N2, keep), np.complex128))
+                               coeffs=coeffs, coeff_rows=tuple(coeffs[s] for s in halves))
 
     @cached_property
     def _half_weight(self) -> np.ndarray:

@@ -17,10 +17,10 @@ coefficient convention, per mode k:
   odd-in-y fields held in the 2/3 band, the solver's state (three: one
   stacked inverse call for two grids, whose y-pass runs only on the band's
   columns, and one forward call whose y-pass runs only on those columns).
-  The band kernel is the composition of two helpers, the grids of blocks
-  times the tables (``_odd_grids``) and the band block of the odd part of a
-  grid product (``_odd_part``), which the step also uses on its own; they
-  work in the domain's reused buffers (``Domain._work``).
+  The band kernel is ``_odd_grids``, the grids of blocks times the half
+  tables (two products), then ``_odd_part``, the band block of the odd part
+  of a grid product or of its negative; the step also uses both, in the
+  domain's reused buffers and row views, made once (``Domain._work``).
 
 The triad layer (``omega_freq``, ``b_coeff``, ``triad_identity_residual``,
 ``triad_scan``) takes integer index pairs ``(m1, m2)``, so j + k = l is an
@@ -149,40 +149,40 @@ def _advect_raw(d: Domain, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return _unfold(d, out)
 
 
-def _odd_inverse(d: Domain, *pairs, out=None) -> np.ndarray:
-    """The stacked grids of one ``(table, C)`` pair each, from one inverse transform, in
-    ``out`` if given: a ``(2, R, K)`` table of ``d._odd_advect_tables`` times band block
-    ``C`` on rows m2 > 0 and, mirrored, on rows m2 < 0.  The spectrum is built in
-    ``d._work.spectrum``, whose other rows stay zero, and the y-pass runs on the band's
-    columns alone, into ``d._work.ypass``."""
-    n, r = len(pairs), d._band[0].stop
-    S = d._work.spectrum[:n]
-    for s, (table, C) in zip(S, pairs):
-        np.multiply(table[0], C, out=s[1 : r + 1])
-        np.multiply(table[1], C, out=s[: d.N2 - r - 1 : -1])
-    return _irfft2(d, S, out=out, pad=d._work.ypass[:n])
-
-
 def _odd_grids(d: Domain, A: np.ndarray, B: np.ndarray | None = None, out=None) -> np.ndarray:
     """The grids ``u + v`` of band block ``A`` and ``bx + by`` of band block ``B`` (default
     ``A``), from one stacked inverse transform, in ``out`` if given, else in a new
-    ``(2, N2, N1)`` array."""
-    to_uv, to_dxy, _ = d._odd_advect_tables
-    return _odd_inverse(d, (to_uv, A), (to_dxy, A if B is None else B), out=out)
+    ``(2, N2, N1)`` array.  Each half of ``d._odd_advect_tables`` multiplies the block (a
+    distinct ``B`` is stacked with ``A``) once, into its view ``d._work.rows``; the y-pass
+    runs on the band's columns alone, into ``d._work.ypass``."""
+    up, down, _ = d._odd_advect_tables
+    S_up, S_down = d._work.rows
+    C = A if B is None or B is A else np.stack((A, B))
+    np.multiply(up, C, out=S_up)
+    np.multiply(down, C, out=S_down)
+    return _irfft2(d, d._work.spectrum, out=out, pad=d._work.ypass)
 
 
-def _odd_part(d: Domain, grid: np.ndarray) -> np.ndarray:
+def _odd_uv(d: Domain, C: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The grid ``u + v`` of band block ``C`` in ``out``, from the first table of each half."""
+    (up, down, _), (S_up, S_down) = d._odd_advect_tables, d._work.rows
+    np.multiply(up[0], C, out=S_up[0])
+    np.multiply(down[0], C, out=S_down[0])
+    return _irfft2(d, d._work.spectrum[:1], out=out[None], pad=d._work.ypass[:1])[0]
+
+
+def _odd_part(d: Domain, grid: np.ndarray, minus: bool = False) -> np.ndarray:
     """The masked band block of the odd-in-y part of a product of band grids.
 
-    One raw forward transform, whose y-pass runs only on the ``|m1| < N1/3``
-    columns that the 2/3 rule keeps, the band's columns.  Its m1 = 0 column
-    is imaginary, so the block expands to an exactly odd, exactly Hermitian
-    half.
+    One raw forward transform, whose y-pass runs only on the ``|m1| < N1/3`` columns that
+    the 2/3 rule keeps, the band's columns, and the difference ``F(m2) - F(-m2)`` of its
+    views ``d._work.coeff_rows``; with ``minus``, ``F(-m2) - F(m2)``, the exact negative
+    (up to the sign of a zero).  Its m1 = 0 column is imaginary, so the block expands to
+    an exactly odd, exactly Hermitian half.
     """
-    rows, cols = d._band
-    r = rows.stop
-    F = _rfft2(d, grid, out=d._work.coeffs, cols=cols.stop)
-    Q = np.subtract(F[1 : r + 1], F[: d.N2 - r - 1 : -1])
+    F_up, F_down = d._work.coeff_rows
+    _rfft2(d, grid, out=d._work.coeffs, cols=d._kept_cols)
+    Q = np.subtract(F_down, F_up) if minus else np.subtract(F_up, F_down)
     Q *= d._odd_advect_tables[2]
     Q.real[:, 0] = 0.0
     return Q

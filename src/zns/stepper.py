@@ -92,14 +92,18 @@ def _phi(z: np.ndarray, m: int) -> np.ndarray:
     """phi_m(z): phi_1 = (e^z-1)/z, phi_2 = (e^z-1-z)/z^2, and so on.
 
     Direct formulas cancel catastrophically near z = 0; below |z| = 1/2 a
-    truncated series is used instead.
+    truncated series is used instead.  Above |z| = 1e100, where z^m would
+    overflow, phi_m is ``(phi_(m-1) - 1/(m-1)!)/z``.
     """
     z = np.asarray(z, dtype=np.complex128)
     out = np.empty_like(z)
-    small = np.abs(z) < 0.5
+    mags = np.abs(z)
+    small, huge = mags < 0.5, (mags > 1e100) & (m > 1)
     if np.any(small):
         out[small] = _phi_series(z[small], m)
-    big = ~small
+    if np.any(huge):
+        out[huge] = (_phi(z[huge], m - 1) - 1.0 / math.factorial(m - 1)) / z[huge]
+    big = ~(small | huge)
     if np.any(big):
         zb = z[big]
         ez = np.exp(zb)
@@ -133,8 +137,8 @@ def build_coefficients(domain: Domain, lam: np.ndarray, h: float) -> EtdCoeffici
     if h <= 0:
         raise ValueError("step size must be positive")
     rows, cols = domain._band
-    z = h * lam[1 : rows.stop + 1, cols]
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        z = h * lam[1 : rows.stop + 1, cols]
         p1, p2, p3 = _phi(z, 1), _phi(z, 2), _phi(z, 3)
         k = EtdCoefficients(
             E=_frozen(np.exp(z)),
@@ -145,7 +149,8 @@ def build_coefficients(domain: Domain, lam: np.ndarray, h: float) -> EtdCoeffici
             f3=_frozen(h * (4.0 * p3 - p2)),
         )
     if not all(np.isfinite(w).all() for w in vars(k).values()):
-        raise ValueError(f"ETDRK4 weights overflow at h={h}, |lambda h| up to {abs(z).max():.3g}")
+        size = f"up to {abs(z).max():.3g}" if np.isfinite(z).all() else "not finite"
+        raise ValueError(f"ETDRK4 weights overflow at h={h}, |lambda h| {size}")
     return k
 
 
@@ -173,7 +178,8 @@ class Stepper:
         self.domain = domain
         self.config = config
         self.h = h
-        self.lam = _frozen(-config.mu * domain.ksq - 1j * domain.omega / config.epsilon)
+        with np.errstate(over="ignore", invalid="ignore"):  # refused with its weights
+            self.lam = _frozen(-config.mu * domain.ksq - 1j * domain.omega / config.epsilon)
         try:
             self.coeffs = build_coefficients(domain, self.lam, h)
         except ValueError as e:
@@ -183,17 +189,17 @@ class Stepper:
     # -- right-hand sides ---------------------------------------------------
 
     def _nonlinear(self, C: np.ndarray, f: np.ndarray | None, keep) -> np.ndarray:
-        """``f - B(C, C)``; with ``keep`` the grids of ``C`` stay in that pair of buffers."""
+        """``f - B(C, C)`` (``f + (-B)`` bit for bit), or ``-B(C, C)`` without ``f``; with
+        ``keep`` the grids of ``C`` stay in that pair of buffers."""
         d = self.domain
         if keep is None:
             out = _advect_raw(d, C, C)
         else:
             uv, dxy = _odd_grids(d, C, out=keep)
             out = _odd_part(d, np.multiply(uv, dxy, out=d._work.grids[0]))
-        np.negative(out, out=out)
-        if f is not None:
-            out += f
-        return out
+        if f is None:
+            return np.negative(out, out=out)
+        return np.subtract(f, out, out=out)
 
     def _tangent_nonlinear(self, P: np.ndarray, grids: np.ndarray) -> np.ndarray:
         """``-(B(W, P) + B(P, W))`` on band blocks, for the base ``W`` whose grids are ``grids``.
@@ -207,8 +213,7 @@ class Stepper:
         dxy_p *= uv
         uv_p *= dxy
         dxy_p += uv_p
-        out = _odd_part(d, dxy_p)
-        return np.negative(out, out=out)
+        return _odd_part(d, dxy_p, minus=True)
 
     def _etdrk4(self, u0: np.ndarray, rhs: Callable[[int, np.ndarray], np.ndarray]) -> np.ndarray:
         """ETDRK4 update of band block ``u0``; ``rhs(i, x)`` is the nonlinear term of stage i.

@@ -464,7 +464,7 @@ BAD_INPUTS = {
     "repeated:mu": (["simulate", "--config", "CFG"], TINY_CONFIG + "mu = 5.0\n"),
     "label:epsilon": (["sweep-epsilon", "--config", "CFG"],
                       _config_setting("epsilon", "0.1, 0.1000001, 0.05")),
-    "overflow:--epsilon": (["simulate", "--config", "CFG", "--epsilon", "1e-300"], TINY_CONFIG),
+    "overflow:--epsilon": (["simulate", "--config", "CFG", "--epsilon", "1e-320"], TINY_CONFIG),
 }
 
 

@@ -76,10 +76,12 @@ class TestDomain:
         to_u, to_v, to_dx, to_dy = d._advect_tables
         sign = np.where(d.m2 < 0, -1.0, 1.0)[:, None]  # m2 = 0..4, -5..-1
         rows = [1, 2, 3], [9, 8, 7]  # m2 = 1, 2, 3 and m2 = -1, -2, -3
-        to_uv, to_dxy, mask = d._odd_advect_tables
-        for table, full in ((to_uv, sign * (to_u + to_v)), (to_dxy, sign * (to_dx + to_dy))):
+        sums = sign * (to_u + to_v), sign * (to_dx + to_dy)
+        # Laid out by half: the stack of both sums on the m2 > 0 rows, then on the m2 < 0 rows.
+        up, down, mask = d._odd_advect_tables
+        for table, r in zip((up, down), rows):
             assert table.shape == (2, 3, 3)
-            assert np.array_equal(table, np.stack([full[r, :3] for r in rows]))
+            assert np.array_equal(table, np.stack([full[r, :3] for full in sums]))
         assert np.array_equal(mask, 0.5 * d._advect_mask[1:4, :3])
         for table in d._odd_advect_tables:
             with pytest.raises(ValueError):

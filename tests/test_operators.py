@@ -1,5 +1,6 @@
 """Operator identities, the advection kernels and the triad coefficients."""
 
+import dataclasses
 import inspect
 
 import numpy as np
@@ -358,6 +359,23 @@ class TestOddKernel:
         assert np.array_equal(got, want[:rows, :keep])
         assert np.array_equal(mask[:rows, :keep], d._odd_advect_tables[2])
         assert np.all(want[rows:] == 0.0) and np.all(want[:, keep:] == 0.0)
+
+    @pytest.mark.parametrize("d", KERNEL_DOMAINS)
+    def test_scratch_carries_nothing_between_calls(self, d, rng):
+        # The kernel with A != B (a stacked fill), then with A = B (one block for both
+        # halves), then ``record_state``, all on one domain's ``_work``: each result is the
+        # same call's on a fresh domain, and the spectrum stays zero outside the band rows.
+        from zns.diagnostics import record_state
+
+        A, B = band_blocks(d, *(random_field(d, rng, norm_target=1.0) for _ in range(2)))
+        calls = (lambda e: _advect_raw(e, A, B), lambda e: _advect_raw(e, A, A),
+                 lambda e: dataclasses.astuple(record_state(OddBand(e, A).field, 0.0)))
+        for call in calls:
+            got, want = call(d), call(Domain(d.L1, d.L2, d.N1, d.N2))
+            assert np.array_equal(got, want)
+        r = d._band[0].stop
+        assert not d._work.spectrum[:, [0, *range(r + 1, d.N2 - r)]].any()
+        assert not d._work.ypass[..., d._kept_cols :].any()
 
     def test_three_transforms_per_call(self, monkeypatch, rng):
         import zns.operators

@@ -89,6 +89,15 @@ class TestPhiFunctions:
         got = _phi(np.array([-1e3 + 1e6j]), 1)[0]
         assert abs(got - want) <= 1e-13 * abs(want)
 
+    @pytest.mark.parametrize("z, m", [(-1e3 + 1e150j, 3), (1e155j, 2), (1e155j, 3),
+                                      (-1e103 + 1e103j, 2), (-1e103 + 1e103j, 3)])
+    def test_matches_extended_precision_where_powers_overflow(self, z, m):
+        # z**2 overflows past |z| ~ 1e154 and z**3 past ~5.6e102; the direct formulas gave
+        # 0 or NaN there.
+        got = _phi(np.array([z]), m)[0]
+        want = phi_reference(z, m)
+        assert abs(got - want) <= 1e-13 * abs(want)
+
     def test_continuity_across_series_threshold(self):
         for z in (0.4999 + 0.0j, 0.5001 + 0.0j, 0.35 + 0.35j, 0.36 + 0.36j):
             got = _phi(np.array([z]), 3)[0]
@@ -127,12 +136,14 @@ class TestCoefficients:
         assert all(x.flags.c_contiguous and x.shape == (2, 3) for x in tables)
 
     def test_refuses_weights_that_overflow(self):
-        # phi_m's z**m overflows once |lambda h| passes ~1e154: the weights would be NaN.
+        # The weights stay finite while lambda h is; at eps 1e-320, Omega/eps is not finite.
         d = Domain(N1=16, N2=16)
-        k = Stepper(d, SimConfig(epsilon=1e-155, mu=0.5), 0.01).coeffs
-        assert all(np.isfinite(table).all() for table in vars(k).values())
-        with pytest.raises(ValueError, match=r"^epsilon=1e-160: .* overflow at h=0\.01"):
-            Stepper(d, SimConfig(epsilon=1e-160, mu=0.5), 0.01)
+        for eps in (1e-155, 1e-300):
+            k = Stepper(d, SimConfig(epsilon=eps, mu=0.5), 0.01).coeffs
+            assert all(np.isfinite(table).all() for table in vars(k).values())
+        with pytest.raises(ValueError, match=r"^epsilon=1e-320: .* overflow at h=0\.01, "
+                                             r"\|lambda h\| not finite"):
+            Stepper(d, SimConfig(epsilon=1e-320, mu=0.5), 0.01)
 
     def test_rejects_nonpositive_step(self):
         d = Domain(N1=8, N2=8)
@@ -1103,7 +1114,7 @@ class QuarterStage:
     def step_pair(self, w, phi, t, forcing):
         """The quarters after one step of ``w`` and, unless None, of tangent ``phi``."""
         times = (t, t + self.h / 2, t + self.h / 2, t + self.h)
-        f = [quarter(forcing(s)) for s in times]
+        f = [None if forcing is None else quarter(forcing(s)) for s in times]
         kept = []
 
         def base(i, C):
@@ -1111,7 +1122,8 @@ class QuarterStage:
             kept.append((uv, dxy))
             out = self.odd_part(uv * dxy)
             np.negative(out, out=out)
-            out += f[i]
+            if f[i] is not None:
+                out += f[i]
             return out
 
         def tangent(i, P):
@@ -1127,15 +1139,17 @@ class QuarterStage:
         return w_next, None if phi is None else self.etdrk4(phi, tangent)
 
 
-@pytest.mark.parametrize("d", [
-    pytest.param(Domain(N1=64, N2=64), id="64x64"),
-    pytest.param(Domain(L1=4 * np.pi, N1=24, N2=16), id="24x16-L1=4pi"),
-    pytest.param(Domain(N1=20, N2=14), id="20x14"),
+@pytest.mark.parametrize("d, forced", [
+    pytest.param(Domain(N1=64, N2=64), True, id="64x64"),
+    pytest.param(Domain(L1=4 * np.pi, N1=24, N2=16), True, id="24x16-L1=4pi"),
+    pytest.param(Domain(N1=20, N2=14), True, id="20x14"),
+    pytest.param(Domain(N1=20, N2=14), False, id="20x14-unforced"),
 ])
-def test_band_step_is_bit_identical_to_the_quarter_step(d):
+def test_band_step_is_bit_identical_to_the_quarter_step(d, forced):
     from zns.harness import initial_state
 
-    forcing = Forcing(ForcingSpec(modes=((0, 1, 1.0), (1, 1, 0.5)), sigma=0.7), d)
+    spec = ForcingSpec(modes=((0, 1, 1.0), (1, 1, 0.5)), sigma=0.7)
+    forcing = Forcing(spec, d) if forced else None
     st_ = Stepper(d, SimConfig(epsilon=0.05, mu=0.5), h=0.004)
     ref = QuarterStage(st_)
     w, phi, plain = (OddBand.of(initial_state(d, seed, 1.0)) for seed in (1, 2, 3))
