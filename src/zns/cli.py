@@ -58,7 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="single run: snapshots plus diagnostics CSV")
     _add_common(p, needs_config=True)
-    p.add_argument("--epsilon", type=float, default=None, help="run at this epsilon")
+    p.add_argument("--epsilon", type=float, default=None, help="replace the config's epsilons")
     p.add_argument("--resume", type=Path, default=None, help="resume from a ZNS1 snapshot")
     p.add_argument("--snapshot-every", type=finite_float, default=None, metavar="T")
 
@@ -68,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("contraction", help="two-trajectory and tangent contraction test")
     _add_common(p, needs_config=True)
-    p.add_argument("--epsilon", type=float, default=None)
+    p.add_argument("--epsilon", type=float, default=None, help="replace the config's epsilons")
 
     p = sub.add_parser("steady-residual", help="first-order steady-state residual sweep")
     _add_common(p, needs_config=True)
@@ -110,8 +110,7 @@ def _sweep_lines(s, args):
 # Config-driven commands: (run the experiment, the lines it prints from the summary).
 _EXPERIMENTS = {
     "simulate": (
-        lambda config, args: simulate(config, args.out, epsilon=args.epsilon,
-                                      resume_from=args.resume,
+        lambda config, args: simulate(config, args.out, resume_from=args.resume,
                                       snapshot_every=args.snapshot_every),
         lambda s, args: [f"finished at t={s['t_final']:g}; outputs in {args.out}"],
     ),
@@ -120,8 +119,7 @@ _EXPERIMENTS = {
         _sweep_lines,
     ),
     "contraction": (
-        lambda config, args: run_contraction_test(config, epsilon=args.epsilon,
-                                                  out_dir=args.out),
+        lambda config, args: run_contraction_test(config, out_dir=args.out),
         lambda s, args: [f"nu = {s['nu']:g}: distance rate {s['rate_distance']:.4f}, "
                          f"tangent rate {s['rate_tangent']:.4f}"],
     ),
@@ -136,6 +134,8 @@ _EXPERIMENTS = {
 def cmd_experiment(args) -> int:
     """Load the config, run the experiment (which writes its outputs), print, report."""
     overrides = {"seed": args.seed}
+    if getattr(args, "epsilon", None) is not None:  # simulate and contraction have --epsilon
+        overrides["epsilon"] = (args.epsilon,)
     if args.resolution is not None:
         overrides["n1"] = args.resolution
         overrides["n2"] = args.resolution

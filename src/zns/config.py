@@ -4,16 +4,17 @@ Format: one ``key = value`` pair per line, ``#`` comments, blank lines
 ignored.  Only ``forcing.mode`` may repeat, one ``m1,m2,re,im`` entry per
 line; any other key set twice is an error, and every real number must be
 finite (the dataclasses refuse any other).  Keys mirror
-:class:`zns.harness.ExperimentConfig`:
+:class:`zns.harness.ExperimentConfig`; three CLI options override keys:
 
-    n1, n2            mode counts (default 64)
+    n1, n2            mode counts (default 64; ``--resolution R`` sets both to R)
     l1, l2            periods (default 2*pi)
     mu                viscosity (required)
-    epsilon           comma-separated positive values (required)
+    epsilon           comma-separated positive values (required; ``--epsilon E``
+                      of simulate and contraction makes E the only one)
     h                 step size (required)
     t_end             end of the measurement window (required)
     t_spin            start of the window (default 10/nu)
-    seed              RNG seed (default 0)
+    seed              RNG seed (default 0; ``--seed``)
     omega0_norm       initial |w| (default 1.0)
     record_every      steps between diagnostics rows (default 10)
     blowup_threshold  abort when any |coefficient| exceeds this (default 1e12)

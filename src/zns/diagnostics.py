@@ -127,21 +127,22 @@ def agmon_check(u: SpectralField, v: SpectralField, constant_candidate: float) -
     )
 
 
-def approx_steady_state(forcing: Forcing, mu: float, epsilon: float) -> SpectralField:
-    """First-order steady flow: -(1/mu) invLap(zonal f) + eps * I_Omega(fast f).
+def first_order_flow(f: SpectralField, mu: float, epsilon: float) -> SpectralField:
+    """First-order flow of forcing ``f``: -(1/mu) invLap(zonal f) + eps * I_Omega(fast f).
 
-    The zonal part balances the dissipation against the zonal forcing
-    exactly; the fast part inverts the rotation term against the fast
-    forcing, leaving an O(eps) defect in the full steady equation.
-    """
+    The zonal part balances the dissipation against the zonal forcing exactly; the fast
+    part inverts the rotation term, leaving an O(eps) defect in the steady equation."""
+    fbar, ftil = split(f)
+    return apply_inv_laplacian(fbar) * (-1.0 / mu) + apply_I_omega(ftil) * epsilon
+
+
+def approx_steady_state(forcing: Forcing, mu: float, epsilon: float) -> SpectralField:
+    """First-order steady flow of a steady forcing (``first_order_flow`` of its field)."""
     if not forcing.is_steady:
         raise ValueError("approximate steady state requires steady forcing")
     if mu <= 0 or epsilon <= 0:
         raise ValueError("mu and epsilon must be positive")
-    fbar, ftil = split(forcing(0.0))
-    zonal = apply_inv_laplacian(fbar) * (-1.0 / mu)
-    fast = apply_I_omega(ftil) * epsilon
-    return zonal + fast
+    return first_order_flow(forcing(0.0), mu, epsilon)
 
 
 def steady_residual(w: SpectralField, forcing: Forcing, mu: float, epsilon: float) -> float:

@@ -18,7 +18,7 @@ import hashlib
 import json
 import math
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable
 
@@ -28,6 +28,7 @@ from .diagnostics import (
     CSV_COLUMNS,
     DiagnosticsRecord,
     band_norm,
+    first_order_flow,
     record_state,
     sobolev_norm,
     steady_residual,
@@ -49,7 +50,7 @@ from .lattice import (
     reality_error,
     write_snapshot,
 )
-from .operators import TriadReport, apply_I_omega, apply_inv_laplacian, split, velocity
+from .operators import TriadReport, velocity
 from .stepper import BlowUpError, SimConfig, Stepper, budget_residual
 
 EPS_FLOOR = 100.0 * np.finfo(float).eps
@@ -129,15 +130,14 @@ class ExperimentConfig:
     def estimated_max_speed(self) -> float:
         """A priori speed scale: first-order steady flow plus initial data."""
         f0 = Forcing(self.forcing, self.domain)(0.0)
-        fbar, ftil = split(f0)
-        eps_max = max(self.epsilons)
-        w_ref = apply_inv_laplacian(fbar) * (-1.0 / self.mu) + apply_I_omega(ftil) * eps_max
-        steady_speed = velocity(w_ref).max_speed()
+        steady_speed = velocity(first_order_flow(f0, self.mu, max(self.epsilons))).max_speed()
         return steady_speed + self.omega0_norm / self.domain.c0
 
     def sim_config(self, epsilon: float) -> SimConfig:
+        """Stepper settings at ``epsilon``; ValueError unless it is one of ``epsilons``."""
         if epsilon not in self.epsilons:
-            replace(self, epsilons=(epsilon,))  # runs the CFL check for this epsilon
+            raise ValueError(f"epsilon={epsilon!r} is not one of the config's epsilons "
+                             f"{self.epsilons}")
         return SimConfig(epsilon=epsilon, mu=self.mu, blowup_threshold=self.blowup_threshold)
 
 
@@ -493,12 +493,8 @@ def summarize_contraction(
     return summary, violations
 
 
-def run_contraction_test(
-    config: ExperimentConfig,
-    epsilon: float | None = None,
-    out_dir: Path | None = None,
-) -> RunRecord:
-    """Two-trajectory and tangent-propagation contraction measurement.
+def run_contraction_test(config: ExperimentConfig, out_dir: Path | None = None) -> RunRecord:
+    """Two-trajectory and tangent-propagation contraction measurement at ``epsilons[0]``.
 
     Integrates trajectories from two seeds (config.seed and the next one)
     plus a tangent perturbation along the first, whose initial value is the
@@ -510,7 +506,7 @@ def run_contraction_test(
     forcing = Forcing(config.forcing, config.domain)
     if not forcing.is_steady:
         raise ValueError("contraction test requires steady forcing")
-    eps = config.epsilons[0] if epsilon is None else epsilon
+    eps = config.epsilons[0]
     w1, w2, phi = (initial_state(config.domain, config.seed + i, config.omega0_norm)
                    for i in range(3))
     distance = [(0.0, norm(w1 - w2))]
@@ -614,35 +610,31 @@ def run_steady_residual_sweep(
 # ---------------------------------------------------------------------------
 
 
-def simulate(
-    config: ExperimentConfig,
-    out_dir: Path,
-    epsilon: float | None = None,
-    resume_from: Path | None = None,
-    snapshot_every: float | None = None,
-) -> RunRecord:
-    """Single trajectory with diagnostics CSV and ZNS1 snapshots.
+def simulate(config: ExperimentConfig, out_dir: Path, resume_from: Path | None = None,
+             snapshot_every: float | None = None) -> RunRecord:
+    """Single trajectory at ``epsilons[0]`` with diagnostics CSV and ZNS1 snapshots;
+    ``out_dir`` is made when the first file is written.
 
-    With ``resume_from`` the state, time, epsilon and mu are restored from
-    the snapshot (the domain must match the config, and ``epsilon``, if
-    given, must match the snapshot) and integration continues to t_end.
+    With ``resume_from`` the state, time and epsilon are restored from the
+    snapshot, whose domain and mu must match the config and whose epsilon must
+    be one of the config's, and integration continues to t_end.  A rejected
+    snapshot or an off-step t_end is refused before anything is written.
     A blow-up still leaves the diagnostics CSV of the records taken before it.
     """
     if snapshot_every is not None and not snapshot_every > 0:
         raise ValueError(f"snapshot_every must be positive, got {snapshot_every!r}")
     forcing = Forcing(config.forcing, config.domain)
-    eps = config.epsilons[0] if epsilon is None else epsilon
+    eps = config.epsilons[0]
     t0, w0 = 0.0, None
     if resume_from is not None:
         w0, eps, mu, t0 = read_snapshot(resume_from)
         if w0.domain != config.domain:
-            raise ValueError(
-                f"snapshot domain {w0.domain} does not match config {config.domain}"
-            )
+            raise ValueError(f"snapshot domain {w0.domain} does not match config {config.domain}")
         if mu != config.mu:
             raise ValueError(f"snapshot mu={mu} does not match config mu={config.mu}")
-        if epsilon is not None and epsilon != eps:
-            raise ValueError(f"epsilon={epsilon} does not match snapshot epsilon={eps}")
+        if eps not in config.epsilons:
+            raise ValueError(f"config epsilon list {config.epsilons} does not match "
+                             f"snapshot epsilon={eps}")
         # NaN fails every comparison below, so it is refused first.
         if not np.isfinite(w0.coeffs).all():
             raise ValueError(f"{resume_from}: snapshot has non-finite coefficients")
@@ -658,12 +650,8 @@ def simulate(
         # A no-op on a snapshot written here.  Reality first: it makes the real part of the
         # m1 = 0 column even in m2, so the parity projection zeroes it, as a quarter needs.
         w0 = project_parity(project_reality(w0))
-        OddBand.of(w0, f"{resume_from}: snapshot")  # a step's own check, made early
-    stepper = Stepper(config.domain, config.sim_config(eps), config.h)
-    _step_range(stepper.h, t0, config.t_end)  # integrate's own check, made early
-    # Only now, so that a rejected resume, epsilon or time leaves no directory behind.
+        OddBand.of(w0, f"{resume_from}: snapshot")  # a step's own check, naming the file
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
 
     observe = None
     if snapshot_every is not None:
@@ -679,8 +667,8 @@ def simulate(
     seed = config.seed if resume_from is None else None  # a resumed state has no seed
     records: list[DiagnosticsRecord] = []
     with _writes(out, lambda out: write_diagnostics_csv(out / "diagnostics.csv", records)):
-        w, _ = _trajectory(config, forcing, eps, seed, stepper=stepper, w0=w0, t0=t0,
-                           observe=observe, records=records)
+        w, _ = _trajectory(config, forcing, eps, seed, w0=w0, t0=t0, observe=observe,
+                           records=records)
     t_final = records[-1].t
     write_snapshot(out / "state_final.zns", w, eps, config.mu, t_final)
     return RunRecord(
@@ -699,9 +687,7 @@ def simulate(
 
 
 def write_csv(path, columns, rows) -> None:
-    """Header row, then the ``repr`` of every value of each row; creates the directory."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
+    """Header row, then the ``repr`` of every value of each row."""
     with _atomic_open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(columns)

@@ -528,7 +528,9 @@ _HEADER = struct.Struct("<4sIIIddddd")
 
 @contextmanager
 def _atomic_open(path, mode: str, **kwargs):
-    """Write to a temporary file beside ``path`` that replaces it only if the block completes."""
+    """Write to a temporary file beside ``path`` that replaces it only if the block completes;
+    the directory of ``path`` is made first if it does not exist."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     tmp = Path(path).with_name(f".{Path(path).name}.{os.getpid()}.tmp")
     try:
         with open(tmp, mode, **kwargs) as fh:

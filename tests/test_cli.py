@@ -17,7 +17,7 @@ import zns
 from zns.cli import main
 from zns.config import ConfigError, load_config
 from zns.forcing import ForcingSpec
-from zns.harness import TRIAD_COLUMNS, ExperimentConfig, Tolerances
+from zns.harness import TRIAD_COLUMNS, ExperimentConfig, Tolerances, config_hash
 from zns.lattice import (
     Domain, parity_error, random_field, read_snapshot, reality_error, write_snapshot,
 )
@@ -614,3 +614,70 @@ def test_epsilon_flag_is_cfl_checked(command, config_file, tmp_path, capsys):
     assert code == 1
     assert "CFL" in capsys.readouterr().err
     assert not (out / "diagnostics.csv").exists()
+
+
+# At 64^2 with h = 0.009 the CFL estimate is 0.55 at eps = 1.0 and 0.46 at eps = 0.01.
+CFL_CONFIG = """
+n1 = 64
+n2 = 64
+mu = 0.5
+epsilon = 1.0, 0.01
+h = 0.009
+t_spin = 0.045
+t_end = 0.09
+seed = 7
+forcing.mode = 0,1,1.0,0.0
+forcing.mode = 1,1,0.5,0.0
+"""
+
+
+def _files(out: Path) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+def test_epsilon_flag_replaces_the_config_list(tmp_path, monkeypatch):
+    # The run is that of the file that lists E alone: its checks, its hash, its bytes.
+    listed, alone = tmp_path / "cfl.cfg", tmp_path / "alone.cfg"
+    listed.write_text(CFL_CONFIG)
+    alone.write_text(CFL_CONFIG.replace("epsilon = 1.0, 0.01", "epsilon = 0.01"))
+    with pytest.raises(ConfigError, match=r"v_est=6, CFL=0\.55 > 0\.5$"):
+        load_config(listed)
+    expected = load_config(alone)
+    assert load_config(listed, {"epsilon": (0.01,)}) == expected
+    assert config_hash(load_config(listed, {"epsilon": (0.01,)})) == config_hash(expected)
+    loaded = []
+    monkeypatch.setattr("zns.cli.load_config",
+                        lambda *a: loaded.append(load_config(*a)) or loaded[-1])
+    for path, out, flags in ((listed, "a", ["--epsilon", "0.01"]), (alone, "b", [])):
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / out),
+                     "--snapshot-every", "0.045", "--quiet", *flags]) == 0
+    assert loaded == [expected, expected]
+    assert config_hash(loaded[0]) == config_hash(loaded[1])
+    files = _files(tmp_path / "a")
+    assert sorted(files) == ["diagnostics.csv", "state_final.zns", "state_t0.045000.zns",
+                             "state_t0.090000.zns"]
+    assert files == _files(tmp_path / "b")
+
+
+def test_resume_runs_at_the_snapshot_epsilon_if_the_config_lists_it(config_file, tmp_path,
+                                                                     capsys):
+    # TINY_CONFIG lists 0.2, 0.1: a snapshot at 0.1 resumes at 0.1, one at 0.05 is refused.
+    full = tmp_path / "full"
+    assert main(["simulate", "--config", str(config_file), "--out", str(full),
+                 "--epsilon", "0.1", "--snapshot-every", "1.0", "--quiet"]) == 0
+    snap = full / "state_t11.000000.zns"
+    assert read_snapshot(snap)[1] == 0.1
+    resumed = tmp_path / "resumed"
+    assert main(["simulate", "--config", str(config_file), "--out", str(resumed),
+                 "--resume", str(snap), "--quiet"]) == 0
+    final = (resumed / "state_final.zns").read_bytes()
+    assert final == (full / "state_final.zns").read_bytes()
+
+    w, _, mu, t = read_snapshot(snap)
+    write_snapshot(tmp_path / "other.zns", w, 0.05, mu, t)
+    out = tmp_path / "nested" / "run"
+    assert main(["simulate", "--config", str(config_file), "--out", str(out),
+                 "--resume", str(tmp_path / "other.zns"), "--quiet"]) == 1
+    assert capsys.readouterr().err == (
+        "error: config epsilon list (0.2, 0.1) does not match snapshot epsilon=0.05\n")
+    assert not out.parent.exists()

@@ -84,6 +84,14 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="CFL"):
             tiny_config(h=0.5)
 
+    def test_sim_config_refuses_an_epsilon_outside_the_config(self):
+        # Only the config's epsilons passed its label and CFL checks.
+        cfg = tiny_config()
+        assert cfg.sim_config(0.1) == SimConfig(epsilon=0.1, mu=1.0)
+        with pytest.raises(ValueError, match=r"^epsilon=0\.3 is not one of the config's "
+                                             r"epsilons \(0\.2, 0\.1, 0\.05\)$"):
+            cfg.sim_config(0.3)
+
     def test_hash_depends_on_content(self):
         a = config_hash(tiny_config())
         b = config_hash(tiny_config(seed=4))
@@ -512,12 +520,18 @@ class TestSimulatePersistence:
         assert parity_error(w_b) == 0.0
 
     def test_snapshot_epsilon_is_cfl_checked(self, tmp_path):
+        # A resume runs only at one of the config's epsilons, each CFL-checked with the
+        # config: eps = 1000 fails that check, so a snapshot at 1000 is refused outright.
+        with pytest.raises(ValueError, match="CFL"):
+            tiny_config(epsilons=(0.1, 1000.0), t_spin=0.5, t_end=1.0)
         cfg = tiny_config(epsilons=(0.1,), t_spin=0.5, t_end=1.0)
         simulate(tiny_config(epsilons=(0.1,), t_spin=0.25, t_end=0.5), tmp_path / "a")
         w, _, mu, t = read_snapshot(tmp_path / "a" / "state_final.zns")
         write_snapshot(tmp_path / "fast.zns", w, 1000.0, mu, t)
-        with pytest.raises(ValueError, match="CFL"):
+        with pytest.raises(ValueError, match=r"list \(0\.1,\) does not match snapshot "
+                                             r"epsilon=1000\.0$"):
             simulate(cfg, tmp_path / "b", resume_from=tmp_path / "fast.zns")
+        assert not (tmp_path / "b").exists()
 
     def test_domain_mismatch_rejected(self, tmp_path):
         cfg = tiny_config(epsilons=(0.1,), t_spin=0.5, t_end=1.0)

@@ -228,6 +228,13 @@ class TestSnapshots:
         assert g.domain == d
         assert np.array_equal(g.coeffs, f.coeffs)
 
+    def test_write_makes_the_directory(self, tmp_path, rng):
+        f = random_field(Domain(N1=8, N2=8), rng)
+        path = tmp_path / "new" / "nested" / "state.zns"
+        write_snapshot(path, f, epsilon=0.05, mu=0.5, t=1.0)
+        assert np.array_equal(read_snapshot(path)[0].coeffs, f.coeffs)
+        assert [p.name for p in path.parent.iterdir()] == ["state.zns"]
+
     def test_layout_is_frozen(self, tmp_path):
         # Header followed by (re, im) pairs in k2-major storage order.
         d = Domain(N1=4, N2=4)
