@@ -95,6 +95,8 @@ def _say(args, *message) -> None:
 
 
 def _report_violations(args, violations) -> int:
+    """Print each violation to stderr and return 3 if there is one, else 0; every
+    command that finishes its run returns through here."""
     for v in violations:
         print(v, file=sys.stderr)
     return EXIT_VIOLATION if violations else EXIT_OK
@@ -154,10 +156,8 @@ def cmd_triads(args) -> int:
     tol = 1e-10 * domain.area
     _say(args, f"{len(reports)} triads scanned, max residual {worst:.3e} "
                f"(tolerance {tol:.3e})")
-    if worst >= tol:
-        print(f"PROPERTY-VIOLATION: triad residual {worst:.3e} >= {tol:.3e}", file=sys.stderr)
-        return EXIT_VIOLATION
-    return EXIT_OK
+    violation = f"PROPERTY-VIOLATION: triad residual {worst:.3e} >= {tol:.3e}"
+    return _report_violations(args, [violation] if worst >= tol else [])
 
 
 def cmd_agmon(args) -> int:
@@ -180,15 +180,11 @@ def cmd_agmon(args) -> int:
             chain_ok = False
     _say(args, f"{args.samples} samples, max ratio {worst:.4f} "
                f"(candidate constant {args.constant:g})")
-    if worst > args.constant or not chain_ok:
-        print(
-            f"PROPERTY-VIOLATION: max ratio {worst:.4f} exceeds {args.constant:g}"
-            if worst > args.constant
-            else "PROPERTY-VIOLATION: partial-sum chain broken",
-            file=sys.stderr,
-        )
-        return EXIT_VIOLATION
-    return EXIT_OK
+    if worst > args.constant:  # the only line printed when both checks fail
+        violations = [f"PROPERTY-VIOLATION: max ratio {worst:.4f} exceeds {args.constant:g}"]
+    else:
+        violations = [] if chain_ok else ["PROPERTY-VIOLATION: partial-sum chain broken"]
+    return _report_violations(args, violations)
 
 
 _COMMANDS = {

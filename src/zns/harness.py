@@ -3,12 +3,12 @@
 Long-time statements are operationalized with a spin-up of ten dissipative
 e-folds (T_spin = 10/nu, nu = c0^2 mu) followed by a measurement window
 [T_spin, T_end]; the choice is recorded in every summary.  All summaries are
-pure functions of the stored time series, so they can be recomputed from a
-RunRecord at any time.  Failed theorem checks are collected as violation
-strings in the record (and mapped to a nonzero exit code by the CLI); they
-never abort data capture.  Every output file of an experiment is written
-here, before the experiment returns; a blow-up still writes the series taken
-before it, and is then raised again.
+pure functions of the stored time series and the config, both of which a
+RunRecord holds, so they can be recomputed from it at any time.  Failed
+theorem checks are collected as violation strings in the record (and mapped
+to a nonzero exit code by the CLI); they never abort data capture.  Every
+output file of an experiment is written here, before the experiment returns;
+a blow-up still writes the series taken before it, and is then raised again.
 """
 
 from __future__ import annotations
@@ -71,6 +71,8 @@ class Tolerances:
 
     def __post_init__(self):
         _require_finite(**asdict(self))
+        if self.min_tail_samples < 2:  # a rate fit needs two points
+            raise ValueError(f"min_tail_samples must be >= 2, got {self.min_tail_samples}")
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -95,6 +97,8 @@ class ExperimentConfig:
                         omega0_norm=self.omega0_norm, blowup_threshold=self.blowup_threshold)
         if self.mu <= 0:
             raise ValueError("mu must be positive")
+        if self.omega0_norm < 0:  # a negative target only flips the field's sign
+            raise ValueError(f"omega0_norm must be non-negative, got {self.omega0_norm}")
         if not self.epsilons:
             raise ValueError("at least one epsilon is required")
         if any(e <= 0 for e in self.epsilons):
@@ -155,14 +159,19 @@ def config_hash(config: ExperimentConfig) -> str:
 
 @dataclass
 class RunRecord:
-    """Captured time series plus recomputable summary scalars."""
+    """The config that ran, its captured series and curves, and the summary and
+    violations that the ``summarize_*`` functions recompute from them."""
 
     kind: str
-    config_hash: str
+    config: ExperimentConfig
     series: dict[str, list[DiagnosticsRecord]]
-    curves: dict[str, list[tuple[float, float]]]
     summary: dict
     violations: list[str]
+    curves: dict[str, list[tuple[float, float]]] = field(default_factory=dict)
+
+    @property
+    def config_hash(self) -> str:
+        return config_hash(self.config)
 
 
 def initial_state(domain: Domain, seed: int, norm_target: float) -> SpectralField:
@@ -430,14 +439,7 @@ def run_epsilon_sweep(
             [row[c] for c in SWEEP_SUMMARY_COLUMNS[:5]] + [summary["slope"], summary["slope_h1"]]
             for row in summary["per_epsilon"]
         ))
-    return RunRecord(
-        kind="epsilon-sweep",
-        config_hash=config_hash(config),
-        series=series,
-        curves={},
-        summary=summary,
-        violations=violations,
-    )
+    return RunRecord("epsilon-sweep", config, series, summary, violations)
 
 
 # ---------------------------------------------------------------------------
@@ -526,15 +528,8 @@ def run_contraction_test(config: ExperimentConfig, out_dir: Path | None = None) 
             config, forcing, eps, config.seed, w0=w1, tangent=phi, partner=w2, observe=observe
         )
     curves = {"distance": distance, "tangent": tangent}
-    summary, violations = summarize_contraction(curves, config, eps)
-    return RunRecord(
-        kind="contraction",
-        config_hash=config_hash(config),
-        series={_label(eps, config.seed): records},
-        curves=curves,
-        summary=summary,
-        violations=violations,
-    )
+    return RunRecord("contraction", config, {_label(eps, config.seed): records},
+                     *summarize_contraction(curves, config, eps), curves)
 
 
 # ---------------------------------------------------------------------------
@@ -594,15 +589,7 @@ def run_steady_residual_sweep(
                     "end_rhs_norm": steady_residual(w_end, forcing, config.mu, eps),
                 }
             )
-    summary, violations = summarize_steady_sweep(rows, config)
-    return RunRecord(
-        kind="steady-residual",
-        config_hash=config_hash(config),
-        series=series,
-        curves={},
-        summary=summary,
-        violations=violations,
-    )
+    return RunRecord("steady-residual", config, series, *summarize_steady_sweep(rows, config))
 
 
 # ---------------------------------------------------------------------------
@@ -671,14 +658,8 @@ def simulate(config: ExperimentConfig, out_dir: Path, resume_from: Path | None =
                            records=records)
     t_final = records[-1].t
     write_snapshot(out / "state_final.zns", w, eps, config.mu, t_final)
-    return RunRecord(
-        kind="simulate",
-        config_hash=config_hash(config),
-        series={_label(eps, config.seed): records},
-        curves={},
-        summary={"epsilon": eps, "t_final": t_final},
-        violations=[],
-    )
+    return RunRecord("simulate", config, {_label(eps, config.seed): records},
+                     {"epsilon": eps, "t_final": t_final}, [])
 
 
 # ---------------------------------------------------------------------------

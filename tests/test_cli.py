@@ -465,6 +465,10 @@ BAD_INPUTS = {
     "label:epsilon": (["sweep-epsilon", "--config", "CFG"],
                       _config_setting("epsilon", "0.1, 0.1000001, 0.05")),
     "overflow:--epsilon": (["simulate", "--config", "CFG", "--epsilon", "1e-320"], TINY_CONFIG),
+    "negative:omega0_norm": (["simulate", "--config", "CFG"],
+                             _config_setting("omega0_norm", "-0.5")),
+    "one-point-fit:tol.min_tail_samples": (["contraction", "--config", "CFG"],
+                                           _config_setting("tol.min_tail_samples", "1")),
 }
 
 

@@ -98,6 +98,14 @@ class TestExperimentConfig:
         assert a != b
         assert a == config_hash(tiny_config())
 
+    def test_negative_initial_norm_and_one_point_rate_fit_refused(self):
+        # A negative target would only flip the field's sign, past the CFL estimate.
+        with pytest.raises(ValueError, match=r"^omega0_norm must be non-negative, got -40\.0$"):
+            tiny_config(omega0_norm=-40.0)
+        with pytest.raises(ValueError, match=r"^min_tail_samples must be >= 2, got 1$"):
+            Tolerances(min_tail_samples=1)
+        tiny_config(omega0_norm=0.0, tolerances=Tolerances(min_tail_samples=2))
+
 
 class TestInitialState:
     def test_deterministic_and_normalized(self):
@@ -375,6 +383,28 @@ def test_blowup_names_epsilon_and_seed(run, tmp_path):
     args = (tmp_path / "run",) if run is simulate else ()
     with pytest.raises(BlowUpError, match=r"\(eps=0\.25, seed=3\)$"):
         run(cfg, *args)
+
+
+@pytest.mark.parametrize("kind", ["epsilon-sweep", "contraction", "steady-residual", "simulate"])
+def test_record_holds_the_config_its_summary_is_recomputed_from(kind, tmp_path):
+    config = tiny_config(epsilons=(0.1, 0.05), t_spin=0.5, t_end=1.0, record_every=1)
+    record = {
+        "epsilon-sweep": lambda: run_epsilon_sweep(config, n_seeds=2),
+        "contraction": lambda: run_contraction_test(config),
+        "steady-residual": lambda: run_steady_residual_sweep(config),
+        "simulate": lambda: simulate(config, tmp_path / "run"),
+    }[kind]()
+    assert record.kind == kind
+    assert record.config is config
+    assert record.config_hash == config_hash(config)
+    recompute = {
+        "epsilon-sweep": lambda r: summarize_epsilon_sweep(r.series, r.config,
+                                                           tuple(r.summary["seeds"])),
+        "contraction": lambda r: summarize_contraction(r.curves, r.config, r.config.epsilons[0]),
+        "steady-residual": lambda r: summarize_steady_sweep(r.summary["per_epsilon"], r.config),
+    }
+    if kind in recompute:
+        assert recompute[kind](record) == (record.summary, record.violations)
 
 
 @pytest.mark.parametrize("member", ["tangent", "partner"])
