@@ -15,9 +15,6 @@ from .diagnostics import (
     DiagnosticsRecord,
     agmon_check,
     approx_steady_state,
-    dim_bound,
-    grashof,
-    k_s_norm,
     record_state,
     sobolev_norm,
     steady_residual,
@@ -58,7 +55,6 @@ from .operators import (
     jacobian,
     omega_freq,
     split,
-    triad_identity_residual,
     triad_scan,
     velocity,
 )

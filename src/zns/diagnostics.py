@@ -3,8 +3,9 @@
 All quantities use the fixed normalization of :mod:`zns.lattice`:
 ``|grad^s w|^2 = L1 L2 sum |k|^(2s) |w_k|^2`` (so s = 0 is the plain L2
 norm), and growing-derivative norms are plain per-mode multiplier sums.
-The a-priori forcing quantities (``grashof``, ``k_s_norm``) are such norms
-of the forcing's own fields, on its own domain.
+The paper's a-priori quantities are such norms of ``f = forcing(0.0)``: the Grashof
+number is ``sobolev_norm(f, -1) / mu**2`` (a sweep records ``grad_inv_f``), and K_s is
+``sobolev_norm(f, s + 2) + |sigma| sobolev_norm(fast part of f, s)``.
 """
 
 from __future__ import annotations
@@ -29,35 +30,6 @@ def sobolev_norm(f: SpectralField, s: float) -> float:
     weights = np.power(d.ksq[nz], s)
     total = np.sum(weights * np.abs(f.coeffs[nz]) ** 2)
     return float(np.sqrt(d.area * total))
-
-
-def grashof(forcing: Forcing, mu: float) -> float:
-    """Dimensionless forcing strength |grad^-1 f| / mu^2, from the field at t = 0
-    (every mode's modulus is constant in time) on the forcing's own domain."""
-    if mu <= 0:
-        raise ValueError("mu must be positive")
-    return sobolev_norm(forcing(0.0), -1.0) / mu**2
-
-
-def k_s_norm(forcing: Forcing, s: int = 2) -> float:
-    """Smoothness measure sup_t |grad^(s+2) f| + sup_t |grad^s df/dt| on the forcing's
-    own domain; every mode's modulus is constant in time, so t = 0 attains both."""
-    if s < 0 or s != int(s):
-        raise ValueError("s must be a nonnegative integer")
-    return sobolev_norm(forcing(0.0), s + 2) + sobolev_norm(forcing.derivative(0.0), s)
-
-
-def dim_bound(G: float, c: float) -> float:
-    """Attractor dimension upper bound c G^(2/3) (1 + log G)^(1/3).
-
-    This reports the classical bound, not a measured dimension.  The formula
-    targets large G; for G <= 1 the factor (1 + log G) is kept as is (it may
-    drop below 1) and is floored at 0 once log G < -1.
-    """
-    if G <= 0 or c <= 0:
-        raise ValueError("G and c must be positive")
-    log_term = max(1.0 + math.log(G), 0.0)
-    return c * G ** (2.0 / 3.0) * log_term ** (1.0 / 3.0)
 
 
 @dataclass
@@ -179,8 +151,7 @@ def _band_power(d: Domain, C: np.ndarray) -> np.ndarray:
     """``|c|^2`` on band block ``C``, the m1 > 0 columns counted twice: ``2 L1 L2`` times
     its sum is ``|w|^2`` of the field whose block it is, the 2 for the m2 < 0 rows."""
     p = np.square(C.real) + np.square(C.imag)
-    p *= d._half_weight[1 : C.shape[0] + 1, : C.shape[1]]
-    return p
+    return np.multiply(p, d._half_weight[d._block], out=p)
 
 
 def band_norm(d: Domain, C: np.ndarray) -> float:
@@ -200,7 +171,7 @@ def record_state(w: SpectralField, t: float, budget: float = 0.0) -> Diagnostics
     d = w.domain
     C = OddBand.of(w).coeffs
     p = _band_power(d, C)
-    ksq = d.ksq[1 : C.shape[0] + 1, : C.shape[1]]
+    ksq = d.ksq[d._block]
     kp = ksq * p
     g, flipped = d._work.grids
     _odd_uv(d, C, out=g)

@@ -15,12 +15,12 @@ Time dependence: a nonzero ``sigma`` makes the forcing time-periodic.
 Non-zonal coefficients rotate in phase as ``exp(i sign(k1) sigma t)``,
 which keeps the field real and odd in y while leaving every mode's modulus
 constant in time; zonal coefficients are held steady, since a phase
-rotation there is incompatible with the symmetry.  Hence all the
-sup-in-time norms are attained at every t, and :mod:`zns.diagnostics` takes
-them at t = 0.  A ``Forcing`` stores only the 2/3-band block (``Domain._band``)
-of the m2 > 0 quarter of the closure: ``coeffs_at`` gives the block the step
-reads, and calling it builds the full field through ``OddBand.field``.  A step
-takes no other kind of forcing.
+rotation there is incompatible with the symmetry.  Hence every sup-in-time
+norm of f, or of df/dt (modulus ``|sigma| |f|`` on the non-zonal modes, 0 on
+the zonal ones), is attained at t = 0.  A ``Forcing`` stores only the 2/3-band
+block (``Domain._band``) of the m2 > 0 quarter of the closure: ``coeffs_at``
+gives the block the step reads, and calling it builds the full field through
+``OddBand.field``.  A step takes no other kind of forcing.
 """
 
 from __future__ import annotations
@@ -110,9 +110,3 @@ class Forcing:
         if self.is_steady:
             return self._base
         return self._base * np.exp(1j * self._rot * t)
-
-    def derivative(self, t: float) -> SpectralField:
-        """Analytic time derivative of the forcing field."""
-        q = self._base * (1j * self._rot) * np.exp(1j * self._rot * t)
-        return OddBand(self.domain, q).field
-

@@ -54,6 +54,7 @@ from .operators import TriadReport, velocity
 from .stepper import BlowUpError, SimConfig, Stepper, budget_residual
 
 EPS_FLOOR = 100.0 * np.finfo(float).eps
+_STEP_TOL = 1e-9  # relative tolerance of a whole step count: under half a step below 5e8
 
 
 @dataclass(frozen=True)
@@ -186,16 +187,19 @@ def initial_state(domain: Domain, seed: int, norm_target: float) -> SpectralFiel
 
 
 def _step_range(h: float, t0: float, t_end: float) -> tuple[int, int]:
-    """The index of the step ending at t0 and the number of steps to t_end; ValueError
-    unless t0 and t_end - t0 are whole, non-negative numbers of steps of h."""
+    """The index of the step ending at t0 and the number of steps to t_end; ValueError unless
+    t0 and t_end - t0 are whole, non-negative numbers of steps of h and t_end / h < 5e8."""
+    if t_end / h >= 0.5 / _STEP_TOL:
+        raise ValueError(f"t_end={t_end!r} is {t_end / h:.3g} steps of h={h!r}; a run must "
+                         f"take fewer than {0.5 / _STEP_TOL:.0e}")
     n0 = round(t0 / h)
-    if abs(t0 / h - n0) > 1e-9 * max(abs(n0), 1):
-        raise ValueError(f"start time t0={t0!r} is not a whole number of steps of h={h!r}")
+    if n0 < 0 or abs(t0 / h - n0) > _STEP_TOL * max(n0, 1):
+        raise ValueError(f"start time t0={t0!r} is not a whole number >= 0 of steps of h={h!r}")
     n = (t_end - t0) / h
-    if n < -1e-9:
+    if n < -_STEP_TOL:
         raise ValueError(f"t_end={t_end!r} is before the start time t0={t0!r}")
     n_steps = round(n)
-    if abs(n - n_steps) > 1e-9 * max(n_steps, 1):
+    if abs(n - n_steps) > _STEP_TOL * max(n_steps, 1):
         raise ValueError(
             f"t_end - t0 = {t_end - t0!r} is not a whole number of steps of h={h!r}"
         )

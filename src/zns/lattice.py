@@ -97,7 +97,8 @@ class Domain:
 
     # The cached arrays below are shared by every user of the domain and are
     # read-only; derive new arrays from them instead of writing into them.
-    # The one exception is ``_work``, the band kernel's scratch space.
+    # The one exception is ``_work``, the band kernel's scratch space, which every
+    # ``Stepper`` on the domain writes, so two of them must not step at once.
 
     @cached_property
     def m1(self) -> np.ndarray:
@@ -161,6 +162,11 @@ class Domain:
         return np.s_[: -(-self.N2 // 3) - 1, : self._kept_cols]
 
     @cached_property
+    def _block(self) -> tuple[slice, slice]:
+        """The band block's place in a full-width array: rows m2 = 1..R, columns m1 < K."""
+        return np.s_[1 : self._band[0].stop + 1, self._band[1]]
+
+    @cached_property
     def _advect_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Half-width (m1 >= 0) multipliers of the advection kernel, y-phase included.
 
@@ -197,11 +203,10 @@ class Domain:
         coefficients.
         """
         to_u, to_v, to_dx, to_dy = self._advect_tables
-        rows, cols = self._band
-        r = rows.stop
+        r, cols = self._band[0].stop, self._band[1]
         sign = np.where(self.m2 < 0, -1.0, 1.0)[:, None]
         sums = (sign * np.stack((to_u + to_v, to_dx + to_dy)))[:, :, cols]
-        mask = 0.5 * self._advect_mask[1 : r + 1, cols]
+        mask = 0.5 * self._advect_mask[self._block]
         up, down = sums[:, 1 : r + 1], sums[:, : self.N2 - r - 1 : -1]
         return _frozen(up.copy()), _frozen(down.copy()), _frozen(mask)
 

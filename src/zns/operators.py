@@ -22,14 +22,14 @@ coefficient convention, per mode k:
   of a grid product or of its negative; the step also uses both, in the
   domain's reused buffers and row views, made once (``Domain._work``).
 
-The triad layer (``omega_freq``, ``b_coeff``, ``triad_identity_residual``,
-``triad_scan``) takes integer index pairs ``(m1, m2)``, so j + k = l is an
-exact integer test, and computes physical components through
-``Domain.wavenumber``.  The scan computes each triad's two coefficients and
-frequency sum once and builds its residual from them.  It decides resonance
-(Omega_j + Omega_k = 0) on the indices, never on floats: for zonal targets
-(j + k = l, l1 = 0, so k1 = -j1) the condition reduces exactly to
-m2(j)^2 == m2(k)^2.
+The triad layer (``omega_freq``, ``b_coeff``, ``triad_scan``) takes integer
+index pairs ``(m1, m2)``, so j + k = l is an exact integer test, and computes
+physical components through ``Domain.wavenumber``.  The scan computes each
+triad's two coefficients and frequency sum once, and from them its residual
+``|B_jkl + B_kjl + l2 (Omega_j + Omega_k) |M||``, zero in exact arithmetic.
+It decides resonance (Omega_j + Omega_k = 0) on the indices, never on floats:
+for zonal targets (j + k = l, l1 = 0, so k1 = -j1) the condition reduces
+exactly to m2(j)^2 == m2(k)^2.
 """
 
 from __future__ import annotations
@@ -227,20 +227,6 @@ def _zonal_triad(j, k, l, domain: Domain) -> tuple[float, float, float, float]:
     bjkl, bkjl = b_coeff(j, k, l, domain), b_coeff(k, j, l, domain)
     osum = omega_freq(j, domain) + omega_freq(k, domain)
     return bjkl, bkjl, osum, abs(bjkl + bkjl + domain.wavenumber(l)[1] * osum * domain.area)
-
-
-def triad_identity_residual(
-    j: tuple[int, int], k: tuple[int, int], l: tuple[int, int], domain: Domain
-) -> float:
-    """|B_jkl + B_kjl + l2 (Omega_j + Omega_k) |M||; zero in exact arithmetic.
-
-    Defined on zonal-target triads of index pairs: requires j + k = l with l1 = 0.
-    """
-    if (0, 0) in (j, k):
-        raise ValueError("requires j, k != 0")
-    if l[0] != 0 or (j[0] + k[0], j[1] + k[1]) != l:
-        raise ValueError("requires j + k = l with l1 = 0")
-    return _zonal_triad(j, k, l, domain)[3]
 
 
 def triad_scan(domain: Domain, max_k: int) -> list[TriadReport]:

@@ -136,9 +136,8 @@ def build_coefficients(domain: Domain, lam: np.ndarray, h: float) -> EtdCoeffici
     so these rows serve the m2 < 0 ones too.  Weights that overflow are refused."""
     if h <= 0:
         raise ValueError("step size must be positive")
-    rows, cols = domain._band
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
-        z = h * lam[1 : rows.stop + 1, cols]
+        z = h * lam[domain._block]
         p1, p2, p3 = _phi(z, 1), _phi(z, 2), _phi(z, 3)
         k = EtdCoefficients(
             E=_frozen(np.exp(z)),
@@ -167,11 +166,11 @@ class StepStages:
 class Stepper:
     """Advances vorticity (and tangent perturbations) with a fixed step size.
 
-    A step takes and returns ``OddBand``s (``TypeError`` for a full field); it
-    runs on the band block and its output is exactly real and odd.  The full
-    symbol ``lam`` (lambda_k above) and the coefficient tables are shared
-    read-only; the base grids that ``step_pair`` hands to its tangent step live
-    in buffers of the instance, so an instance takes one step at a time.
+    A step takes and returns ``OddBand``s (``TypeError`` for a full field); it runs on the
+    band block and its output is exactly real and odd.  The full symbol ``lam`` (lambda_k
+    above) and the coefficient tables are shared read-only.  ``step_pair`` keeps its tangent
+    step's base grids in buffers of the instance, and the instances on one domain share its
+    scratch ``Domain._work``: they take one step at a time, as two at once give wrong states.
     """
 
     def __init__(self, domain: Domain, config: SimConfig, h: float):
@@ -310,8 +309,6 @@ def budget_residual(
     (``TypeError`` for a full field).
     """
     d = w.domain
-    rows, cols = d._band
-    block = np.s_[1 : rows.stop + 1, cols]  # the band block of full-width arrays
     w0, w1 = _block(w), _block(w_next)
     # One weighted sum over the band block of Re((Dw/h + mu |k|^2 mid - f) conj(mid)),
     # doubled for the m2 < 0 rows: Re(Dw conj(mid))/h is D(|w|^2/2)/h per mode.
@@ -319,8 +316,8 @@ def budget_residual(
     mid *= 0.5
     r = w1 - w0
     r /= h
-    r += config.mu * d.ksq[block] * mid
+    r += config.mu * d.ksq[d._block] * mid
     if forcing is not None:
         r -= forcing.coeffs_at(t + h / 2)
-    r *= d._half_weight[block]
+    r *= d._half_weight[d._block]
     return float(abs(2.0 * d.area * np.vdot(mid, r).real))

@@ -173,7 +173,8 @@ class TestSimulate:
         assert "bad.zns: t must be finite" in err and "Traceback" not in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("defect", ["nan", "not-odd", "mu", "t-past-end", "t-off-step"])
+    @pytest.mark.parametrize("defect", ["nan", "not-odd", "mu", "t-past-end", "t-negative",
+                                        "t-off-step"])
     def test_rejected_resume_leaves_no_output_directory(self, config_file, tmp_path, defect):
         out1 = tmp_path / "run1"
         assert main(["simulate", "--config", str(config_file), "--out", str(out1),
@@ -187,6 +188,8 @@ class TestSimulate:
             mu *= 2.0
         elif defect == "t-past-end":
             t = 13.0  # t_end is 12.0
+        elif defect == "t-negative":
+            t = -0.5  # steps are counted from t = 0
         else:
             t = 11.0037  # not a whole number of steps of h = 0.01
         write_snapshot(tmp_path / "bad.zns", w, eps, mu, t)
@@ -469,6 +472,9 @@ BAD_INPUTS = {
                              _config_setting("omega0_norm", "-0.5")),
     "one-point-fit:tol.min_tail_samples": (["contraction", "--config", "CFG"],
                                            _config_setting("tol.min_tail_samples", "1")),
+    # 1.2e301 and 1e11 steps: from 5e8 on the whole-step check would pass any time.
+    "runaway:h": (["simulate", "--config", "CFG"], _config_setting("h", "1e-300")),
+    "runaway:t_end": (["simulate", "--config", "CFG"], _config_setting("t_end", "1e9")),
 }
 
 

@@ -1,17 +1,13 @@
-"""Norms, Grashof/dimension formulas, sup-norm check, approximate steady state."""
+"""Norms, sup-norm check, approximate steady state."""
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from zns.diagnostics import (
     agmon_check,
     approx_steady_state,
-    dim_bound,
-    grashof,
     record_state,
     sobolev_norm,
     steady_residual,
@@ -63,40 +59,6 @@ class TestSobolevNorm:
         f = random_field(Domain(N1=8, N2=8), rng)
         with pytest.raises(ValueError):
             sobolev_norm(f, -2.0)
-
-
-class TestGrashof:
-    def test_reference_values(self):
-        d = Domain(N1=16, N2=16)
-        forcing = Forcing(BENCHMARK, d)
-        g_inv = sobolev_norm(forcing(0.0), -1.0)
-        assert grashof(forcing, 1.0) == pytest.approx(g_inv)
-        assert grashof(forcing, 0.5) == pytest.approx(4.0 * g_inv)
-
-    def test_rejects_nonpositive_mu(self):
-        forcing = Forcing(BENCHMARK, Domain(N1=16, N2=16))
-        with pytest.raises(ValueError):
-            grashof(forcing, 0.0)
-
-
-class TestDimBound:
-    def test_unit_grashof(self):
-        assert dim_bound(1.0, 3.0) == pytest.approx(3.0)
-
-    def test_at_e(self):
-        assert dim_bound(math.e, 1.0) == pytest.approx(math.e ** (2 / 3) * 2 ** (1 / 3))
-
-    @given(g=st.floats(1.0, 1e8), dg=st.floats(1e-6, 10.0))
-    @settings(max_examples=200)
-    def test_monotone_for_large_grashof(self, g, dg):
-        assert dim_bound(g + dg, 1.0) >= dim_bound(g, 1.0)
-
-    def test_log_clamp_below_e_inverse(self):
-        assert dim_bound(0.5, 1.0) == pytest.approx(0.5 ** (2 / 3) * (1 + math.log(0.5)) ** (1 / 3))
-        assert dim_bound(0.1, 1.0) == 0.0
-
-    def test_deterministic(self):
-        assert dim_bound(7.25, 2.0) == dim_bound(7.25, 2.0)
 
 
 class TestAgmonCheck:

@@ -1,11 +1,11 @@
-"""Forcing construction, symmetry closure, time dependence and K_s norms."""
+"""Forcing construction, symmetry closure, time dependence and the a-priori norms."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zns.diagnostics import grashof, k_s_norm, sobolev_norm
+from zns.diagnostics import sobolev_norm
 from zns.forcing import Forcing, ForcingSpec
 from zns.lattice import Domain, norm, parity_error, reality_error, to_grid
 from zns.operators import split
@@ -73,13 +73,6 @@ class TestEvaluation:
         forcing = Forcing(spec, d)
         f0, f1 = forcing(0.0), forcing(0.9)
         assert np.allclose(np.abs(f0.coeffs), np.abs(f1.coeffs), atol=1e-15)
-        # derivative against central differences
-        h = 1e-6
-        fd = (forcing(0.9 + h).coeffs - forcing(0.9 - h).coeffs) / (2 * h)
-        assert np.max(np.abs(fd - forcing.derivative(0.9).coeffs)) < 1e-7
-        # mode-wise |df/dt| = sigma |f| on non-zonal modes
-        dcoef = forcing.derivative(0.3).coeffs
-        assert np.allclose(np.abs(dcoef), 1.5 * np.abs(f0.coeffs), atol=1e-15)
 
     def test_periodic_phase_matches_full_width_formula(self):
         d = Domain(N1=16, N2=12)
@@ -96,7 +89,6 @@ class TestEvaluation:
             phase = np.exp(1j * rot * t)
             assert np.array_equal(forcing.coeffs_at(t), quarter * phase[rows])
             assert np.array_equal(forcing(t).coeffs, base * phase)
-            assert np.array_equal(forcing.derivative(t).coeffs, base * (1j * rot) * phase)
 
     def test_periodic_keeps_zonal_part_steady(self):
         d = Domain(N1=16, N2=16)
@@ -191,58 +183,57 @@ RECTANGLE_SPEC = ForcingSpec(((0, 1, 1.0), (1, 1, 0.5), (3, 2, 1.0 - 0.5j), (0, 
 
 
 class TestKsNorm:
+    # K_s = sup_t |grad^(s+2) f| + sup_t |grad^s df/dt|, both attained at t = 0, where
+    # df/dt has modulus |sigma| |f| on the fast (rotating) modes and 0 on the zonal ones:
+    # K_s = sobolev_norm(f(0), s + 2) + |sigma| sobolev_norm(fast part of f(0), s).
     def test_zero_spec(self):
-        assert k_s_norm(Forcing(ForcingSpec(modes=()), Domain(N1=8, N2=8)), 0) == 0.0
+        assert sobolev_norm(Forcing(ForcingSpec(modes=()), Domain(N1=8, N2=8))(0.0), 2) == 0.0
 
     def test_single_mode_gradient_factor(self):
         # |grad^2 f| = |k|^2 |f| = 2 |f| for the (1,1) mode set
         spec = ForcingSpec(modes=((1, 1, 1.0),))
         d = Domain(N1=16, N2=16)
-        forcing = Forcing(spec, d)
-        f = forcing(0.0)
-        assert k_s_norm(forcing, 0) == pytest.approx(2.0 * norm(f), rel=1e-13)
-        assert k_s_norm(forcing, 0) == pytest.approx(sobolev_norm(f, 2), rel=1e-13)
+        f = Forcing(spec, d)(0.0)
+        assert sobolev_norm(f, 2) == pytest.approx(2.0 * norm(f), rel=1e-13)
 
     def test_temporal_part_linear_in_sigma(self):
+        # f(0) does not depend on sigma, so neither does anything but the factor |sigma|.
         d = Domain(N1=16, N2=16)
         base = ForcingSpec(modes=((1, 1, 1.0),))
-        k1 = k_s_norm(Forcing(ForcingSpec(base.modes, sigma=1.0), d), 0)
-        k2 = k_s_norm(Forcing(ForcingSpec(base.modes, sigma=2.0), d), 0)
-        spatial = k_s_norm(Forcing(base, d), 0)
+
+        def k_s(sigma):
+            f = Forcing(ForcingSpec(base.modes, sigma=sigma), d)(0.0)
+            return sobolev_norm(f, 2) + abs(sigma) * sobolev_norm(split(f)[1], 0)
+
+        k1, k2, spatial = k_s(1.0), k_s(2.0), k_s(0.0)
         assert (k2 - spatial) == pytest.approx(2.0 * (k1 - spatial), rel=1e-13)
 
     def test_matches_closed_form_on_a_rectangle(self):
         # Spatial part over every coefficient; temporal part |df/dt| = sigma |f|
         # on the rotating (m1 != 0) coefficients only.
-        forcing = Forcing(RECTANGLE_SPEC, RECTANGLE)
+        f = Forcing(RECTANGLE_SPEC, RECTANGLE)(0.0)
         sigma = RECTANGLE_SPEC.sigma
         for s in (0, 1, 2):
             spatial = closed_form_sums(RECTANGLE_SPEC, RECTANGLE, lambda ksq, m1: ksq ** (s + 2))
             temporal = closed_form_sums(
                 RECTANGLE_SPEC, RECTANGLE, lambda ksq, m1: (sigma**2 * ksq**s) if m1 else 0.0
             )
-            want = np.sqrt(spatial) + np.sqrt(temporal)
-            assert k_s_norm(forcing, s) == pytest.approx(want, rel=1e-13)
-
-    def test_rejects_negative_order(self):
-        with pytest.raises(ValueError):
-            k_s_norm(Forcing(BENCHMARK, Domain(N1=16, N2=16)), -1)
-
-    def test_order_defaults_to_declared_smoothness(self):
-        forcing = Forcing(BENCHMARK, Domain(N1=16, N2=16))
-        assert k_s_norm(forcing) == k_s_norm(forcing, 2)
+            assert sobolev_norm(f, s + 2) == pytest.approx(np.sqrt(spatial), rel=1e-13)
+            assert sigma * sobolev_norm(split(f)[1], s) == pytest.approx(np.sqrt(temporal),
+                                                                          rel=1e-13)
 
 
 class TestGrashofCoupling:
+    # The Grashof number is |grad^-1 f(0)| / mu^2, the norm a sweep records as grad_inv_f.
     def test_linear_in_amplitude(self):
         d = Domain(N1=16, N2=16)
         doubled = ForcingSpec(tuple((m1, m2, 2.0 * a) for m1, m2, a in BENCHMARK.modes))
-        g1 = grashof(Forcing(BENCHMARK, d), 0.5)
-        g2 = grashof(Forcing(doubled, d), 0.5)
+        g1 = sobolev_norm(Forcing(BENCHMARK, d)(0.0), -1.0)
+        g2 = sobolev_norm(Forcing(doubled, d)(0.0), -1.0)
         assert g2 == pytest.approx(2.0 * g1, rel=1e-13)
 
     def test_matches_closed_form_on_a_rectangle(self):
         want = np.sqrt(closed_form_sums(RECTANGLE_SPEC, RECTANGLE, lambda ksq, m1: 1.0 / ksq))
-        got = grashof(Forcing(RECTANGLE_SPEC, RECTANGLE), 0.5)
-        assert got == pytest.approx(want / 0.5**2, rel=1e-13)
+        got = sobolev_norm(Forcing(RECTANGLE_SPEC, RECTANGLE)(0.0), -1.0)
+        assert got == pytest.approx(want, rel=1e-13)
 

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from zns.diagnostics import steady_residual
 from zns.forcing import Forcing, ForcingSpec
 from zns.harness import (
+    _step_range,
     ExperimentConfig,
     Tolerances,
     config_hash,
@@ -183,6 +184,13 @@ class TestIntegrate:
         w0 = initial_state(cfg.domain, 0, 0.5)
         with pytest.raises(ValueError, match="start time"):
             integrate(stepper, None, w0, 0.005, 0.105)
+
+    def test_runaway_step_count_rejected(self):
+        # From 5e8 steps on, a 1e-9 relative tolerance passes half a step, so a t_end
+        # half a step off (here at 6e8 steps) would count as whole.
+        assert _step_range(0.01, 0.0, 4e8 * 0.01) == (0, 400_000_000)
+        with pytest.raises(ValueError, match="fewer than 5e\\+08"):
+            _step_range(0.01, 0.0, (6e8 + 0.5) * 0.01)
 
     def test_resume_after_t_end_rejected(self, tmp_path):
         late = tiny_config(epsilons=(0.1,), t_spin=0.5, t_end=2.0)

@@ -25,6 +25,7 @@ from zns.operators import (
     _odd_part,
     _grid,
     _spec,
+    _zonal_triad,
     apply_A,
     apply_I_omega,
     apply_L,
@@ -33,7 +34,6 @@ from zns.operators import (
     jacobian,
     omega_freq,
     split,
-    triad_identity_residual,
     triad_scan,
     velocity,
 )
@@ -421,17 +421,10 @@ class TestTriadCoefficients:
         j, k, l = (1, 0), (-1, 1), (0, 1)
         assert b_coeff(j, k, l, d) == pytest.approx(d.area)
         assert b_coeff(k, j, l, d) == pytest.approx(-d.area / 2)
-        assert triad_identity_residual(j, k, l, d) < 1e-13 * d.area
+        assert _zonal_triad(j, k, l, d)[3] < 1e-13 * d.area
         # resonant case: both sides vanish
         j, k, l = (1, 1), (-1, 1), (0, 2)
-        assert triad_identity_residual(j, k, l, d) < 1e-13 * d.area
-
-    def test_identity_residual_preconditions(self):
-        d = Domain()
-        with pytest.raises(ValueError):
-            triad_identity_residual((1, 0), (0, 1), (1, 1), d)
-        with pytest.raises(ValueError):
-            triad_identity_residual((1, 0), (-1, 1), (0, 2), d)
+        assert _zonal_triad(j, k, l, d)[3] < 1e-13 * d.area
 
     def test_small_exhaustive_scan(self):
         d = Domain()
@@ -450,7 +443,8 @@ class TestTriadCoefficients:
 
     def test_scan_reports_equal_the_per_triad_functions(self):
         # The scan computes each triad's coefficients once; every report must
-        # equal, bit for bit, what the public per-triad functions return.
+        # equal, bit for bit, what the public per-triad functions return, and
+        # its residual the identity's defect built from them.
         d = Domain(L1=4 * np.pi, L2=2 * np.pi)
         reports = triad_scan(d, 5)
         assert reports
@@ -458,7 +452,7 @@ class TestTriadCoefficients:
             assert r.bjkl == b_coeff(r.j, r.k, r.l, d)
             assert r.bkjl == b_coeff(r.k, r.j, r.l, d)
             assert r.omega_sum == omega_freq(r.j, d) + omega_freq(r.k, d)
-            assert r.residual == triad_identity_residual(r.j, r.k, r.l, d)
+            assert r.residual == abs(r.bjkl + r.bkjl + d.wavenumber(r.l)[1] * r.omega_sum * d.area)
 
 
 @given(
@@ -472,7 +466,7 @@ def test_triad_identity_residual_property(j1, j2, k2):
         return
     d = Domain()
     j, k, l = (j1, j2), (-j1, k2), (0, j2 + k2)
-    assert triad_identity_residual(j, k, l, d) < 1e-12 * d.area
+    assert _zonal_triad(j, k, l, d)[3] < 1e-12 * d.area
 
 
 class TestSplit:
