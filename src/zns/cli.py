@@ -175,9 +175,9 @@ def cmd_agmon(args) -> int:
         v = v - u * (inner(u, v) / norm(u) ** 2)
         report = agmon_check(u, v, args.constant)
         worst = max(worst, report.ratio)
-        bound = report.low_sum + report.high_sum
-        if report.lhs > bound * (1.0 + 1e-12):
-            chain_ok = False
+        links = ((report.lhs, report.low_sum + report.high_sum),
+                 (report.low_sum, report.low_bound), (report.high_sum, report.high_bound))
+        chain_ok = chain_ok and all(a <= b * (1.0 + 1e-12) for a, b in links)
     _say(args, f"{args.samples} samples, max ratio {worst:.4f} "
                f"(candidate constant {args.constant:g})")
     if worst > args.constant:  # the only line printed when both checks fail

@@ -166,19 +166,15 @@ def record_state(w: SpectralField, t: float, budget: float = 0.0) -> Diagnostics
 
     Power sums are twice the ``_band_power`` sums over the band block of ``w`` (zonal
     modes are column m1 = 0).  ``u`` is even in y and ``v`` odd, so with ``g = u + v``
-    one transform gives ``u^2 + v^2 = (g(y)^2 + g(-y)^2)/2``.
+    one transform gives ``u^2 + v^2 = (g(y)^2 + g(-y)^2)/2``; it writes only new arrays.
     """
     d = w.domain
     C = OddBand.of(w).coeffs
     p = _band_power(d, C)
     ksq = d.ksq[d._block]
     kp = ksq * p
-    g, flipped = d._work.grids
-    _odd_uv(d, C, out=g)
-    np.take(g, d._flip_m2, axis=0, out=flipped)  # row of -y
-    np.square(g, out=g)
-    np.square(flipped, out=flipped)
-    g += flipped
+    g = np.square(_odd_uv(d, C))
+    g += g[d._flip_m2]  # the row of -y
     area = 2.0 * d.area
     return DiagnosticsRecord(
         t=t,

@@ -121,7 +121,7 @@ class ExperimentConfig:
         vmax = self.estimated_max_speed()
         dx = min(self.domain.L1 / self.domain.N1, self.domain.L2 / self.domain.N2)
         cfl = vmax * self.h / dx
-        if cfl > self.tolerances.cfl_max:
+        if not cfl <= self.tolerances.cfl_max:  # also true for NaN
             raise ValueError(
                 f"h={self.h} violates the CFL estimate: v_est={vmax:.3g}, "
                 f"CFL={cfl:.3g} > {self.tolerances.cfl_max}"

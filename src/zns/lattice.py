@@ -48,7 +48,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -71,7 +70,9 @@ def _require_finite(**values) -> None:
 
 @dataclass(frozen=True)
 class Domain:
-    """Rectangular periodic domain [0, L1) x [-L2/2, L2/2) with an N1 x N2 grid."""
+    """Rectangular periodic domain [0, L1) x [-L2/2, L2/2) with an N1 x N2 grid; a read-only
+    value.  Its cached tables are read-only arrays shared by every user: derive new arrays
+    from them.  A caller that writes, such as a ``Stepper``, owns its buffers."""
 
     L1: float = 2.0 * np.pi
     L2: float = 2.0 * np.pi
@@ -85,6 +86,11 @@ class Domain:
         for n in (self.N1, self.N2):
             if n < 4 or n % 2 != 0:
                 raise ValueError("mode counts must be even and >= 4")
+        # Every nonzero |k|^2 is a normal float: the least is on an axis, the largest <= 2 high^2.
+        for name, length, n in (("L1", self.L1, self.N1), ("L2", self.L2, self.N2)):
+            low, high = (2.0 * np.pi * m / length for m in (1, n // 2))
+            if not (low * low >= np.finfo(float).tiny and high * high <= np.finfo(float).max / 2):
+                raise ValueError(f"{name}={length!r} puts |k|^2 outside the normal, finite floats")
 
     @property
     def area(self) -> float:
@@ -94,11 +100,6 @@ class Domain:
     def c0(self) -> float:
         """Smallest nonzero wavenumber magnitude (Poincare constant)."""
         return min(2.0 * np.pi / self.L1, 2.0 * np.pi / self.L2)
-
-    # The cached arrays below are shared by every user of the domain and are
-    # read-only; derive new arrays from them instead of writing into them.
-    # The one exception is ``_work``, the band kernel's scratch space, which every
-    # ``Stepper`` on the domain writes, so two of them must not step at once.
 
     @cached_property
     def m1(self) -> np.ndarray:
@@ -209,24 +210,6 @@ class Domain:
         mask = 0.5 * self._advect_mask[self._block]
         up, down = sums[:, 1 : r + 1], sums[:, : self.N2 - r - 1 : -1]
         return _frozen(up.copy()), _frozen(down.copy()), _frozen(mask)
-
-    @cached_property
-    def _work(self) -> SimpleNamespace:
-        """Scratch of the band kernel, consumed within each call, so a step allocates few
-        grid-sized arrays: the stacked ``spectrum`` of the band's columns for the inverse
-        transform of two grids (its rows outside the band stay zero), the zero-padded half
-        ``ypass`` that its y-pass fills (its columns m1 >= K stay zero), two real ``grids``
-        and the ``coeffs`` of a forward transform on the band's columns.  ``rows`` and
-        ``coeff_rows`` are the views of rows m2 = 1..R and m2 = -1..-R of ``spectrum`` and
-        ``coeffs``, made here once, not on every call."""
-        keep, r = self._kept_cols, self._band[0].stop
-        halves = np.s_[1 : r + 1], np.s_[: self.N2 - r - 1 : -1]
-        spectrum = np.zeros((2, self.N2, keep), np.complex128)
-        coeffs = np.empty((self.N2, keep), np.complex128)
-        return SimpleNamespace(spectrum=spectrum, rows=tuple(spectrum[:, s] for s in halves),
-                               ypass=np.zeros((2, self.N2, self.N1 // 2 + 1), np.complex128),
-                               grids=np.empty((2, self.N2, self.N1)),
-                               coeffs=coeffs, coeff_rows=tuple(coeffs[s] for s in halves))
 
     @cached_property
     def _half_weight(self) -> np.ndarray:

@@ -19,8 +19,8 @@ coefficient convention, per mode k:
   columns, and one forward call whose y-pass runs only on those columns).
   The band kernel is ``_odd_grids``, the grids of blocks times the half
   tables (two products), then ``_odd_part``, the band block of the odd part
-  of a grid product or of its negative; the step also uses both, in the
-  domain's reused buffers and row views, made once (``Domain._work``).
+  of a grid product or of its negative; the step also uses both, in reused
+  buffers and row views made once, a ``_band_scratch`` that each caller owns.
 
 The triad layer (``omega_freq``, ``b_coeff``, ``triad_scan``) takes integer
 index pairs ``(m1, m2)``, so j + k = l is an exact integer test, and computes
@@ -35,6 +35,7 @@ exactly to m2(j)^2 == m2(k)^2.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -113,12 +114,12 @@ def velocity(w: SpectralField) -> VelocityField:
     return VelocityField(u, v)
 
 
-def _advect_raw(d: Domain, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+def _advect_raw(d: Domain, A: np.ndarray, B: np.ndarray, scratch=None) -> np.ndarray:
     """Dealiased pseudo-spectral B(a, b) = velocity(a).grad(b) on raw coefficients.
 
-    ``A`` and ``B`` are the full ``(N2, N1)`` coefficients of real fields, or,
-    for fields odd in y and held in the 2/3 band, their band blocks
-    ``(R, K)`` (``Domain._band``); the output has the shape of the input.
+    ``A`` and ``B`` are the full ``(N2, N1)`` coefficients of real fields, or, for fields
+    odd in y and held in the 2/3 band, their band blocks ``(R, K)`` (``Domain._band``),
+    worked on in ``scratch`` (``_band_scratch``); the output has the shape of the input.
     Full input gives the full Hermitian result from five raw transforms of the
     m1 >= 0 halves.  Block input gives the block of the odd result from three
     (see ``d._odd_advect_tables``): the grid product ``(u + v)(bx + by)`` has
@@ -129,9 +130,9 @@ def _advect_raw(d: Domain, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """
     rows, cols = d._band
     if A.shape == (rows.stop, cols.stop):
-        grid, other = _odd_grids(d, A, B, out=d._work.grids)
+        grid, other = _odd_grids(d, A, B, scratch, out=scratch.grids)
         grid *= other
-        return _odd_part(d, grid)
+        return _odd_part(d, grid, scratch)
     if A.shape != (d.N2, d.N1):
         raise ValueError(
             f"coefficients of shape {A.shape} are neither full nor a quarter's band block"
@@ -149,39 +150,57 @@ def _advect_raw(d: Domain, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return _unfold(d, out)
 
 
-def _odd_grids(d: Domain, A: np.ndarray, B: np.ndarray | None = None, out=None) -> np.ndarray:
-    """The grids ``u + v`` of band block ``A`` and ``bx + by`` of band block ``B`` (default
-    ``A``), from one stacked inverse transform, in ``out`` if given, else in a new
-    ``(2, N2, N1)`` array.  Each half of ``d._odd_advect_tables`` multiplies the block (a
-    distinct ``B`` is stacked with ``A``) once, into its view ``d._work.rows``; the y-pass
-    runs on the band's columns alone, into ``d._work.ypass``."""
-    up, down, _ = d._odd_advect_tables
-    S_up, S_down = d._work.rows
-    C = A if B is None or B is A else np.stack((A, B))
+def _band_rows(d: Domain) -> tuple[slice, slice]:
+    """The rows m2 = 1..R and m2 = -1..-R of the band (``Domain._band``) in an (N2, ...) array."""
+    r = d._band[0].stop
+    return np.s_[1 : r + 1], np.s_[: d.N2 - r - 1 : -1]
+
+
+def _band_scratch(d: Domain) -> SimpleNamespace:
+    """The band kernel's scratch for one caller, consumed within each call: the stacked band-
+    column ``spectrum`` of an inverse transform of two grids (zero outside the band rows), the
+    half ``ypass`` its y-pass fills (zero from column K), two real ``grids``, the ``coeffs`` of
+    a forward transform, and their views ``rows`` and ``coeff_rows`` on ``_band_rows``."""
+    keep, halves = d._kept_cols, _band_rows(d)
+    spectrum = np.zeros((2, d.N2, keep), np.complex128)
+    coeffs = np.empty((d.N2, keep), np.complex128)
+    return SimpleNamespace(spectrum=spectrum, rows=tuple(spectrum[:, s] for s in halves),
+                           ypass=np.zeros((2, d.N2, d.N1 // 2 + 1), np.complex128),
+                           grids=np.empty((2, d.N2, d.N1)),
+                           coeffs=coeffs, coeff_rows=tuple(coeffs[s] for s in halves))
+
+
+def _odd_grids(d: Domain, A: np.ndarray, B: np.ndarray, scratch, out=None) -> np.ndarray:
+    """The grids ``u + v`` of band block ``A`` and ``bx + by`` of ``B`` from one stacked
+    inverse transform, in ``out`` if given, else in a new ``(2, N2, N1)`` array.  Each half of
+    ``d._odd_advect_tables`` multiplies the block (``B`` stacked with ``A`` unless it is ``A``)
+    once, into ``scratch.rows``; the y-pass runs on the band's columns, into ``scratch.ypass``."""
+    (up, down, _), (S_up, S_down) = d._odd_advect_tables, scratch.rows
+    C = A if B is A else np.stack((A, B))
     np.multiply(up, C, out=S_up)
     np.multiply(down, C, out=S_down)
-    return _irfft2(d, d._work.spectrum, out=out, pad=d._work.ypass)
+    return _irfft2(d, scratch.spectrum, out=out, pad=scratch.ypass)
 
 
-def _odd_uv(d: Domain, C: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """The grid ``u + v`` of band block ``C`` in ``out``, from the first table of each half."""
-    (up, down, _), (S_up, S_down) = d._odd_advect_tables, d._work.rows
-    np.multiply(up[0], C, out=S_up[0])
-    np.multiply(down[0], C, out=S_down[0])
-    return _irfft2(d, d._work.spectrum[:1], out=out[None], pad=d._work.ypass[:1])[0]
+def _odd_uv(d: Domain, C: np.ndarray) -> np.ndarray:
+    """The grid ``u + v`` of band block ``C``, in new arrays, from each half's first table."""
+    S = np.zeros((d.N2, d._kept_cols), np.complex128)
+    for half, rows in zip(d._odd_advect_tables[:2], _band_rows(d)):
+        np.multiply(half[0], C, out=S[rows])
+    return _irfft2(d, S)
 
 
-def _odd_part(d: Domain, grid: np.ndarray, minus: bool = False) -> np.ndarray:
+def _odd_part(d: Domain, grid: np.ndarray, scratch, minus: bool = False) -> np.ndarray:
     """The masked band block of the odd-in-y part of a product of band grids.
 
-    One raw forward transform, whose y-pass runs only on the ``|m1| < N1/3`` columns that
-    the 2/3 rule keeps, the band's columns, and the difference ``F(m2) - F(-m2)`` of its
-    views ``d._work.coeff_rows``; with ``minus``, ``F(-m2) - F(m2)``, the exact negative
-    (up to the sign of a zero).  Its m1 = 0 column is imaginary, so the block expands to
-    an exactly odd, exactly Hermitian half.
+    One raw forward transform into ``scratch.coeffs``, whose y-pass runs only on the
+    ``|m1| < N1/3`` columns that the 2/3 rule keeps, the band's columns, and the difference
+    ``F(m2) - F(-m2)`` of its views ``scratch.coeff_rows``; with ``minus``,
+    ``F(-m2) - F(m2)``, the exact negative (up to the sign of a zero).  Its m1 = 0 column is
+    imaginary, so the block expands to an exactly odd, exactly Hermitian half.
     """
-    F_up, F_down = d._work.coeff_rows
-    _rfft2(d, grid, out=d._work.coeffs, cols=d._kept_cols)
+    F_up, F_down = scratch.coeff_rows
+    _rfft2(d, grid, out=scratch.coeffs, cols=d._kept_cols)
     Q = np.subtract(F_down, F_up) if minus else np.subtract(F_up, F_down)
     Q *= d._odd_advect_tables[2]
     Q.real[:, 0] = 0.0

@@ -36,7 +36,7 @@ import numpy as np
 
 from .forcing import Forcing
 from .lattice import Domain, OddBand, _frozen, _require_finite
-from .operators import _advect_raw, _odd_grids, _odd_part
+from .operators import _advect_raw, _band_scratch, _odd_grids, _odd_part
 
 
 def _block(x: OddBand, what: str = "state") -> np.ndarray:
@@ -168,9 +168,9 @@ class Stepper:
 
     A step takes and returns ``OddBand``s (``TypeError`` for a full field); it runs on the
     band block and its output is exactly real and odd.  The full symbol ``lam`` (lambda_k
-    above) and the coefficient tables are shared read-only.  ``step_pair`` keeps its tangent
-    step's base grids in buffers of the instance, and the instances on one domain share its
-    scratch ``Domain._work``: they take one step at a time, as two at once give wrong states.
+    above) and the coefficient tables are shared read-only.  Each instance owns what its steps
+    write, the band kernel's scratch and the buffers where ``step_pair`` keeps its tangent
+    step's base grids, so it takes one step at a time, independent of any other instance.
     """
 
     def __init__(self, domain: Domain, config: SimConfig, h: float):
@@ -183,6 +183,7 @@ class Stepper:
             self.coeffs = build_coefficients(domain, self.lam, h)
         except ValueError as e:
             raise ValueError(f"epsilon={config.epsilon}: {e}") from None
+        self._scratch = _band_scratch(domain)
         self._stage_grids = np.empty((4, 2, domain.N2, domain.N1))
 
     # -- right-hand sides ---------------------------------------------------
@@ -190,12 +191,12 @@ class Stepper:
     def _nonlinear(self, C: np.ndarray, f: np.ndarray | None, keep) -> np.ndarray:
         """``f - B(C, C)`` (``f + (-B)`` bit for bit), or ``-B(C, C)`` without ``f``; with
         ``keep`` the grids of ``C`` stay in that pair of buffers."""
-        d = self.domain
+        d, s = self.domain, self._scratch
         if keep is None:
-            out = _advect_raw(d, C, C)
+            out = _advect_raw(d, C, C, s)
         else:
-            uv, dxy = _odd_grids(d, C, out=keep)
-            out = _odd_part(d, np.multiply(uv, dxy, out=d._work.grids[0]))
+            uv, dxy = _odd_grids(d, C, C, s, out=keep)
+            out = _odd_part(d, np.multiply(uv, dxy, out=s.grids[0]), s)
         if f is None:
             return np.negative(out, out=out)
         return np.subtract(f, out, out=out)
@@ -206,13 +207,13 @@ class Stepper:
         The odd part of one grid sum, ``(u_W + v_W)(P_x + P_y) + (u_P + v_P)(W_x + W_y)``:
         two inverse transforms of ``P`` and one forward transform.
         """
-        d = self.domain
+        d, s = self.domain, self._scratch
         uv, dxy = grids
-        uv_p, dxy_p = _odd_grids(d, P, out=d._work.grids)
+        uv_p, dxy_p = _odd_grids(d, P, P, s, out=s.grids)
         dxy_p *= uv
         uv_p *= dxy
         dxy_p += uv_p
-        return _odd_part(d, dxy_p, minus=True)
+        return _odd_part(d, dxy_p, s, minus=True)
 
     def _etdrk4(self, u0: np.ndarray, rhs: Callable[[int, np.ndarray], np.ndarray]) -> np.ndarray:
         """ETDRK4 update of band block ``u0``; ``rhs(i, x)`` is the nonlinear term of stage i.

@@ -16,6 +16,7 @@ import pytest
 import zns
 from zns.cli import main
 from zns.config import ConfigError, load_config
+from zns.diagnostics import agmon_check
 from zns.forcing import ForcingSpec
 from zns.harness import TRIAD_COLUMNS, ExperimentConfig, Tolerances, config_hash
 from zns.lattice import (
@@ -417,6 +418,23 @@ class TestAgmon:
         assert code == 3
         assert "PROPERTY-VIOLATION" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("link", ["lhs", "low_sum", "high_sum"])
+    def test_each_broken_link_of_the_chain_exits_3(self, link, capsys, monkeypatch):
+        # Each link of lhs <= low_sum + high_sum, low_sum <= low_bound and
+        # high_sum <= high_bound, broken in a patched report of the real check.
+        import zns.cli
+
+        def broken(u, v, constant):
+            report = agmon_check(u, v, constant)
+            bound = {"lhs": report.low_sum + report.high_sum, "low_sum": report.low_bound,
+                     "high_sum": report.high_bound}[link]
+            return replace(report, **{link: bound * 1.01})
+
+        monkeypatch.setattr(zns.cli, "agmon_check", broken)
+        code = main(["agmon-check", "--samples", "3", "--resolution", "16", "--quiet"])
+        assert code == 3
+        assert capsys.readouterr().err == "PROPERTY-VIOLATION: partial-sum chain broken\n"
+
 
 CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.cfg"))
 
@@ -475,6 +493,11 @@ BAD_INPUTS = {
     # 1.2e301 and 1e11 steps: from 5e8 on the whole-step check would pass any time.
     "runaway:h": (["simulate", "--config", "CFG"], _config_setting("h", "1e-300")),
     "runaway:t_end": (["simulate", "--config", "CFG"], _config_setting("t_end", "1e9")),
+    # -1/mu overflows and inf * 0 is NaN: a NaN CFL estimate.
+    "nan-cfl:mu": (["simulate", "--config", "CFG"], _config_setting("mu", "1e-320")),
+    # |k|^2 of the (1, 0) mode underflows to 0 or to a subnormal.
+    "underflow:--l1": (["triad-check", "--max-k", "3", "--l1", "1e300"], TINY_CONFIG),
+    "subnormal:l1": (["simulate", "--config", "CFG"], _config_setting("l1", "1e160")),
 }
 
 

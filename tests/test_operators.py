@@ -1,6 +1,5 @@
 """Operator identities, the advection kernels and the triad coefficients."""
 
-import dataclasses
 import inspect
 
 import numpy as np
@@ -22,6 +21,7 @@ from zns.lattice import (
 )
 from zns.operators import (
     _advect_raw,
+    _band_scratch,
     _odd_part,
     _grid,
     _spec,
@@ -37,6 +37,7 @@ from zns.operators import (
     triad_scan,
     velocity,
 )
+from zns.stepper import SimConfig, Stepper
 
 from conftest import KERNEL_DOMAINS, TRANSFORM_DOMAINS, triad_sum_oracle
 
@@ -261,7 +262,7 @@ class TestRealTransformKernel:
             assert _advect_raw(d, a.coeffs, b.coeffs).shape == (d.N2, d.N1)
 
     def test_signature_and_full_width_output(self, rng):
-        assert list(inspect.signature(_advect_raw).parameters) == ["d", "A", "B"]
+        assert list(inspect.signature(_advect_raw).parameters) == ["d", "A", "B", "scratch"]
         d = Domain(N1=16, N2=8)
         a = random_field(d, rng, norm_target=1.0)
         out = _advect_raw(d, a.coeffs, a.coeffs)
@@ -303,6 +304,11 @@ def band_blocks(d: Domain, *fields: SpectralField) -> list[np.ndarray]:
     return [OddBand.of(f).coeffs for f in fields]
 
 
+def band_advect(d: Domain, a: SpectralField, b: SpectralField) -> np.ndarray:
+    """The band kernel on the band blocks of ``a`` and ``b``, in a scratch of its own."""
+    return _advect_raw(d, *band_blocks(d, a, b), _band_scratch(d))
+
+
 def expanded(d: Domain, block: np.ndarray) -> SpectralField:
     return OddBand(d, block).field
 
@@ -317,7 +323,7 @@ class TestOddKernel:
         for _ in range(5):
             a = random_field(d, rng, norm_target=1.0)
             b = random_field(d, rng, norm_target=1.0)
-            got = _advect_raw(d, *band_blocks(d, a, b))
+            got = band_advect(d, a, b)
             assert got.shape == (rows.stop, cols.stop) == (-(-d.N2 // 3) - 1, -(-d.N1 // 3))
             want = _advect_raw(d, a.coeffs, b.coeffs)[half]
             got = expanded(d, got).coeffs[half]
@@ -327,7 +333,7 @@ class TestOddKernel:
     def test_output_is_exactly_odd_and_real(self, d, rng):
         a = random_field(d, rng, norm_target=1.0)
         b = random_field(d, rng, norm_target=1.0)
-        out = expanded(d, _advect_raw(d, *band_blocks(d, a, b)))
+        out = expanded(d, band_advect(d, a, b))
         assert parity_error(out) == 0.0
         assert reality_error(out) == 0.0
         assert np.all(out.coeffs[~d.dealias] == 0.0)
@@ -339,7 +345,7 @@ class TestOddKernel:
         for _ in range(2):
             a = random_field(d, rng, kmax=5.0, norm_target=1.0)
             b = random_field(d, rng, kmax=5.0, norm_target=1.0)
-            got = expanded(d, _advect_raw(d, *band_blocks(d, a, b)))
+            got = expanded(d, band_advect(d, a, b))
             oracle = triad_sum_oracle(a, b)
             assert norm(got - oracle) <= 1e-12 * norm(oracle)
 
@@ -348,7 +354,7 @@ class TestOddKernel:
         n2, keep = d.N2 // 2, d._kept_cols
         rows = d._band[0].stop
         grid = rng.standard_normal((d.N2, d.N1))
-        got = _odd_part(d, grid)
+        got = _odd_part(d, grid, Stepper(d, SimConfig(0.1, 0.5), 0.01)._scratch)
         assert got.shape == (rows, keep)
         # The block is that of a 2-D transform of every column, and the 2/3 mask is
         # zero on all of the quarter outside it.
@@ -363,19 +369,24 @@ class TestOddKernel:
     @pytest.mark.parametrize("d", KERNEL_DOMAINS)
     def test_scratch_carries_nothing_between_calls(self, d, rng):
         # The kernel with A != B (a stacked fill), then with A = B (one block for both
-        # halves), then ``record_state``, all on one domain's ``_work``: each result is the
-        # same call's on a fresh domain, and the spectrum stays zero outside the band rows.
-        from zns.diagnostics import record_state
+        # halves), then a step and a tangent step, all in one stepper's scratch: each result
+        # is the same call's in a fresh stepper, and the spectrum stays zero outside the
+        # band rows.
+        def stepper():
+            return Stepper(d, SimConfig(0.1, 0.5), 0.01)
 
         A, B = band_blocks(d, *(random_field(d, rng, norm_target=1.0) for _ in range(2)))
-        calls = (lambda e: _advect_raw(e, A, B), lambda e: _advect_raw(e, A, A),
-                 lambda e: dataclasses.astuple(record_state(OddBand(e, A).field, 0.0)))
+        calls = (lambda st: _advect_raw(d, A, B, st._scratch),
+                 lambda st: _advect_raw(d, A, A, st._scratch),
+                 lambda st: np.stack([x.coeffs for x in st.step_pair(OddBand(d, A),
+                                                                       OddBand(d, B), 0.0)]))
+        st = stepper()
         for call in calls:
-            got, want = call(d), call(Domain(d.L1, d.L2, d.N1, d.N2))
+            got, want = call(st), call(stepper())
             assert np.array_equal(got, want)
         r = d._band[0].stop
-        assert not d._work.spectrum[:, [0, *range(r + 1, d.N2 - r)]].any()
-        assert not d._work.ypass[..., d._kept_cols :].any()
+        assert not st._scratch.spectrum[:, [0, *range(r + 1, d.N2 - r)]].any()
+        assert not st._scratch.ypass[..., d._kept_cols :].any()
 
     def test_three_transforms_per_call(self, monkeypatch, rng):
         import zns.operators
@@ -388,7 +399,7 @@ class TestOddKernel:
                                 calls.append((name, x[..., 0, 0].size)) or fn(d, x, **kw))
         d = Domain(N1=16, N2=16)
         a = random_field(d, rng, norm_target=1.0)
-        _advect_raw(d, *band_blocks(d, a, a))
+        _advect_raw(d, *band_blocks(d, a, a), _band_scratch(d))
         assert calls == [("_irfft2", 2), ("_rfft2", 1)]
         calls.clear()
         _advect_raw(d, a.coeffs, a.coeffs)

@@ -629,8 +629,8 @@ class TestCachedTangentStage:
         for _ in range(3):
             W = OddBand.of(random_field(d, rng, norm_target=2.0)).coeffs
             P = OddBand.of(random_field(d, rng, norm_target=1.0)).coeffs
-            want = -(_advect_raw(d, W, P) + _advect_raw(d, P, W))
-            got = st_._tangent_nonlinear(P, _odd_grids(d, W))
+            want = -(_advect_raw(d, W, P, st_._scratch) + _advect_raw(d, P, W, st_._scratch))
+            got = st_._tangent_nonlinear(P, _odd_grids(d, W, W, st_._scratch))
             assert got.shape == W.shape
             assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
@@ -811,6 +811,62 @@ class TestWorkBuffers:
         for a, b in zip(alone, together):
             for x, y in zip(a, b):
                 assert np.array_equal(x.coeffs, y.coeffs)
+
+    def test_steppers_on_one_domain_step_at_once_in_two_threads(self):
+        # Each stepper writes only its own scratch, so two stepping at once in two threads,
+        # a plain step and a step pair, give the sequential run's bits.
+        import sys
+        import threading
+
+        d = Domain(N1=32, N2=32)
+        forcing = Forcing(self.SPEC, d)
+        rng = np.random.default_rng(17)
+        starts = [OddBand.of(random_field(d, rng, norm_target=2.0)) for _ in range(3)]
+
+        def run(member, out):
+            st_ = Stepper(d, SimConfig(epsilon=0.05, mu=0.5), h=0.004)
+            w, phi = starts[member], starts[2]
+            for i in range(150):
+                if member == 0:
+                    w = st_.step(w, i * 0.004, forcing)
+                else:
+                    w, phi = st_.step_pair(w, phi, i * 0.004, forcing)
+            out[member] = np.stack((w.coeffs, phi.coeffs))
+
+        want, got = [None, None], [None, None]
+        for member in range(2):
+            run(member, want)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(m, got)) for m in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+
+    def test_a_domain_holds_no_writable_state(self, rng):
+        # After a step, a step pair and a record, everything a domain has cached is a
+        # read-only array, or a tuple of them or of slices.
+        from zns.diagnostics import record_state
+
+        d = Domain(N1=16, N2=16)
+        st_ = Stepper(d, SimConfig(epsilon=0.2, mu=0.5), h=0.01)
+        w = OddBand.of(random_field(d, rng, norm_target=1.0))
+        w, _ = st_.step_pair(st_.step(w, 0.0), w, 0.01)
+        record_state(w.field, 0.02)
+        fields = {f.name for f in dataclasses.fields(d)}
+        cached = {name: v for name, v in vars(d).items() if name not in fields}
+        assert {"ksq", "_advect_tables", "_odd_advect_tables", "_half_weight"} <= set(cached)
+        for name, value in cached.items():
+            for item in value if isinstance(value, tuple) else (value,):
+                assert isinstance(item, (np.ndarray, slice)), name
+                assert isinstance(item, slice) or not item.flags.writeable, name
 
     def test_integrate_refuses_states_that_are_not_odd(self, rng):
         from zns.harness import integrate
