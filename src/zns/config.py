@@ -92,11 +92,11 @@ def build_config(entries: list[tuple[str, str]], overrides: dict | None = None) 
     forcing_values: dict = {}
     tol_values: dict = {}
     seen: set[str] = set()
-    try:
-        for key, value in entries:
-            if key in seen and key != "forcing.mode":
-                raise ConfigError(f"config key {key!r} is set more than once")
-            seen.add(key)
+    for key, value in entries:
+        if key in seen and key != "forcing.mode":
+            raise ConfigError(f"config key {key!r} is set more than once")
+        seen.add(key)
+        try:
             if key in _SCALARS:
                 values[key] = _SCALARS[key](value)
             elif key == "epsilon":
@@ -116,8 +116,10 @@ def build_config(entries: list[tuple[str, str]], overrides: dict | None = None) 
                 tol_values[name] = _TOL_TYPES[name](value)
             else:
                 raise ConfigError(f"unknown config key {key!r}")
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
+        except ConfigError:
+            raise
+        except ValueError as e:  # a value that does not parse
+            raise ConfigError(f"{key}: {e}") from e
 
     if overrides:
         values.update({k: v for k, v in overrides.items() if v is not None})
@@ -138,8 +140,8 @@ def build_config(entries: list[tuple[str, str]], overrides: dict | None = None) 
             **values,
         )
     except ValueError as e:
-        name, finite, rest = str(e).partition(" must be finite")
-        raise ConfigError(f"{_KEYS.get(name, name)}{finite}{rest}") from e
+        name, must, rest = str(e).partition(" must be ")
+        raise ConfigError(f"{_KEYS.get(name, name)}{must}{rest}") from e
 
 
 def load_config(path: Path, overrides: dict | None = None) -> ExperimentConfig:

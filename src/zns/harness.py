@@ -74,6 +74,12 @@ class Tolerances:
         _require_finite(**asdict(self))
         if self.min_tail_samples < 2:  # a rate fit needs two points
             raise ValueError(f"min_tail_samples must be >= 2, got {self.min_tail_samples}")
+        # A negative bound or slack fails every run; slope_min and rate_factor are signed.
+        for name in ("seed_spread", "bound_spread", "steady_tol", "monotone_slack"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
+        if self.cfl_max <= 0:
+            raise ValueError(f"cfl_max must be positive, got {self.cfl_max}")
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -118,7 +124,9 @@ class ExperimentConfig:
             raise ValueError("record_every must be >= 1")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
-        vmax = self.estimated_max_speed()
+        self.sim_config(self.epsilons[0])  # refuses a blowup_threshold <= 0, as a run would
+        with np.errstate(over="ignore", invalid="ignore"):  # a NaN estimate is refused below
+            vmax = self.estimated_max_speed()
         dx = min(self.domain.L1 / self.domain.N1, self.domain.L2 / self.domain.N2)
         cfl = vmax * self.h / dx
         if not cfl <= self.tolerances.cfl_max:  # also true for NaN

@@ -498,9 +498,26 @@ BAD_INPUTS = {
     # |k|^2 of the (1, 0) mode underflows to 0 or to a subnormal.
     "underflow:--l1": (["triad-check", "--max-k", "3", "--l1", "1e300"], TINY_CONFIG),
     "subnormal:l1": (["simulate", "--config", "CFG"], _config_setting("l1", "1e160")),
+    # A threshold <= 0 made the first step a blow-up (exit 2).
+    "zero:blowup_threshold": (["simulate", "--config", "CFG"],
+                              _config_setting("blowup_threshold", "0")),
+    "negative:blowup_threshold": (["simulate", "--config", "CFG"],
+                                  _config_setting("blowup_threshold", "-1")),
+    # A negative bound or slack made every run a violation (exit 3); a negative cfl_max
+    # refused every h as a CFL violation.
+    "negative:tol.seed_spread": (["sweep-epsilon", "--config", "CFG", "--seeds", "2"],
+                                 _config_setting("tol.seed_spread", "-1")),
+    "negative:tol.bound_spread": (["sweep-epsilon", "--config", "CFG"],
+                                  _config_setting("tol.bound_spread", "-1")),
+    "negative:tol.monotone_slack": (["sweep-epsilon", "--config", "CFG"],
+                                    _config_setting("tol.monotone_slack", "-1")),
+    "negative:tol.steady_tol": (["steady-residual", "--config", "CFG"],
+                                _config_setting("tol.steady_tol", "-1")),
+    "negative:tol.cfl_max": (["simulate", "--config", "CFG"], _config_setting("tol.cfl_max", "-1")),
 }
 
 
+@pytest.mark.filterwarnings("error")  # a refusal prints its error: line and nothing else
 @pytest.mark.parametrize("argv,text", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
 def test_bad_input_exits_1(argv, text, tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
@@ -521,6 +538,18 @@ def test_negative_seed_exits_1_naming_it(argv, config_file, tmp_path, capsys):
     assert main(argv + ["--seed", "-1", "--out", str(out), "--quiet"]) == 1
     assert "seed" in capsys.readouterr().err
     assert not out.exists()
+
+
+# A value that does not parse, and one that a dataclass refuses, each name their key.
+@pytest.mark.parametrize("key, value", [("mu", "abc"), ("n1", "16.0"), ("epsilon", "0.2, ,0.1"),
+                                        ("forcing.mode", "1,x,0.5,0.0"),
+                                        ("tol.min_tail_samples", "2.5"), ("blowup_threshold", "-1"),
+                                        ("tol.seed_spread", "-1"), ("tol.cfl_max", "-1")])
+def test_a_refused_value_names_its_key(key, value, tmp_path):
+    path = tmp_path / "bad.cfg"
+    path.write_text(_config_setting(key, value))
+    with pytest.raises(ConfigError, match=rf"^{re.escape(key)}(: | must be )"):
+        load_config(path)
 
 
 # The reader leaves finiteness to the dataclasses: each key that carries a real number.

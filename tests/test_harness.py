@@ -107,6 +107,21 @@ class TestExperimentConfig:
             Tolerances(min_tail_samples=1)
         tiny_config(omega0_norm=0.0, tolerances=Tolerances(min_tail_samples=2))
 
+    def test_bounds_that_fail_every_run_refused(self):
+        # A negative bound or slack fails every run, a cfl_max <= 0 refuses every h and a
+        # blowup_threshold <= 0 the first step; zero bounds and signed thresholds are kept.
+        for name in ("seed_spread", "bound_spread", "steady_tol", "monotone_slack"):
+            with pytest.raises(ValueError, match=rf"^{name} must be non-negative, got -1\.0$"):
+                Tolerances(**{name: -1.0})
+            Tolerances(**{name: 0.0})
+        with pytest.raises(ValueError, match=r"^cfl_max must be positive, got 0\.0$"):
+            Tolerances(cfl_max=0.0)
+        with pytest.raises(ValueError, match=r"^blowup_threshold must be positive, got 0\.0$"):
+            SimConfig(epsilon=0.1, mu=1.0, blowup_threshold=0.0)
+        with pytest.raises(ValueError, match=r"^blowup_threshold must be positive, got -1\.0$"):
+            tiny_config(blowup_threshold=-1.0)
+        Tolerances(slope_min=-1.0, rate_factor=-1.0)
+
 
 class TestInitialState:
     def test_deterministic_and_normalized(self):

@@ -56,6 +56,17 @@ def phi_reference(z: complex, m: int) -> complex:
     return complex((ez - 1 - zm - zm**2 / 2) / zm**3)
 
 
+def phi_extended(z: complex, m: int) -> mpmath.mpc:
+    """phi_m(z), z != 0, unrounded at the working precision: the recurrence, with the
+    digits that it cancels below |z| = 1 added while it runs."""
+    zm = mpmath.mpc(z)
+    with mpmath.extradps(5 + m * max(0, int(-mpmath.log10(abs(zm))))):
+        out = mpmath.exp(zm)
+        for n in range(m):
+            out = (out - 1 / mpmath.factorial(n)) / zm
+    return +out
+
+
 class TestPhiFunctions:
     def test_analytic_limits_at_zero(self):
         z = np.array([0.0 + 0.0j])
@@ -99,9 +110,12 @@ class TestPhiFunctions:
         assert abs(got - want) <= 1e-13 * abs(want)
 
     def test_continuity_across_series_threshold(self):
-        for z in (0.4999 + 0.0j, 0.5001 + 0.0j, 0.35 + 0.35j, 0.36 + 0.36j):
-            got = _phi(np.array([z]), 3)[0]
-            assert abs(got - phi_reference(z, 3)) < 1e-14
+        # Just inside and just outside |z| = 1, where the series gives way to the recurrence.
+        for z in (0.9999 + 0.0j, 1.0001 + 0.0j, -0.9999 + 0.0j, -1.0001 + 0.0j,
+                  0.707 + 0.707j, 0.7072 + 0.7072j, -0.707 - 0.707j, -0.7072 - 0.7072j):
+            for m in (1, 2, 3):
+                got = _phi(np.array([z]), m)[0]
+                assert abs(got - phi_reference(z, m)) < 1e-14
 
 
 class TestCoefficients:
@@ -144,6 +158,25 @@ class TestCoefficients:
         with pytest.raises(ValueError, match=r"^epsilon=1e-320: .* overflow at h=0\.01, "
                                              r"\|lambda h\| not finite"):
             Stepper(d, SimConfig(epsilon=1e-320, mu=0.5), 0.01)
+
+    # (N, eps, h) of the benchmark workloads, all at mu = 0.5: the z that the runs step with.
+    @pytest.mark.parametrize("n, eps, h", [(32, 0.05, 0.008), (64, 0.0125, 0.008),
+                                           (64, 0.01, 0.008), (128, 0.05, 0.004)])
+    def test_weights_match_extended_precision(self, n, eps, h):
+        # Each weight f against 50-digit phi's, relative to the sum of the magnitudes of
+        # its terms (f1 = h(phi_1 - 3 phi_2 + 4 phi_3) cancels near its zeros); Q relative.
+        d = Domain(N1=n, N2=n)
+        st_ = Stepper(d, SimConfig(epsilon=eps, mu=0.5), h)
+        k, z = st_.coeffs, h * st_.lam[d._block]
+        with mpmath.workdps(50):
+            for i in np.ndindex(z.shape):
+                p1, p2, p3 = (phi_extended(complex(z[i]), m) for m in (1, 2, 3))
+                for got, terms in ((k.f1, (p1, -3 * p2, 4 * p3)), (k.f2, (p2, -2 * p3)),
+                                   (k.f3, (4 * p3, -p2))):
+                    err = abs(mpmath.mpc(complex(got[i])) - h * mpmath.fsum(terms))
+                    assert err <= 1e-14 * h * sum(abs(t) for t in terms), (i, got[i])
+                q = 0.5 * h * phi_extended(0.5 * complex(z[i]), 1)
+                assert abs(mpmath.mpc(complex(k.Q[i])) - q) <= 1e-14 * abs(q), (i, k.Q[i])
 
     def test_rejects_nonpositive_step(self):
         d = Domain(N1=8, N2=8)
