@@ -165,6 +165,8 @@ def cmd_agmon(args) -> int:
         raise ValueError(f"--samples must be at least 1, got {args.samples}")
     if args.seed < 0:
         raise ValueError(f"--seed must be non-negative, got {args.seed}")
+    if args.constant <= 0:  # every sample's ratio would exceed it: a violation by input
+        raise ValueError(f"--constant must be positive, got {args.constant:g}")
     domain = Domain(N1=args.resolution, N2=args.resolution)
     rng = np.random.default_rng(args.seed)
     worst = 0.0

@@ -16,9 +16,10 @@ Conventions (fixed throughout the package):
   ``c(-k) = conj(c(k))``.  The grid transform (an ``ifft`` pass over y,
   then an ``irfft`` pass over x) reads only the ``m1 >= 0`` half, and the
   spectral transform (``rfft`` over x, then ``fft`` over y) fills the
-  ``m1 < 0`` half as the exact conjugate mirror (``_unfold``).  Each
-  applies the y-phase ``(-1)^m2`` of the grid offset around a raw
-  transform; the advection tables carry that phase and use the raw pair.
+  ``m1 < 0`` half as the exact conjugate mirror (``_unfold``).  Each pass
+  is one call of a gufunc of numpy's private ``numpy.fft._pocketfft_umath``.
+  Each transform applies the y-phase ``(-1)^m2`` of the grid offset around a
+  raw transform; the advection tables carry that phase and use the raw pair.
 * A field odd in y has ``c(m1, -m2) = -c(m1, m2)``, so its half is fixed by
   the ``m2 > 0`` rows, the quarter ``(N2/2 - 1, N1/2 + 1)``; its m2 = 0 and
   Nyquist rows are zero and its m1 = 0 column is imaginary.
@@ -50,9 +51,12 @@ from functools import cached_property
 from pathlib import Path
 
 import numpy as np
+from numpy.fft import _pocketfft_umath as _pocketfft
 
 SNAPSHOT_MAGIC = b"ZNS1"
 SNAPSHOT_VERSION = 1
+# The gufuncs' (input, factor, output) axes of a 1-D pass over y and over x.
+_Y_PASS, _X_PASS = [(-2,), (), (-2,)], [(-1,), (), (-1,)]
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -312,21 +316,24 @@ def _irfft2(d: Domain, H: np.ndarray, out: np.ndarray | None = None, pad=None) -
 
     With ``pad``, a half-width buffer of the stack's shape whose other columns are zero,
     ``H`` holds only the leading columns of the half: the y-pass runs on those alone, into
-    ``pad``, and the x-pass reads all of ``pad``."""
-    if pad is None:
-        Y = np.fft.ifft(H, axis=-2, norm="forward")
-    else:
-        Y = pad
-        np.fft.ifft(H, axis=-2, norm="forward", out=pad[..., : H.shape[-1]])
-    return np.fft.irfft(Y, d.N1, axis=-1, norm="forward", out=out)
+    ``pad``, and the x-pass reads all of ``pad``.  The passes call the ``ifft`` and ``irfft``
+    gufuncs of numpy's private ``numpy.fft._pocketfft_umath`` directly, each with the factor
+    and ``out`` that ``np.fft``'s wrapper would pass for ``norm="forward"``."""
+    Y = np.empty(H.shape, np.complex128) if pad is None else pad
+    _pocketfft.ifft(H, 1, axes=_Y_PASS, out=Y[..., : H.shape[-1]])
+    out = np.empty(Y.shape[:-1] + (d.N1,)) if out is None else out
+    return _pocketfft.irfft(Y, 1, axes=_X_PASS, out=out)
 
 
 def _rfft2(d: Domain, V: np.ndarray, out: np.ndarray | None = None, cols=None) -> np.ndarray:
     """Raw forward transform of real grid values to the leading ``cols`` (default all) of
     their half-width coefficient columns, no y-phase: one ``rfft`` pass over x, then one
-    ``fft`` over y of just those columns."""
-    X = np.fft.rfft(V, axis=-1, norm="forward")
-    return np.fft.fft(X[..., :cols], axis=-2, norm="forward", out=out)
+    ``fft`` over y of just those columns, through the ``rfft_n_even`` (a ``Domain``'s N1 is
+    even) and ``fft`` gufuncs as in ``_irfft2``."""
+    X = np.empty(V.shape[:-1] + (d.N1 // 2 + 1,), np.complex128)
+    X = _pocketfft.rfft_n_even(V, 1 / d.N1, axes=_X_PASS, out=X)[..., :cols]
+    out = np.empty(X.shape, np.complex128) if out is None else out
+    return _pocketfft.fft(X, 1 / d.N2, axes=_Y_PASS, out=out)
 
 
 def _unfold(d: Domain, half: np.ndarray) -> np.ndarray:

@@ -482,6 +482,11 @@ BAD_INPUTS = {
     "inf:--l1": (["triad-check", "--l1", "inf"], TINY_CONFIG),
     "nan:--constant": (["agmon-check", "--samples", "3", "--resolution", "16",
                         "--constant", "nan"], TINY_CONFIG),
+    # A constant <= 0 made every run a violation (exit 3).
+    "negative:--constant": (["agmon-check", "--samples", "3", "--resolution", "16",
+                             "--constant", "-1"], TINY_CONFIG),
+    "zero:--constant": (["agmon-check", "--samples", "3", "--resolution", "16",
+                         "--constant", "0"], TINY_CONFIG),
     "repeated:mu": (["simulate", "--config", "CFG"], TINY_CONFIG + "mu = 5.0\n"),
     "label:epsilon": (["sweep-epsilon", "--config", "CFG"],
                       _config_setting("epsilon", "0.1, 0.1000001, 0.05")),

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import zns.lattice
 from zns.diagnostics import sobolev_norm
 from zns.forcing import Forcing, ForcingSpec
 from zns.lattice import (
@@ -633,20 +634,24 @@ class TestQuarterStep:
 
 
 def count_transforms(monkeypatch) -> dict:
-    """Count the 1-D transform passes the solver makes, by patching ``np.fft``.
+    """Count the 1-D transform passes the solver makes, by patching the pocketfft gufuncs
+    that ``zns.lattice`` calls (its ``_pocketfft`` namespace).
 
     A 2-D transform is two passes: ``ifft`` over y then ``irfft`` over x for the
     inverse, ``rfft`` over x then ``fft`` over y for the forward.
     """
     counts = {"ifft": 0, "irfft": 0, "rfft": 0, "fft": 0}
-    for name in counts:
-        fn = getattr(np.fft, name)
+    passes = {}
+    for name, gufunc in (("ifft", "ifft"), ("irfft", "irfft"), ("rfft", "rfft_n_even"),
+                         ("fft", "fft")):
+        fn = getattr(zns.lattice._pocketfft, gufunc)
 
         def counted(*args, fn=fn, name=name, **kwargs):
             counts[name] += 1
             return fn(*args, **kwargs)
 
-        monkeypatch.setattr(np.fft, name, counted)
+        passes[gufunc] = counted
+    monkeypatch.setattr(zns.lattice, "_pocketfft", SimpleNamespace(**passes))
     return counts
 
 
