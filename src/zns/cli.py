@@ -149,6 +149,8 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_triads(args) -> int:
+    if args.max_k < 1:
+        raise ValueError(f"--max-k must be at least 1, got {args.max_k}")
     domain = Domain(L1=args.l1, L2=args.l2, N1=4 * args.max_k, N2=4 * args.max_k)
     reports = triad_scan(domain, args.max_k)
     write_triad_csv(args.out / "triads.csv", reports)

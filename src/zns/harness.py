@@ -108,18 +108,18 @@ class ExperimentConfig:
             raise ValueError(f"omega0_norm must be non-negative, got {self.omega0_norm}")
         if not self.epsilons:
             raise ValueError("at least one epsilon is required")
-        if any(e <= 0 for e in self.epsilons):
-            raise ValueError("epsilon values must be positive")
         for i, e in enumerate(self.epsilons):  # a member's label names its output files
+            if not e > 0:
+                raise ValueError(f"epsilons must be positive, got {e!r}")
             for other in self.epsilons[:i]:
                 if _label(other, 0) == _label(e, 0):
                     raise ValueError(f"epsilons {other!r} and {e!r} share the label eps={e:g}")
         if self.h <= 0:
-            raise ValueError("step size must be positive")
+            raise ValueError(f"h must be positive, got {self.h!r}")
         if self.t_spin is None:
             object.__setattr__(self, "t_spin", 10.0 / self.nu)
         if not (self.t_end > self.t_spin > 0):
-            raise ValueError("need t_end > t_spin > 0")
+            raise ValueError(f"t_spin must be in (0, t_end={self.t_end!r}), got {self.t_spin!r}")
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
         if self.seed < 0:

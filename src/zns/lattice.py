@@ -85,16 +85,15 @@ class Domain:
 
     def __post_init__(self):
         _require_finite(L1=self.L1, L2=self.L2)
-        if not (self.L1 > 0 and self.L2 > 0):
-            raise ValueError("domain lengths must be positive")
-        for n in (self.N1, self.N2):
+        for axis, length, n in ((1, self.L1, self.N1), (2, self.L2, self.N2)):
+            if not length > 0:
+                raise ValueError(f"L{axis} must be positive, got {length!r}")
             if n < 4 or n % 2 != 0:
-                raise ValueError("mode counts must be even and >= 4")
-        # Every nonzero |k|^2 is a normal float: the least is on an axis, the largest <= 2 high^2.
-        for name, length, n in (("L1", self.L1, self.N1), ("L2", self.L2, self.N2)):
+                raise ValueError(f"N{axis} must be even and >= 4, got {n!r}")
+            # Every nonzero |k|^2 is normal: the least is on an axis, the largest is <= 2 high^2.
             low, high = (2.0 * np.pi * m / length for m in (1, n // 2))
             if not (low * low >= np.finfo(float).tiny and high * high <= np.finfo(float).max / 2):
-                raise ValueError(f"{name}={length!r} puts |k|^2 outside the normal, finite floats")
+                raise ValueError(f"L{axis}={length!r} puts |k|^2 outside the normal, finite floats")
 
     @property
     def area(self) -> float:

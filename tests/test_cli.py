@@ -378,6 +378,15 @@ class TestContraction:
         assert lines[0] == "t,distance,tangent"
         assert len(lines) > 2
 
+    # configs/collapse.cfg is the negative control: the attractor collapses to a point
+    # only for small enough epsilon.  It runs at 32^2: at 16^2 and 24^2 eps 0.02 exits 3 too.
+    @pytest.mark.parametrize("epsilon, code", [("0.05", 3), ("0.02", 0)])
+    def test_collapse_needs_small_epsilon(self, epsilon, code, tmp_path, capsys):
+        path = Path(__file__).resolve().parent.parent / "configs" / "collapse.cfg"
+        assert main(["contraction", "--config", str(path), "--epsilon", epsilon,
+                     "--out", str(tmp_path), "--quiet"]) == code
+        assert ("THEOREM-VIOLATION: distance decay rate" in capsys.readouterr().err) == (code == 3)
+
 
 class TestSteadyResidual:
     def test_blowup_leaves_the_rows_of_the_finished_epsilons(self, tmp_path, capsys):
@@ -440,7 +449,7 @@ CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.cf
 
 
 def test_experiment_configs_present():
-    assert len(CONFIGS) == 4
+    assert len(CONFIGS) == 5
 
 
 @pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.name)
@@ -487,6 +496,8 @@ BAD_INPUTS = {
                              "--constant", "-1"], TINY_CONFIG),
     "zero:--constant": (["agmon-check", "--samples", "3", "--resolution", "16",
                          "--constant", "0"], TINY_CONFIG),
+    "zero:--max-k": (["triad-check", "--max-k", "0"], TINY_CONFIG),
+    "negative:--max-k": (["triad-check", "--max-k", "-2"], TINY_CONFIG),
     "repeated:mu": (["simulate", "--config", "CFG"], TINY_CONFIG + "mu = 5.0\n"),
     "label:epsilon": (["sweep-epsilon", "--config", "CFG"],
                       _config_setting("epsilon", "0.1, 0.1000001, 0.05")),
@@ -534,6 +545,14 @@ def test_bad_input_exits_1(argv, text, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("name", ["zero:--max-k", "negative:--max-k", "zero:--constant",
+                                  "negative:--constant"])
+def test_a_refused_flag_names_itself(name, tmp_path, capsys):
+    argv, _ = BAD_INPUTS[name]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {name.split(':')[1]} must be ")
+
+
 @pytest.mark.parametrize("argv", [["sweep-epsilon", "--config", "CFG"],
                                   ["agmon-check", "--samples", "1", "--resolution", "16"]],
                          ids=["sweep-epsilon", "agmon-check"])
@@ -549,7 +568,9 @@ def test_negative_seed_exits_1_naming_it(argv, config_file, tmp_path, capsys):
 @pytest.mark.parametrize("key, value", [("mu", "abc"), ("n1", "16.0"), ("epsilon", "0.2, ,0.1"),
                                         ("forcing.mode", "1,x,0.5,0.0"),
                                         ("tol.min_tail_samples", "2.5"), ("blowup_threshold", "-1"),
-                                        ("tol.seed_spread", "-1"), ("tol.cfl_max", "-1")])
+                                        ("tol.seed_spread", "-1"), ("tol.cfl_max", "-1"),
+                                        ("n1", "5"), ("l2", "-1"), ("h", "-0.1"),
+                                        ("epsilon", "-0.1"), ("t_spin", "1e9")])
 def test_a_refused_value_names_its_key(key, value, tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text(_config_setting(key, value))
@@ -661,16 +682,46 @@ def test_integrate_records_full_fields(monkeypatch):
         assert parity_error(w) == 0.0 and reality_error(w) == 0.0
 
 
-def test_cli_import_does_not_load_scipy():
-    # numpy.fft alone serves the transforms; importing scipy.fft costs ~0.5 s.
+def _fresh_python(code: str) -> str:
+    """The stdout of ``code`` run by a new interpreter that imports zns from this tree."""
     src = str(Path(zns.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    code = "import sys, zns.cli; print(sorted(m for m in sys.modules if 'scipy' in m))"
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip()
+
+
+def test_cli_import_does_not_load_scipy():
+    # numpy.fft alone serves the transforms; importing scipy.fft costs ~0.5 s.
+    code = "import sys, zns.cli; print(sorted(m for m in sys.modules if 'scipy' in m))"
+    assert _fresh_python(code) == "[]"
+
+
+# Each layer and the layers it imports; the package root imports none of them.
+LAYERS = {
+    "lattice": [],
+    "forcing": ["lattice"],
+    "operators": ["lattice"],
+    "stepper": ["forcing", "lattice", "operators"],
+    "diagnostics": ["forcing", "lattice", "operators"],
+    "harness": ["diagnostics", "forcing", "lattice", "operators", "stepper"],
+    "config": ["diagnostics", "forcing", "harness", "lattice", "operators", "stepper"],
+    "cli": ["config", "diagnostics", "forcing", "harness", "lattice", "operators", "stepper"],
+}
+
+
+@pytest.mark.parametrize("layer", LAYERS)
+def test_a_layer_loads_only_the_layers_it_imports(layer):
+    code = f"import sys, zns.{layer}; print(sorted(m for m in sys.modules if m.startswith('zns.')))"
+    assert _fresh_python(code) == str(sorted(f"zns.{m}" for m in [layer, *LAYERS[layer]]))
+
+
+def test_the_package_root_loads_no_layer_and_binds_only_its_version():
+    code = ("import sys, zns; print(sorted(m for m in sys.modules if m.startswith('zns.')), "
+            "sorted(n for n in vars(zns) if not n.startswith('_')), type(zns.__version__))")
+    assert _fresh_python(code) == "[] [] <class 'str'>"
 
 
 @pytest.mark.parametrize("command", ["simulate", "contraction"])
