@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, finite_float, load_config
+from .config import ConfigError, finite_float, load_config, rename_refusal
 from .diagnostics import agmon_check
 from .harness import (
     run_contraction_test,
@@ -31,6 +31,9 @@ EXIT_CONFIG = 1
 EXIT_BLOWUP = 2
 EXIT_VIOLATION = 3
 
+# Domain field -> the triad-check or agmon-check flag that sets it, named by its refusal.
+_FLAGS = {"L1": "--l1", "L2": "--l2", "N1": "--resolution", "N2": "--resolution"}
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage errors exit 1; subparsers inherit this class
@@ -46,7 +49,7 @@ def _add_common(p: argparse.ArgumentParser, needs_config: bool) -> None:
             "--resolution", type=int, default=None, help="override N1 = N2 = RESOLUTION"
         )
     p.add_argument("--out", type=Path, default=Path("zns_out"), help="output directory")
-    p.add_argument("--quiet", action="store_true", help="suppress progress output")
+    p.add_argument("--quiet", action="store_true", help="suppress the summary lines")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -206,7 +209,7 @@ def main(argv=None) -> int:
         print(f"BLOW-UP: {e}", file=sys.stderr)
         return EXIT_BLOWUP
     except (ConfigError, OSError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
+        print(f"error: {rename_refusal(e, _FLAGS)}", file=sys.stderr)
         return EXIT_CONFIG
 
 

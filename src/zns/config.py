@@ -63,6 +63,12 @@ class ConfigError(ValueError):
     pass
 
 
+def rename_refusal(e: ValueError, names: dict[str, str]) -> str:
+    """The message of a refusal ``<field> must be ...``, its field renamed by ``names``."""
+    name, must, rest = str(e).partition(" must be ")
+    return f"{names.get(name, name)}{must}{rest}"
+
+
 def read_config_entries(path: Path) -> list[tuple[str, str]]:
     """Raw (key, value) pairs in file order."""
     try:
@@ -140,8 +146,7 @@ def build_config(entries: list[tuple[str, str]], overrides: dict | None = None) 
             **values,
         )
     except ValueError as e:
-        name, must, rest = str(e).partition(" must be ")
-        raise ConfigError(f"{_KEYS.get(name, name)}{must}{rest}") from e
+        raise ConfigError(rename_refusal(e, _KEYS)) from e
 
 
 def load_config(path: Path, overrides: dict | None = None) -> ExperimentConfig:

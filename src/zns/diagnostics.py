@@ -113,7 +113,7 @@ def approx_steady_state(forcing: Forcing, mu: float, epsilon: float) -> Spectral
     if not forcing.is_steady:
         raise ValueError("approximate steady state requires steady forcing")
     if mu <= 0 or epsilon <= 0:
-        raise ValueError("mu and epsilon must be positive")
+        raise ValueError(f"mu and epsilon must be positive, got {mu!r} and {epsilon!r}")
     return first_order_flow(forcing(0.0), mu, epsilon)
 
 

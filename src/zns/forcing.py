@@ -18,9 +18,9 @@ constant in time; zonal coefficients are held steady, since a phase
 rotation there is incompatible with the symmetry.  Hence every sup-in-time
 norm of f, or of df/dt (modulus ``|sigma| |f|`` on the non-zonal modes, 0 on
 the zonal ones), is attained at t = 0.  A ``Forcing`` stores only the 2/3-band
-block (``Domain._band``) of the m2 > 0 quarter of the closure: ``coeffs_at``
-gives the block the step reads, and calling it builds the full field through
-``OddBand.field``.  A step takes no other kind of forcing.
+block (``Domain._block``) of the closure: ``coeffs_at`` gives the block the
+step reads, and calling it builds the full field through ``OddBand.field``.
+A step takes no other kind of forcing.
 """
 
 from __future__ import annotations
@@ -81,10 +81,10 @@ class Forcing:
     def __init__(self, spec: ForcingSpec, domain: Domain):
         self.spec = spec
         self.domain = domain
-        rows, cols = domain._band
-        base = np.zeros((rows.stop, cols.stop), dtype=np.complex128)
+        r, k = domain._band_shape
+        base = np.zeros((r, k), dtype=np.complex128)
         for (m1, m2), a in spec.canonical_modes().items():
-            if m1 >= cols.stop or m2 > rows.stop:  # canonical: m1 >= 0, m2 > 0
+            if m1 >= k or m2 > r:  # canonical: m1 >= 0, m2 > 0
                 raise ValueError(
                     f"forcing mode ({m1},{m2}) outside the dealiased band of {domain}"
                 )
@@ -95,7 +95,7 @@ class Forcing:
         self._base = _frozen(base)
         # Phase-rotation frequency per column: sigma * sign(k1), zonal frozen.
         # One row of K values; it broadcasts over the m2 rows.
-        self._rot = spec.sigma * np.sign(domain.kx[0, cols])
+        self._rot = spec.sigma * np.sign(domain.kx[0, :k])
 
     @property
     def is_steady(self) -> bool:

@@ -103,7 +103,7 @@ class ExperimentConfig:
                         t_spin=0.0 if self.t_spin is None else self.t_spin,
                         omega0_norm=self.omega0_norm, blowup_threshold=self.blowup_threshold)
         if self.mu <= 0:
-            raise ValueError("mu must be positive")
+            raise ValueError(f"mu must be positive, got {self.mu!r}")
         if self.omega0_norm < 0:  # a negative target only flips the field's sign
             raise ValueError(f"omega0_norm must be non-negative, got {self.omega0_norm}")
         if not self.epsilons:
@@ -121,7 +121,7 @@ class ExperimentConfig:
         if not (self.t_end > self.t_spin > 0):
             raise ValueError(f"t_spin must be in (0, t_end={self.t_end!r}), got {self.t_spin!r}")
         if self.record_every < 1:
-            raise ValueError("record_every must be >= 1")
+            raise ValueError(f"record_every must be >= 1, got {self.record_every!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         self.sim_config(self.epsilons[0])  # refuses a blowup_threshold <= 0, as a run would
@@ -647,7 +647,7 @@ def simulate(config: ExperimentConfig, out_dir: Path, resume_from: Path | None =
                     f"{resume_from}: snapshot is not {what} ({kind} error {err:.3g})"
                 )
         # A no-op on a snapshot written here.  Reality first: it makes the real part of the
-        # m1 = 0 column even in m2, so the parity projection zeroes it, as a quarter needs.
+        # m1 = 0 column even in m2, so the parity projection zeroes it, as an OddBand needs.
         w0 = project_parity(project_reality(w0))
         OddBand.of(w0, f"{resume_from}: snapshot")  # a step's own check, naming the file
     out = Path(out_dir)

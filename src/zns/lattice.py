@@ -21,10 +21,10 @@ Conventions (fixed throughout the package):
   Each transform applies the y-phase ``(-1)^m2`` of the grid offset around a
   raw transform; the advection tables carry that phase and use the raw pair.
 * A field odd in y has ``c(m1, -m2) = -c(m1, m2)``, so its half is fixed by
-  the ``m2 > 0`` rows, the quarter ``(N2/2 - 1, N1/2 + 1)``; its m2 = 0 and
-  Nyquist rows are zero and its m1 = 0 column is imaginary.
-* A trajectory holds no mode outside the 2/3 band of the quarter, the block
-  ``Domain._band`` of rows m2 = 1..R with R = ceil(N2/3) - 1 and columns
+  its ``m2 > 0`` rows; its m2 = 0 and Nyquist rows are zero and its m1 = 0
+  column is imaginary.
+* A trajectory holds no mode outside the 2/3 band of those rows, the block
+  ``Domain._block`` of rows m2 = 1..R with R = ceil(N2/3) - 1 and columns
   m1 = 0..K-1 with K = ceil(N1/3).  So its state is an ``OddBand``, that block
   and nothing else: ``OddBand.of`` is the one place that takes it from a field,
   refusing one that is not exactly odd or has a nonzero coefficient outside
@@ -155,20 +155,23 @@ class Domain:
         return _frozen(keep2[:, None] & keep1[None, :])
 
     @property
-    def _kept_cols(self) -> int:
-        """The number of leading m1 >= 0 columns that ``dealias`` keeps, |m1| < N1/3."""
-        return -(-self.N1 // 3)
-
-    @cached_property
-    def _band(self) -> tuple[slice, slice]:
-        """The 2/3-band block of the m2 > 0 quarter: its rows m2 = 1..R, R = ceil(N2/3) - 1,
-        and its columns m1 = 0..K-1, K = ``_kept_cols``; every mode ``dealias`` keeps there."""
-        return np.s_[: -(-self.N2 // 3) - 1, : self._kept_cols]
+    def _band_shape(self) -> tuple[int, int]:
+        """``(R, K)``: the band block has R = ceil(N2/3) - 1 rows and K = ceil(N1/3) columns.
+        Not cached: a Domain caches only read-only arrays and slices."""
+        return -(-self.N2 // 3) - 1, -(-self.N1 // 3)
 
     @cached_property
     def _block(self) -> tuple[slice, slice]:
-        """The band block's place in a full-width array: rows m2 = 1..R, columns m1 < K."""
-        return np.s_[1 : self._band[0].stop + 1, self._band[1]]
+        """The 2/3-band block in a full- or half-width array: rows m2 = 1..R and columns
+        m1 = 0..K-1, every m2 > 0, m1 >= 0 mode that ``dealias`` keeps."""
+        r, k = self._band_shape
+        return np.s_[1 : r + 1, :k]
+
+    @cached_property
+    def _band_rows(self) -> tuple[slice, slice]:
+        """The band's rows m2 = 1..R and m2 = -1..-R in an ``(N2, ...)`` array."""
+        r = self._band_shape[0]
+        return self._block[0], np.s_[: self.N2 - r - 1 : -1]
 
     @cached_property
     def _advect_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -200,19 +203,16 @@ class Domain:
         gives ``u + v``, one of ``(to_dx + to_dy) B`` gives ``bx + by``, and
         the odd part of their product is ``u bx + v by``.  The two sums are
         negated on the m2 < 0 rows, where the odd input is minus its m2 > 0
-        row, so they multiply the block itself, laid out by half: the first is the
-        ``(2, R, K)`` stack of both on rows m2 = 1..R and the band's columns, the
-        second on rows m2 = -1..-R.  The third table is half the band block of
-        ``_advect_mask``, for the odd part ``(c(m2) - c(-m2))/2`` of the product's
-        coefficients.
+        row, so they multiply the block itself: the first table is the ``(2, R, K)``
+        stack of both on the band's columns and its m2 > 0 ``_band_rows``, the second
+        on its m2 < 0 rows.  The third is half of ``_advect_mask`` on ``_block``, for
+        the odd part ``(c(m2) - c(-m2))/2`` of the product's coefficients.
         """
         to_u, to_v, to_dx, to_dy = self._advect_tables
-        r, cols = self._band[0].stop, self._band[1]
         sign = np.where(self.m2 < 0, -1.0, 1.0)[:, None]
-        sums = (sign * np.stack((to_u + to_v, to_dx + to_dy)))[:, :, cols]
-        mask = 0.5 * self._advect_mask[self._block]
-        up, down = sums[:, 1 : r + 1], sums[:, : self.N2 - r - 1 : -1]
-        return _frozen(up.copy()), _frozen(down.copy()), _frozen(mask)
+        sums = sign * np.stack((to_u + to_v, to_dx + to_dy))
+        up, down = (_frozen(sums[:, rows, self._block[1]].copy()) for rows in self._band_rows)
+        return up, down, _frozen(0.5 * self._advect_mask[self._block])
 
     @cached_property
     def _half_weight(self) -> np.ndarray:
@@ -313,11 +313,12 @@ def _irfft2(d: Domain, H: np.ndarray, out: np.ndarray | None = None, pad=None) -
     """Raw inverse transform of half-width ``(..., N2, N1//2 + 1)`` coefficients, stacked
     over leading axes, no y-phase: one ``ifft`` pass over y, then one ``irfft`` over x.
 
-    With ``pad``, a half-width buffer of the stack's shape whose other columns are zero,
-    ``H`` holds only the leading columns of the half: the y-pass runs on those alone, into
-    ``pad``, and the x-pass reads all of ``pad``.  The passes call the ``ifft`` and ``irfft``
-    gufuncs of numpy's private ``numpy.fft._pocketfft_umath`` directly, each with the factor
-    and ``out`` that ``np.fft``'s wrapper would pass for ``norm="forward"``."""
+    ``H`` may hold only the leading columns of the half, the only ones the y-pass runs on.
+    The ``irfft`` x-pass then reads the others as zero, or reads all of ``pad``, a half-width
+    buffer of the stack's shape whose other columns are zero, if the y-pass writes there.
+    The passes call the ``ifft`` and ``irfft`` gufuncs of numpy's private
+    ``numpy.fft._pocketfft_umath`` directly, each with the factor and ``out`` that
+    ``np.fft``'s wrapper would pass for ``norm="forward"``."""
     Y = np.empty(H.shape, np.complex128) if pad is None else pad
     _pocketfft.ifft(H, 1, axes=_Y_PASS, out=Y[..., : H.shape[-1]])
     out = np.empty(Y.shape[:-1] + (d.N1,)) if out is None else out
@@ -355,66 +356,42 @@ def _unfold(d: Domain, half: np.ndarray) -> np.ndarray:
     return out
 
 
-def _odd_quarter(d: Domain, H: np.ndarray) -> np.ndarray | None:
-    """The m2 > 0 rows of the half ``H`` if ``H`` is exactly odd in m2, else None.
-
-    Exact (no tolerance) and None for NaN input: the m2 = 0 and Nyquist rows
-    must be zero, each row -m2 the negative of row m2, and the m1 = 0 column
-    imaginary, as Hermitian symmetry requires of an odd field.
-    """
-    n2 = d.N2 // 2
-    Q = H[1:n2]
-    if H[0].any() or H[n2].any() or (Q + H[:n2:-1]).any() or Q.real[:, 0].any():
-        return None
-    return Q
-
-
-def _odd_half(d: Domain, B: np.ndarray) -> np.ndarray:
-    """The half-width coefficients of the odd field whose m2 > 0 rows are ``B`` in their
-    leading rows and columns (a quarter or its band block) and zero elsewhere."""
-    n2 = d.N2 // 2
-    H = np.zeros((d.N2, d.N1 // 2 + 1), dtype=np.complex128)
-    H[1 : B.shape[0] + 1, : B.shape[1]] = B
-    np.negative(H[n2 - 1 : 0 : -1], out=H[n2 + 1 :])
-    return H
-
-
 @dataclass(eq=False)
 class OddBand:
-    """The 2/3-band block ``Domain._band`` of the m2 > 0 quarter of an exactly odd real field
-    that holds no mode outside the band: a trajectory's state, whose ``field`` is built
-    once, on first use."""
+    """The 2/3-band block ``Domain._block`` of an exactly odd real field that holds no mode
+    outside the band: a trajectory's state, whose ``field`` is built once, on first use."""
 
     domain: Domain
     coeffs: np.ndarray
 
     def __post_init__(self):
-        rows, cols = self.domain._band
-        if self.coeffs.shape != (rows.stop, cols.stop):
-            raise ValueError(f"band block shape {self.coeffs.shape} != {(rows.stop, cols.stop)}")
+        if self.coeffs.shape != self.domain._band_shape:
+            raise ValueError(f"band block shape {self.coeffs.shape} != {self.domain._band_shape}")
 
     @classmethod
     def of(cls, f: SpectralField, what: str = "state") -> OddBand:
-        """The band block of ``f`` (a view).  ValueError unless its half is exactly odd in y,
-        or, naming ``what`` ``f`` is and the band, if a coefficient outside the band is
-        nonzero."""
+        """The band block of ``f`` (a view).  ValueError naming ``what`` ``f`` is unless its half
+        is exactly odd in y (zero m2 = 0 and Nyquist rows, row -m2 minus row m2, an imaginary
+        m1 = 0 column; NaN fails) and zero outside the band."""
         d = f.domain
-        Q = _odd_quarter(d, f.coeffs[:, : d.N1 // 2 + 1])
-        if Q is None:
-            raise ValueError("field is not exactly odd in y (project_parity makes it odd)")
-        rows, cols = d._band
-        if Q[rows.stop :].any() or Q[rows, cols.stop :].any():
-            raise ValueError(
-                f"{what} has a nonzero coefficient outside the 2/3 band "
-                f"0 < m2 <= {rows.stop}, |m1| <= {cols.stop - 1} of {d}"
-            )
-        return cls(d, Q[rows, cols])
+        n2, (r, k) = d.N2 // 2, d._band_shape
+        H = f.coeffs[:, : d.N1 // 2 + 1]
+        if H[0].any() or H[n2].any() or (H[1:n2] + H[:n2:-1]).any() or H.real[1:n2, 0].any():
+            raise ValueError(f"{what} is not exactly odd in y (project_parity makes it odd)")
+        if H[r + 1 : n2].any() or H[d._block[0], k:].any():
+            raise ValueError(f"{what} has a nonzero coefficient outside the 2/3 band "
+                             f"0 < m2 <= {r}, |m1| <= {k - 1} of {d}")
+        return cls(d, H[d._block])
 
     @cached_property
     def field(self) -> SpectralField:
         """The full field, shared: do not write into it."""
-        d = self.domain
-        return SpectralField(d, _unfold(d, _odd_half(d, self.coeffs)))
+        d, n2 = self.domain, self.domain.N2 // 2
+        H = np.zeros((d.N2, d.N1 // 2 + 1), dtype=np.complex128)
+        H[d._block] = self.coeffs
+        # All of the m2 < 0 half, not only the band's rows: the rest gets -0.0, as snapshots record.
+        np.negative(H[n2 - 1 : 0 : -1], out=H[n2 + 1 :])
+        return SpectralField(d, _unfold(d, H))
 
 
 def _grid(d: Domain, C: np.ndarray) -> np.ndarray:

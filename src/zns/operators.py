@@ -13,7 +13,7 @@ coefficient convention, per mode k:
   B_jkl = |M| (j1 k2 - j2 k1)/|j|^2 when j + k = l.  The kernel
   ``_advect_raw`` takes full coefficients (for ``jacobian``: five real
   transforms, after which ``_unfold`` alone mirrors the m1 < 0 half and the
-  m2 < 0 rows of column m1 = 0) or the band blocks (``Domain._band``) of
+  m2 < 0 rows of column m1 = 0) or the band blocks (``Domain._block``) of
   odd-in-y fields held in the 2/3 band, the solver's state (three: one
   stacked inverse call for two grids, whose y-pass runs only on the band's
   columns, and one forward call whose y-pass runs only on those columns).
@@ -118,7 +118,7 @@ def _advect_raw(d: Domain, A: np.ndarray, B: np.ndarray, scratch=None) -> np.nda
     """Dealiased pseudo-spectral B(a, b) = velocity(a).grad(b) on raw coefficients.
 
     ``A`` and ``B`` are the full ``(N2, N1)`` coefficients of real fields, or, for fields
-    odd in y and held in the 2/3 band, their band blocks ``(R, K)`` (``Domain._band``),
+    odd in y and held in the 2/3 band, their band blocks ``(R, K)`` (``Domain._block``),
     worked on in ``scratch`` (``_band_scratch``); the output has the shape of the input.
     Full input gives the full Hermitian result from five raw transforms of the
     m1 >= 0 halves.  Block input gives the block of the odd result from three
@@ -128,15 +128,12 @@ def _advect_raw(d: Domain, A: np.ndarray, B: np.ndarray, scratch=None) -> np.nda
     tables and in ``d._advect_mask`` (with the 2/3 rule and the zero mean), so
     the transforms are the raw pair.
     """
-    rows, cols = d._band
-    if A.shape == (rows.stop, cols.stop):
+    if A.shape == d._band_shape:
         grid, other = _odd_grids(d, A, B, scratch, out=scratch.grids)
         grid *= other
         return _odd_part(d, grid, scratch)
     if A.shape != (d.N2, d.N1):
-        raise ValueError(
-            f"coefficients of shape {A.shape} are neither full nor a quarter's band block"
-        )
+        raise ValueError(f"coefficients of shape {A.shape} are neither full nor the band block")
     half = np.s_[:, : d.N1 // 2 + 1]
     A, B = A[half], B[half]
     to_u, to_v, to_dx, to_dy = d._advect_tables
@@ -150,18 +147,12 @@ def _advect_raw(d: Domain, A: np.ndarray, B: np.ndarray, scratch=None) -> np.nda
     return _unfold(d, out)
 
 
-def _band_rows(d: Domain) -> tuple[slice, slice]:
-    """The rows m2 = 1..R and m2 = -1..-R of the band (``Domain._band``) in an (N2, ...) array."""
-    r = d._band[0].stop
-    return np.s_[1 : r + 1], np.s_[: d.N2 - r - 1 : -1]
-
-
 def _band_scratch(d: Domain) -> SimpleNamespace:
     """The band kernel's scratch for one caller, consumed within each call: the stacked band-
     column ``spectrum`` of an inverse transform of two grids (zero outside the band rows), the
     half ``ypass`` its y-pass fills (zero from column K), two real ``grids``, the ``coeffs`` of
-    a forward transform, and their views ``rows`` and ``coeff_rows`` on ``_band_rows``."""
-    keep, halves = d._kept_cols, _band_rows(d)
+    a forward transform, and their views ``rows`` and ``coeff_rows`` on ``Domain._band_rows``."""
+    keep, halves = d._band_shape[1], d._band_rows
     spectrum = np.zeros((2, d.N2, keep), np.complex128)
     coeffs = np.empty((d.N2, keep), np.complex128)
     return SimpleNamespace(spectrum=spectrum, rows=tuple(spectrum[:, s] for s in halves),
@@ -184,8 +175,8 @@ def _odd_grids(d: Domain, A: np.ndarray, B: np.ndarray, scratch, out=None) -> np
 
 def _odd_uv(d: Domain, C: np.ndarray) -> np.ndarray:
     """The grid ``u + v`` of band block ``C``, in new arrays, from each half's first table."""
-    S = np.zeros((d.N2, d._kept_cols), np.complex128)
-    for half, rows in zip(d._odd_advect_tables[:2], _band_rows(d)):
+    S = np.zeros((d.N2, d._band_shape[1]), np.complex128)
+    for half, rows in zip(d._odd_advect_tables[:2], d._band_rows):
         np.multiply(half[0], C, out=S[rows])
     return _irfft2(d, S)
 
@@ -200,7 +191,7 @@ def _odd_part(d: Domain, grid: np.ndarray, scratch, minus: bool = False) -> np.n
     imaginary, so the block expands to an exactly odd, exactly Hermitian half.
     """
     F_up, F_down = scratch.coeff_rows
-    _rfft2(d, grid, out=scratch.coeffs, cols=d._kept_cols)
+    _rfft2(d, grid, out=scratch.coeffs, cols=d._band_shape[1])
     Q = np.subtract(F_down, F_up) if minus else np.subtract(F_up, F_down)
     Q *= d._odd_advect_tables[2]
     Q.real[:, 0] = 0.0

@@ -11,11 +11,11 @@ amplitudes (the representation in which the rotation term disappears) are
 obtained by multiplying mode k by ``exp(+i Omega_k t / eps)``.
 
 The dynamics keep the odd-in-y subspace and the 2/3 band, so a state is an
-``OddBand``, the band block (``Domain._band``) of the m2 > 0 quarter of an
-exactly odd field, and a step runs on that block alone: the weights are even
-in m2, so they are built on the block, as is the ``Forcing`` the step reads,
-and the band kernel returns an exactly odd result, so the step's output is
-exactly odd, not odd to round-off.  A step takes and returns ``OddBand``s
+``OddBand``, the band block (``Domain._block``) of an exactly odd field, and
+a step runs on that block alone: the weights are even in m2, so they are
+built on the block, as is the ``Forcing`` the step reads, and the band
+kernel returns an exactly odd result, so the step's output is exactly odd,
+not odd to round-off.  A step takes and returns ``OddBand``s
 only: ``OddBand.of`` makes a state of a field, and ``.field`` is the way back.
 
 A tangent step linearizes the step about its base stages.  ``step_pair`` has
@@ -39,7 +39,7 @@ from .lattice import Domain, OddBand, _frozen, _require_finite
 from .operators import _advect_raw, _band_scratch, _odd_grids, _odd_part
 
 
-def _block(x: OddBand, what: str = "state") -> np.ndarray:
+def _block_of(x: OddBand, what: str = "state") -> np.ndarray:
     """The band block of state ``x``; ``TypeError`` for anything else, a full field too."""
     if not isinstance(x, OddBand):
         raise TypeError(f"{what} must be an OddBand, not {type(x).__name__} (see OddBand.of)")
@@ -71,9 +71,9 @@ class SimConfig:
     def __post_init__(self):
         _require_finite(epsilon=self.epsilon, mu=self.mu, blowup_threshold=self.blowup_threshold)
         if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+            raise ValueError(f"epsilon must be positive, got {self.epsilon!r}")
         if self.mu < 0:
-            raise ValueError("mu must be nonnegative")
+            raise ValueError(f"mu must be nonnegative, got {self.mu!r}")
         if self.blowup_threshold <= 0:  # every step would blow up
             raise ValueError(f"blowup_threshold must be positive, got {self.blowup_threshold}")
 
@@ -119,12 +119,12 @@ class EtdCoefficients:
 
 
 def build_coefficients(domain: Domain, lam: np.ndarray, h: float) -> EtdCoefficients:
-    """ETDRK4 weights on the band block (``Domain._band``) of the m2 > 0 rows of the full
+    """ETDRK4 weights on the band block (``Domain._block``) of the m2 > 0 rows of the full
     (N2, N1) symbol ``lam``, each within 1e-14 of the sum of its terms' magnitudes (f1
     cancels near its zeros, so not relative).  The symbol is even in m2, so these rows
     serve the m2 < 0 ones too.  Weights that overflow are refused."""
     if h <= 0:
-        raise ValueError("step size must be positive")
+        raise ValueError(f"step size must be positive, got {h!r}")
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
         z = h * lam[domain._block]
         p1, p2, p3 = _phi(z, 1), _phi(z, 2), _phi(z, 3)
@@ -236,8 +236,7 @@ class Stepper:
             finite = np.isfinite(mags)
             i = int(mags.argmax()) if finite.all() else int(finite.argmin())
             i2, i1 = np.unravel_index(i, mags.shape)
-            # Block row i2 holds m2 = i2 + 1, and column i1 holds m1 = i1.
-            mode = (int(self.domain.m1[i1]), int(i2) + 1)
+            mode = (int(i1), int(i2) + 1)  # block row i2 is m2 = i2 + 1, column i1 is m1 = i1
             raise BlowUpError(t, mode, peak if finite.all() else float("inf"), context)
 
     def step_with_stages(
@@ -245,7 +244,7 @@ class Stepper:
     ) -> tuple[OddBand, StepStages]:
         """One ETDRK4 step and its ``StepStages``, which keep the base grids of its stages
         only with ``_grids``, for a tangent step that follows at once."""
-        u0 = _block(w)
+        u0 = _block_of(w)
         f = [None if forcing is None else forcing.coeffs_at(s)
              for s in (t, t + self.h / 2, t + self.h)]
         f.insert(2, f[1])  # the two mid-step stages read one evaluation
@@ -267,7 +266,7 @@ class Stepper:
         Each stage costs three transforms on the base grids that the step kept;
         stages that kept none are refused (``ValueError``).
         """
-        P = _block(phi, "tangent")
+        P = _block_of(phi, "tangent")
         if stages.grids is None:
             raise ValueError("tangent step on stages that kept no grids (step_pair keeps them)")
         out = self._etdrk4(P, lambda i, p: self._tangent_nonlinear(p, stages.grids[i]))
@@ -278,7 +277,7 @@ class Stepper:
         self, w: OddBand, phi: OddBand, t: float, forcing: Forcing | None = None
     ) -> tuple[OddBand, OddBand]:
         """Advance the state and a tangent perturbation through the same step."""
-        _block(phi, "tangent")
+        _block_of(phi, "tangent")
         w_next, stages = self.step_with_stages(w, t, forcing, _grids=True)
         return w_next, self.tangent_step(phi, stages)
 
@@ -299,7 +298,7 @@ def budget_residual(
     (``TypeError`` for a full field).
     """
     d = w.domain
-    w0, w1 = _block(w), _block(w_next)
+    w0, w1 = _block_of(w), _block_of(w_next)
     # One weighted sum over the band block of Re((Dw/h + mu |k|^2 mid - f) conj(mid)),
     # doubled for the m2 < 0 rows: Re(Dw conj(mid))/h is D(|w|^2/2)/h per mode.
     mid = w0 + w1

@@ -489,6 +489,8 @@ BAD_INPUTS = {
     "nan:forcing.sigma": (["simulate", "--config", "CFG"], _config_setting("forcing.sigma", "nan")),
     "nan:--epsilon": (["simulate", "--config", "CFG", "--epsilon", "nan"], TINY_CONFIG),
     "inf:--l1": (["triad-check", "--l1", "inf"], TINY_CONFIG),
+    "negative:--l2": (["triad-check", "--l2", "-1"], TINY_CONFIG),
+    "odd:--resolution": (["agmon-check", "--samples", "3", "--resolution", "5"], TINY_CONFIG),
     "nan:--constant": (["agmon-check", "--samples", "3", "--resolution", "16",
                         "--constant", "nan"], TINY_CONFIG),
     # A constant <= 0 made every run a violation (exit 3).
@@ -546,7 +548,8 @@ def test_bad_input_exits_1(argv, text, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("name", ["zero:--max-k", "negative:--max-k", "zero:--constant",
-                                  "negative:--constant"])
+                                  "negative:--constant", "inf:--l1", "negative:--l2",
+                                  "odd:--resolution"])
 def test_a_refused_flag_names_itself(name, tmp_path, capsys):
     argv, _ = BAD_INPUTS[name]
     assert main(argv + ["--out", str(tmp_path / "out")]) == 1
@@ -570,12 +573,16 @@ def test_negative_seed_exits_1_naming_it(argv, config_file, tmp_path, capsys):
                                         ("tol.min_tail_samples", "2.5"), ("blowup_threshold", "-1"),
                                         ("tol.seed_spread", "-1"), ("tol.cfl_max", "-1"),
                                         ("n1", "5"), ("l2", "-1"), ("h", "-0.1"),
-                                        ("epsilon", "-0.1"), ("t_spin", "1e9")])
+                                        ("epsilon", "-0.1"), ("t_spin", "1e9"), ("mu", "-1"),
+                                        ("record_every", "0")])
 def test_a_refused_value_names_its_key(key, value, tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text(_config_setting(key, value))
-    with pytest.raises(ConfigError, match=rf"^{re.escape(key)}(: | must be )"):
+    with pytest.raises(ConfigError, match=rf"^{re.escape(key)}(: | must be )") as refused:
         load_config(path)
+    message = str(refused.value)
+    if " must be " in message:  # a dataclass's refusal ends with the value it got
+        assert float(message.rpartition(", got ")[2]) == float(value)
 
 
 # The reader leaves finiteness to the dataclasses: each key that carries a real number.

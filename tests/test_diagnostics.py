@@ -114,6 +114,12 @@ class TestAgmonCheck:
 
 
 class TestApproxSteadyState:
+    def test_refusals_name_the_value_they_got(self):
+        forcing = Forcing(ForcingSpec(modes=((0, 1, 1.0),)), Domain(N1=16, N2=16))
+        for mu, eps, got in ((0.0, 0.05, r"0\.0 and 0\.05"), (0.5, -1.0, r"0\.5 and -1\.0")):
+            with pytest.raises(ValueError, match=rf"^mu and epsilon must be positive, got {got}$"):
+                approx_steady_state(forcing, mu, eps)
+
     def test_zonal_forcing_exact(self):
         d = Domain(N1=32, N2=32)
         mu, eps = 0.5, 0.05

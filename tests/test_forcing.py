@@ -162,8 +162,7 @@ def test_matches_four_way_scatter(sigma):
         for t in (0.0, 0.37, 12.5):
             want = four_way_scatter(spec, d, t)
             assert np.array_equal(forcing(t).coeffs, want)
-            rows, cols = d._band
-            assert np.array_equal(forcing.coeffs_at(t), want[1 : rows.stop + 1, cols])
+            assert np.array_equal(forcing.coeffs_at(t), want[d._block])
 
 
 def closed_form_sums(spec: ForcingSpec, d: Domain, weight) -> float:

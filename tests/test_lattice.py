@@ -72,7 +72,7 @@ class TestDomain:
     def test_odd_advection_tables(self):
         # The band block: m2 = 1..R with |m2| < N2/3 and m1 = 0..K-1 with |m1| < N1/3.
         d = Domain(L1=4 * np.pi, N1=8, N2=10)
-        assert d._band == np.s_[:3, :3]
+        assert d._block == np.s_[1:4, :3]
         to_u, to_v, to_dx, to_dy = d._advect_tables
         sign = np.where(d.m2 < 0, -1.0, 1.0)[:, None]  # m2 = 0..4, -5..-1
         rows = [1, 2, 3], [9, 8, 7]  # m2 = 1, 2, 3 and m2 = -1, -2, -3
@@ -315,20 +315,28 @@ def test_inner_product_matches_grid_quadrature(seed):
 
 
 class TestOddQuarter:
-    """The m2 > 0 rows that fix the half of an odd-in-y field."""
+    """The m2 > 0 rows that fix the half of an odd-in-y field, read and written through the
+    band block."""
 
     @pytest.mark.parametrize("n1,n2", [(16, 16), (6, 10), (8, 4)])
     def test_roundtrip_on_odd_fields(self, n1, n2):
         d = Domain(N1=n1, N2=n2)
         half = random_field(d, np.random.default_rng(5)).coeffs[:, : n1 // 2 + 1]
-        quarter = zns.lattice._odd_quarter(d, half)
-        assert quarter.shape == (n2 // 2 - 1, n1 // 2 + 1)
-        assert np.array_equal(zns.lattice._odd_half(d, quarter), half)
+        f = SpectralField(d, np.zeros((n2, n1), complex))
+        f.coeffs[:, : n1 // 2 + 1] = half
+        block = zns.lattice.OddBand.of(f)
+        assert block.coeffs.shape == (-(-n2 // 3) - 1, -(-n1 // 3))
+        assert np.array_equal(block.field.coeffs[:, : n1 // 2 + 1], half)
 
     def test_anything_short_of_exactly_odd_is_refused(self):
         d = Domain(N1=16, N2=16)
         half = random_field(d, np.random.default_rng(6)).coeffs[:, :9]
-        odd = zns.lattice._odd_quarter
+
+        def with_half(half):
+            f = SpectralField(d, np.zeros((16, 16), complex))
+            f.coeffs[:, :9] = half
+            return f
+
         for row, col, value in [
             (3, 2, np.nextafter(half[3, 2].real, np.inf) + 1j * half[3, 2].imag),  # one ulp
             (13, 2, np.nan),
@@ -340,8 +348,9 @@ class TestOddQuarter:
             bad[row, col] = value
             if (row, col) == (2, 0):
                 bad[14, 0] = -bad[2, 0]
-            assert odd(d, bad) is None, (row, col)
-        assert odd(d, half) is not None
+            with pytest.raises(ValueError, match="not exactly odd"):
+                zns.lattice.OddBand.of(with_half(bad))
+        zns.lattice.OddBand.of(with_half(half))
 
 
 class TestOddBand:
@@ -365,7 +374,7 @@ class TestPassTransforms:
         half = (stack, d.N2, d.N1 // 2 + 1)
         H = rng.standard_normal(half) + 1j * rng.standard_normal(half)
         V = rng.standard_normal((stack, d.N2, d.N1))
-        keep = d._kept_cols
+        keep = d._band_shape[1]
         assert keep == np.count_nonzero(d.dealias[0, : d.N1 // 2 + 1])
         grids = zns.lattice._irfft2(d, H)
         out = np.empty((stack, d.N2, d.N1))
@@ -373,6 +382,7 @@ class TestPassTransforms:
         # Only the leading columns given: the y-pass runs on those, into a zero-padded half.
         pad = np.zeros(half, dtype=np.complex128)
         banded = zns.lattice._irfft2(d, H[..., :keep], pad=pad)
+        narrow = zns.lattice._irfft2(d, H[..., :keep])
         coeffs = zns.lattice._rfft2(d, V)
         kept = np.empty((stack, d.N2, keep), dtype=np.complex128)
         assert zns.lattice._rfft2(d, V, out=kept, cols=keep) is kept
@@ -383,6 +393,7 @@ class TestPassTransforms:
             lead = np.where(np.arange(d.N1 // 2 + 1) < keep, H[i], 0.0)
             want = np.fft.irfftn(lead, s=(d.N2, d.N1), axes=(0, 1), norm="forward")
             assert np.array_equal(banded[i], want) and not pad[i, :, keep:].any()
+            assert np.array_equal(narrow[i], want)
             want = np.fft.rfft2(V[i], norm="forward")
             assert np.array_equal(coeffs[i], want)
             assert np.array_equal(kept[i], want[:, :keep])

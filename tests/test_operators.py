@@ -257,7 +257,7 @@ class TestRealTransformKernel:
         for odd in (True, False):
             a = random_field(d, rng, norm_target=1.0, odd_in_y=odd)
             b = random_field(d, rng, norm_target=1.0, odd_in_y=odd)
-            with pytest.raises(ValueError, match="neither full nor a quarter"):
+            with pytest.raises(ValueError, match="neither full nor the band block"):
                 _advect_raw(d, a.coeffs[half], b.coeffs[half])
             assert _advect_raw(d, a.coeffs, b.coeffs).shape == (d.N2, d.N1)
 
@@ -319,12 +319,11 @@ class TestOddKernel:
     @pytest.mark.parametrize("d", KERNEL_DOMAINS)
     def test_matches_five_transform_kernel(self, d, rng):
         half = np.s_[:, : d.N1 // 2 + 1]
-        rows, cols = d._band
         for _ in range(5):
             a = random_field(d, rng, norm_target=1.0)
             b = random_field(d, rng, norm_target=1.0)
             got = band_advect(d, a, b)
-            assert got.shape == (rows.stop, cols.stop) == (-(-d.N2 // 3) - 1, -(-d.N1 // 3))
+            assert got.shape == d._band_shape == (-(-d.N2 // 3) - 1, -(-d.N1 // 3))
             want = _advect_raw(d, a.coeffs, b.coeffs)[half]
             got = expanded(d, got).coeffs[half]
             assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
@@ -351,8 +350,7 @@ class TestOddKernel:
 
     @pytest.mark.parametrize("d", TRANSFORM_DOMAINS)
     def test_odd_part_is_zero_beyond_the_kept_columns(self, d, rng):
-        n2, keep = d.N2 // 2, d._kept_cols
-        rows = d._band[0].stop
+        n2, (rows, keep) = d.N2 // 2, d._band_shape
         grid = rng.standard_normal((d.N2, d.N1))
         got = _odd_part(d, grid, Stepper(d, SimConfig(0.1, 0.5), 0.01)._scratch)
         assert got.shape == (rows, keep)
@@ -384,9 +382,9 @@ class TestOddKernel:
         for call in calls:
             got, want = call(st), call(stepper())
             assert np.array_equal(got, want)
-        r = d._band[0].stop
+        r, k = d._band_shape
         assert not st._scratch.spectrum[:, [0, *range(r + 1, d.N2 - r)]].any()
-        assert not st._scratch.ypass[..., d._kept_cols :].any()
+        assert not st._scratch.ypass[..., k:].any()
 
     def test_three_transforms_per_call(self, monkeypatch, rng):
         import zns.operators

@@ -185,6 +185,15 @@ class TestCoefficients:
         with pytest.raises(ValueError):
             build_coefficients(d, lam, 0.0)
 
+    def test_refusals_name_the_value_they_got(self):
+        with pytest.raises(ValueError, match=r"^epsilon must be positive, got -0\.1$"):
+            SimConfig(epsilon=-0.1, mu=0.5)
+        with pytest.raises(ValueError, match=r"^mu must be nonnegative, got -1\.0$"):
+            SimConfig(epsilon=0.1, mu=-1.0)
+        with pytest.raises(ValueError,
+                           match=r"^epsilon=0\.1: step size must be positive, got -0\.1$"):
+            Stepper(Domain(N1=16, N2=16), SimConfig(epsilon=0.1, mu=0.5), h=-0.1)
+
 
 def _parity_pack(m1, m2, a):
     return {
@@ -918,6 +927,17 @@ class TestWorkBuffers:
             with pytest.raises(ValueError, match="not exactly odd"):
                 integrate(st_, None, t0=0.0, t_end=0.1, **kwargs)
 
+    @pytest.mark.parametrize("what", ["tangent", "partner"])
+    def test_integrate_names_what_is_not_odd(self, what, rng):
+        from zns.harness import integrate
+
+        d = Domain(N1=16, N2=16)
+        st_ = Stepper(d, SimConfig(epsilon=0.2, mu=0.5), h=0.01)
+        odd = random_field(d, rng, norm_target=1.0)
+        not_odd = random_field(d, rng, norm_target=1.0, odd_in_y=False)
+        with pytest.raises(ValueError, match=f"^{what} is not exactly odd in y"):
+            integrate(st_, None, odd, 0.0, 0.1, **{what: not_odd})
+
 
 class TestSteadyForcingView:
     SPEC = ForcingSpec(modes=((0, 1, 1.0), (1, 1, 0.5), (2, 3, 0.2 - 0.1j)))
@@ -1021,8 +1041,8 @@ def _odd_pair(d: Domain, m1: int, m2: int, c: complex) -> SpectralField:
 
 def _band_edges(d: Domain) -> dict[str, tuple[int, int]]:
     """The first modes outside the band: column m1 = K and row m2 = R + 1."""
-    rows, cols = d._band
-    return {"m1=K": (cols.stop, 1), "m2=R+1": (1, rows.stop + 1)}
+    r, k = d._band_shape
+    return {"m1=K": (k, 1), "m2=R+1": (1, r + 1)}
 
 
 class TestBand:
@@ -1032,20 +1052,20 @@ class TestBand:
 
     @pytest.mark.parametrize("d", KERNEL_DOMAINS)
     def test_band_is_the_dealiased_part_of_the_quarter(self, d):
-        n2, n1 = d.N2 // 2, d.N1 // 2 + 1
-        inside = np.zeros((n2 - 1, n1), dtype=bool)
-        inside[d._band] = True
-        assert np.array_equal(inside, d.dealias[1:n2, :n1])
+        n1 = d.N1 // 2 + 1
+        inside = np.zeros((d.N2, n1), dtype=bool)
+        inside[d._block] = True
+        assert np.array_equal(inside, d.dealias[:, :n1] & (d.m2 > 0)[:, None])
         assert inside.any() and not inside.all()
 
     @pytest.mark.parametrize("d", KERNEL_DOMAINS)
     def test_trajectory_inputs_are_zero_outside_the_band(self, d):
         from zns.harness import initial_state
 
-        rows, cols = d._band
+        r, k = d._band_shape
         # Every canonical mode of the band, zonal ones with real amplitudes.
         modes = tuple((m1, m2, 0.3 if m1 == 0 else 0.2 - 0.1j)
-                      for m2 in range(1, rows.stop + 1) for m1 in range(cols.stop))
+                      for m2 in range(1, r + 1) for m1 in range(k))
         rng = np.random.default_rng(31)
         fields = [initial_state(d, seed, 1.0) for seed in range(3)]
         fields += [random_field(d, rng, kmax=kmax, slope=slope, norm_target=1.0)
@@ -1123,7 +1143,6 @@ class TestBand:
     def test_band_states_step_without_a_scan(self, monkeypatch):
         # The band was checked where each field became a state: a step, a tangent step
         # and a budget on states take no field apart, and a state is its block alone.
-        import zns.lattice
         from zns.harness import initial_state
 
         d = Domain(N1=16, N2=16)
@@ -1136,7 +1155,6 @@ class TestBand:
         def no_scan(*args):
             raise AssertionError("a step on states scanned a field")
 
-        monkeypatch.setattr(zns.lattice, "_odd_quarter", no_scan)
         monkeypatch.setattr(OddBand, "of", no_scan)
         got = st_.step_pair(*states, 0.0, forcing)
         for a, b in zip(got, want):
@@ -1179,7 +1197,7 @@ class QuarterStage:
         return _irfft2(d, S)
 
     def odd_part(self, grid):
-        d, n2, keep = self.d, self.d.N2 // 2, self.d._kept_cols
+        d, n2, keep = self.d, self.d.N2 // 2, self.d._band_shape[1]
         F = _rfft2(d, grid, cols=keep)
         out = np.zeros((n2 - 1, d.N1 // 2 + 1), dtype=np.complex128)
         Q = np.subtract(F[1:n2], F[:n2:-1], out=out[:, :keep])
