@@ -31,8 +31,9 @@ EXIT_CONFIG = 1
 EXIT_BLOWUP = 2
 EXIT_VIOLATION = 3
 
-# Domain field -> the triad-check or agmon-check flag that sets it, named by its refusal.
-_FLAGS = {"L1": "--l1", "L2": "--l2", "N1": "--resolution", "N2": "--resolution"}
+# Field -> the flag that sets it, named by its refusal (build_config names a key of the file).
+_FLAGS = {"L1": "--l1", "L2": "--l2", "N1": "--resolution", "N2": "--resolution",
+          "epsilons": "--epsilon"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -142,8 +143,7 @@ def cmd_experiment(args) -> int:
     if getattr(args, "epsilon", None) is not None:  # simulate and contraction have --epsilon
         overrides["epsilon"] = (args.epsilon,)
     if args.resolution is not None:
-        overrides["n1"] = args.resolution
-        overrides["n2"] = args.resolution
+        overrides["n1"] = overrides["n2"] = args.resolution
     run, lines = _EXPERIMENTS[args.command]
     record = run(load_config(args.config, overrides), args)
     for line in lines(record.summary, args):

@@ -92,6 +92,7 @@ def build_config(entries: list[tuple[str, str]], overrides: dict | None = None) 
 
     Only the keys that are set reach the dataclasses, so an unset key takes
     the default of its ``ExperimentConfig``, ``Domain`` or ``Tolerances`` field.
+    A refused value names its key, unless an override set it (then its field).
     """
     values: dict = {}
     modes: list[tuple[int, int, float, float]] = []
@@ -127,8 +128,8 @@ def build_config(entries: list[tuple[str, str]], overrides: dict | None = None) 
         except ValueError as e:  # a value that does not parse
             raise ConfigError(f"{key}: {e}") from e
 
-    if overrides:
-        values.update({k: v for k, v in overrides.items() if v is not None})
+    overridden = {k: v for k, v in (overrides or {}).items() if v is not None}
+    values.update(overridden)
 
     missing = [k for k in ("mu", "epsilon", "h", "t_end") if k not in values]
     if missing:
@@ -145,8 +146,9 @@ def build_config(entries: list[tuple[str, str]], overrides: dict | None = None) 
             tolerances=Tolerances(**tol_values),
             **values,
         )
-    except ValueError as e:
-        raise ConfigError(rename_refusal(e, _KEYS)) from e
+    except ValueError as e:  # a field that an override set keeps its name, for the caller's
+        named = {field: key for field, key in _KEYS.items() if key not in overridden}
+        raise ConfigError(rename_refusal(e, named)) from e
 
 
 def load_config(path: Path, overrides: dict | None = None) -> ExperimentConfig:

@@ -55,8 +55,8 @@ from numpy.fft import _pocketfft_umath as _pocketfft
 
 SNAPSHOT_MAGIC = b"ZNS1"
 SNAPSHOT_VERSION = 1
-# The gufuncs' (input, factor, output) axes of a 1-D pass over y and over x.
-_Y_PASS, _X_PASS = [(-2,), (), (-2,)], [(-1,), (), (-1,)]
+# The gufuncs' (input, factor, output) axes of a 1-D pass over y; an x-pass runs on the last.
+_Y_PASS = [(-2,), (), (-2,)]
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -93,7 +93,8 @@ class Domain:
             # Every nonzero |k|^2 is normal: the least is on an axis, the largest is <= 2 high^2.
             low, high = (2.0 * np.pi * m / length for m in (1, n // 2))
             if not (low * low >= np.finfo(float).tiny and high * high <= np.finfo(float).max / 2):
-                raise ValueError(f"L{axis}={length!r} puts |k|^2 outside the normal, finite floats")
+                raise ValueError(f"L{axis} must be a length whose |k|^2 are normal, finite "
+                                 f"floats, got {length!r}")
 
     @property
     def area(self) -> float:
@@ -309,31 +310,24 @@ def sanitize(f: SpectralField) -> SpectralField:
     return f
 
 
-def _irfft2(d: Domain, H: np.ndarray, out: np.ndarray | None = None, pad=None) -> np.ndarray:
+def _irfft2(d: Domain, H: np.ndarray) -> np.ndarray:
     """Raw inverse transform of half-width ``(..., N2, N1//2 + 1)`` coefficients, stacked
-    over leading axes, no y-phase: one ``ifft`` pass over y, then one ``irfft`` over x.
-
-    ``H`` may hold only the leading columns of the half, the only ones the y-pass runs on.
-    The ``irfft`` x-pass then reads the others as zero, or reads all of ``pad``, a half-width
-    buffer of the stack's shape whose other columns are zero, if the y-pass writes there.
-    The passes call the ``ifft`` and ``irfft`` gufuncs of numpy's private
-    ``numpy.fft._pocketfft_umath`` directly, each with the factor and ``out`` that
-    ``np.fft``'s wrapper would pass for ``norm="forward"``."""
-    Y = np.empty(H.shape, np.complex128) if pad is None else pad
+    over leading axes, no y-phase: one ``ifft`` pass over y, then one ``irfft`` over x, calls
+    of the gufuncs of numpy's private ``numpy.fft._pocketfft_umath`` with the factor that
+    ``np.fft``'s wrapper passes for ``norm="forward"``.  ``H`` may hold only the leading
+    columns of the half: the y-pass runs on those alone, into a zeroed half."""
+    Y = np.zeros(H.shape[:-1] + (d.N1 // 2 + 1,), np.complex128)
     _pocketfft.ifft(H, 1, axes=_Y_PASS, out=Y[..., : H.shape[-1]])
-    out = np.empty(Y.shape[:-1] + (d.N1,)) if out is None else out
-    return _pocketfft.irfft(Y, 1, axes=_X_PASS, out=out)
+    return _pocketfft.irfft(Y, 1, out=np.empty(Y.shape[:-1] + (d.N1,)))
 
 
-def _rfft2(d: Domain, V: np.ndarray, out: np.ndarray | None = None, cols=None) -> np.ndarray:
-    """Raw forward transform of real grid values to the leading ``cols`` (default all) of
-    their half-width coefficient columns, no y-phase: one ``rfft`` pass over x, then one
-    ``fft`` over y of just those columns, through the ``rfft_n_even`` (a ``Domain``'s N1 is
-    even) and ``fft`` gufuncs as in ``_irfft2``."""
+def _rfft2(d: Domain, V: np.ndarray) -> np.ndarray:
+    """Raw forward transform of real grid values to their half-width coefficients, no
+    y-phase: one ``rfft`` pass over x, then one ``fft`` over y, through the ``rfft_n_even``
+    (a ``Domain``'s N1 is even) and ``fft`` gufuncs as in ``_irfft2``."""
     X = np.empty(V.shape[:-1] + (d.N1 // 2 + 1,), np.complex128)
-    X = _pocketfft.rfft_n_even(V, 1 / d.N1, axes=_X_PASS, out=X)[..., :cols]
-    out = np.empty(X.shape, np.complex128) if out is None else out
-    return _pocketfft.fft(X, 1 / d.N2, axes=_Y_PASS, out=out)
+    _pocketfft.rfft_n_even(V, 1 / d.N1, out=X)
+    return _pocketfft.fft(X, 1 / d.N2, axes=_Y_PASS, out=np.empty(X.shape, np.complex128))
 
 
 def _unfold(d: Domain, half: np.ndarray) -> np.ndarray:

@@ -13,14 +13,13 @@ coefficient convention, per mode k:
   B_jkl = |M| (j1 k2 - j2 k1)/|j|^2 when j + k = l.  The kernel
   ``_advect_raw`` takes full coefficients (for ``jacobian``: five real
   transforms, after which ``_unfold`` alone mirrors the m1 < 0 half and the
-  m2 < 0 rows of column m1 = 0) or the band blocks (``Domain._block``) of
-  odd-in-y fields held in the 2/3 band, the solver's state (three: one
-  stacked inverse call for two grids, whose y-pass runs only on the band's
-  columns, and one forward call whose y-pass runs only on those columns).
-  The band kernel is ``_odd_grids``, the grids of blocks times the half
-  tables (two products), then ``_odd_part``, the band block of the odd part
-  of a grid product or of its negative; the step also uses both, in reused
-  buffers and row views made once, a ``_band_scratch`` that each caller owns.
+  m2 < 0 rows of column m1 = 0) or, with a ``_BandKernel``, the band blocks
+  (``Domain._block``) of odd-in-y fields held in the 2/3 band, the solver's
+  state (three: one stacked inverse call for two grids and one forward call,
+  each y-pass only on the band's columns).  The kernel, one per caller, holds
+  its tables, buffers and views, made once: its ``grids`` are those of blocks
+  times the half tables (two products), and its ``odd_part`` is the band block
+  of the odd part of a grid product or of its negative; the step uses both.
 
 The triad layer (``omega_freq``, ``b_coeff``, ``triad_scan``) takes integer
 index pairs ``(m1, m2)``, so j + k = l is an exact integer test, and computes
@@ -35,13 +34,14 @@ exactly to m2(j)^2 == m2(k)^2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 
+from . import lattice
 from .lattice import (
     Domain,
     SpectralField,
+    _Y_PASS,
     _check_same_domain,
     _grid,  # noqa: F401  (re-exported for perfbench/test_benchmark.py::_broken_advect)
     _irfft2,
@@ -114,24 +114,23 @@ def velocity(w: SpectralField) -> VelocityField:
     return VelocityField(u, v)
 
 
-def _advect_raw(d: Domain, A: np.ndarray, B: np.ndarray, scratch=None) -> np.ndarray:
+def _advect_raw(d: Domain, A: np.ndarray, B: np.ndarray, kernel=None) -> np.ndarray:
     """Dealiased pseudo-spectral B(a, b) = velocity(a).grad(b) on raw coefficients.
 
-    ``A`` and ``B`` are the full ``(N2, N1)`` coefficients of real fields, or, for fields
-    odd in y and held in the 2/3 band, their band blocks ``(R, K)`` (``Domain._block``),
-    worked on in ``scratch`` (``_band_scratch``); the output has the shape of the input.
-    Full input gives the full Hermitian result from five raw transforms of the
-    m1 >= 0 halves.  Block input gives the block of the odd result from three
-    (see ``d._odd_advect_tables``): the grid product ``(u + v)(bx + by)`` has
-    ``u bx + v by`` as its odd part in y, and its other part is even, so the odd
-    part of its coefficients keeps exactly the former.  The y-phase is in the
-    tables and in ``d._advect_mask`` (with the 2/3 rule and the zero mean), so
-    the transforms are the raw pair.
+    ``A`` and ``B`` are the full ``(N2, N1)`` coefficients of real fields, or, with a
+    ``kernel`` (a ``_BandKernel`` of ``d``), the band blocks ``(R, K)`` of fields odd in y
+    and held in the 2/3 band; the output has the shape of the input.  Full input gives the
+    full Hermitian result from five raw transforms of the m1 >= 0 halves.  Block input gives
+    the block of the odd result from three (see ``d._odd_advect_tables``): the grid product
+    ``(u + v)(bx + by)`` has ``u bx + v by`` as its odd part in y, and its other part is
+    even, so the odd part of its coefficients keeps exactly the former.  The y-phase is in
+    the tables and in ``d._advect_mask`` (with the 2/3 rule and the zero mean), so the
+    transforms are the raw pair.
     """
-    if A.shape == d._band_shape:
-        grid, other = _odd_grids(d, A, B, scratch, out=scratch.grids)
+    if kernel is not None:
+        grid, other = kernel.grids(A, B, kernel.work)
         grid *= other
-        return _odd_part(d, grid, scratch)
+        return kernel.odd_part(grid)
     if A.shape != (d.N2, d.N1):
         raise ValueError(f"coefficients of shape {A.shape} are neither full nor the band block")
     half = np.s_[:, : d.N1 // 2 + 1]
@@ -147,30 +146,50 @@ def _advect_raw(d: Domain, A: np.ndarray, B: np.ndarray, scratch=None) -> np.nda
     return _unfold(d, out)
 
 
-def _band_scratch(d: Domain) -> SimpleNamespace:
-    """The band kernel's scratch for one caller, consumed within each call: the stacked band-
-    column ``spectrum`` of an inverse transform of two grids (zero outside the band rows), the
-    half ``ypass`` its y-pass fills (zero from column K), two real ``grids``, the ``coeffs`` of
-    a forward transform, and their views ``rows`` and ``coeff_rows`` on ``Domain._band_rows``."""
-    keep, halves = d._band_shape[1], d._band_rows
-    spectrum = np.zeros((2, d.N2, keep), np.complex128)
-    coeffs = np.empty((d.N2, keep), np.complex128)
-    return SimpleNamespace(spectrum=spectrum, rows=tuple(spectrum[:, s] for s in halves),
-                           ypass=np.zeros((2, d.N2, d.N1 // 2 + 1), np.complex128),
-                           grids=np.empty((2, d.N2, d.N1)),
-                           coeffs=coeffs, coeff_rows=tuple(coeffs[s] for s in halves))
+class _BandKernel:
+    """The band kernel of one caller: the halves of ``d._odd_advect_tables``, the buffers that
+    each call consumes, their views and the factors 1/N1 and 1/N2, all made once.  It calls
+    the gufuncs of ``lattice._pocketfft`` (read at call time) as ``_irfft2``/``_rfft2`` do,
+    with their bits, each x-pass on the last axis."""
 
+    def __init__(self, d: Domain):
+        keep, half = d._band_shape[1], d.N1 // 2 + 1
+        self.up, self.down, self.mask = d._odd_advect_tables
+        # No call writes ``spectrum`` off its ``rows``, or ``ypass`` from column K: both stay 0.
+        self.spectrum = np.zeros((2, d.N2, keep), np.complex128)
+        self.rows = tuple(self.spectrum[:, s] for s in d._band_rows)
+        self.ypass = np.zeros((2, d.N2, half), np.complex128)
+        self.ycols = self.ypass[..., :keep]
+        self.work = np.empty((2, d.N2, d.N1))
+        self.xpass = np.empty((d.N2, half), np.complex128)
+        self.xcols = self.xpass[:, :keep]
+        self.coeffs = np.empty((d.N2, keep), np.complex128)
+        self.coeff_rows = tuple(self.coeffs[s] for s in d._band_rows)
+        self.inv_n1, self.inv_n2 = 1 / d.N1, 1 / d.N2
 
-def _odd_grids(d: Domain, A: np.ndarray, B: np.ndarray, scratch, out=None) -> np.ndarray:
-    """The grids ``u + v`` of band block ``A`` and ``bx + by`` of ``B`` from one stacked
-    inverse transform, in ``out`` if given, else in a new ``(2, N2, N1)`` array.  Each half of
-    ``d._odd_advect_tables`` multiplies the block (``B`` stacked with ``A`` unless it is ``A``)
-    once, into ``scratch.rows``; the y-pass runs on the band's columns, into ``scratch.ypass``."""
-    (up, down, _), (S_up, S_down) = d._odd_advect_tables, scratch.rows
-    C = A if B is A else np.stack((A, B))
-    np.multiply(up, C, out=S_up)
-    np.multiply(down, C, out=S_down)
-    return _irfft2(d, scratch.spectrum, out=out, pad=scratch.ypass)
+    def grids(self, A: np.ndarray, B: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """The grids ``u + v`` of band block ``A`` and ``bx + by`` of ``B`` in ``out``, from one
+        stacked inverse transform; each half table multiplies the block (``B`` stacked with
+        ``A`` unless it is ``A``) once, into ``rows``."""
+        C = A if B is A else np.stack((A, B))
+        up, down = self.rows
+        np.multiply(self.up, C, out=up)
+        np.multiply(self.down, C, out=down)
+        lattice._pocketfft.ifft(self.spectrum, 1, axes=_Y_PASS, out=self.ycols)
+        return lattice._pocketfft.irfft(self.ypass, 1, out=out)
+
+    def odd_part(self, grid: np.ndarray, minus: bool = False) -> np.ndarray:
+        """The masked band block of the odd-in-y part of a product of band grids, new: one
+        forward transform, and ``F(m2) - F(-m2)`` of its ``coeff_rows``; with ``minus``,
+        ``F(-m2) - F(m2)``, the exact negative (up to the sign of a zero).  Its m1 = 0 column
+        is imaginary, so the block expands to an exactly odd, exactly Hermitian half."""
+        lattice._pocketfft.rfft_n_even(grid, self.inv_n1, out=self.xpass)
+        lattice._pocketfft.fft(self.xcols, self.inv_n2, axes=_Y_PASS, out=self.coeffs)
+        F_up, F_down = self.coeff_rows
+        Q = np.subtract(F_down, F_up) if minus else np.subtract(F_up, F_down)
+        Q *= self.mask
+        Q.real[:, 0] = 0.0
+        return Q
 
 
 def _odd_uv(d: Domain, C: np.ndarray) -> np.ndarray:
@@ -179,23 +198,6 @@ def _odd_uv(d: Domain, C: np.ndarray) -> np.ndarray:
     for half, rows in zip(d._odd_advect_tables[:2], d._band_rows):
         np.multiply(half[0], C, out=S[rows])
     return _irfft2(d, S)
-
-
-def _odd_part(d: Domain, grid: np.ndarray, scratch, minus: bool = False) -> np.ndarray:
-    """The masked band block of the odd-in-y part of a product of band grids.
-
-    One raw forward transform into ``scratch.coeffs``, whose y-pass runs only on the
-    ``|m1| < N1/3`` columns that the 2/3 rule keeps, the band's columns, and the difference
-    ``F(m2) - F(-m2)`` of its views ``scratch.coeff_rows``; with ``minus``,
-    ``F(-m2) - F(m2)``, the exact negative (up to the sign of a zero).  Its m1 = 0 column is
-    imaginary, so the block expands to an exactly odd, exactly Hermitian half.
-    """
-    F_up, F_down = scratch.coeff_rows
-    _rfft2(d, grid, out=scratch.coeffs, cols=d._band_shape[1])
-    Q = np.subtract(F_down, F_up) if minus else np.subtract(F_up, F_down)
-    Q *= d._odd_advect_tables[2]
-    Q.real[:, 0] = 0.0
-    return Q
 
 
 def jacobian(a: SpectralField, b: SpectralField) -> SpectralField:

@@ -10,20 +10,21 @@ Mode amplitudes are integrated in the laboratory frame.  Co-rotating
 amplitudes (the representation in which the rotation term disappears) are
 obtained by multiplying mode k by ``exp(+i Omega_k t / eps)``.
 
-The dynamics keep the odd-in-y subspace and the 2/3 band, so a state is an
-``OddBand``, the band block (``Domain._block``) of an exactly odd field, and
-a step runs on that block alone: the weights are even in m2, so they are
-built on the block, as is the ``Forcing`` the step reads, and the band
-kernel returns an exactly odd result, so the step's output is exactly odd,
-not odd to round-off.  A step takes and returns ``OddBand``s
-only: ``OddBand.of`` makes a state of a field, and ``.field`` is the way back.
+The dynamics keep the odd-in-y subspace and the 2/3 band, so a state is an ``OddBand``,
+the band block (``Domain._block``) of an exactly odd field, and a step runs on that block
+alone: the weights are even in m2, so they are built on the block, as is the ``Forcing``
+the step reads, and the band kernel returns an exactly odd result, so the step's output
+is exactly odd, not odd to round-off.  A step takes and returns ``OddBand``s only:
+``OddBand.of`` makes a state of a field, and ``.field`` is the way back.
 
-A tangent step linearizes the step about its base stages.  ``step_pair`` has
-the base step keep each stage's grids ``u + v`` and ``bx + by`` in the
-stepper's buffers, and a tangent stage is the odd part of one grid sum over
-them: three transforms, where two advection calls would take six.  They are
-the only base a tangent step reads: on stages that kept none it is refused.
-A tangent's blow-up is its own: a failed contraction, not a broken state.
+Each stage runs on the stepper's band kernel: a plain one through ``_advect_raw``
+(traced by the benchmark), the others through its ``grids`` and ``odd_part``.  A
+tangent step linearizes the step about its base stages.  ``step_pair`` has the base
+step keep each stage's grids ``u + v`` and ``bx + by`` in the stepper's buffers, and a
+tangent stage is the odd part of one grid sum over them: three transforms, where two
+advection calls would take six.  They are the only base a tangent step reads: on
+stages that kept none it is refused.  A tangent's blow-up is its own: a failed
+contraction, not a broken state.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import numpy as np
 
 from .forcing import Forcing
 from .lattice import Domain, OddBand, _frozen, _require_finite
-from .operators import _advect_raw, _band_scratch, _odd_grids, _odd_part
+from .operators import _advect_raw, _BandKernel
 
 
 def _block_of(x: OddBand, what: str = "state") -> np.ndarray:
@@ -158,8 +159,8 @@ class Stepper:
     A step takes and returns ``OddBand``s (``TypeError`` for a full field); it runs on the
     band block and its output is exactly real and odd.  The full symbol ``lam`` (lambda_k
     above) and the coefficient tables are shared read-only.  Each instance owns what its steps
-    write, the band kernel's scratch and the buffers where ``step_pair`` keeps its tangent
-    step's base grids, so it takes one step at a time, independent of any other instance.
+    write, its band kernel (``operators._BandKernel``) and the buffers where ``step_pair`` keeps
+    its tangent step's base grids, so it takes one step at a time, independent of any other.
     """
 
     def __init__(self, domain: Domain, config: SimConfig, h: float):
@@ -172,7 +173,7 @@ class Stepper:
             self.coeffs = build_coefficients(domain, self.lam, h)
         except ValueError as e:
             raise ValueError(f"epsilon={config.epsilon}: {e}") from None
-        self._scratch = _band_scratch(domain)
+        self._kernel = _BandKernel(domain)
         self._stage_grids = np.empty((4, 2, domain.N2, domain.N1))
 
     # -- right-hand sides ---------------------------------------------------
@@ -180,12 +181,12 @@ class Stepper:
     def _nonlinear(self, C: np.ndarray, f: np.ndarray | None, keep) -> np.ndarray:
         """``f - B(C, C)`` (``f + (-B)`` bit for bit), or ``-B(C, C)`` without ``f``; with
         ``keep`` the grids of ``C`` stay in that pair of buffers."""
-        d, s = self.domain, self._scratch
+        k = self._kernel
         if keep is None:
-            out = _advect_raw(d, C, C, s)
+            out = _advect_raw(self.domain, C, C, k)
         else:
-            uv, dxy = _odd_grids(d, C, C, s, out=keep)
-            out = _odd_part(d, np.multiply(uv, dxy, out=s.grids[0]), s)
+            uv, dxy = k.grids(C, C, keep)
+            out = k.odd_part(np.multiply(uv, dxy, out=k.work[0]))
         if f is None:
             return np.negative(out, out=out)
         return np.subtract(f, out, out=out)
@@ -196,13 +197,13 @@ class Stepper:
         The odd part of one grid sum, ``(u_W + v_W)(P_x + P_y) + (u_P + v_P)(W_x + W_y)``:
         two inverse transforms of ``P`` and one forward transform.
         """
-        d, s = self.domain, self._scratch
+        k = self._kernel
         uv, dxy = grids
-        uv_p, dxy_p = _odd_grids(d, P, P, s, out=s.grids)
+        uv_p, dxy_p = k.grids(P, P, k.work)
         dxy_p *= uv
         uv_p *= dxy
         dxy_p += uv_p
-        return _odd_part(d, dxy_p, s, minus=True)
+        return k.odd_part(dxy_p, minus=True)
 
     def _etdrk4(self, u0: np.ndarray, rhs: Callable[[int, np.ndarray], np.ndarray]) -> np.ndarray:
         """ETDRK4 update of band block ``u0``; ``rhs(i, x)`` is the nonlinear term of stage i.

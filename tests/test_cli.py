@@ -488,9 +488,13 @@ BAD_INPUTS = {
                          _config_setting("forcing.mode", "1,1,nan,0.0")),
     "nan:forcing.sigma": (["simulate", "--config", "CFG"], _config_setting("forcing.sigma", "nan")),
     "nan:--epsilon": (["simulate", "--config", "CFG", "--epsilon", "nan"], TINY_CONFIG),
+    "negative:--epsilon": (["contraction", "--config", "CFG", "--epsilon", "-0.1"], TINY_CONFIG),
     "inf:--l1": (["triad-check", "--l1", "inf"], TINY_CONFIG),
     "negative:--l2": (["triad-check", "--l2", "-1"], TINY_CONFIG),
     "odd:--resolution": (["agmon-check", "--samples", "3", "--resolution", "5"], TINY_CONFIG),
+    # The flag overrides the config's n1 and n2, so a refusal of them is the flag's.
+    "odd-on-config:--resolution": (["simulate", "--config", "CFG", "--resolution", "5"],
+                                   TINY_CONFIG),
     "nan:--constant": (["agmon-check", "--samples", "3", "--resolution", "16",
                         "--constant", "nan"], TINY_CONFIG),
     # A constant <= 0 made every run a violation (exit 3).
@@ -516,6 +520,9 @@ BAD_INPUTS = {
     # |k|^2 of the (1, 0) mode underflows to 0 or to a subnormal.
     "underflow:--l1": (["triad-check", "--max-k", "3", "--l1", "1e300"], TINY_CONFIG),
     "subnormal:l1": (["simulate", "--config", "CFG"], _config_setting("l1", "1e160")),
+    # |k|^2 of the largest mode overflows.
+    "overflow:--l2": (["triad-check", "--max-k", "3", "--l2", "1e-160"], TINY_CONFIG),
+    "overflow:l2": (["simulate", "--config", "CFG"], _config_setting("l2", "1e-160")),
     # A threshold <= 0 made the first step a blow-up (exit 2).
     "zero:blowup_threshold": (["simulate", "--config", "CFG"],
                               _config_setting("blowup_threshold", "0")),
@@ -549,9 +556,14 @@ def test_bad_input_exits_1(argv, text, tmp_path, capsys):
 
 @pytest.mark.parametrize("name", ["zero:--max-k", "negative:--max-k", "zero:--constant",
                                   "negative:--constant", "inf:--l1", "negative:--l2",
-                                  "odd:--resolution"])
+                                  "odd:--resolution", "odd-on-config:--resolution",
+                                  "underflow:--l1", "overflow:--l2", "nan:--epsilon",
+                                  "negative:--epsilon"])
 def test_a_refused_flag_names_itself(name, tmp_path, capsys):
-    argv, _ = BAD_INPUTS[name]
+    argv, text = BAD_INPUTS[name]
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    argv = [str(cfg) if a == "CFG" else a for a in argv]
     assert main(argv + ["--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err.startswith(f"error: {name.split(':')[1]} must be ")
 
@@ -574,7 +586,8 @@ def test_negative_seed_exits_1_naming_it(argv, config_file, tmp_path, capsys):
                                         ("tol.seed_spread", "-1"), ("tol.cfl_max", "-1"),
                                         ("n1", "5"), ("l2", "-1"), ("h", "-0.1"),
                                         ("epsilon", "-0.1"), ("t_spin", "1e9"), ("mu", "-1"),
-                                        ("record_every", "0")])
+                                        ("record_every", "0"), ("l1", "1e160"),
+                                        ("l2", "1e-160")])
 def test_a_refused_value_names_its_key(key, value, tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text(_config_setting(key, value))
@@ -583,6 +596,15 @@ def test_a_refused_value_names_its_key(key, value, tmp_path):
     message = str(refused.value)
     if " must be " in message:  # a dataclass's refusal ends with the value it got
         assert float(message.rpartition(", got ")[2]) == float(value)
+
+
+def test_a_refused_override_keeps_its_field_name(tmp_path):
+    # Not a line of the file: the caller that set it names it (cli._FLAGS, for the CLI).
+    path = tmp_path / "ok.cfg"
+    path.write_text(TINY_CONFIG)
+    for overrides, field in (({"n1": 5}, "N1"), ({"epsilon": (-0.1,)}, "epsilons")):
+        with pytest.raises(ConfigError, match=rf"^{field} must be "):
+            load_config(path, overrides)
 
 
 # The reader leaves finiteness to the dataclasses: each key that carries a real number.

@@ -365,36 +365,46 @@ class TestOddBand:
 
 
 class TestPassTransforms:
-    """The raw pair runs as stacked 1-D passes and gives the bits of numpy's 2-D wrappers."""
+    """The raw pair runs as stacked 1-D passes and gives the bits of numpy's 2-D wrappers, and
+    so do the band kernel's own passes (``operators._BandKernel``)."""
 
     @pytest.mark.parametrize("stack", [1, 2])
     @pytest.mark.parametrize("d", TRANSFORM_DOMAINS)
     def test_matches_the_2d_wrappers(self, d, stack):
+        from zns.operators import _BandKernel
+
         rng = np.random.default_rng(29)
         half = (stack, d.N2, d.N1 // 2 + 1)
         H = rng.standard_normal(half) + 1j * rng.standard_normal(half)
         V = rng.standard_normal((stack, d.N2, d.N1))
-        keep = d._band_shape[1]
+        (r, keep), kernel = d._band_shape, _BandKernel(d)
         assert keep == np.count_nonzero(d.dealias[0, : d.N1 // 2 + 1])
         grids = zns.lattice._irfft2(d, H)
-        out = np.empty((stack, d.N2, d.N1))
-        assert zns.lattice._irfft2(d, H, out=out) is out and np.array_equal(out, grids)
-        # Only the leading columns given: the y-pass runs on those, into a zero-padded half.
-        pad = np.zeros(half, dtype=np.complex128)
-        banded = zns.lattice._irfft2(d, H[..., :keep], pad=pad)
+        # The kernel's inverse passes on the half it fills from one block or from two.
+        A, B = H[0, :r, :keep], H[-1, -r:, -keep:]
+        B = A if stack == 1 else B
+        S = np.zeros((2,) + half[1:], dtype=np.complex128)
+        for table, rows in zip(d._odd_advect_tables[:2], d._band_rows):
+            S[:, rows, :keep] = table * (A if B is A else np.stack((A, B)))
+        out = np.empty((2, d.N2, d.N1))
+        assert kernel.grids(A, B, out) is out
+        for i in range(2):
+            want = np.fft.irfftn(S[i], s=(d.N2, d.N1), axes=(0, 1), norm="forward")
+            assert np.array_equal(out[i], want)
+        # Only the leading columns given: the y-pass runs on those, into a zero-padded half
+        # (in the kernel, its ypass, whose other columns stay zero).
         narrow = zns.lattice._irfft2(d, H[..., :keep])
         coeffs = zns.lattice._rfft2(d, V)
-        kept = np.empty((stack, d.N2, keep), dtype=np.complex128)
-        assert zns.lattice._rfft2(d, V, out=kept, cols=keep) is kept
         for i in range(stack):
             want = np.fft.irfftn(H[i], s=(d.N2, d.N1), axes=(0, 1), norm="forward")
             assert np.array_equal(grids[i], want)
             assert np.array_equal(zns.lattice._irfft2(d, H[i]), want)
             lead = np.where(np.arange(d.N1 // 2 + 1) < keep, H[i], 0.0)
             want = np.fft.irfftn(lead, s=(d.N2, d.N1), axes=(0, 1), norm="forward")
-            assert np.array_equal(banded[i], want) and not pad[i, :, keep:].any()
-            assert np.array_equal(narrow[i], want)
+            assert np.array_equal(narrow[i], want) and not kernel.ypass[..., keep:].any()
             want = np.fft.rfft2(V[i], norm="forward")
             assert np.array_equal(coeffs[i], want)
-            assert np.array_equal(kept[i], want[:, :keep])
-            assert np.array_equal(zns.lattice._rfft2(d, V[i], cols=keep), want[:, :keep])
+            # The kernel's forward passes keep the band's columns, in its own buffer.
+            kernel.odd_part(V[i])
+            assert np.array_equal(kernel.coeffs, want[:, :keep])
+            assert np.array_equal(zns.lattice._rfft2(d, V[i])[:, :keep], want[:, :keep])

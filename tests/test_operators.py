@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import zns.lattice
 from zns.diagnostics import sobolev_norm
 from zns.lattice import (
     Domain,
@@ -21,8 +22,7 @@ from zns.lattice import (
 )
 from zns.operators import (
     _advect_raw,
-    _band_scratch,
-    _odd_part,
+    _BandKernel,
     _grid,
     _spec,
     _zonal_triad,
@@ -262,7 +262,7 @@ class TestRealTransformKernel:
             assert _advect_raw(d, a.coeffs, b.coeffs).shape == (d.N2, d.N1)
 
     def test_signature_and_full_width_output(self, rng):
-        assert list(inspect.signature(_advect_raw).parameters) == ["d", "A", "B", "scratch"]
+        assert list(inspect.signature(_advect_raw).parameters) == ["d", "A", "B", "kernel"]
         d = Domain(N1=16, N2=8)
         a = random_field(d, rng, norm_target=1.0)
         out = _advect_raw(d, a.coeffs, a.coeffs)
@@ -305,8 +305,8 @@ def band_blocks(d: Domain, *fields: SpectralField) -> list[np.ndarray]:
 
 
 def band_advect(d: Domain, a: SpectralField, b: SpectralField) -> np.ndarray:
-    """The band kernel on the band blocks of ``a`` and ``b``, in a scratch of its own."""
-    return _advect_raw(d, *band_blocks(d, a, b), _band_scratch(d))
+    """The band kernel on the band blocks of ``a`` and ``b``, a kernel of its own."""
+    return _advect_raw(d, *band_blocks(d, a, b), _BandKernel(d))
 
 
 def expanded(d: Domain, block: np.ndarray) -> SpectralField:
@@ -352,7 +352,7 @@ class TestOddKernel:
     def test_odd_part_is_zero_beyond_the_kept_columns(self, d, rng):
         n2, (rows, keep) = d.N2 // 2, d._band_shape
         grid = rng.standard_normal((d.N2, d.N1))
-        got = _odd_part(d, grid, Stepper(d, SimConfig(0.1, 0.5), 0.01)._scratch)
+        got = Stepper(d, SimConfig(0.1, 0.5), 0.01)._kernel.odd_part(grid)
         assert got.shape == (rows, keep)
         # The block is that of a 2-D transform of every column, and the 2/3 mask is
         # zero on all of the quarter outside it.
@@ -364,18 +364,41 @@ class TestOddKernel:
         assert np.array_equal(mask[:rows, :keep], d._odd_advect_tables[2])
         assert np.all(want[rows:] == 0.0) and np.all(want[:, keep:] == 0.0)
 
+    @pytest.mark.parametrize("stack", [1, 2])
+    @pytest.mark.parametrize("d", TRANSFORM_DOMAINS)
+    def test_passes_give_the_bits_of_the_lattice_transforms(self, d, stack, rng):
+        # The kernel's own gufunc calls against _irfft2 of the zero-padded half it fills and
+        # _rfft2 of each grid: one block for both halves (1), or two stacked (2).
+        (r, keep), half = d._band_shape, d.N1 // 2 + 1
+        kernel = _BandKernel(d)
+        A, B = rng.standard_normal((2, r, keep)) + 1j * rng.standard_normal((2, r, keep))
+        B = A if stack == 1 else B
+        S = np.zeros((2, d.N2, half), np.complex128)
+        for table, rows in zip(d._odd_advect_tables[:2], d._band_rows):
+            S[:, rows, :keep] = table * (A if B is A else np.stack((A, B)))
+        out = np.empty((2, d.N2, d.N1))
+        assert kernel.grids(A, B, out) is out
+        assert out.tobytes() == zns.lattice._irfft2(d, S).tobytes()
+        for grid in (*out, rng.standard_normal((d.N2, d.N1))):
+            F = zns.lattice._rfft2(d, grid)[:, :keep]
+            up, down = (F[rows] for rows in d._band_rows)
+            for minus, want in ((False, up - down), (True, down - up)):
+                want *= d._odd_advect_tables[2]
+                want.real[:, 0] = 0.0
+                assert kernel.odd_part(grid, minus).tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("d", KERNEL_DOMAINS)
     def test_scratch_carries_nothing_between_calls(self, d, rng):
         # The kernel with A != B (a stacked fill), then with A = B (one block for both
-        # halves), then a step and a tangent step, all in one stepper's scratch: each result
+        # halves), then a step and a tangent step, all in one stepper's kernel: each result
         # is the same call's in a fresh stepper, and the spectrum stays zero outside the
         # band rows.
         def stepper():
             return Stepper(d, SimConfig(0.1, 0.5), 0.01)
 
         A, B = band_blocks(d, *(random_field(d, rng, norm_target=1.0) for _ in range(2)))
-        calls = (lambda st: _advect_raw(d, A, B, st._scratch),
-                 lambda st: _advect_raw(d, A, A, st._scratch),
+        calls = (lambda st: _advect_raw(d, A, B, st._kernel),
+                 lambda st: _advect_raw(d, A, A, st._kernel),
                  lambda st: np.stack([x.coeffs for x in st.step_pair(OddBand(d, A),
                                                                        OddBand(d, B), 0.0)]))
         st = stepper()
@@ -383,25 +406,28 @@ class TestOddKernel:
             got, want = call(st), call(stepper())
             assert np.array_equal(got, want)
         r, k = d._band_shape
-        assert not st._scratch.spectrum[:, [0, *range(r + 1, d.N2 - r)]].any()
-        assert not st._scratch.ypass[..., k:].any()
+        assert not st._kernel.spectrum[:, [0, *range(r + 1, d.N2 - r)]].any()
+        assert not st._kernel.ypass[..., k:].any()
 
     def test_three_transforms_per_call(self, monkeypatch, rng):
-        import zns.operators
+        from types import SimpleNamespace
 
-        # Each call records its name and the number of transforms in its stack.
-        calls = []
-        for name in ("_irfft2", "_rfft2"):
-            fn = getattr(zns.operators, name)
-            monkeypatch.setattr(zns.operators, name, lambda d, x, fn=fn, name=name, **kw:
-                                calls.append((name, x[..., 0, 0].size)) or fn(d, x, **kw))
+        import zns.lattice
+
+        # Each 1-D pass records its name and the number of 2-D transforms in its stack.
+        calls, passes = [], {}
+        for name in ("ifft", "irfft", "rfft_n_even", "fft"):
+            fn = getattr(zns.lattice._pocketfft, name)
+            passes[name] = lambda x, *a, fn=fn, name=name, **kw: (
+                calls.append((name, x[..., 0, 0].size)) or fn(x, *a, **kw))
+        monkeypatch.setattr(zns.lattice, "_pocketfft", SimpleNamespace(**passes))
         d = Domain(N1=16, N2=16)
         a = random_field(d, rng, norm_target=1.0)
-        _advect_raw(d, *band_blocks(d, a, a), _band_scratch(d))
-        assert calls == [("_irfft2", 2), ("_rfft2", 1)]
+        _advect_raw(d, *band_blocks(d, a, a), _BandKernel(d))
+        assert calls == [("ifft", 2), ("irfft", 2), ("rfft_n_even", 1), ("fft", 1)]
         calls.clear()
         _advect_raw(d, a.coeffs, a.coeffs)
-        assert calls == [("_irfft2", 4), ("_rfft2", 1)]
+        assert calls == [("ifft", 4), ("irfft", 4), ("rfft_n_even", 1), ("fft", 1)]
 
 
 class TestTriadCoefficients:

@@ -25,7 +25,7 @@ from zns.lattice import (
     random_field,
     reality_error,
 )
-from zns.operators import _advect_raw, _odd_grids, apply_A, apply_L, jacobian
+from zns.operators import _advect_raw, _BandKernel, apply_A, apply_L, jacobian
 from zns.stepper import (
     BlowUpError,
     OddBand,
@@ -676,8 +676,8 @@ class TestCachedTangentStage:
         for _ in range(3):
             W = OddBand.of(random_field(d, rng, norm_target=2.0)).coeffs
             P = OddBand.of(random_field(d, rng, norm_target=1.0)).coeffs
-            want = -(_advect_raw(d, W, P, st_._scratch) + _advect_raw(d, P, W, st_._scratch))
-            got = st_._tangent_nonlinear(P, _odd_grids(d, W, W, st_._scratch))
+            want = -(_advect_raw(d, W, P, st_._kernel) + _advect_raw(d, P, W, st_._kernel))
+            got = st_._tangent_nonlinear(P, st_._kernel.grids(W, W, np.empty((2, n, n))))
             assert got.shape == W.shape
             assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
@@ -697,12 +697,10 @@ class TestCachedTangentStage:
             st_.tangent_step(phi, stages)
 
     def test_linear_flow_builds_no_grids(self, rng, monkeypatch):
-        import zns.stepper
-
-        def no_grids(d, Q):
+        def no_grids(kernel, A, B, out):
             raise AssertionError("the linear flow built a grid")
 
-        monkeypatch.setattr(zns.stepper, "_odd_grids", no_grids)
+        monkeypatch.setattr(_BandKernel, "grids", no_grids)
         d = Domain(N1=16, N2=16)
         st_ = LinearStepper(d, SimConfig(epsilon=0.5, mu=0.3), h=0.01)
         w = random_field(d, rng, norm_target=2.0)
@@ -787,29 +785,35 @@ class TestWorkBuffers:
             assert np.array_equal(a.coeffs, b.coeffs)
 
     def test_integrate_matches_2d_wrapper_reference(self, monkeypatch):
-        # The same run with the raw pair on numpy's 2-D wrappers, one call per grid.
+        # The same run with the raw pair on numpy's 2-D wrappers, one call per grid: in the
+        # band kernel's two methods and in the record's _irfft2.
         import zns.operators
         from zns.harness import initial_state, integrate
 
         calls = []
 
-        def irfft2(d, H, out=None, pad=None):
+        def irfft2(d, H):  # H may hold only the leading columns of the half
             calls.append("irfft2")
-            if pad is not None:  # H holds only the leading columns of the half
-                H = np.concatenate((H, pad[..., H.shape[-1] :]), axis=-1)
-            if out is None:
-                out = np.empty(H.shape[:-2] + (d.N2, d.N1))
+            out = np.empty(H.shape[:-2] + (d.N2, d.N1))
             for i in np.ndindex(H.shape[:-2]):
                 np.fft.irfftn(H[i], s=(d.N2, d.N1), axes=(0, 1), norm="forward", out=out[i])
             return out
 
-        def rfft2(d, V, out=None, cols=None):
-            calls.append("rfft2")
-            F = np.fft.rfft2(V, norm="forward")[..., :cols]
-            if out is None:
-                return F
-            out[...] = F
+        def grids(kernel, A, B, out):
+            C = A if B is A else np.stack((A, B))
+            for table, rows in zip((kernel.up, kernel.down), kernel.rows):
+                np.multiply(table, C, out=rows)
+            out[...] = irfft2(d, kernel.spectrum)
             return out
+
+        def odd_part(kernel, grid, minus=False):
+            calls.append("rfft2")
+            F = np.fft.rfft2(grid, norm="forward")[:, : kernel.coeffs.shape[1]]
+            up, down = (F[rows] for rows in d._band_rows)
+            Q = np.subtract(down, up) if minus else np.subtract(up, down)
+            Q *= kernel.mask
+            Q.real[:, 0] = 0.0
+            return Q
 
         d = Domain(N1=32, N2=32)
         forcing = Forcing(self.SPEC, d)
@@ -826,7 +830,8 @@ class TestWorkBuffers:
 
         got = run()
         monkeypatch.setattr(zns.operators, "_irfft2", irfft2)
-        monkeypatch.setattr(zns.operators, "_rfft2", rfft2)
+        monkeypatch.setattr(_BandKernel, "grids", grids)
+        monkeypatch.setattr(_BandKernel, "odd_part", odd_part)
         want = run()
         # 12 per iteration (base, tangent and partner: 4 stages each), 1 per record.
         assert calls.count("rfft2") == 40 * 12 and calls.count("irfft2") == 40 * 12 + len(want[3])
@@ -860,8 +865,8 @@ class TestWorkBuffers:
                 assert np.array_equal(x.coeffs, y.coeffs)
 
     def test_steppers_on_one_domain_step_at_once_in_two_threads(self):
-        # Each stepper writes only its own scratch, so two stepping at once in two threads,
-        # a plain step and a step pair, give the sequential run's bits.
+        # Each stepper writes only its own kernel's buffers, so two stepping at once in two
+        # threads, a plain step and a step pair, give the sequential run's bits.
         import sys
         import threading
 
@@ -896,6 +901,14 @@ class TestWorkBuffers:
         assert not any(t.is_alive() for t in threads)
         for a, b in zip(got, want):
             assert np.array_equal(a, b)
+
+        def buffers(kernel):
+            items = [x for v in vars(kernel).values() for x in (v if isinstance(v, tuple) else (v,))]
+            return [x for x in items if isinstance(x, np.ndarray) and x.flags.writeable]
+
+        # What the two kernels write is their own; what they share is read-only.
+        a, b = (buffers(Stepper(d, SimConfig(0.05, 0.5), 0.004)._kernel) for _ in range(2))
+        assert a and not any(np.shares_memory(x, y) for x in a for y in b)
 
     def test_a_domain_holds_no_writable_state(self, rng):
         # After a step, a step pair and a record, everything a domain has cached is a
@@ -1198,7 +1211,7 @@ class QuarterStage:
 
     def odd_part(self, grid):
         d, n2, keep = self.d, self.d.N2 // 2, self.d._band_shape[1]
-        F = _rfft2(d, grid, cols=keep)
+        F = _rfft2(d, grid)[:, :keep]
         out = np.zeros((n2 - 1, d.N1 // 2 + 1), dtype=np.complex128)
         Q = np.subtract(F[1:n2], F[:n2:-1], out=out[:, :keep])
         Q *= self.mask[:, :keep]
