@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, finite_float, load_config, rename_refusal
+from .config import finite_float, load_config, rename_refusal
 from .diagnostics import agmon_check
 from .harness import (
     run_contraction_test,
@@ -31,9 +31,9 @@ EXIT_CONFIG = 1
 EXIT_BLOWUP = 2
 EXIT_VIOLATION = 3
 
-# Field -> the flag that sets it, named by its refusal (build_config names a key of the file).
+# Parameter -> the flag that sets it, for the refusals that load_config has not named.
 _FLAGS = {"L1": "--l1", "L2": "--l2", "N1": "--resolution", "N2": "--resolution",
-          "epsilons": "--epsilon"}
+          "n_seeds": "--seeds", "snapshot_every": "--snapshot-every"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -139,11 +139,11 @@ _EXPERIMENTS = {
 
 def cmd_experiment(args) -> int:
     """Load the config, run the experiment (which writes its outputs), print, report."""
-    overrides = {"seed": args.seed}
-    if getattr(args, "epsilon", None) is not None:  # simulate and contraction have --epsilon
-        overrides["epsilon"] = (args.epsilon,)
-    if args.resolution is not None:
-        overrides["n1"] = overrides["n2"] = args.resolution
+    epsilon = getattr(args, "epsilon", None)  # simulate and contraction have --epsilon
+    flags = {"seed": ("--seed", args.seed), "n1": ("--resolution", args.resolution),
+             "n2": ("--resolution", args.resolution),
+             "epsilon": ("--epsilon", None if epsilon is None else (epsilon,))}
+    overrides = {key: flag for key, flag in flags.items() if flag[1] is not None}
     run, lines = _EXPERIMENTS[args.command]
     record = run(load_config(args.config, overrides), args)
     for line in lines(record.summary, args):
@@ -208,7 +208,7 @@ def main(argv=None) -> int:
     except BlowUpError as e:
         print(f"BLOW-UP: {e}", file=sys.stderr)
         return EXIT_BLOWUP
-    except (ConfigError, OSError, ValueError) as e:
+    except (OSError, ValueError) as e:
         print(f"error: {rename_refusal(e, _FLAGS)}", file=sys.stderr)
         return EXIT_CONFIG
 

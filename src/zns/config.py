@@ -3,8 +3,10 @@
 Format: one ``key = value`` pair per line, ``#`` comments, blank lines
 ignored.  Only ``forcing.mode`` may repeat, one ``m1,m2,re,im`` entry per
 line; any other key set twice is an error, and every real number must be
-finite (the dataclasses refuse any other).  Keys mirror
-:class:`zns.harness.ExperimentConfig`; three CLI options override keys:
+finite (the dataclasses refuse any other).  ``_SCHEMA`` is the one home of
+each key's dataclass field and parser.  A caller's overrides arrive parsed,
+each under the name its caller gives it (the CLI's flag), and a refused value
+names its key or that name.  The keys:
 
     n1, n2            mode counts (default 64; ``--resolution R`` sets both to R)
     l1, l2            periods (default 2*pi)
@@ -43,20 +45,25 @@ def finite_float(text: str) -> float:
     return value
 
 
-_TOL_TYPES = {f.name: type(f.default) for f in fields(Tolerances)}
+def _mode(text: str) -> tuple[int, int, complex]:
+    parts = text.split(",")
+    if len(parts) != 4:
+        raise ValueError(f"needs m1,m2,re,im; got {text!r}")
+    m1, m2, re, im = parts
+    return int(m1), int(m2), complex(float(re), float(im))
 
-_SCALARS = {
-    "n1": int, "n2": int, "l1": float, "l2": float, "mu": float,
-    "h": float, "t_end": float, "t_spin": float, "seed": int,
-    "omega0_norm": float, "record_every": int, "blowup_threshold": float,
+
+# Key -> (the dataclass it sets, the field, the parser of its text).
+_SCHEMA = {
+    "n1": (Domain, "N1", int), "n2": (Domain, "N2", int),
+    "l1": (Domain, "L1", float), "l2": (Domain, "L2", float),
+    **{key: (ExperimentConfig, key, float)
+       for key in ("mu", "h", "t_end", "t_spin", "omega0_norm", "blowup_threshold")},
+    **{key: (ExperimentConfig, key, int) for key in ("seed", "record_every")},
+    "epsilon": (ExperimentConfig, "epsilons", lambda text: tuple(map(float, text.split(",")))),
+    "forcing.sigma": (ForcingSpec, "sigma", float), "forcing.mode": (ForcingSpec, "modes", _mode),
+    **{f"tol.{f.name}": (Tolerances, f.name, type(f.default)) for f in fields(Tolerances)},
 }
-
-_DOMAIN_FIELDS = {"n1": "N1", "n2": "N2", "l1": "L1", "l2": "L2"}
-
-# Dataclass field -> the key that sets it, so a refused value names its line of the file.
-_KEYS = {**{name: key for key, name in _DOMAIN_FIELDS.items()}, "epsilons": "epsilon",
-         "sigma": "forcing.sigma", "amplitudes": "forcing.mode",
-         **{name: f"tol.{name}" for name in _TOL_TYPES}}
 
 
 class ConfigError(ValueError):
@@ -69,87 +76,57 @@ def rename_refusal(e: ValueError, names: dict[str, str]) -> str:
     return f"{names.get(name, name)}{must}{rest}"
 
 
-def read_config_entries(path: Path) -> list[tuple[str, str]]:
-    """Raw (key, value) pairs in file order."""
+def load_config(path: Path, overrides: dict | None = None) -> ExperimentConfig:
+    """The ExperimentConfig of a config file, each key of ``overrides`` (``{key: (name,
+    parsed value)}``) set in place of the file's line.
+
+    Only the keys that are set reach the dataclasses, so an unset key takes
+    the default of its ``ExperimentConfig``, ``Domain`` or ``Tolerances`` field.
+    A refused value names its key, or the name its override came with.
+    """
     try:
         text = Path(path).read_text()
     except OSError as e:
         raise ConfigError(f"cannot read config file: {e}") from e
     entries = []
     for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        if "=" not in stripped:
+        key, eq, value = line.split("#", 1)[0].partition("=")
+        if eq:
+            entries.append((key.strip(), value.strip()))
+        elif key.strip():
             raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-        key, value = stripped.split("=", 1)
-        entries.append((key.strip(), value.strip()))
-    return entries
 
-
-def build_config(entries: list[tuple[str, str]], overrides: dict | None = None) -> ExperimentConfig:
-    """Assemble an ExperimentConfig from raw entries plus CLI overrides.
-
-    Only the keys that are set reach the dataclasses, so an unset key takes
-    the default of its ``ExperimentConfig``, ``Domain`` or ``Tolerances`` field.
-    A refused value names its key, unless an override set it (then its field).
-    """
-    values: dict = {}
-    modes: list[tuple[int, int, float, float]] = []
-    forcing_values: dict = {}
-    tol_values: dict = {}
-    seen: set[str] = set()
+    given: dict = {}  # key -> (the name that a refusal of it gives, its value)
     for key, value in entries:
-        if key in seen and key != "forcing.mode":
+        if key in given and key != "forcing.mode":
             raise ConfigError(f"config key {key!r} is set more than once")
-        seen.add(key)
+        if key not in _SCHEMA:
+            unknown = f"tolerance {key[4:]!r}" if key.startswith("tol.") else f"config key {key!r}"
+            raise ConfigError(f"unknown {unknown}")
         try:
-            if key in _SCALARS:
-                values[key] = _SCALARS[key](value)
-            elif key == "epsilon":
-                values["epsilon"] = tuple(float(v) for v in value.split(","))
-            elif key == "forcing.sigma":
-                forcing_values["sigma"] = float(value)
-            elif key == "forcing.mode":
-                parts = value.split(",")
-                if len(parts) != 4:
-                    raise ConfigError(f"forcing.mode needs m1,m2,re,im; got {value!r}")
-                m1, m2, re, im = parts
-                modes.append((int(m1), int(m2), complex(float(re), float(im))))
-            elif key.startswith("tol."):
-                name = key[4:]
-                if name not in _TOL_TYPES:
-                    raise ConfigError(f"unknown tolerance {name!r}")
-                tol_values[name] = _TOL_TYPES[name](value)
-            else:
-                raise ConfigError(f"unknown config key {key!r}")
-        except ConfigError:
-            raise
+            parsed = _SCHEMA[key][2](value)
         except ValueError as e:  # a value that does not parse
             raise ConfigError(f"{key}: {e}") from e
+        if key == "forcing.mode":
+            parsed = given.get(key, (key, ()))[1] + (parsed,)
+        given[key] = (key, parsed)
+    given.update(overrides or {})
 
-    overridden = {k: v for k, v in (overrides or {}).items() if v is not None}
-    values.update(overridden)
-
-    missing = [k for k in ("mu", "epsilon", "h", "t_end") if k not in values]
+    missing = [k for k in ("mu", "epsilon", "h", "t_end") if k not in given]
     if missing:
         raise ConfigError(f"missing required keys: {', '.join(missing)}")
-    if not modes:
+    if "forcing.mode" not in given:
         raise ConfigError("at least one forcing.mode entry is required")
 
-    domain = {name: values.pop(key) for key, name in _DOMAIN_FIELDS.items() if key in values}
-    values["epsilons"] = values.pop("epsilon")
+    names = {field: key for key, (_, field, _) in _SCHEMA.items()}
+    kwargs: dict = {Domain: {}, ForcingSpec: {}, Tolerances: {}, ExperimentConfig: {}}
+    for key, (name, value) in given.items():
+        cls, field, _ = _SCHEMA[key]
+        kwargs[cls][field], names[field] = value, name
     try:
-        return ExperimentConfig(
-            domain=Domain(**domain),
-            forcing=ForcingSpec(tuple(modes), **forcing_values),
-            tolerances=Tolerances(**tol_values),
-            **values,
-        )
-    except ValueError as e:  # a field that an override set keeps its name, for the caller's
-        named = {field: key for field, key in _KEYS.items() if key not in overridden}
-        raise ConfigError(rename_refusal(e, named)) from e
-
-
-def load_config(path: Path, overrides: dict | None = None) -> ExperimentConfig:
-    return build_config(read_config_entries(path), overrides)
+        return ExperimentConfig(domain=Domain(**kwargs[Domain]),
+                                forcing=ForcingSpec(**kwargs[ForcingSpec]),
+                                tolerances=Tolerances(**kwargs[Tolerances]),
+                                **kwargs[ExperimentConfig])
+    except ValueError as e:
+        raise ConfigError(rename_refusal(e, names)) from e

@@ -43,7 +43,7 @@ class ForcingSpec:
         object.__setattr__(self, "modes", tuple(
             (int(m1), int(m2), complex(a)) for m1, m2, a in self.modes
         ))
-        _require_finite(sigma=self.sigma, amplitudes=tuple(a for _, _, a in self.modes))
+        _require_finite(sigma=self.sigma, modes=tuple(a for _, _, a in self.modes))
 
     def canonical_modes(self) -> dict[tuple[int, int], complex]:
         """Fold listed entries to canonical keys (m1 >= 0, m2 > 0); validate."""

@@ -2,9 +2,9 @@
 
 Long-time statements are operationalized with a spin-up of ten dissipative
 e-folds (T_spin = 10/nu, nu = c0^2 mu) followed by a measurement window
-[T_spin, T_end]; the choice is recorded in every summary.  All summaries are
-pure functions of the stored time series and the config, both of which a
-RunRecord holds, so they can be recomputed from it at any time.  Failed
+[T_spin, T_end]; the choice is recorded in every summary.  Each summary is a
+pure function of the series and config that a RunRecord holds, and of a
+sweep's seeds or a steady sweep's rows, which only its summary keeps.  Failed
 theorem checks are collected as violation strings in the record (and mapped
 to a nonzero exit code by the CLI); they never abort data capture.  Every
 output file of an experiment is written here, before the experiment returns;
@@ -169,7 +169,8 @@ def config_hash(config: ExperimentConfig) -> str:
 @dataclass
 class RunRecord:
     """The config that ran, its captured series and curves, and the summary and
-    violations that the ``summarize_*`` functions recompute from them."""
+    violations of its ``summarize_*`` function, which reads those fields, and also
+    a sweep's seeds or a steady sweep's rows, which only ``summary`` holds."""
 
     kind: str
     config: ExperimentConfig
@@ -429,7 +430,7 @@ def run_epsilon_sweep(
     one took; violated theorem checks are recorded, not raised.
     """
     if n_seeds < 1:
-        raise ValueError(f"need at least one seed, got {n_seeds}")
+        raise ValueError(f"n_seeds must be at least 1, got {n_seeds}")
     forcing = Forcing(config.forcing, config.domain)
     seeds = tuple(config.seed + i for i in range(n_seeds))
     series: dict[str, list[DiagnosticsRecord]] = {}

@@ -85,11 +85,17 @@ class Domain:
 
     def __post_init__(self):
         _require_finite(L1=self.L1, L2=self.L2)
-        for axis, length, n in ((1, self.L1, self.N1), (2, self.L2, self.N2)):
+        axes = ((1, self.L1, self.N1), (2, self.L2, self.N2))
+        for axis, length, n in axes:
             if not length > 0:
                 raise ValueError(f"L{axis} must be positive, got {length!r}")
             if n < 4 or n % 2 != 0:
                 raise ValueError(f"N{axis} must be even and >= 4, got {n!r}")
+        if 16 * int(self.N1) * int(self.N2) > np.iinfo(np.intp).max:  # bytes of (N2, N1) complex
+            axis, n = (1, self.N1) if self.N1 >= self.N2 else (2, self.N2)
+            raise ValueError(f"N{axis} must be small enough for numpy to index the (N2, N1) "
+                             f"complex array, got {n!r}")
+        for axis, length, n in axes:
             # Every nonzero |k|^2 is normal: the least is on an axis, the largest is <= 2 high^2.
             low, high = (2.0 * np.pi * m / length for m in (1, n // 2))
             if not (low * low >= np.finfo(float).tiny and high * high <= np.finfo(float).max / 2):

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, outputs and exit codes."""
 
+import argparse
 import importlib
 import math
 import os
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 import zns
-from zns.cli import main
+from zns.cli import build_parser, main
 from zns.config import ConfigError, load_config
 from zns.diagnostics import agmon_check
 from zns.forcing import ForcingSpec
@@ -211,8 +212,8 @@ class TestSimulate:
 
     # nan is a usage error, refused while the options are parsed.
     @pytest.mark.parametrize("every,message", [
-        pytest.param("0", "snapshot_every must be positive", id="0"),
-        pytest.param("-0.1", "snapshot_every must be positive", id="-0.1"),
+        pytest.param("0", "error: --snapshot-every must be positive, got 0.0", id="0"),
+        pytest.param("-0.1", "error: --snapshot-every must be positive, got -0.1", id="-0.1"),
         pytest.param("nan", "argument --snapshot-every: invalid finite_float value", id="nan"),
     ])
     def test_bad_snapshot_every_exits_1(self, config_file, tmp_path, capsys, every, message):
@@ -539,6 +540,35 @@ BAD_INPUTS = {
     "negative:tol.steady_tol": (["steady-residual", "--config", "CFG"],
                                 _config_setting("tol.steady_tol", "-1")),
     "negative:tol.cfl_max": (["simulate", "--config", "CFG"], _config_setting("tol.cfl_max", "-1")),
+    # An override named its key, not the flag; a zero count named neither.
+    "negative:--seed": (["sweep-epsilon", "--config", "CFG", "--seed", "-1"], TINY_CONFIG),
+    "negative-on-simulate:--seed": (["simulate", "--config", "CFG", "--seed", "-1"], TINY_CONFIG),
+    "negative-on-contraction:--seed": (["contraction", "--config", "CFG", "--seed", "-1"],
+                                       TINY_CONFIG),
+    "negative-on-steady-residual:--seed": (["steady-residual", "--config", "CFG", "--seed", "-1"],
+                                           TINY_CONFIG),
+    "negative-on-agmon-check:--seed": (["agmon-check", "--samples", "1", "--seed", "-1"],
+                                       TINY_CONFIG),
+    "odd-on-sweep-epsilon:--resolution": (["sweep-epsilon", "--config", "CFG", "--resolution", "5"],
+                                          TINY_CONFIG),
+    "odd-on-contraction:--resolution": (["contraction", "--config", "CFG", "--resolution", "5"],
+                                        TINY_CONFIG),
+    "odd-on-steady-residual:--resolution": (["steady-residual", "--config", "CFG",
+                                             "--resolution", "5"], TINY_CONFIG),
+    "zero:--seeds": (["sweep-epsilon", "--config", "CFG", "--seeds", "0"], TINY_CONFIG),
+    "zero:--snapshot-every": (["simulate", "--config", "CFG", "--snapshot-every", "0"],
+                              TINY_CONFIG),
+    "zero:--samples": (["agmon-check", "--samples", "0"], TINY_CONFIG),
+    # Counts whose (N2, N1) complex array numpy cannot index: refused by Domain before any
+    # array exists.  10**155 also overflowed |k|^2 and was blamed on --l1; 10**39 and 10**22
+    # stopped at numpy's "Maximum allowed dimension exceeded".
+    "huge:--resolution": (["agmon-check", "--samples", "1", "--resolution", str(10**39)],
+                          TINY_CONFIG),
+    "overflow:--resolution": (["agmon-check", "--samples", "1", "--resolution", str(10**155)],
+                              TINY_CONFIG),
+    "huge-on-config:--resolution": (["simulate", "--config", "CFG", "--resolution", str(10**22)],
+                                    TINY_CONFIG),
+    "huge:n1": (["simulate", "--config", "CFG"], _config_setting("n1", str(10**22))),
 }
 
 
@@ -554,11 +584,24 @@ def test_bad_input_exits_1(argv, text, tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("name", ["zero:--max-k", "negative:--max-k", "zero:--constant",
-                                  "negative:--constant", "inf:--l1", "negative:--l2",
-                                  "odd:--resolution", "odd-on-config:--resolution",
-                                  "underflow:--l1", "overflow:--l2", "nan:--epsilon",
-                                  "negative:--epsilon"])
+# Each names its flag: "<what>:<flag>", run by the command that is its argv[0].
+FLAG_CASES = ["zero:--max-k", "negative:--max-k", "zero:--constant", "negative:--constant",
+              "inf:--l1", "negative:--l2", "odd:--resolution", "odd-on-config:--resolution",
+              "underflow:--l1", "overflow:--l2", "nan:--epsilon", "negative:--epsilon",
+              "negative:--seed", "negative-on-simulate:--seed", "negative-on-contraction:--seed",
+              "negative-on-steady-residual:--seed", "negative-on-agmon-check:--seed",
+              "odd-on-sweep-epsilon:--resolution", "odd-on-contraction:--resolution",
+              "odd-on-steady-residual:--resolution", "zero:--seeds", "zero:--snapshot-every",
+              "zero:--samples", "huge:--resolution", "overflow:--resolution",
+              "huge-on-config:--resolution"]
+
+# Options that take a path: no value of theirs is refused by a rule that names them.
+NAMELESS_OPTIONS = {"--config": "a path; an unreadable one says 'cannot read config file'",
+                    "--out": "a path; made when the first output file is written",
+                    "--resume": "a path; a rejected snapshot is named by its path"}
+
+
+@pytest.mark.parametrize("name", FLAG_CASES)
 def test_a_refused_flag_names_itself(name, tmp_path, capsys):
     argv, text = BAD_INPUTS[name]
     cfg = tmp_path / "bad.cfg"
@@ -566,6 +609,18 @@ def test_a_refused_flag_names_itself(name, tmp_path, capsys):
     argv = [str(cfg) if a == "CFG" else a for a in argv]
     assert main(argv + ["--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err.startswith(f"error: {name.split(':')[1]} must be ")
+
+
+def test_every_option_with_a_value_has_a_refusal_that_names_it():
+    # A new option fails here until a FLAG_CASES entry refuses it on each command it has.
+    commands = next(a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    options = {(command, a.option_strings[0]) for command, p in commands.items()
+               for a in p._actions if a.option_strings and a.nargs != 0}
+    covered = {(BAD_INPUTS[name][0][0], name.split(":")[1]) for name in FLAG_CASES}
+    assert {(c, o) for c, o in options - covered if o not in NAMELESS_OPTIONS} == set()
+    assert covered <= options
+    assert set(NAMELESS_OPTIONS) <= {o for _, o in options}
 
 
 @pytest.mark.parametrize("argv", [["sweep-epsilon", "--config", "CFG"],
@@ -587,7 +642,7 @@ def test_negative_seed_exits_1_naming_it(argv, config_file, tmp_path, capsys):
                                         ("n1", "5"), ("l2", "-1"), ("h", "-0.1"),
                                         ("epsilon", "-0.1"), ("t_spin", "1e9"), ("mu", "-1"),
                                         ("record_every", "0"), ("l1", "1e160"),
-                                        ("l2", "1e-160")])
+                                        ("l2", "1e-160"), ("n1", str(10**22))])
 def test_a_refused_value_names_its_key(key, value, tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text(_config_setting(key, value))
@@ -598,12 +653,14 @@ def test_a_refused_value_names_its_key(key, value, tmp_path):
         assert float(message.rpartition(", got ")[2]) == float(value)
 
 
-def test_a_refused_override_keeps_its_field_name(tmp_path):
-    # Not a line of the file: the caller that set it names it (cli._FLAGS, for the CLI).
+def test_a_refused_override_takes_its_callers_name(tmp_path):
+    # Not a line of the file: it is named by the name its caller gave it.
     path = tmp_path / "ok.cfg"
     path.write_text(TINY_CONFIG)
-    for overrides, field in (({"n1": 5}, "N1"), ({"epsilon": (-0.1,)}, "epsilons")):
-        with pytest.raises(ConfigError, match=rf"^{field} must be "):
+    for overrides, name in (({"n1": ("--resolution", 5)}, "--resolution"),
+                            ({"epsilon": ("--epsilon", (-0.1,))}, "--epsilon"),
+                            ({"seed": ("the seed", -1)}, "the seed")):
+        with pytest.raises(ConfigError, match=rf"^{re.escape(name)} must be "):
             load_config(path, overrides)
 
 
@@ -621,6 +678,19 @@ def test_reader_refuses_every_non_finite_number(key, tmp_path):
     # The message names the key as the file writes it, not the dataclass field.
     with pytest.raises(ConfigError, match=rf"^{re.escape(key)} must be finite"):
         load_config(path)
+
+
+def test_the_schema_the_key_lists_and_the_docstring_name_the_same_keys():
+    int_keys = ["n1", "n2", "seed", "record_every"] + [
+        f"tol.{f.name}" for f in fields(Tolerances) if isinstance(f.default, int)]
+    documented = set()
+    for line in zns.config.__doc__.splitlines():  # "    key[, key]  what it sets"
+        if match := re.match(r"    ([a-z][\w.<>]*(?:, [a-z][\w.<>]*)*)  ", line):
+            documented |= set(match[1].split(", "))
+    assert "tol.<name>" in documented
+    documented = documented - {"tol.<name>"} | {f"tol.{f.name}" for f in fields(Tolerances)}
+    assert len(FLOAT_KEYS) + len(int_keys) == len(set(FLOAT_KEYS) | set(int_keys))
+    assert set(zns.config._SCHEMA) == set(FLOAT_KEYS) | set(int_keys) == documented
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
@@ -790,8 +860,9 @@ def test_epsilon_flag_replaces_the_config_list(tmp_path, monkeypatch):
     with pytest.raises(ConfigError, match=r"v_est=6, CFL=0\.55 > 0\.5$"):
         load_config(listed)
     expected = load_config(alone)
-    assert load_config(listed, {"epsilon": (0.01,)}) == expected
-    assert config_hash(load_config(listed, {"epsilon": (0.01,)})) == config_hash(expected)
+    override = {"epsilon": ("--epsilon", (0.01,))}
+    assert load_config(listed, override) == expected
+    assert config_hash(load_config(listed, override)) == config_hash(expected)
     loaded = []
     monkeypatch.setattr("zns.cli.load_config",
                         lambda *a: loaded.append(load_config(*a)) or loaded[-1])

@@ -35,6 +35,15 @@ class TestDomain:
         with pytest.raises(ValueError):
             Domain(L1=-1.0)
 
+    def test_refuses_counts_numpy_cannot_index_before_any_array(self):
+        # 16 * 2**29 * 2**29 = 2**62 bytes is indexable; 2**63 is one more than intp.max.
+        assert Domain(N1=2**29, N2=2**29).N1 == 2**29  # no cached array is built
+        for n1, n2, blamed in ((2**29, 2**30, "N2"), (2**30, 2**29, "N1"), (10**155, 10**155, "N1"),
+                               (np.int64(2**32), np.int64(2**32), "N1")):
+            with pytest.raises(ValueError, match=rf"^{blamed} must be small enough for numpy "
+                                                 rf"to index the \(N2, N1\) complex array, got "):
+                Domain(N1=n1, N2=n2)
+
     def test_c0_is_min_nonzero_wavenumber(self):
         assert Domain().c0 == 1.0
         assert Domain(L1=4 * np.pi).c0 == pytest.approx(0.5)
