@@ -1,8 +1,9 @@
 """Command-line entry points.
 
 Exit codes: 0 success, 1 invalid configuration or usage (including a
-non-finite number in a config file or an option), 2 numerical blow-up,
-3 failed property or theorem check (data is still written).
+non-finite number in a config file or an option) or arrays the host cannot
+allocate, 2 numerical blow-up, 3 failed property or theorem check (data is
+still written).
 """
 
 from __future__ import annotations
@@ -154,7 +155,13 @@ def cmd_experiment(args) -> int:
 def cmd_triads(args) -> int:
     if args.max_k < 1:
         raise ValueError(f"--max-k must be at least 1, got {args.max_k}")
-    domain = Domain(L1=args.l1, L2=args.l2, N1=4 * args.max_k, N2=4 * args.max_k)
+    try:
+        domain = Domain(L1=args.l1, L2=args.l2, N1=4 * args.max_k, N2=4 * args.max_k)
+    except ValueError as e:  # N1 = N2 = 4 max_k, so a refused count is the flag's
+        if str(e).startswith("N1 "):
+            raise ValueError(f"--max-k must be small enough for numpy to index the "
+                             f"(4 max_k, 4 max_k) complex array, got {args.max_k}") from None
+        raise
     reports = triad_scan(domain, args.max_k)
     write_triad_csv(args.out / "triads.csv", reports)
     worst = max(r.residual for r in reports)
@@ -208,8 +215,8 @@ def main(argv=None) -> int:
     except BlowUpError as e:
         print(f"BLOW-UP: {e}", file=sys.stderr)
         return EXIT_BLOWUP
-    except (OSError, ValueError) as e:
-        print(f"error: {rename_refusal(e, _FLAGS)}", file=sys.stderr)
+    except (OSError, ValueError, MemoryError) as e:
+        print(f"error: {rename_refusal(e, _FLAGS) or 'out of memory'}", file=sys.stderr)
         return EXIT_CONFIG
 
 

@@ -19,7 +19,8 @@ Conventions (fixed throughout the package):
   ``m1 < 0`` half as the exact conjugate mirror (``_unfold``).  Each pass
   is one call of a gufunc of numpy's private ``numpy.fft._pocketfft_umath``.
   Each transform applies the y-phase ``(-1)^m2`` of the grid offset around a
-  raw transform; the advection tables carry that phase and use the raw pair.
+  raw transform; only the band kernel's tables (``Domain._odd_advect_tables``)
+  carry that phase and use the raw pair.
 * A field odd in y has ``c(m1, -m2) = -c(m1, m2)``, so its half is fixed by
   its ``m2 > 0`` rows; its m2 = 0 and Nyquist rows are zero and its m1 = 0
   column is imaginary.
@@ -181,45 +182,29 @@ class Domain:
         return self._block[0], np.s_[: self.N2 - r - 1 : -1]
 
     @cached_property
-    def _advect_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Half-width (m1 >= 0) multipliers of the advection kernel, y-phase included.
+    def _odd_advect_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Tables of the band kernel, times the y-phase ``(-1)^m2`` of the raw transforms.
 
-        ``(i k2/|k|^2, -i k1/|k|^2, i k1, i k2)`` times ``(-1)^m2``: vorticity
-        to the grid velocity components ``u`` and ``v``, and a field to its
-        grid x and y derivatives, through the raw transform ``_irfft2``.
+        ``to_u, to_v = i k2/|k|^2, -i k1/|k|^2`` take vorticity to the velocity ``(u, v)``
+        and ``to_dx, to_dy = i k1, i k2`` a field to its derivatives.  For odd vorticity ``u``
+        and the y-derivative are even in y, ``v`` and the x-derivative odd.  So one raw
+        transform of ``(to_u + to_v) A`` gives ``u + v``, one of ``(to_dx + to_dy) B`` gives
+        ``bx + by``, and the odd part of their product is ``u bx + v by``.  The two sums are
+        negated on the m2 < 0 rows, where the odd input is minus its m2 > 0 row, so they
+        multiply the block itself: the first table is the ``(2, R, K)`` stack of both on the
+        band's columns and its m2 > 0 ``_band_rows``, the second on its m2 < 0 rows.  The
+        third is half the 2/3-rule mask times the y-phase on ``_block``, for the odd part
+        ``(c(m2) - c(-m2))/2`` of the product's coefficients.
         """
         half = np.s_[:, : self.N1 // 2 + 1]
         kx, ky, inv_ksq = self.kx[half], self.ky[half], self.inv_ksq[half]
-        return tuple(_frozen(t * self._yphase) for t in (
-            1j * ky * inv_ksq, -1j * kx * inv_ksq, 1j * kx, 1j * ky
-        ))
-
-    @cached_property
-    def _advect_mask(self) -> np.ndarray:
-        """Half-width 2/3-rule mask times the y-phase, zero at the mean mode."""
-        out = self.dealias[:, : self.N1 // 2 + 1] * self._yphase
-        out[0, 0] = 0.0
-        return _frozen(out)
-
-    @cached_property
-    def _odd_advect_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Tables of the advection kernel on the band block of odd-in-y input.
-
-        For odd vorticity ``u`` and the y-derivative are even in y, ``v`` and
-        the x-derivative odd.  So one raw transform of ``(to_u + to_v) A``
-        gives ``u + v``, one of ``(to_dx + to_dy) B`` gives ``bx + by``, and
-        the odd part of their product is ``u bx + v by``.  The two sums are
-        negated on the m2 < 0 rows, where the odd input is minus its m2 > 0
-        row, so they multiply the block itself: the first table is the ``(2, R, K)``
-        stack of both on the band's columns and its m2 > 0 ``_band_rows``, the second
-        on its m2 < 0 rows.  The third is half of ``_advect_mask`` on ``_block``, for
-        the odd part ``(c(m2) - c(-m2))/2`` of the product's coefficients.
-        """
-        to_u, to_v, to_dx, to_dy = self._advect_tables
+        to_u, to_v, to_dx, to_dy = (t * self._yphase for t in (
+            1j * ky * inv_ksq, -1j * kx * inv_ksq, 1j * kx, 1j * ky))
         sign = np.where(self.m2 < 0, -1.0, 1.0)[:, None]
         sums = sign * np.stack((to_u + to_v, to_dx + to_dy))
         up, down = (_frozen(sums[:, rows, self._block[1]].copy()) for rows in self._band_rows)
-        return up, down, _frozen(0.5 * self._advect_mask[self._block])
+        mask = self.dealias[self._block] * self._yphase[self._block[0]]
+        return up, down, _frozen(0.5 * mask)
 
     @cached_property
     def _half_weight(self) -> np.ndarray:

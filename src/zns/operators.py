@@ -11,13 +11,13 @@ coefficient convention, per mode k:
 * ``advection B(a, b) = velocity(a) . grad(b)``, evaluated pseudo-spectrally
   with the 2/3 rule; the analytic triad coefficient is
   B_jkl = |M| (j1 k2 - j2 k1)/|j|^2 when j + k = l.  The kernel
-  ``_advect_raw`` takes full coefficients (for ``jacobian``: five real
-  transforms, after which ``_unfold`` alone mirrors the m1 < 0 half and the
-  m2 < 0 rows of column m1 = 0) or, with a ``_BandKernel``, the band blocks
-  (``Domain._block``) of odd-in-y fields held in the 2/3 band, the solver's
-  state (three: one stacked inverse call for two grids and one forward call,
-  each y-pass only on the band's columns).  The kernel, one per caller, holds
-  its tables, buffers and views, made once: its ``grids`` are those of blocks
+  ``_advect_raw`` takes full coefficients (for ``jacobian``: ``u bx + v by``
+  of four ``_grid`` calls, back through ``_spec``) or, with a ``_BandKernel``,
+  the band blocks (``Domain._block``) of odd-in-y fields held in the 2/3 band,
+  the solver's state (three raw transforms: one stacked inverse call for two
+  grids and one forward call, each y-pass only on the band's columns).  The
+  kernel, one per caller, holds its tables (the only ones that carry the
+  y-phase), buffers and views, made once: its ``grids`` are those of blocks
   times the half tables (two products), and its ``odd_part`` is the band block
   of the odd part of a grid product or of its negative; the step uses both.
 
@@ -38,18 +38,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lattice
-from .lattice import (
-    Domain,
-    SpectralField,
-    _Y_PASS,
-    _check_same_domain,
-    _grid,  # noqa: F401  (re-exported for perfbench/test_benchmark.py::_broken_advect)
-    _irfft2,
-    _rfft2,
-    _spec,  # noqa: F401
-    _unfold,
-    to_grid,
-)
+from .lattice import Domain, SpectralField, _Y_PASS, _check_same_domain, _grid, _irfft2, _spec
+from .lattice import to_grid
 
 
 def omega_freq(m: tuple[int, int], domain: Domain) -> float:
@@ -120,12 +110,12 @@ def _advect_raw(d: Domain, A: np.ndarray, B: np.ndarray, kernel=None) -> np.ndar
     ``A`` and ``B`` are the full ``(N2, N1)`` coefficients of real fields, or, with a
     ``kernel`` (a ``_BandKernel`` of ``d``), the band blocks ``(R, K)`` of fields odd in y
     and held in the 2/3 band; the output has the shape of the input.  Full input gives the
-    full Hermitian result from five raw transforms of the m1 >= 0 halves.  Block input gives
-    the block of the odd result from three (see ``d._odd_advect_tables``): the grid product
-    ``(u + v)(bx + by)`` has ``u bx + v by`` as its odd part in y, and its other part is
-    even, so the odd part of its coefficients keeps exactly the former.  The y-phase is in
-    the tables and in ``d._advect_mask`` (with the 2/3 rule and the zero mean), so the
-    transforms are the raw pair.
+    full Hermitian result as ``u bx + v by`` of four ``_grid`` calls (with the multipliers of
+    ``velocity``) through ``_spec``, the 2/3 rule and a zero mean.  Block input gives the
+    block of the odd result from three raw transforms (see ``d._odd_advect_tables``, which
+    carry the y-phase): the grid product ``(u + v)(bx + by)`` has ``u bx + v by`` as its odd
+    part in y, and its other part is even, so the odd part of its coefficients keeps exactly
+    the former.
     """
     if kernel is not None:
         grid, other = kernel.grids(A, B, kernel.work)
@@ -134,16 +124,17 @@ def _advect_raw(d: Domain, A: np.ndarray, B: np.ndarray, kernel=None) -> np.ndar
     if A.shape != (d.N2, d.N1):
         raise ValueError(f"coefficients of shape {A.shape} are neither full nor the band block")
     half = np.s_[:, : d.N1 // 2 + 1]
-    A, B = A[half], B[half]
-    to_u, to_v, to_dx, to_dy = d._advect_tables
-    ug, vg, bxg, byg = _irfft2(d, np.stack((to_u * A, to_v * A, to_dx * B, to_dy * B)))
+    A, B, kx, ky, inv_ksq = A[half], B[half], d.kx[half], d.ky[half], d.inv_ksq[half]
+    ug, vg = _grid(d, 1j * ky * inv_ksq * A), _grid(d, -1j * kx * inv_ksq * A)
+    bxg, byg = _grid(d, 1j * kx * B), _grid(d, 1j * ky * B)
     # Products in place: fewer grid-sized temporaries alive at once.
     ug *= bxg
     vg *= byg
     ug += vg
-    out = _rfft2(d, ug)
-    out *= d._advect_mask
-    return _unfold(d, out)
+    out = _spec(d, ug)
+    out *= d.dealias
+    out[0, 0] = 0.0
+    return out
 
 
 class _BandKernel:

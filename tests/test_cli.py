@@ -569,6 +569,9 @@ BAD_INPUTS = {
     "huge-on-config:--resolution": (["simulate", "--config", "CFG", "--resolution", str(10**22)],
                                     TINY_CONFIG),
     "huge:n1": (["simulate", "--config", "CFG"], _config_setting("n1", str(10**22))),
+    # N1 = N2 = 4 max_k: refused by Domain before any array exists.  The refusal named
+    # --resolution, which triad-check does not have, and the value 4 max_k.
+    "huge:--max-k": (["triad-check", "--max-k", str(10**9)], TINY_CONFIG),
 }
 
 
@@ -593,7 +596,7 @@ FLAG_CASES = ["zero:--max-k", "negative:--max-k", "zero:--constant", "negative:-
               "odd-on-sweep-epsilon:--resolution", "odd-on-contraction:--resolution",
               "odd-on-steady-residual:--resolution", "zero:--seeds", "zero:--snapshot-every",
               "zero:--samples", "huge:--resolution", "overflow:--resolution",
-              "huge-on-config:--resolution"]
+              "huge-on-config:--resolution", "huge:--max-k"]
 
 # Options that take a path: no value of theirs is refused by a rule that names them.
 NAMELESS_OPTIONS = {"--config": "a path; an unreadable one says 'cannot read config file'",
@@ -609,6 +612,34 @@ def test_a_refused_flag_names_itself(name, tmp_path, capsys):
     argv = [str(cfg) if a == "CFG" else a for a in argv]
     assert main(argv + ["--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err.startswith(f"error: {name.split(':')[1]} must be ")
+
+
+def test_a_huge_max_k_names_the_value_typed(tmp_path, capsys):
+    assert main(["triad-check", "--max-k", str(10**9), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == ("error: --max-k must be small enough for numpy to index "
+                                       "the (4 max_k, 4 max_k) complex array, got 1000000000\n")
+
+
+@pytest.mark.parametrize("error, line", [
+    (MemoryError("Unable to allocate 71.1 PiB for an array with shape (100000000, 100000000) "
+                 "and data type float64"),
+     "error: Unable to allocate 71.1 PiB for an array with shape (100000000, 100000000) "
+     "and data type float64\n"),
+    (MemoryError(), "error: out of memory\n"),
+], ids=["numpy", "bare"])
+def test_an_allocation_the_host_refuses_exits_1(error, line, monkeypatch, tmp_path, capsys):
+    # A mode count that Domain accepts but the host cannot hold: one error: line, no
+    # traceback.  The callee raises, so nothing is really allocated.
+    import zns.cli
+
+    def no_memory(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(zns.cli, "random_field", no_memory)
+    out = tmp_path / "out"
+    assert main(["agmon-check", "--samples", "1", "--resolution", "16", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == line
+    assert not out.exists()
 
 
 def test_every_option_with_a_value_has_a_refusal_that_names_it():

@@ -50,52 +50,52 @@ class TestDomain:
 
     @pytest.mark.parametrize("name", [
         "m1", "m2", "kx", "ky", "ksq", "inv_ksq", "omega", "nyquist", "dealias",
-        "_yphase", "_flip_m2", "_flip_m1", "_advect_mask", "_half_weight",
+        "_yphase", "_flip_m2", "_flip_m1", "_half_weight", "_odd_advect_tables",
     ])
     def test_cached_arrays_are_read_only(self, name):
-        arr = getattr(Domain(N1=8, N2=8), name)
-        with pytest.raises(ValueError):
-            arr[0] = arr[0]
+        value = getattr(Domain(N1=8, N2=8), name)
+        for arr in value if isinstance(value, tuple) else (value,):
+            with pytest.raises(ValueError):
+                arr[0] = arr[0]
 
     def test_advection_tables_are_read_only_halves(self):
+        # The band kernel's tables on the m2 > 0 and m2 < 0 rows, and its mask:
+        # R = ceil(6/3) - 1 = 1 row and K = ceil(8/3) = 3 columns.
         d = Domain(N1=8, N2=6)
-        assert len(d._advect_tables) == 4
-        for table in d._advect_tables:
-            assert table.shape == (6, 5)
+        up, down, mask = d._odd_advect_tables
+        assert up.shape == down.shape == (2, 1, 3) and mask.shape == (1, 3)
+        for table in d._odd_advect_tables:
             with pytest.raises(ValueError):
                 table *= 2.0
-        assert d._advect_tables is d._advect_tables  # built once per domain
+        assert d._odd_advect_tables is d._odd_advect_tables  # built once per domain
 
     def test_advection_tables_carry_the_y_phase(self):
-        d = Domain(L1=4 * np.pi, N1=8, N2=6)
-        half, phase = np.s_[:, :5], d._yphase
-        unphased = (1j * d.ky * d.inv_ksq, -1j * d.kx * d.inv_ksq, 1j * d.kx, 1j * d.ky)
-        for table, want in zip(d._advect_tables, unphased):
-            assert np.array_equal(table, want[half] * phase)
-        mask = d.dealias[half] * phase
-        mask[0, 0] = 0.0
-        assert d._advect_mask.shape == (6, 5)
-        assert np.array_equal(d._advect_mask, mask)
-        assert d._advect_mask is d._advect_mask
+        # Mode (1, +-1) of L1 = 4 pi: k = (1/2, +-1), |k|^2 = 5/4, (-1)^m2 = -1.  The first
+        # table sums the velocity multipliers i k2/|k|^2 - i k1/|k|^2, the second the
+        # derivative ones i k1 + i k2; both carry (-1)^m2 and are negated where m2 < 0.
+        d = Domain(L1=4 * np.pi, N1=8, N2=10)
+        up, down, mask = d._odd_advect_tables
+        assert up[:, 0, 1] == pytest.approx([-(1j - 0.5j) / 1.25, -(0.5j + 1j)], abs=1e-15)
+        assert down[:, 0, 1] == pytest.approx([(-1j - 0.5j) / 1.25, 0.5j - 1j], abs=1e-15)
+        # Half the 2/3 mask times (-1)^m2, on rows m2 = 1, 2, 3.
+        assert np.array_equal(mask, np.array([[-0.5] * 3, [0.5] * 3, [-0.5] * 3]))
 
     def test_odd_advection_tables(self):
         # The band block: m2 = 1..R with |m2| < N2/3 and m1 = 0..K-1 with |m1| < N1/3.
         d = Domain(L1=4 * np.pi, N1=8, N2=10)
         assert d._block == np.s_[1:4, :3]
-        to_u, to_v, to_dx, to_dy = d._advect_tables
+        kx, ky, inv_ksq = d.kx[:, :5], d.ky[:, :5], d.inv_ksq[:, :5]
+        phase = (-1.0) ** d.m2[:, None]
         sign = np.where(d.m2 < 0, -1.0, 1.0)[:, None]  # m2 = 0..4, -5..-1
         rows = [1, 2, 3], [9, 8, 7]  # m2 = 1, 2, 3 and m2 = -1, -2, -3
-        sums = sign * (to_u + to_v), sign * (to_dx + to_dy)
+        sums = (sign * ((1j * ky * inv_ksq) * phase + (-1j * kx * inv_ksq) * phase),
+                sign * ((1j * kx) * phase + (1j * ky) * phase))
         # Laid out by half: the stack of both sums on the m2 > 0 rows, then on the m2 < 0 rows.
         up, down, mask = d._odd_advect_tables
         for table, r in zip((up, down), rows):
             assert table.shape == (2, 3, 3)
             assert np.array_equal(table, np.stack([full[r, :3] for full in sums]))
-        assert np.array_equal(mask, 0.5 * d._advect_mask[1:4, :3])
-        for table in d._odd_advect_tables:
-            with pytest.raises(ValueError):
-                table *= 2.0
-        assert d._odd_advect_tables is d._odd_advect_tables
+        assert np.array_equal(mask, 0.5 * d.dealias[1:4, :3] * phase[1:4])
 
 
 class TestTransforms:

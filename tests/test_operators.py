@@ -354,10 +354,10 @@ class TestOddKernel:
         grid = rng.standard_normal((d.N2, d.N1))
         got = Stepper(d, SimConfig(0.1, 0.5), 0.01)._kernel.odd_part(grid)
         assert got.shape == (rows, keep)
-        # The block is that of a 2-D transform of every column, and the 2/3 mask is
-        # zero on all of the quarter outside it.
+        # The block is that of a 2-D transform of every column, and the 2/3 mask (times the
+        # y-phase) is zero on all of the quarter outside it.
         F = np.fft.rfft2(grid, norm="forward")
-        mask = 0.5 * d._advect_mask[1:n2]
+        mask = 0.5 * d.dealias[1:n2, : d.N1 // 2 + 1] * (-1.0) ** d.m2[1:n2, None]
         want = (F[1:n2] - F[:n2:-1]) * mask
         want.real[:, 0] = 0.0
         assert np.array_equal(got, want[:rows, :keep])
@@ -426,8 +426,9 @@ class TestOddKernel:
         _advect_raw(d, *band_blocks(d, a, a), _BandKernel(d))
         assert calls == [("ifft", 2), ("irfft", 2), ("rfft_n_even", 1), ("fft", 1)]
         calls.clear()
+        # Full input: one _grid per grid (four inverse transforms), then one _spec.
         _advect_raw(d, a.coeffs, a.coeffs)
-        assert calls == [("ifft", 4), ("irfft", 4), ("rfft_n_even", 1), ("fft", 1)]
+        assert calls == [("ifft", 1), ("irfft", 1)] * 4 + [("rfft_n_even", 1), ("fft", 1)]
 
 
 class TestTriadCoefficients:
