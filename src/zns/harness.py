@@ -217,7 +217,7 @@ def _step_range(h: float, t0: float, t_end: float) -> tuple[int, int]:
 
 def integrate(
     stepper: Stepper,
-    forcing: Forcing | None,
+    forcing: Forcing,
     w0: SpectralField,
     t0: float,
     t_end: float,
@@ -227,7 +227,7 @@ def integrate(
     observe: Callable | None = None,
     records: list[DiagnosticsRecord] | None = None,
 ) -> tuple[SpectralField, list[DiagnosticsRecord]]:
-    """Advance one trajectory from t0 to t_end; every experiment runs through here.
+    """Advance one trajectory under ``forcing`` from t0 to t_end; every experiment runs here.
 
     Diagnostics of ``w`` (with the enstrophy-budget residual of the step) are
     recorded at t0, every record_every steps and at t_end.  An optional

@@ -19,7 +19,8 @@ coefficient convention, per mode k:
   kernel, one per caller, holds its tables (the only ones that carry the
   y-phase), buffers and views, made once: its ``grids`` are those of blocks
   times the half tables (two products), and its ``odd_part`` is the band block
-  of the odd part of a grid product or of its negative; the step uses both.
+  of the odd part of a grid product or of its negative.  A step's base stage is
+  one band call, its grids left in the kernel's or the caller's (``keep``) buffer.
 
 The triad layer (``omega_freq``, ``b_coeff``, ``triad_scan``) takes integer
 index pairs ``(m1, m2)``, so j + k = l is an exact integer test, and computes
@@ -104,7 +105,7 @@ def velocity(w: SpectralField) -> VelocityField:
     return VelocityField(u, v)
 
 
-def _advect_raw(d: Domain, A: np.ndarray, B: np.ndarray, kernel=None) -> np.ndarray:
+def _advect_raw(d: Domain, A: np.ndarray, B: np.ndarray, kernel=None, keep=None) -> np.ndarray:
     """Dealiased pseudo-spectral B(a, b) = velocity(a).grad(b) on raw coefficients.
 
     ``A`` and ``B`` are the full ``(N2, N1)`` coefficients of real fields, or, with a
@@ -115,12 +116,11 @@ def _advect_raw(d: Domain, A: np.ndarray, B: np.ndarray, kernel=None) -> np.ndar
     block of the odd result from three raw transforms (see ``d._odd_advect_tables``, which
     carry the y-phase): the grid product ``(u + v)(bx + by)`` has ``u bx + v by`` as its odd
     part in y, and its other part is even, so the odd part of its coefficients keeps exactly
-    the former.
+    the former.  The two grids go to ``keep``, or to the kernel's ``work`` if it is None.
     """
     if kernel is not None:
-        grid, other = kernel.grids(A, B, kernel.work)
-        grid *= other
-        return kernel.odd_part(grid)
+        grid, other = kernel.grids(A, B, kernel.work if keep is None else keep)
+        return kernel.odd_part(np.multiply(grid, other, out=kernel.work[0]))
     if A.shape != (d.N2, d.N1):
         raise ValueError(f"coefficients of shape {A.shape} are neither full nor the band block")
     half = np.s_[:, : d.N1 // 2 + 1]

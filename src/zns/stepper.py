@@ -17,14 +17,14 @@ the step reads, and the band kernel returns an exactly odd result, so the step's
 is exactly odd, not odd to round-off.  A step takes and returns ``OddBand``s only:
 ``OddBand.of`` makes a state of a field, and ``.field`` is the way back.
 
-Each stage runs on the stepper's band kernel: a plain one through ``_advect_raw``
-(traced by the benchmark), the others through its ``grids`` and ``odd_part``.  A
-tangent step linearizes the step about its base stages.  ``step_pair`` has the base
-step keep each stage's grids ``u + v`` and ``bx + by`` in the stepper's buffers, and a
-tangent stage is the odd part of one grid sum over them: three transforms, where two
-advection calls would take six.  They are the only base a tangent step reads: on
-stages that kept none it is refused.  A tangent's blow-up is its own: a failed
-contraction, not a broken state.
+Each stage runs on the stepper's band kernel.  A base stage is ``f - B(C, C)`` with one
+``_advect_raw`` call (traced by the benchmark); a step is always given a ``Forcing``.  A
+tangent step linearizes the step about its base stages.  ``step_pair`` has each base
+stage keep its grids ``u + v`` and ``bx + by`` in the stepper's buffers (``_advect_raw``'s
+``keep``), and a tangent stage is the odd part of one grid sum over them: three
+transforms, where two advection calls would take six.  They are the only base a tangent
+step reads: on stages that kept none it is refused.  A tangent's blow-up is its own: a
+failed contraction, not a broken state.
 """
 
 from __future__ import annotations
@@ -178,17 +178,10 @@ class Stepper:
 
     # -- right-hand sides ---------------------------------------------------
 
-    def _nonlinear(self, C: np.ndarray, f: np.ndarray | None, keep) -> np.ndarray:
-        """``f - B(C, C)`` (``f + (-B)`` bit for bit), or ``-B(C, C)`` without ``f``; with
-        ``keep`` the grids of ``C`` stay in that pair of buffers."""
-        k = self._kernel
-        if keep is None:
-            out = _advect_raw(self.domain, C, C, k)
-        else:
-            uv, dxy = k.grids(C, C, keep)
-            out = k.odd_part(np.multiply(uv, dxy, out=k.work[0]))
-        if f is None:
-            return np.negative(out, out=out)
+    def _nonlinear(self, C: np.ndarray, f: np.ndarray, keep) -> np.ndarray:
+        """``f - B(C, C)`` (``f + (-B)`` bit for bit); with ``keep`` the grids of ``C`` stay in
+        that pair of buffers."""
+        out = _advect_raw(self.domain, C, C, self._kernel, keep)
         return np.subtract(f, out, out=out)
 
     def _tangent_nonlinear(self, P: np.ndarray, grids: np.ndarray) -> np.ndarray:
@@ -241,13 +234,12 @@ class Stepper:
             raise BlowUpError(t, mode, peak if finite.all() else float("inf"), context)
 
     def step_with_stages(
-        self, w: OddBand, t: float, forcing: Forcing | None = None, *, _grids: bool = False
+        self, w: OddBand, t: float, forcing: Forcing, *, _grids: bool = False
     ) -> tuple[OddBand, StepStages]:
         """One ETDRK4 step and its ``StepStages``, which keep the base grids of its stages
         only with ``_grids``, for a tangent step that follows at once."""
         u0 = _block_of(w)
-        f = [None if forcing is None else forcing.coeffs_at(s)
-             for s in (t, t + self.h / 2, t + self.h)]
+        f = [forcing.coeffs_at(s) for s in (t, t + self.h / 2, t + self.h)]
         f.insert(2, f[1])  # the two mid-step stages read one evaluation
         grids = self._stage_grids if _grids else None
         keep = (None,) * 4 if grids is None else grids
@@ -255,7 +247,7 @@ class Stepper:
         self._check_state(out, t + self.h)
         return OddBand(self.domain, out), StepStages(t, grids)
 
-    def step(self, w: OddBand, t: float, forcing: Forcing | None = None) -> OddBand:
+    def step(self, w: OddBand, t: float, forcing: Forcing) -> OddBand:
         return self.step_with_stages(w, t, forcing)[0]
 
     def tangent_step(self, phi: OddBand, stages: StepStages) -> OddBand:
@@ -275,7 +267,7 @@ class Stepper:
         return OddBand(self.domain, out)
 
     def step_pair(
-        self, w: OddBand, phi: OddBand, t: float, forcing: Forcing | None = None
+        self, w: OddBand, phi: OddBand, t: float, forcing: Forcing
     ) -> tuple[OddBand, OddBand]:
         """Advance the state and a tangent perturbation through the same step."""
         _block_of(phi, "tangent")
@@ -288,7 +280,7 @@ def budget_residual(
     w_next: OddBand,
     t: float,
     h: float,
-    forcing: Forcing | None,
+    forcing: Forcing,
     config: SimConfig,
 ) -> float:
     """Midpoint defect of the enstrophy budget over one step of odd states.
@@ -307,7 +299,6 @@ def budget_residual(
     r = w1 - w0
     r /= h
     r += config.mu * d.ksq[d._block] * mid
-    if forcing is not None:
-        r -= forcing.coeffs_at(t + h / 2)
+    r -= forcing.coeffs_at(t + h / 2)
     r *= d._half_weight[d._block]
     return float(abs(2.0 * d.area * np.vdot(mid, r).real))

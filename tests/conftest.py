@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis.configuration import set_hypothesis_home_dir
 
+from zns.forcing import Forcing, ForcingSpec
 from zns.lattice import Domain, OddBand, SpectralField, project_parity, random_field
 from zns.stepper import Stepper
 
@@ -64,6 +65,11 @@ def field_forcing(fn):
     return SimpleNamespace(coeffs_at=lambda t: OddBand.of(project_parity(fn(t)), "forcing").coeffs)
 
 
+def zero_forcing(d: Domain) -> Forcing:
+    """The forcing of an unforced flow: it lists no mode, so its band block is all zeros."""
+    return Forcing(ForcingSpec(modes=()), d)
+
+
 def on_fields(fn, *args, **kwargs):
     """``fn(*args, **kwargs)``, a ``Stepper`` method or ``budget_residual``, on full fields:
     each ``SpectralField`` argument becomes a state through ``OddBand.of``, and each
@@ -80,10 +86,7 @@ class LinearStepper(Stepper):
     exponential of the linear symbol per mode (plus the forced response)."""
 
     def _nonlinear(self, C, f, keep):
-        out = np.zeros_like(C)
-        if f is not None:
-            out += f
-        return out
+        return f.copy()
 
     def _tangent_nonlinear(self, P, grids):
         return np.zeros_like(P)

@@ -1,14 +1,18 @@
 """Acceptance criteria: one test per criterion, each at its stated tolerance.
 
-Each test prints an ``ACCEPTANCE <n> PASS/FAIL`` line (visible with ``-s`` or
+Each criterion prints an ``ACCEPTANCE <n> PASS/FAIL`` line (visible with ``-s`` or
 in captured output).  The heavyweight runs (benchmark sweep, seed ensemble,
-contraction) are shared module-scoped fixtures; everything else is computed
-in place.  Total runtime is a few minutes on commodity hardware.
+contraction) are shared module-scoped fixtures, whose bits a last test pins;
+everything else is computed in place.  Total runtime is a few minutes on commodity hardware.
 """
 
+import hashlib
+import json
 import math
+import platform
 import time
 from contextlib import contextmanager
+from dataclasses import astuple, replace
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +21,14 @@ import pytest
 from zns.config import load_config
 from zns.diagnostics import agmon_check, approx_steady_state, steady_residual
 from zns.forcing import Forcing, ForcingSpec
-from zns.harness import run_contraction_test, run_epsilon_sweep
+from zns.harness import (
+    RunRecord,
+    _label,
+    config_hash,
+    run_contraction_test,
+    run_epsilon_sweep,
+    summarize_epsilon_sweep,
+)
 from zns.lattice import Domain, inner, norm, random_field
 from zns.operators import (
     apply_A,
@@ -27,7 +38,7 @@ from zns.operators import (
 )
 from zns.stepper import SimConfig, Stepper
 
-from conftest import LinearStepper, field_forcing, on_fields, triad_sum_oracle
+from conftest import LinearStepper, field_forcing, on_fields, triad_sum_oracle, zero_forcing
 
 BENCHMARK = ForcingSpec(modes=((0, 1, 1.0), (1, 1, 0.5)))
 SWEEP_EPSILONS = (0.1, 0.05, 0.025, 0.0125)
@@ -56,9 +67,18 @@ def benchmark_sweep():
 
 
 @pytest.fixture(scope="module")
-def seed_ensemble():
+def seed_ensemble(benchmark_sweep):
+    # The ensemble is the sweep's config at one of its epsilons, so its first seed is a
+    # member the sweep has already integrated: only the other two seeds run here.
     config = load_config(CONFIGS / "seed_ensemble.cfg")
-    return config, run_epsilon_sweep(config, n_seeds=3)
+    sweep_config, sweep = benchmark_sweep
+    assert config_hash(replace(sweep_config, epsilons=config.epsilons)) == config_hash(config)
+    seeds = tuple(config.seed + i for i in range(3))
+    first = _label(config.epsilons[0], seeds[0])
+    others = run_epsilon_sweep(replace(config, seed=seeds[1]), n_seeds=2)
+    series = {first: sweep.series[first], **others.series}
+    summary, violations = summarize_epsilon_sweep(series, config, seeds)
+    return config, RunRecord("epsilon-sweep", config, series, summary, violations)
 
 
 @pytest.fixture(scope="module")
@@ -147,7 +167,7 @@ def test_criterion_4_integrator_order():
         stiff = SimConfig(epsilon=1e-6, mu=0.5)
         stepper = LinearStepper(domain, stiff, h=0.01)
         w0 = random_field(domain, rng, norm_target=1.0)
-        w1 = on_fields(stepper.step, w0, 0.0)
+        w1 = on_fields(stepper.step, w0, 0.0, zero_forcing(domain))
         expected = np.exp(stepper.lam * 0.01) * w0.coeffs
         assert np.max(np.abs(w1.coeffs - expected)) <= 1e-15
         assert time.monotonic() - started < 60.0
@@ -251,3 +271,41 @@ def test_criterion_10_long_time_enstrophy_bound(seed_ensemble):
         fasts = [row[f"seed{s}"]["sup_fast_sq"] for s in record.summary["seeds"]]
         assert (max(fasts) - min(fasts)) / (sum(fasts) / 3) <= 0.10
         print(f"  C per seed: {[f'{c:.3f}' for c in constants]}")
+
+
+# The bits of the three records above, pinned in ``acceptance_bits.json``: each summary and
+# violation list as it is (floats as their repr), and each series and curve as the SHA-256
+# of its rows' reprs.  The transform gufuncs are private numpy API, so the file names the
+# numpy and the platform that made it.
+PINNED = Path(__file__).resolve().parent / "acceptance_bits.json"
+
+
+def _digest(rows) -> str:
+    text = "\n".join(",".join(repr(float(x)) for x in row) for row in rows)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _bits(record) -> dict:
+    """The pinned form of a ``RunRecord``, as JSON reads it back."""
+    return json.loads(json.dumps({
+        "summary": record.summary,
+        "violations": record.violations,
+        "series": {k: _digest(astuple(r) for r in v) for k, v in record.series.items()},
+        "curves": {k: _digest(v) for k, v in record.curves.items()},
+    }))
+
+
+def _host() -> dict:
+    return {"numpy": np.__version__, "platform": f"{platform.system()}-{platform.machine()}"}
+
+
+def test_acceptance_records_keep_their_pinned_bits(benchmark_sweep, seed_ensemble,
+                                                   contraction_run):
+    pinned = json.loads(PINNED.read_text())
+    runs = {"benchmark_sweep": benchmark_sweep, "seed_ensemble": seed_ensemble,
+            "contraction": contraction_run}
+    assert sorted(pinned["records"]) == sorted(runs)
+    for name, (_, record) in runs.items():
+        assert _bits(record) == pinned["records"][name], (
+            f"{name} differs from {PINNED.name}, pinned with {pinned['host']}, "
+            f"running with {_host()}")

@@ -40,7 +40,7 @@ from zns.lattice import (
 from zns.operators import split
 from zns.stepper import BlowUpError, SimConfig, Stepper
 
-from conftest import LinearStepper, on_fields
+from conftest import LinearStepper, on_fields, zero_forcing
 
 ZONAL = ForcingSpec(modes=((0, 1, 1.0),))
 MIXED = ForcingSpec(modes=((0, 1, 1.0), (1, 1, 0.5)))
@@ -184,21 +184,21 @@ class TestIntegrate:
         stepper = Stepper(cfg.domain, cfg.sim_config(0.1), 0.3)
         w0 = initial_state(cfg.domain, 0, 0.5)
         with pytest.raises(ValueError, match="whole number of steps"):
-            integrate(stepper, None, w0, 0.0, 1.0)
+            integrate(stepper, zero_forcing(cfg.domain), w0, 0.0, 1.0)
 
     def test_end_before_start_rejected(self):
         cfg = tiny_config()
         stepper = Stepper(cfg.domain, cfg.sim_config(0.1), cfg.h)
         w0 = initial_state(cfg.domain, 0, 0.5)
         with pytest.raises(ValueError, match="before the start time"):
-            integrate(stepper, None, w0, 1.0, 0.5)
+            integrate(stepper, zero_forcing(cfg.domain), w0, 1.0, 0.5)
 
     def test_start_off_the_step_grid_rejected(self):
         cfg = tiny_config()
         stepper = Stepper(cfg.domain, cfg.sim_config(0.1), cfg.h)
         w0 = initial_state(cfg.domain, 0, 0.5)
         with pytest.raises(ValueError, match="start time"):
-            integrate(stepper, None, w0, 0.005, 0.105)
+            integrate(stepper, zero_forcing(cfg.domain), w0, 0.005, 0.105)
 
     def test_runaway_step_count_rejected(self):
         # From 5e8 steps on, a 1e-9 relative tolerance passes half a step, so a t_end
@@ -333,8 +333,9 @@ class TestContraction:
             d, {(1, 2): a, (1, -2): -a, (-1, -2): a, (-1, 2): -a}
         )
         ts, vals = [], []
+        unforced = zero_forcing(d)
         for i in range(200):
-            phi = on_fields(stepper.step, phi, i * 0.01)
+            phi = on_fields(stepper.step, phi, i * 0.01, unforced)
             ts.append((i + 1) * 0.01)
             vals.append(norm(phi))
         rate = fit_exponential_rate(ts, vals)

@@ -39,7 +39,7 @@ from zns.operators import (
 )
 from zns.stepper import SimConfig, Stepper
 
-from conftest import KERNEL_DOMAINS, TRANSFORM_DOMAINS, triad_sum_oracle
+from conftest import KERNEL_DOMAINS, TRANSFORM_DOMAINS, triad_sum_oracle, zero_forcing
 
 
 class TestOmegaFreq:
@@ -262,7 +262,7 @@ class TestRealTransformKernel:
             assert _advect_raw(d, a.coeffs, b.coeffs).shape == (d.N2, d.N1)
 
     def test_signature_and_full_width_output(self, rng):
-        assert list(inspect.signature(_advect_raw).parameters) == ["d", "A", "B", "kernel"]
+        assert list(inspect.signature(_advect_raw).parameters) == ["d", "A", "B", "kernel", "keep"]
         d = Domain(N1=16, N2=8)
         a = random_field(d, rng, norm_target=1.0)
         out = _advect_raw(d, a.coeffs, a.coeffs)
@@ -399,8 +399,8 @@ class TestOddKernel:
         A, B = band_blocks(d, *(random_field(d, rng, norm_target=1.0) for _ in range(2)))
         calls = (lambda st: _advect_raw(d, A, B, st._kernel),
                  lambda st: _advect_raw(d, A, A, st._kernel),
-                 lambda st: np.stack([x.coeffs for x in st.step_pair(OddBand(d, A),
-                                                                       OddBand(d, B), 0.0)]))
+                 lambda st: np.stack([x.coeffs for x in st.step_pair(
+                     OddBand(d, A), OddBand(d, B), 0.0, zero_forcing(d))]))
         st = stepper()
         for call in calls:
             got, want = call(st), call(stepper())

@@ -36,7 +36,7 @@ from zns.stepper import (
     _phi,
 )
 
-from conftest import KERNEL_DOMAINS, LinearStepper, field_forcing, on_fields
+from conftest import KERNEL_DOMAINS, LinearStepper, field_forcing, on_fields, zero_forcing
 
 mpmath.mp.dps = 40
 
@@ -210,7 +210,7 @@ class TestLinearExactness:
         sim = SimConfig(epsilon=0.01, mu=0.1)
         st_ = LinearStepper(d, sim, h=0.05)
         w = SpectralField.from_modes(d, _parity_pack(1, 1, 0.8 + 0.1j))
-        w1 = on_fields(st_.step, w, 0.0)
+        w1 = on_fields(st_.step, w, 0.0, zero_forcing(d))
         factor = np.exp((-0.2 + 50.0j) * 0.05)
         assert w1.get_mode(1, 1) == pytest.approx(w.get_mode(1, 1) * factor, rel=1e-15)
 
@@ -220,7 +220,7 @@ class TestLinearExactness:
         sim = SimConfig(epsilon=eps, mu=0.7)
         st_ = LinearStepper(d, sim, h=0.02)
         w = random_field(d, rng, norm_target=1.0)
-        w1 = on_fields(st_.step, w, 0.0)
+        w1 = on_fields(st_.step, w, 0.0, zero_forcing(d))
         # note: exp(.)*coeffs, matching the production operand order;
         # complex a*b and b*a differ by an ulp when the FPU fuses multiplies
         expected = np.exp(st_.lam * 0.02) * w.coeffs
@@ -248,8 +248,9 @@ class TestNonlinearStep:
         w = random_field(d, rng, kmax=4.0, norm_target=1.0)
         ens0 = norm(w) ** 2
         energy0 = sobolev_norm(w, -1) ** 2
+        unforced = zero_forcing(d)
         for i in range(100):
-            w = on_fields(st_.step, w, i * 1e-3)
+            w = on_fields(st_.step, w, i * 1e-3, unforced)
         assert abs(norm(w) ** 2 - ens0) < 1e-10 * ens0
         assert abs(sobolev_norm(w, -1) ** 2 - energy0) < 1e-10 * energy0
 
@@ -301,7 +302,7 @@ class TestBlowUp:
         st_ = Stepper(d, SimConfig(epsilon=1.0, mu=0.0), h=0.1)
         w = SpectralField.from_modes(d, _parity_pack(1, 1, 1e13))
         with pytest.raises(BlowUpError) as info:
-            on_fields(st_.step, w, 3.0)
+            on_fields(st_.step, w, 3.0, zero_forcing(d))
         assert info.value.t == pytest.approx(3.1)
         assert info.value.magnitude > 1e12
         assert info.value.mode in {(1, 1), (1, -1), (-1, 1), (-1, -1)}
@@ -313,13 +314,13 @@ class TestBlowUp:
         w.coeffs[1, 1] = np.nan
         # NaN is never exactly odd, so a NaN state is refused as input ...
         with pytest.raises(ValueError, match="not exactly odd"):
-            on_fields(st_.step, w, 0.0)
+            on_fields(st_.step, w, 0.0, zero_forcing(d))
         # ... and a NaN that a step produces is a blow-up: the advection of two modes
         # of 1e300 overflows, and the transform of the infinite grid is NaN.
         huge = SpectralField.from_modes(d, {**_parity_pack(1, 1, 1e300j),
                                             **_parity_pack(2, 1, 1e300j)})
         with np.errstate(all="ignore"), pytest.raises(BlowUpError) as info:
-            on_fields(st_.step, huge, 0.0)
+            on_fields(st_.step, huge, 0.0, zero_forcing(d))
         assert info.value.magnitude == float("inf")
 
 
@@ -328,14 +329,15 @@ class TestTangent:
         d = Domain(N1=16, N2=16)
         st_ = Stepper(d, SimConfig(epsilon=0.5, mu=0.3), h=0.01)
         w = random_field(d, rng, kmax=4.0, norm_target=1.0)
-        _, stages = on_fields(st_.step_with_stages, w, 0.0, _grids=True)
+        _, stages = on_fields(st_.step_with_stages, w, 0.0, zero_forcing(d), _grids=True)
         phi = on_fields(st_.tangent_step, SpectralField.zeros(d), stages)
         assert norm(phi) == 0.0
 
     def test_zero_base_reduces_to_linear_flow(self, rng):
         d = Domain(N1=16, N2=16)
         st_ = Stepper(d, SimConfig(epsilon=0.5, mu=0.3), h=0.01)
-        _, stages = on_fields(st_.step_with_stages, SpectralField.zeros(d), 0.0, _grids=True)
+        _, stages = on_fields(st_.step_with_stages, SpectralField.zeros(d), 0.0, zero_forcing(d),
+                              _grids=True)
         phi0 = random_field(d, rng, kmax=4.0, norm_target=1.0)
         phi1 = on_fields(st_.tangent_step, phi0, stages)
         expected = np.exp(st_.lam * 0.01) * phi0.coeffs
@@ -345,7 +347,7 @@ class TestTangent:
         d = Domain(N1=16, N2=16)
         st_ = Stepper(d, SimConfig(epsilon=0.5, mu=0.3), h=0.01)
         w = random_field(d, rng, kmax=4.0, norm_target=1.0)
-        _, stages = on_fields(st_.step_with_stages, w, 0.0, _grids=True)
+        _, stages = on_fields(st_.step_with_stages, w, 0.0, zero_forcing(d), _grids=True)
         p1 = random_field(d, rng, kmax=4.0, norm_target=1.0)
         p2 = random_field(d, rng, kmax=4.0, norm_target=1.0)
         alpha = 1.7
@@ -360,15 +362,16 @@ class TestTangent:
         w0 = random_field(d, rng, kmax=4.0, norm_target=1.0)
         phi0 = random_field(d, rng, kmax=4.0, norm_target=1.0)
         n = 20
+        unforced = zero_forcing(d)
 
         def advance(w):
             for i in range(n):
-                w = on_fields(st_.step, w, i * 0.01)
+                w = on_fields(st_.step, w, i * 0.01, unforced)
             return w
 
         w, phi = w0.copy(), phi0.copy()
         for i in range(n):
-            w, phi = on_fields(st_.step_pair, w, phi, i * 0.01)
+            w, phi = on_fields(st_.step_pair, w, phi, i * 0.01, unforced)
         base = advance(w0.copy())
         residuals = []
         for delta in (1e-3, 1e-4, 1e-5):
@@ -397,8 +400,9 @@ class TestBudgetResidual:
         sim = SimConfig(epsilon=1.0, mu=0.0)
         st_ = Stepper(d, sim, h=1e-3)
         w = random_field(d, rng, kmax=4.0, norm_target=1.0)
-        w1 = on_fields(st_.step, w, 0.0)
-        assert on_fields(budget_residual, w, w1, 0.0, 1e-3, None, sim) < 1e-8
+        unforced = zero_forcing(d)
+        w1 = on_fields(st_.step, w, 0.0, unforced)
+        assert on_fields(budget_residual, w, w1, 0.0, 1e-3, unforced, sim) < 1e-8
 
     def test_second_order_in_h(self, rng):
         d = Domain(N1=16, N2=16)
@@ -424,7 +428,7 @@ class TestBudgetResidual:
     @pytest.mark.parametrize("forced", [True, False], ids=["forced", "unforced"])
     def test_matches_midpoint_formula(self, d, forced, rng):
         spec = ForcingSpec(modes=((0, 1, 1.0), (1, 1, 0.5)))
-        forcing = Forcing(spec, d) if forced else None
+        forcing = Forcing(spec, d) if forced else zero_forcing(d)
         sim = SimConfig(epsilon=0.2, mu=0.5)
         h = 4e-3
         w = random_field(d, rng, norm_target=1.0)
@@ -636,7 +640,7 @@ class TestQuarterStep:
         st_ = LinearStepper(d, SimConfig(epsilon=1.0, mu=0.0), h=0.1)
         w = SpectralField.from_modes(d, _parity_pack(2, 3, 1e13j))
         with pytest.raises(BlowUpError) as info:
-            on_fields(st_.step, w, 0.0)
+            on_fields(st_.step, w, 0.0, zero_forcing(d))
         assert info.value.mode == (2, 3)
 
 
@@ -703,10 +707,11 @@ class TestCachedTangentStage:
         st_ = LinearStepper(d, SimConfig(epsilon=0.5, mu=0.3), h=0.01)
         w = random_field(d, rng, norm_target=2.0)
         phi = random_field(d, rng, norm_target=1.0)
-        _, stages = on_fields(st_.step_with_stages, w, 0.0, _grids=True)
+        unforced = zero_forcing(d)
+        _, stages = on_fields(st_.step_with_stages, w, 0.0, unforced, _grids=True)
         expected = np.exp(st_.lam * 0.01) * phi.coeffs
         for got in (on_fields(st_.tangent_step, phi, stages),
-                    on_fields(st_.step_pair, w, phi, 0.0)[1]):
+                    on_fields(st_.step_pair, w, phi, 0.0, unforced)[1]):
             assert np.max(np.abs(got.coeffs - expected)) <= 1e-15 * np.max(np.abs(expected))
 
     def test_transform_counts(self, monkeypatch, rng):
@@ -752,8 +757,9 @@ class TestCachedTangentStage:
         d = Domain(N1=16, N2=16)
         st_ = Stepper(d, SimConfig(epsilon=0.2, mu=0.5), h=0.01)
         w = random_field(d, rng, norm_target=2.0)
-        on_fields(st_.step_pair, w, random_field(d, rng, norm_target=1.0), 0.0)
-        on_fields(st_.step, w, 0.0)
+        unforced = zero_forcing(d)
+        on_fields(st_.step_pair, w, random_field(d, rng, norm_target=1.0), 0.0, unforced)
+        on_fields(st_.step, w, 0.0, unforced)
         assert calls == ["step_with_stages", "tangent_step", "step_with_stages"]
 
 
@@ -916,7 +922,8 @@ class TestWorkBuffers:
         d = Domain(N1=16, N2=16)
         st_ = Stepper(d, SimConfig(epsilon=0.2, mu=0.5), h=0.01)
         w = OddBand.of(random_field(d, rng, norm_target=1.0))
-        w, _ = st_.step_pair(st_.step(w, 0.0), w, 0.01)
+        unforced = zero_forcing(d)
+        w, _ = st_.step_pair(st_.step(w, 0.0, unforced), w, 0.01, unforced)
         record_state(w.field, 0.02)
         fields = {f.name for f in dataclasses.fields(d)}
         cached = {name: v for name, v in vars(d).items() if name not in fields}
@@ -936,7 +943,7 @@ class TestWorkBuffers:
         for kwargs in ({"w0": not_odd}, {"w0": odd, "tangent": not_odd},
                        {"w0": odd, "partner": not_odd}):
             with pytest.raises(ValueError, match="not exactly odd"):
-                integrate(st_, None, t0=0.0, t_end=0.1, **kwargs)
+                integrate(st_, zero_forcing(d), t0=0.0, t_end=0.1, **kwargs)
 
     @pytest.mark.parametrize("what", ["tangent", "partner"])
     def test_integrate_names_what_is_not_odd(self, what, rng):
@@ -947,7 +954,7 @@ class TestWorkBuffers:
         odd = random_field(d, rng, norm_target=1.0)
         not_odd = random_field(d, rng, norm_target=1.0, odd_in_y=False)
         with pytest.raises(ValueError, match=f"^{what} is not exactly odd in y"):
-            integrate(st_, None, odd, 0.0, 0.1, **{what: not_odd})
+            integrate(st_, zero_forcing(d), odd, 0.0, 0.1, **{what: not_odd})
 
 
 class TestSteadyForcingView:
@@ -1028,7 +1035,8 @@ def budget_residual_three_pass(w, w_next, t, h, forcing, config):
 @pytest.mark.parametrize("forced", [True, False], ids=["forced", "unforced"])
 @pytest.mark.parametrize("odd", [True, False], ids=["odd", "not-odd"])
 def test_budget_residual_matches_three_pass_formula(d, forced, odd, rng):
-    forcing = Forcing(ForcingSpec(modes=((0, 1, 1.0), (1, 1, 0.5))), d) if forced else None
+    spec = ForcingSpec(modes=((0, 1, 1.0), (1, 1, 0.5)))
+    forcing = Forcing(spec, d) if forced else zero_forcing(d)
     sim = SimConfig(epsilon=0.2, mu=0.5)
     st_ = Stepper(d, sim, 4e-3)
     w = random_field(d, rng, norm_target=1.0, odd_in_y=odd)
@@ -1275,7 +1283,7 @@ def test_band_step_is_bit_identical_to_the_quarter_step(d, forced):
     from zns.harness import initial_state
 
     spec = ForcingSpec(modes=((0, 1, 1.0), (1, 1, 0.5)), sigma=0.7)
-    forcing = Forcing(spec, d) if forced else None
+    forcing = Forcing(spec, d) if forced else zero_forcing(d)
     st_ = Stepper(d, SimConfig(epsilon=0.05, mu=0.5), h=0.004)
     ref = QuarterStage(st_)
     w, phi, plain = (OddBand.of(initial_state(d, seed, 1.0)) for seed in (1, 2, 3))
@@ -1293,7 +1301,8 @@ def test_band_step_is_bit_identical_to_the_quarter_step(d, forced):
 
 def test_calls_that_tracing_counts(monkeypatch):
     # A benchmark trace counts one ``step_with_stages`` per base or partner step, one
-    # ``tangent_step`` per tangent step and four ``zns.stepper._advect_raw`` per plain step.
+    # ``tangent_step`` per tangent step and four ``zns.stepper._advect_raw`` per base step,
+    # kept grids or not.
     import zns.stepper
     from zns.harness import initial_state, integrate
 
@@ -1318,6 +1327,6 @@ def test_calls_that_tracing_counts(monkeypatch):
     integrate(st_, forcing, w0, 0.0, 0.07, record_every=3)
     assert take() == (7, 0, 28)
     integrate(st_, forcing, w0, 0.0, 0.07, record_every=3, tangent=phi0, partner=partner0)
-    assert take() == (14, 7, 28)
+    assert take() == (14, 7, 56)
     on_fields(st_.step, w0, 0.0, forcing)
     assert take() == (1, 0, 4)
